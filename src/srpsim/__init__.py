@@ -17,7 +17,7 @@ from .scenario import (AdversarySpec, MetricsSpec, Scenario, ScenarioError,
                        build, load_scenario, scenario_from_dict)
 from .simcore import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
                       ScheduleError, ScheduleMap, SimConfig, TraceEvent,
-                      TunnelChannel, edge_key, link_state)
+                      TunnelChannel, edge_key)
 from .srp import (Accept, ArmTimer, Broadcast, ConfigurationError, Discard,
                   Discovery, NodeState,
                   Note, RouteRecord, Rrep, Rreq, SrpNode, TunnelSend, Unicast,
@@ -25,10 +25,8 @@ from .srp import (Accept, ArmTimer, Broadcast, ConfigurationError, Discard,
                   on_replywait_timeout, process_rreq_destination,
                   process_rreq_intermediate, process_rrep, rreq_verdict,
                   rrep_verdict)
-from .srp_qos import (GKind, LinkMetricModel, QosRuntime, SCALE,
-                      check_metric_consistency, delta_good, from_scaled,
-                      measure_metric, process_rreq_augmented,
-                      process_rrep_augmented, route_metric, to_scaled)
+from .srp_qos import (GKind, LinkMetricModel, QosRuntime, SCALE, delta_good,
+                      from_scaled, route_metric, to_scaled)
 from .verifier import (Verdict, check_accuracy, check_fresh, check_loop_free,
                        check_weakly_fresh, summarize, verdict_all)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .srp import (Broadcast, Note, Rrep, Rreq, TunnelSend, Unicast,
+from . import srp
+from .srp import (ArmTimer, Broadcast, Rrep, Rreq, TunnelSend, Unicast,
                   observe_relay, rreq_verdict, rrep_verdict)
 from .srp_qos import SCALE, to_scaled
 
@@ -40,6 +41,10 @@ class AttackClassError(ValueError):
 
 class UnknownAttackError(ValueError):
     pass
+
+
+class AttackParamError(ValueError):
+    """A named attack is missing a param its script cannot run without."""
 
 
 class AdvContext:
@@ -120,22 +125,27 @@ class AdvContext:
             ml = rreq.metric_list + fabricated + (metric,) + tuple(extra_metrics)
         return replace(rreq, node_list=nl, metric_list=ml)
 
-    def protocol_rrep_forward(self, rrep: Rrep):
-        """Relay a reply the way the protocol prescribes for our position."""
+    def protocol_rrep_forward(self, rrep: Rrep, payload=None):
+        """Relay a reply the way the protocol prescribes for our position;
+        `payload`, when given, goes to that next hop in the reply's place."""
         if self.self_id not in rrep.route:
             return None
         idx = rrep.route.index(self.self_id)
         target = rrep.route[idx + 1] if idx + 1 < len(rrep.route) else rrep.src
         if target == self.self_id:  # looped route: no sane forwarding target
             return None
-        return Unicast(target, rrep)
+        return Unicast(target, rrep if payload is None else payload)
 
 
 class AttackScript:
-    """Base class: every hook returns a list of effects to execute."""
+    """Base class: every hook returns a list of effects to execute (a None
+    entry is skipped).  Request and reply hooks default to what a
+    protocol-following node does, so a script overrides only the hooks where
+    it deviates; `required` names the params it cannot run without."""
 
     name = "base"
     arbitrary_only = False
+    required: tuple[str, ...] = ()
 
     def __init__(self, params=None):
         self.params = dict(params or {})
@@ -145,10 +155,10 @@ class AttackScript:
         pass
 
     def on_rreq(self, ctx, rreq, transmitter, now):
-        return []
+        return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
 
     def on_rrep(self, ctx, rrep, forwarder, now):
-        return []
+        return [ctx.protocol_rrep_forward(rrep)]
 
     def on_overhear(self, ctx, msg, transmitter, now):
         return []
@@ -168,25 +178,22 @@ class LoopInject(AttackScript):
 
     def on_rreq(self, ctx, rreq, transmitter, now):
         if self.params.get("where", "rreq") != "rreq":
-            return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+            return super().on_rreq(ctx, rreq, transmitter, now)
         dup = self.params.get("dup") or (rreq.node_list[-1] if rreq.node_list else ctx.self_id)
         nl = rreq.node_list + (dup, ctx.self_id)
         return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
 
     def on_rrep(self, ctx, rrep, forwarder, now):
         if self.params.get("where", "rreq") != "rrep" or not rrep.route:
-            fwd = ctx.protocol_rrep_forward(rrep)
-            return [fwd] if fwd else []
+            return super().on_rrep(ctx, rrep, forwarder, now)
         tampered = replace(rrep, route=(rrep.route[0],) + rrep.route)
-        fwd = ctx.protocol_rrep_forward(rrep)
-        if fwd is None:
-            return []
-        return [Unicast(fwd.to, tampered)]
+        return [ctx.protocol_rrep_forward(rrep, tampered)]
 
 
 class TamperNodelistDownstream(AttackScript):
     """Insert extra identities (a link that was never up) into the list of a
-    request received beyond the victim link's claimed position."""
+    request received beyond the victim link's claimed position.  The reply
+    then follows the claimed route, whose next hop is the fabricated link."""
 
     name = "tamper_nodelist_downstream"
 
@@ -195,22 +202,13 @@ class TamperNodelistDownstream(AttackScript):
         nl = rreq.node_list + insert + (ctx.self_id,)
         return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        # follow the claimed route: the next hop is the fabricated link
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
 
-
-class ShortcutRelay(AttackScript):
+class ShortcutRelay(TamperNodelistDownstream):
     """Variant of the downstream tamper: on the way back, unicast the reply
     straight to a node earlier in the route, skipping the claimed chain."""
 
     name = "shortcut_relay"
-
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        insert = tuple(self.params.get("insert", ()))
-        nl = rreq.node_list + insert + (ctx.self_id,)
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
+    required = ("shortcut_to",)
 
     def on_rrep(self, ctx, rrep, forwarder, now):
         return [Unicast(self.params["shortcut_to"], rrep)]
@@ -221,6 +219,7 @@ class TamperNodelistUpstream(AttackScript):
     ending at this node (claiming a link to it that was never up)."""
 
     name = "tamper_nodelist_upstream"
+    required = ("fake_list",)
 
     def on_rreq(self, ctx, rreq, transmitter, now):
         fake = tuple(self.params["fake_list"])
@@ -236,8 +235,7 @@ class TamperNodelistUpstream(AttackScript):
         jump = self.params.get("jump_to")
         if jump is not None:
             return [Unicast(jump, rrep)]
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
+        return super().on_rrep(ctx, rrep, forwarder, now)
 
 
 class TamperRrepRoute(AttackScript):
@@ -246,17 +244,11 @@ class TamperRrepRoute(AttackScript):
 
     name = "tamper_rrep_route"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
-
     def on_rrep(self, ctx, rrep, forwarder, now):
         insert = tuple(self.params.get("insert", ()))
         index = int(self.params.get("index", 1))
         tampered = replace(rrep, route=rrep.route[:index] + insert + rrep.route[index:])
-        fwd = ctx.protocol_rrep_forward(rrep)
-        if fwd is None:
-            return []
-        return [Unicast(fwd.to, tampered)]
+        return [ctx.protocol_rrep_forward(rrep, tampered)]
 
 
 class ImpersonateT(AttackScript):
@@ -264,13 +256,14 @@ class ImpersonateT(AttackScript):
     destination itself; the link-layer source identity gives the lie away."""
 
     name = "impersonate_t"
+    required = ("route", "target")
 
     def __init__(self, params=None):
         super().__init__(params)
         self._done = set()
 
     def on_rreq(self, ctx, rreq, transmitter, now):
-        fx = [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+        fx = super().on_rreq(ctx, rreq, transmitter, now)
         key = (rreq.src, rreq.qid)
         if key not in self._done:
             self._done.add(key)
@@ -282,23 +275,20 @@ class ImpersonateT(AttackScript):
             fx.append(Unicast(self.params["target"], forged))
         return fx
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
-
 
 class ForgeRrep(AttackScript):
     """Fabricate a reply with an invented route on receipt of a request; the
     authenticator cannot be computed without the end-node key."""
 
     name = "forge_rrep"
+    required = ("fake_route",)
 
     def __init__(self, params=None):
         super().__init__(params)
         self._done = set()
 
     def on_rreq(self, ctx, rreq, transmitter, now):
-        fx = [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+        fx = super().on_rreq(ctx, rreq, transmitter, now)
         key = (rreq.src, rreq.qid)
         if key not in self._done:
             self._done.add(key)
@@ -312,10 +302,6 @@ class ForgeRrep(AttackScript):
             # so the upstream forward-list check is not what stops it
             fx.append(Later(3.0 * ctx.tau, Unicast(transmitter, forged)))
         return fx
-
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
 
 
 class ReplayStaleRrep(AttackScript):
@@ -332,10 +318,10 @@ class ReplayStaleRrep(AttackScript):
         fwd = ctx.protocol_rrep_forward(rrep)
         if fwd is not None and self._stored is None:
             self._stored = (rrep, fwd.to)
-        return [fwd] if fwd else []
+        return [fwd]
 
     def on_rreq(self, ctx, rreq, transmitter, now):
-        fx = [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+        fx = super().on_rreq(ctx, rreq, transmitter, now)
         if self._stored is not None:
             old, target = self._stored
             if (old.src, old.dst) == (rreq.src, rreq.dst) and old.qid != rreq.qid:
@@ -348,13 +334,10 @@ class TamperMetricRrep(AttackScript):
 
     name = "tamper_metriclist_rrep"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
-
     def on_rrep(self, ctx, rrep, forwarder, now):
         fwd = ctx.protocol_rrep_forward(rrep)
         if fwd is None or rrep.metric_list is None:
-            return [fwd] if fwd else []
+            return [fwd]
         # index counts from the source end of the route
         idx_from_src = int(self.params.get("index", 0))
         ml = list(rrep.metric_list)
@@ -370,17 +353,13 @@ class TamperMetricRreqUpstream(AttackScript):
     name = "tamper_metriclist_rreq_upstream"
 
     def on_rreq(self, ctx, rreq, transmitter, now):
-        if rreq.metric_list is None or not rreq.metric_list:
-            return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+        if not rreq.metric_list:
+            return super().on_rreq(ctx, rreq, transmitter, now)
         idx = int(self.params.get("index", 0))
         ml = list(rreq.metric_list)
         ml[idx] += to_scaled(float(self.params.get("delta", 0.5)))
         tampered = replace(rreq, metric_list=tuple(ml))
-        return [Broadcast(ctx.appended_rreq(tampered, transmitter))]
-
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
+        return super().on_rreq(ctx, tampered, transmitter, now)
 
 
 class TamperMetricRreqDownstream(AttackScript):
@@ -392,6 +371,11 @@ class TamperMetricRreqDownstream(AttackScript):
     def on_rreq(self, ctx, rreq, transmitter, now):
         extra = tuple(to_scaled(float(x)) for x in self.params.get("extra", (1.0,)))
         return [Broadcast(ctx.appended_rreq(rreq, transmitter, extra_metrics=extra))]
+
+    def on_rrep(self, ctx, rrep, forwarder, now):
+        # Replies are dropped, not forwarded.  Augmented-mode runs never
+        # route one through this node; in basic mode this is what it does.
+        return []
 
 
 class BiasedMetric(AttackScript):
@@ -412,7 +396,7 @@ class BiasedMetric(AttackScript):
 
     def on_rreq(self, ctx, rreq, transmitter, now):
         if ctx.qos is None:
-            return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+            return super().on_rreq(ctx, rreq, transmitter, now)
         s = 1 if float(self.params.get("direction", 1)) >= 0 else -1
         eps_s = ctx.qos.epsilon_scaled
         d_s = ctx.qos.delta_scaled
@@ -434,10 +418,6 @@ class BiasedMetric(AttackScript):
             if actual is not None:
                 ctx.set_self_bias(report - actual)
         return [Broadcast(ctx.appended_rreq(rreq, transmitter, metric=report))]
-
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
 
 
 class Fig1aTunnel(AttackScript):
@@ -476,8 +456,7 @@ class Fig1aTunnel(AttackScript):
                 ml = ml + (appended,)
             return [Broadcast(replace(msg, node_list=nl, metric_list=ml))]
         if isinstance(msg, Rrep) and self.params.get("role", "entry") == "entry":
-            fwd = ctx.protocol_rrep_forward(msg)
-            return [fwd] if fwd else []
+            return [ctx.protocol_rrep_forward(msg)]
         return []
 
     def on_rrep(self, ctx, rrep, forwarder, now):
@@ -500,14 +479,13 @@ class Fig1bChain(AttackScript):
             insert = tuple(self.params.get("insert", ()))
             nl = rreq.node_list + insert + (ctx.self_id,)
             return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+        return super().on_rreq(ctx, rreq, transmitter, now)
 
     def on_rrep(self, ctx, rrep, forwarder, now):
         role = self.params.get("role", "interior")
         if role == "interior" and "jump_to" in self.params:
             return [Unicast(self.params["jump_to"], rrep)]
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
+        return super().on_rrep(ctx, rrep, forwarder, now)
 
 
 class PassThrough(AttackScript):
@@ -515,13 +493,6 @@ class PassThrough(AttackScript):
     demoted form of a colluding attack."""
 
     name = "passive"
-
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
-
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
-        return [fwd] if fwd else []
 
 
 class FuzzScript(AttackScript):
@@ -603,7 +574,7 @@ class FuzzScript(AttackScript):
         r = self.rng
         p = r.random()
         if p < 0.35:
-            return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+            return super().on_rreq(ctx, rreq, transmitter, now)
         if p < 0.65:
             nl = self._mangle_nodelist(ctx, rreq.node_list + (ctx.self_id,))
             out = ctx.appended_rreq(rreq, transmitter, node_list=nl)
@@ -637,7 +608,7 @@ class FuzzScript(AttackScript):
         p = r.random()
         fwd = ctx.protocol_rrep_forward(rrep)
         if p < 0.40:
-            return [fwd] if fwd else []
+            return [fwd]
         if p < 0.65:
             out = replace(rrep, route=self._mangle_nodelist(ctx, rrep.route))
             if rrep.metric_list is not None:
@@ -693,6 +664,9 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None) -> At
             f"adversary never acts on traffic it detects as non-compliant "
             f"and has no tunnel channel"
         )
+    for key in cls.required:
+        if key not in (params or {}):
+            raise AttackParamError(f"attack {name!r} requires param {key!r}")
     return cls(params)
 
 
@@ -803,33 +777,24 @@ class AdversaryNode:
             self.state.prefix_metric[key] = self.qos.aggregate_scaled(msg.metric_list)
 
     def _execute(self, engine, actions, trigger: str):
+        """Apply the adversary-only rules (deferral, the emission budget, no
+        self-addressed frames, tunnels for the arbitrary class only) and hand
+        each surviving effect to the shared executor."""
         for a in actions:
             if a is None:
                 continue
-            if isinstance(a, Note):
-                engine.trace_step(self.node_id, a.outcome, a.detail, a.msg)
-                continue
             if isinstance(a, Later):
-                engine.arm_timer(self.node_id, engine.now + a.delay,
-                                 ("adv_later", a.action))
-                continue
-            if self.emitted >= self.max_emissions:
-                engine.trace_step(self.node_id, "adv-budget", "emission budget exhausted")
-                return
-            self.emitted += 1
-            if isinstance(a, Broadcast):
-                engine.note_adversary_emission(self.node_id, a.msg, trigger)
-                engine.bcast_l(self.node_id, a.msg)
-                self._after_emit(a.msg)
-            elif isinstance(a, Unicast):
-                if a.to == self.node_id:
+                a = ArmTimer(engine.now + a.delay, ("adv_later", a.action))
+            elif isinstance(a, (Broadcast, Unicast, TunnelSend)):
+                if self.emitted >= self.max_emissions:
+                    engine.trace_step(self.node_id, "adv-budget", "emission budget exhausted")
+                    return
+                self.emitted += 1
+                if isinstance(a, Unicast) and a.to == self.node_id:
                     continue
-                engine.note_adversary_emission(self.node_id, a.msg, trigger)
-                engine.send_l(self.node_id, a.to, a.msg)
-            elif isinstance(a, TunnelSend):
-                if self.klass is not AdversaryClass.ARBITRARY:
+                if isinstance(a, TunnelSend) and self.klass is not AdversaryClass.ARBITRARY:
                     raise AttackClassError("tunnel use by a non-arbitrary adversary")
                 engine.note_adversary_emission(self.node_id, a.msg, trigger)
-                engine.tunnel_send(self.node_id, a.msg)
-            else:
-                raise RuntimeError(f"unknown adversary action {a!r}")
+            srp.execute(engine, self.node_id, [a])
+            if isinstance(a, Broadcast):
+                self._after_emit(a.msg)

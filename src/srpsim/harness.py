@@ -395,7 +395,8 @@ def read_trace(path):
 
 def check_trace(trace_path, scenario: Scenario):
     """Re-verify a stored trace against a scenario: recompute the digest over
-    the event lines and re-run the verifier on the recorded routes.  Returns
+    the event lines, match the recorded routes against the accept lines the
+    digest covers, and re-run the verifier on those routes.  Returns
     (ok, messages, verdicts)."""
     lines, records, stored_digest = read_trace(trace_path)
     messages = []
@@ -409,6 +410,12 @@ def check_trace(trace_path, scenario: Scenario):
         messages.append(
             f"digest mismatch: stored {stored_digest:016x}, "
             f"recomputed {recomputed:016x}")
+    accepts = [(ln.split(" ", 1)[0], ln.rsplit(" route=", 1)[1])
+               for ln in lines if " step - accept route=" in ln]
+    if [(repr(r.t2), ",".join(r.route)) for r in records] != accepts:
+        ok = False
+        messages.append("accepted-route records do not match the trace's "
+                        "accept lines (time and route, in order)")
     schedules = ScheduleMap(scenario.nodes, scenario.links)
     model = scenario.metrics.build_model(scenario.config.seed) \
         if scenario.metrics is not None else None

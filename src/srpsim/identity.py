@@ -120,6 +120,3 @@ class KeyRing:
 
     def mac(self, peer: str, fields: Sequence) -> int:
         return self.table._mac(self.holder, peer, fields)
-
-    def verify(self, peer: str, fields: Sequence, digest: int) -> bool:
-        return self.mac(peer, fields) == digest

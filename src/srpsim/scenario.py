@@ -128,6 +128,8 @@ class Scenario:
                         raise ScenarioError(
                             f"adversary {node}: {e} (independent adversaries "
                             f"never act on detectably non-compliant traffic)")
+                    except ValueError as e:  # unknown attack or missing param
+                        raise ScenarioError(f"adversary {node}: {e}")
             path = spec.params.get("path")
             if path is not None:
                 if spec.klass is not AdversaryClass.ARBITRARY:
@@ -172,7 +174,6 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             tx_time=float(raw_cfg.get("tx_time", 1.0)),
             end_time=float(raw_cfg.get("end_time", 300.0)),
             seed=int(raw_cfg.get("seed", 1)),
-            radius=float(raw_cfg.get("radius", 1.0)),
             reply_wait_min=float(rw_min),
             reply_wait_max=float(rw_max),
         )

@@ -3,8 +3,7 @@
 Models broadcast and unicast within nominal radio range, link up/down
 schedules, bounded per-delivery delay, promiscuous overhearing, delivery
 failure reports, and the opaque multi-hop relay channel used by colluding
-adversaries.  Topology is given entirely by explicit link schedules; the
-nominal radius is honored by scenario authoring, not by geometry.
+adversaries.  Topology is given entirely by explicit link schedules.
 """
 
 from __future__ import annotations
@@ -40,15 +39,13 @@ class SimConfig:
     """Engine-level constants for one run.
 
     tau bounds per-hop delivery latency; tx_time is the transmission window a
-    link must stay up for; radius is the nominal radio range (informational,
-    connectivity comes from the schedules).
+    link must stay up for.
     """
 
     tau: float = 1.0
     tx_time: float = 1.0
     end_time: float = 300.0
     seed: int = 1
-    radius: float = 1.0
     reply_wait_min: float = 16.0
     reply_wait_max: float = 256.0
 
@@ -74,6 +71,8 @@ class LinkSchedule:
     def validate(self, tx_time: float) -> None:
         prev_end = None
         for a, b in self.up_intervals:
+            if a < 0:
+                raise ScheduleError(f"{self.edge}: interval [{a}, {b}) starts before time 0")
             if not a < b:
                 raise ScheduleError(f"{self.edge}: empty interval [{a}, {b})")
             if b - a < tx_time:
@@ -90,9 +89,6 @@ class LinkSchedule:
                         f"one packet transmission time {tx_time}"
                     )
             prev_end = b
-
-    def up_at(self, t: float) -> bool:
-        return any(a <= t < b for a, b in self.up_intervals)
 
     def covers(self, t0: float, t1: float) -> bool:
         """Up throughout the closed window [t0, t1]."""
@@ -125,10 +121,6 @@ class ScheduleMap:
     def get(self, u: str, v: str) -> Optional[LinkSchedule]:
         return self._by_edge.get(edge_key(u, v))
 
-    def link_state(self, u: str, v: str, t: float) -> str:
-        s = self.get(u, v)
-        return "up" if s is not None and s.up_at(t) else "down"
-
     def covers(self, u: str, v: str, t0: float, t1: float) -> bool:
         s = self.get(u, v)
         return s is not None and s.covers(t0, t1)
@@ -150,11 +142,6 @@ class ScheduleMap:
         return out
 
 
-def link_state(schedules: ScheduleMap, u: str, v: str, t: float) -> str:
-    """State of link (u, v) at instant t: "up" or "down"."""
-    return schedules.link_state(u, v, t)
-
-
 # Event kinds, ordered only by (time, seq).
 DELIVER = "deliver"
 LINK_CHANGE = "link_change"
@@ -168,9 +155,6 @@ class Event:
     seq: int
     kind: str
     payload: tuple
-
-    def sort_key(self):
-        return (self.time, self.seq)
 
 
 class TraceEvent:
@@ -405,11 +389,7 @@ class Engine:
     # -- replay support -----------------------------------------------------
 
     def trace_digest(self) -> int:
-        h = hashlib.blake2b(digest_size=8)
-        for te in self.trace:
-            h.update(te.line().encode())
-            h.update(b"\n")
-        return int.from_bytes(h.digest(), "big")
+        return trace_digest_of_lines(te.line() for te in self.trace)
 
 
 def trace_digest_of_lines(lines: Iterable[str]) -> int:

@@ -479,8 +479,27 @@ def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, now: float, qos=
 
 
 # --------------------------------------------------------------------------
-# Engine driver for a correct node
+# Engine drivers
 # --------------------------------------------------------------------------
+
+def execute(engine, node: str, effects) -> None:
+    """Apply one node's effects to the engine, in order."""
+    for f in effects:
+        if isinstance(f, Broadcast):
+            engine.bcast_l(node, f.msg)
+        elif isinstance(f, Unicast):
+            engine.send_l(node, f.to, f.msg)
+        elif isinstance(f, ArmTimer):
+            engine.arm_timer(node, f.at, f.tag)
+        elif isinstance(f, Accept):
+            engine.accept_route(node, f.record)
+        elif isinstance(f, Note):
+            engine.trace_step(node, f.outcome, f.detail, f.msg)
+        elif isinstance(f, TunnelSend):
+            engine.tunnel_send(node, f.msg)
+        else:
+            raise RuntimeError(f"unexpected effect {f!r} from {node}")
+
 
 class SrpNode:
     """Correct-node driver: feeds deliveries and timers through the protocol
@@ -503,7 +522,7 @@ class SrpNode:
                 fx += handle_rreq(self.state, msg, transmitter, now, self.qos)
         elif isinstance(msg, Rrep) and addressed:
             fx += process_rrep(self.state, msg, transmitter, now, self.cfg, self.qos)
-        self.execute(engine, fx)
+        execute(engine, self.node_id, fx)
 
     def on_timer(self, engine, tag, now):
         kind = tag[0]
@@ -513,12 +532,12 @@ class SrpNode:
             fx = on_conclude_timer(self.state, tag[1], tag[2], now, self.cfg, self.qos)
         else:
             fx = []
-        self.execute(engine, fx)
+        execute(engine, self.node_id, fx)
 
     def on_action(self, engine, action, now):
         if action[0] == "initiate":
             fx = initiate_discovery(self.state, action[1], now, self.cfg, self.qos)
-            self.execute(engine, fx)
+            execute(engine, self.node_id, fx)
 
     def on_tunnel(self, engine, msg, frm, now):
         pass  # correct nodes have no private channel
@@ -528,18 +547,3 @@ class SrpNode:
 
     def on_time(self, engine, now):
         pass
-
-    def execute(self, engine, effects):
-        for f in effects:
-            if isinstance(f, Broadcast):
-                engine.bcast_l(self.node_id, f.msg)
-            elif isinstance(f, Unicast):
-                engine.send_l(self.node_id, f.to, f.msg)
-            elif isinstance(f, ArmTimer):
-                engine.arm_timer(self.node_id, f.at, f.tag)
-            elif isinstance(f, Accept):
-                engine.accept_route(self.node_id, f.record)
-            elif isinstance(f, Note):
-                engine.trace_step(self.node_id, f.outcome, f.detail, f.msg)
-            else:
-                raise RuntimeError(f"unexpected effect {f!r} from correct node")

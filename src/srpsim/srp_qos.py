@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from . import srp
 from .simcore import edge_key
 
 SCALE = 10 ** 6
@@ -71,14 +70,6 @@ def delta_good(kind: GKind, n: int, epsilon: float, delta_tilde: float) -> float
     return n * epsilon + delta_tilde
 
 
-def check_metric_consistency(m_own: float, m_reported: float, epsilon: float,
-                             administrative: bool = False) -> bool:
-    """Endpoint agreement test for one link's two measurements."""
-    if administrative:
-        return m_own == m_reported
-    return abs(m_own - m_reported) < epsilon
-
-
 @dataclass
 class LinkMetricModel:
     """Ground-truth link values plus the per-node measurement behavior.
@@ -112,14 +103,12 @@ class LinkMetricModel:
         v = self.actual.get(edge_key(*edge))
         return None if v is None else to_scaled(v)
 
-    def _noise_scaled(self, node: str, edge) -> int:
-        if self.administrative or self.delta_tilde == 0:
-            return 0
-        e = edge_key(*edge)
+    def _noise(self, node: str, e) -> float:
+        """This node's fixed apparatus offset on link e, uniform over [-1, 1)."""
         h = hashlib.blake2b(f"noise|{self.seed}|{node}|{e[0]}|{e[1]}".encode(),
                             digest_size=8).digest()
         u = int.from_bytes(h, "big") / 2 ** 64  # uniform [0, 1)
-        return round((2.0 * u - 1.0) * self.delta_tilde * SCALE)
+        return 2.0 * u - 1.0
 
     def measure_scaled(self, node: str, edge) -> Optional[int]:
         e = edge_key(*edge)
@@ -131,22 +120,14 @@ class LinkMetricModel:
         bias = self.biases.get(node)
         if bias is not None:
             return base + bias
+        if self.delta_tilde == 0:
+            return base
+        noise = self._noise(node, e) * self.delta_tilde
         if self.kind == GKind.MUL:
             # Multiplicative noise keeps values positive and makes the
             # tolerance meaningful in the log domain.
-            if self.delta_tilde == 0:
-                return base
-            h = hashlib.blake2b(f"noise|{self.seed}|{node}|{e[0]}|{e[1]}".encode(),
-                                digest_size=8).digest()
-            u = int.from_bytes(h, "big") / 2 ** 64
-            return to_scaled(from_scaled(base) * math.exp((2.0 * u - 1.0) * self.delta_tilde))
-        return base + self._noise_scaled(node, e)
-
-
-def measure_metric(node: str, edge, model: LinkMetricModel) -> Optional[float]:
-    """One node's measurement of an incident link, in metric units."""
-    v = model.measure_scaled(node, edge)
-    return None if v is None else from_scaled(v)
+            return to_scaled(from_scaled(base) * math.exp(noise))
+        return base + round(noise * SCALE)
 
 
 class QosRuntime:
@@ -187,16 +168,3 @@ class QosRuntime:
         for m in metrics_scaled:
             prod *= from_scaled(m)
         return to_scaled(prod)
-
-
-def process_rreq_augmented(state, rreq, transmitter, now, qos: QosRuntime):
-    """Metric-carrying request processing at a non-source node."""
-    if rreq.dst == state.self_id:
-        return srp.process_rreq_destination(state, rreq, transmitter, now, qos)
-    return srp.process_rreq_intermediate(state, rreq, transmitter, now, qos)
-
-
-def process_rrep_augmented(state, rrep, forwarder, now, cfg, qos: QosRuntime):
-    """Metric-carrying reply processing (adds the endpoint tolerance check and
-    the stored-prefix equality check to the basic reply rules)."""
-    return srp.process_rrep(state, rrep, forwarder, now, cfg, qos)

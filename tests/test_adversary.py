@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from srpsim import (AdversaryClass, AttackClassError, CATALOG, Engine,
-                    LinkSchedule, Rreq, ScheduleMap, SimConfig, TunnelChannel,
-                    attack, fuzz_script, load_scenario, run_scenario)
+from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
+                    Engine, LinkSchedule, Rreq, ScheduleMap, SimConfig,
+                    TunnelChannel, TunnelSend, Unicast, attack, fuzz_script,
+                    load_scenario, run_scenario, scenario_from_dict)
 from srpsim.adversary import AdversaryNode, step_adversary
 from srpsim.harness import FuzzConfig, bundled_scenarios, fuzz_campaign, random_scenario
 
@@ -77,6 +78,61 @@ class TestComplianceGate:
         verdict, actions = step_adversary(
             node.klass, node.script, rreq, node.state, "a", 1.0, node.ctx)
         assert verdict is None and actions
+
+
+class TestExecutor:
+    """The adversary-only rules AdversaryNode applies before handing an
+    effect to the shared executor."""
+
+    def _run(self, klass, actions, max_emissions=64):
+        node = _adv_node(klass, attack("passive"))
+        node.max_emissions = max_emissions
+        links = [LinkSchedule(edge=("a", "m"), up_intervals=((0.0, 50.0),))]
+        cfg = SimConfig(tau=1.0, tx_time=1.0, end_time=50.0, seed=1,
+                        reply_wait_min=8.0, reply_wait_max=64.0)
+        eng = Engine(cfg, ScheduleMap(("S", "a", "m", "T"), links), random.Random(1))
+        node._execute(eng, actions, "test")
+        return node, eng
+
+    def test_budget_exhaustion_drops_the_rest(self):
+        msgs = [Rreq("S", "T", q, 0, ("a",)) for q in (1, 2, 3, 4)]
+        node, eng = self._run(AdversaryClass.ARBITRARY,
+                              [Broadcast(m) for m in msgs], max_emissions=2)
+        assert [te.primitive for te in eng.trace if te.node == "m"].count("bcast_l") == 2
+        assert [te.outcome for te in eng.trace].count("adv-budget") == 1
+        assert node.emitted == 2
+        assert [e[1] for e in eng.adversary_emissions] == msgs[:2]
+
+    def test_self_addressed_unicast_skipped_but_spends_an_emission(self):
+        msg = Rreq("S", "T", 1, 0, ("a",))
+        node, eng = self._run(AdversaryClass.ARBITRARY,
+                              [Unicast("m", msg), Unicast("a", msg)])
+        assert node.emitted == 2
+        assert [(te.primitive, te.detail) for te in eng.trace] == [("send_l", "a")]
+        assert eng.adversary_emissions == [("m", msg, "test")]
+
+    def test_tunnel_from_independent_node_raises(self):
+        with pytest.raises(AttackClassError):
+            self._run(AdversaryClass.INDEPENDENT, [TunnelSend(Rreq("S", "T", 1, 0, ()))])
+
+
+def test_downstream_metric_tamper_drops_replies_in_basic_mode():
+    # the script relays requests like a correct node but never forwards a
+    # reply, so in basic mode the discovery through it accepts nothing
+    scen = scenario_from_dict({
+        "name": "blind-spot", "nodes": ["S", "m", "T"],
+        "config": {"seed": 1, "end_time": 60.0},
+        "links": [["S", "m", [[0, 60]]], ["m", "T", [[0, 60]]]],
+        "keys": [["S", "T"]],
+        "discoveries": [{"src": "S", "dst": "T", "at": 1.0}],
+        "adversaries": {"m": {"class": "independent",
+                              "attack": "tamper_metriclist_rreq_downstream"}},
+    })
+    res = run_scenario(scen)
+    assert any(te.node == "m" and te.primitive == "receive_l" and te.detail == "T"
+               for te in res.trace)
+    assert not any(te.node == "m" and te.primitive == "send_l" for te in res.trace)
+    assert res.records == []
 
 
 def _emission_taint_audit(result_engine):

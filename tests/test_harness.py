@@ -91,6 +91,29 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="expectation"):
             scenario_from_dict(_mini(expect={"routes_are_nice": True}))
 
+    def test_missing_attack_param_names_adversary_and_key(self, tmp_path):
+        p = [p for p in bundled_scenarios() if p.stem == "shortcut_relay_independent"][0]
+        d = json.loads(p.read_text())
+        (node, spec), = d["adversaries"].items()
+        del spec["params"]["shortcut_to"]
+        with pytest.raises(ScenarioError, match=f"adversary {node}.*'shortcut_to'"):
+            scenario_from_dict(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert cli_main(["run", str(bad)]) == 2
+
+    def test_unknown_attack_in_file_rejected(self):
+        d = _mini(adversaries={"T": {"class": "independent", "attack": "nope"}})
+        with pytest.raises(ScenarioError, match="adversary T: unknown attack"):
+            scenario_from_dict(d)
+
+    def test_negative_interval_start_rejected(self):
+        p = [p for p in bundled_scenarios() if p.stem == "benign_basic"][0]
+        d = json.loads(p.read_text())
+        d["links"][0][2][0] = [-5, 120]
+        with pytest.raises(ScenarioError, match="before time 0"):
+            scenario_from_dict(d)
+
     def test_tunnel_path_must_start_and_end_correctly(self):
         d = _mini(nodes=["S", "T", "m1", "m2"],
                   adversaries={"m1": {
@@ -169,6 +192,34 @@ class TestTracePersistence:
         p.write_text("\n".join(lines) + "\n")
         ok, messages, _ = check_trace(p, scen)
         assert not ok and any("digest" in m for m in messages)
+
+    def _edit_records(self, tmp_path, edit):
+        """Store MINIMAL's run, rewrite its `# accepted` records, and
+        re-check; the event lines and digest footer stay intact."""
+        scen = scenario_from_dict(MINIMAL)
+        p = tmp_path / "run.trace"
+        write_trace(p, run_scenario(scen))
+        lines = p.read_text().splitlines()
+        at = [i for i, ln in enumerate(lines) if ln.startswith("# accepted ")]
+        assert at
+        lines = edit(lines, at[-1])
+        p.write_text("\n".join(lines) + "\n")
+        return check_trace(p, scen)
+
+    def test_duplicated_record_fails(self, tmp_path):
+        ok, messages, _ = self._edit_records(
+            tmp_path, lambda lines, i: lines[:i + 1] + lines[i:])
+        assert not ok and any("accept lines" in m for m in messages)
+        assert not any("digest" in m for m in messages)
+
+    def test_edited_route_fails(self, tmp_path):
+        def edit(lines, i):
+            rec = json.loads(lines[i][len("# accepted "):])
+            rec["route"] = ["S", "X", "T"]
+            lines[i] = "# accepted " + json.dumps(rec)
+            return lines
+        ok, messages, _ = self._edit_records(tmp_path, edit)
+        assert not ok and any("accept lines" in m for m in messages)
 
 
 class TestCli:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srpsim import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
-                    Rreq, ScheduleError, ScheduleMap, SimConfig, link_state,
+                    Rreq, ScheduleError, ScheduleMap, SimConfig,
                     run_scenario, scenario_from_dict)
 
 
@@ -21,24 +21,21 @@ def schedules(*entries, nodes=None):
 class TestLinkState:
     def test_inside_interval_is_up(self):
         s = schedules(("u", "v", [(0, 5)]))
-        assert link_state(s, "u", "v", 3) == "up"
+        assert s.covers("u", "v", 3, 4) and s.covers("v", "u", 0, 5)
 
     def test_outside_interval_is_down(self):
         s = schedules(("u", "v", [(0, 5)]))
-        assert link_state(s, "u", "v", 7) == "down"
+        assert not s.covers("u", "v", 7, 8)
+        assert not s.covers("u", "v", 4.5, 5.5)  # runs past the interval
 
     def test_absent_edge_is_down(self):
         s = schedules(("u", "v", [(0, 5)]), nodes=["u", "v", "w"])
-        assert link_state(s, "u", "w", 0) == "down"
-
-    def test_interval_end_is_excluded(self):
-        s = schedules(("u", "v", [(0, 5)]))
-        assert link_state(s, "u", "v", 5) == "down"
+        assert not s.covers("u", "w", 0, 1)
 
     def test_self_edge_rejected(self):
         s = schedules(("u", "v", [(0, 5)]))
         with pytest.raises(InvalidEdgeError):
-            link_state(s, "u", "u", 1)
+            s.covers("u", "u", 1, 2)
 
 
 class TestScheduleValidation:

@@ -6,8 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from srpsim import (GKind, LinkMetricModel, QosRuntime,
-                    check_metric_consistency, delta_good, measure_metric,
+from srpsim import (GKind, LinkMetricModel, QosRuntime, delta_good,
                     route_metric, to_scaled)
 
 
@@ -60,50 +59,56 @@ class TestDeltaGood:
             delta_good(GKind.ADD, 0, 0.1, 0.0)
 
 
+def _consistent(own, reported, **model):
+    q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1, **model))
+    return q.consistent(to_scaled(own), to_scaled(reported))
+
+
 class TestConsistency:
     def test_within_tolerance(self):
-        assert check_metric_consistency(1.0, 1.05, 0.1)
+        assert _consistent(1.0, 1.05)
 
     def test_at_or_beyond_tolerance(self):
-        assert not check_metric_consistency(1.0, 1.2, 0.1)
-        assert not check_metric_consistency(1.0, 1.1, 0.1)  # strict
+        assert not _consistent(1.0, 1.2)
+        assert not _consistent(1.0, 1.1)  # strict
 
     def test_administrative_requires_exact_equality(self):
-        assert check_metric_consistency(1.0, 1.0, 0.1, administrative=True)
-        assert not check_metric_consistency(1.0, 1.0000001, 0.1, administrative=True)
+        assert _consistent(1.0, 1.0, administrative=True)
+        assert not _consistent(1.0, 1.000001, administrative=True)  # one scaled unit
 
 
 class TestMeasurement:
     def test_zero_noise_returns_actual(self):
         m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
                             actual={("a", "b"): 2.0}, seed=3)
-        assert measure_metric("a", ("a", "b"), m) == 2.0
+        assert m.measure_scaled("a", ("a", "b")) == to_scaled(2.0)
 
     def test_noise_is_bounded_and_repeatable(self):
         m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.1,
                             actual={("a", "b"): 2.0}, seed=3)
-        v1 = measure_metric("a", ("a", "b"), m)
-        v2 = measure_metric("a", ("a", "b"), m)
+        v1 = m.measure_scaled("a", ("a", "b"))
+        v2 = m.measure_scaled("a", ("a", "b"))
         assert v1 == v2
-        assert 1.9 <= v1 <= 2.1
+        assert to_scaled(1.9) <= v1 <= to_scaled(2.1)
 
     def test_endpoints_measure_independently(self):
         m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.1,
                             actual={("a", "b"): 2.0}, seed=5)
-        va = measure_metric("a", ("a", "b"), m)
-        vb = measure_metric("b", ("a", "b"), m)
-        assert abs(va - 2.0) <= 0.1 and abs(vb - 2.0) <= 0.1
+        va = m.measure_scaled("a", ("a", "b"))
+        vb = m.measure_scaled("b", ("a", "b"))
+        assert abs(va - to_scaled(2.0)) <= to_scaled(0.1)
+        assert abs(vb - to_scaled(2.0)) <= to_scaled(0.1)
 
     def test_administrative_mode_is_exact_for_both_endpoints(self):
         m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
                             administrative=True, actual={("a", "b"): 3.0}, seed=3)
-        assert measure_metric("a", ("a", "b"), m) == 3.0
-        assert measure_metric("b", ("a", "b"), m) == 3.0
+        assert m.measure_scaled("a", ("a", "b")) == to_scaled(3.0)
+        assert m.measure_scaled("b", ("a", "b")) == to_scaled(3.0)
 
     def test_non_incident_node_invalid(self):
         m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, actual={("a", "b"): 2.0})
         with pytest.raises(ValueError):
-            measure_metric("c", ("a", "b"), m)
+            m.measure_scaled("c", ("a", "b"))
 
     def test_administrative_with_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -114,9 +119,9 @@ class TestMeasurement:
         m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
                             actual={("a", "b"): 2.0, ("b", "c"): 1.0}, seed=3)
         m.biases["b"] = to_scaled(0.09)
-        assert measure_metric("b", ("a", "b"), m) == pytest.approx(2.09)
-        assert measure_metric("b", ("b", "c"), m) == pytest.approx(1.09)
-        assert measure_metric("a", ("a", "b"), m) == 2.0
+        assert m.measure_scaled("b", ("a", "b")) == to_scaled(2.09)
+        assert m.measure_scaled("b", ("b", "c")) == to_scaled(1.09)
+        assert m.measure_scaled("a", ("a", "b")) == to_scaled(2.0)
 
 
 class TestAggregateScaled:

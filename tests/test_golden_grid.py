@@ -1,0 +1,107 @@
+"""Behaviour lock for larger topologies: one digest over the trace digests of
+always-up k x k grids (k = 4, 8, 12; one discovery from corner to corner) and
+of a 30-node random topology with link churn, each under run seeds 0-4.
+
+The corpus lock (`test_golden.py`) covers topologies of at most 8 nodes,
+where a sender reaches most of the roster.  Here most nodes are out of range
+of any one sender, so a change in which nodes the link layer visits, or in
+what order, changes the digest.
+
+The value is checked in this process and again in a subprocess under a
+different PYTHONHASHSEED.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from srpsim import run_scenario, scenario_from_dict
+
+GRID_DIGEST = "280633e6bc47931b"
+
+
+def grid(k: int):
+    end = 10.0 * k + 40.0
+
+    def name(r, c):
+        if (r, c) == (0, 0):
+            return "S"
+        if (r, c) == (k - 1, k - 1):
+            return "T"
+        return f"g{r:02d}_{c:02d}"
+
+    links = []
+    for r in range(k):
+        for c in range(k):
+            if c + 1 < k:
+                links.append([name(r, c), name(r, c + 1), [[0.0, end]]])
+            if r + 1 < k:
+                links.append([name(r, c), name(r + 1, c), [[0.0, end]]])
+    return scenario_from_dict({
+        "name": f"grid{k}",
+        "config": {"end_time": end},
+        "nodes": [name(r, c) for r in range(k) for c in range(k)],
+        "links": links,
+        "keys": [["S", "T"]],
+        "discoveries": [{"src": "S", "dst": "T", "at": 1.0}],
+    })
+
+
+def churned(n: int = 30, seed: int = 7):
+    """A random topology: an always-up backbone chain from S to T, plus
+    random edges that go down, come up, or flap."""
+    rng = random.Random(f"golden-grid|{seed}")
+    end = 200.0
+    inter = [f"n{i:02d}" for i in range(n - 2)]
+    nodes = ["S", "T"] + inter
+    chain = ["S"] + rng.sample(inter, 6) + ["T"]
+    links = {tuple(sorted(e)): [[0.0, end]] for e in zip(chain, chain[1:])}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            e = tuple(sorted((u, v)))
+            if e in links or rng.random() > 0.15:
+                continue
+            a = round(rng.uniform(2.0, 80.0), 3)
+            b = round(rng.uniform(a + 5.0, 140.0), 3)
+            c = round(rng.uniform(b + 5.0, end), 3)
+            links[e] = rng.choice([[[0.0, a]], [[a, end]], [[a, b]],
+                                   [[0.0, a], [b, c]]])
+    return scenario_from_dict({
+        "name": "churn30",
+        "config": {"end_time": end},
+        "nodes": nodes,
+        "links": [[u, v, iv] for (u, v), iv in sorted(links.items())],
+        "keys": [["S", "T"]],
+        "discoveries": [{"src": "S", "dst": "T", "at": 1.0},
+                        {"src": "S", "dst": "T", "at": 90.0}],
+    })
+
+
+def grid_digest() -> str:
+    h = hashlib.blake2b(digest_size=8)
+    for scenario in [grid(4), grid(8), grid(12), churned()]:
+        for seed in range(5):
+            r = run_scenario(scenario, seed)
+            h.update(f"{scenario.name} {seed} {len(r.records)} {r.digest:016x}\n".encode())
+    return h.hexdigest()
+
+
+def test_grid_digest():
+    assert grid_digest() == GRID_DIGEST
+
+
+def test_grid_digest_under_another_hash_seed():
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(here), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from test_golden_grid import grid_digest; print(grid_digest())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [GRID_DIGEST]

@@ -21,6 +21,7 @@ from .scenario import ScenarioError
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _out_path(p: str) -> Path:
@@ -165,7 +166,11 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list_attacks)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:  # a fault of srpsim, not of the input or the routes
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

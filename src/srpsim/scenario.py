@@ -29,6 +29,9 @@ EXPECT_KEYS = {
     "accurate", "victim_link", "victim_link_accepted", "max_metric_error",
 }
 
+# attack params that name the node a script unicasts to
+NODE_PARAMS = ("shortcut_to", "target", "jump_to")
+
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the rule."""
@@ -130,6 +133,11 @@ class Scenario:
                             f"never act on detectably non-compliant traffic)")
                     except ValueError as e:  # unknown attack or missing param
                         raise ScenarioError(f"adversary {node}: {e}")
+            for param in NODE_PARAMS:
+                value = spec.params.get(param)
+                if value is not None and value not in self.nodes:
+                    raise ScenarioError(f"adversary {node}: param {param!r} names "
+                                        f"{value!r}, which is not in the roster")
             path = spec.params.get("path")
             if path is not None:
                 if spec.klass is not AdversaryClass.ARBITRARY:

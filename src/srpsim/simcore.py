@@ -113,6 +113,18 @@ class ScheduleMap:
             if s.edge in self._by_edge:
                 raise ScheduleError(f"duplicate schedule for edge {s.edge}")
             self._by_edge[s.edge] = s
+        # each node's links, sorted by neighbour id: the link layer walks
+        # these instead of the whole roster, in the same order
+        adjacent: dict[str, list[tuple[str, LinkSchedule]]] = {}
+        for (u, v), s in self._by_edge.items():
+            adjacent.setdefault(u, []).append((v, s))
+            adjacent.setdefault(v, []).append((u, s))
+        self._neighbours = {u: tuple(sorted(links, key=lambda x: x[0]))
+                            for u, links in adjacent.items()}
+
+    def neighbours(self, u: str) -> tuple[tuple[str, LinkSchedule], ...]:
+        """(neighbour, schedule) for every edge at u, sorted by neighbour."""
+        return self._neighbours.get(u, ())
 
     def validate(self, tx_time: float) -> None:
         for s in self._by_edge.values():
@@ -222,6 +234,7 @@ class Engine:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._delivery_seq = 0
+        self._digests: dict = {}  # message -> message_digest, for this run
         self.noncompliant_deliveries: set[int] = set()
         self.adversary_emissions: list[tuple[str, object, str]] = []
 
@@ -257,6 +270,12 @@ class Engine:
             TraceEvent(self.now, self._seq, node, primitive, digest, outcome, detail)
         )
 
+    def _digest(self, msg) -> str:
+        d = self._digests.get(msg)
+        if d is None:
+            d = self._digests[msg] = message_digest(msg)
+        return d
+
     def _delay(self) -> float:
         # Uniform over (0, tau]: excludes zero-latency delivery.
         return self.config.tau * (1.0 - self.rng.random())
@@ -266,14 +285,12 @@ class Engine:
     def bcast_l(self, sender: str, msg) -> list[Event]:
         """Broadcast: one delivery per node whose link to the sender is up
         throughout the transmission window."""
-        d = message_digest(msg)
+        d = self._digest(msg)
         self._record(sender, "bcast_l", d, "sent")
         t0, t1 = self.now, self.now + self.config.tx_time
         out = []
-        for v in sorted(self.nodes):
-            if v == sender:
-                continue
-            if self.schedules.covers(sender, v, t0, t1):
+        for v, link in self.schedules.neighbours(sender):
+            if v in self.nodes and link.covers(t0, t1):
                 self._delivery_seq += 1
                 at = self.now + self._delay()
                 out.append(self._push(at, DELIVER, (v, msg, sender, True, self._delivery_seq)))
@@ -286,7 +303,7 @@ class Engine:
         whole transmission window."""
         if sender == receiver:
             raise InvalidEdgeError("a node cannot unicast to itself")
-        d = message_digest(msg)
+        d = self._digest(msg)
         t0, t1 = self.now, self.now + self.config.tx_time
         ok = self.schedules.covers(sender, receiver, t0, t1)
         self._record(sender, "send_l", d, "sent" if ok else "failure_reported", receiver)
@@ -297,10 +314,8 @@ class Engine:
         else:
             self._push(t1, NODE_ACTION, (sender, ("send_failure", msg, receiver)))
         # Promiscuous overhearing by third parties with an up link.
-        for w in sorted(self.nodes):
-            if w in (sender, receiver):
-                continue
-            if self.schedules.covers(sender, w, t0, t1):
+        for w, link in self.schedules.neighbours(sender):
+            if w != receiver and w in self.nodes and link.covers(t0, t1):
                 self._delivery_seq += 1
                 self._push(self.now + self._delay(), DELIVER,
                            (w, msg, sender, False, self._delivery_seq))
@@ -311,7 +326,7 @@ class Engine:
         channel = self.tunnels.get(owner)
         if channel is None:
             raise RuntimeError(f"{owner} has no tunnel channel")
-        d = message_digest(msg)
+        d = self._digest(msg)
         t = self.now
         for a, b in zip(channel.path, channel.path[1:]):
             if not self.schedules.covers(a, b, t, t + self.config.tx_time):
@@ -331,7 +346,7 @@ class Engine:
                      "route=" + ",".join(record.route))
 
     def trace_step(self, node: str, outcome: str, detail: str, msg=None) -> None:
-        self._record(node, "step", message_digest(msg), outcome, detail)
+        self._record(node, "step", self._digest(msg), outcome, detail)
 
     def note_adversary_emission(self, node: str, msg, trigger: str) -> None:
         self.adversary_emissions.append((node, msg, trigger))
@@ -354,7 +369,7 @@ class Engine:
         if ev.kind == DELIVER:
             node, msg, transmitter, addressed, delivery_id = ev.payload
             primitive = "receive_l" if addressed else "overhear"
-            self._record(node, primitive, message_digest(msg), "delivered", transmitter)
+            self._record(node, primitive, self._digest(msg), "delivered", transmitter)
             self.nodes[node].on_deliver(self, msg, transmitter, addressed,
                                         self.now, delivery_id)
         elif ev.kind == TIMER_FIRE:
@@ -369,11 +384,11 @@ class Engine:
                 self.nodes[node].on_action(self, action, self.now)
             elif kind == "tunnel":
                 _, msg, frm = action
-                self._record(node, "tunnel", message_digest(msg), "delivered", frm)
+                self._record(node, "tunnel", self._digest(msg), "delivered", frm)
                 self.nodes[node].on_tunnel(self, msg, frm, self.now)
             elif kind == "send_failure":
                 _, msg, receiver = action
-                self._record(node, "report", message_digest(msg),
+                self._record(node, "report", self._digest(msg),
                              "failure_reported", receiver)
                 self.nodes[node].on_send_failure(self, msg, receiver, self.now)
             elif kind == "adversary_time":

@@ -102,6 +102,18 @@ class TestLoadValidation:
         bad.write_text(json.dumps(d))
         assert cli_main(["run", str(bad)]) == 2
 
+    def test_attack_param_naming_a_ghost_node_rejected(self, tmp_path):
+        p = [p for p in bundled_scenarios() if p.stem == "shortcut_relay_independent"][0]
+        d = json.loads(p.read_text())
+        (node, spec), = d["adversaries"].items()
+        spec["params"]["shortcut_to"] = "ghost"
+        with pytest.raises(ScenarioError,
+                           match=f"adversary {node}: param 'shortcut_to' names 'ghost'"):
+            scenario_from_dict(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert cli_main(["run", str(bad)]) == 2
+
     def test_unknown_attack_in_file_rejected(self):
         d = _mini(adversaries={"T": {"class": "independent", "attack": "nope"}})
         with pytest.raises(ScenarioError, match="adversary T: unknown attack"):
@@ -241,6 +253,15 @@ class TestCli:
 
     def test_run_exit_two_on_bad_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+
+    def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+        monkeypatch.setattr("srpsim.cli.run_scenario", broken)
+        assert cli_main(["run", str(self._write_scenario(tmp_path, _mini()))]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: engine exploded\n"
 
     def test_run_writes_trace_and_verdicts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SRPSIM_OUT", str(tmp_path / "out"))

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from srpsim import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
                     Rreq, ScheduleError, ScheduleMap, SimConfig,
                     run_scenario, scenario_from_dict)
+from srpsim.simcore import DELIVER, message_digest
 
 
 def schedules(*entries, nodes=None):
@@ -36,6 +37,22 @@ class TestLinkState:
         s = schedules(("u", "v", [(0, 5)]))
         with pytest.raises(InvalidEdgeError):
             s.covers("u", "u", 1, 2)
+
+
+class TestNeighbourIndex:
+    def test_sorted_by_id_without_self(self):
+        s = schedules(("x", "c", [(0, 5)]), ("b", "x", [(0, 5)]),
+                      ("a", "x", [(0, 5)]), ("a", "b", [(0, 5)]))
+        assert [v for v, _ in s.neighbours("x")] == ["a", "b", "c"]
+        for u in s.nodes:
+            ids = [v for v, _ in s.neighbours(u)]
+            assert u not in ids and ids == sorted(ids)
+            for v, link in s.neighbours(u):
+                assert link is s.get(u, v)
+
+    def test_isolated_node_has_none(self):
+        s = schedules(("u", "v", [(0, 5)]), nodes=["u", "v", "w"])
+        assert s.neighbours("w") == ()
 
 
 class TestScheduleValidation:
@@ -149,6 +166,92 @@ class TestUnicast:
         eng, _ = _engine(s)
         with pytest.raises(InvalidEdgeError):
             eng.send_l("x", "x", MSG)
+
+
+def _random_engine(seed):
+    """Random schedules over n00-n09, plus a roster node with no links (z)
+    and a linked node that has no driver on the engine (y)."""
+    rng = random.Random(seed)
+    ids = [f"n{i:02d}" for i in range(10)] + ["y"]
+    entries = []
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
+            if rng.random() < 0.4:
+                a = rng.choice([0.0, rng.uniform(0, 20)])
+                entries.append((u, v, [(a, a + rng.uniform(1, 30))]))
+    rng.shuffle(entries)
+    s = schedules(*entries, nodes=ids + ["z"])
+    eng = Engine(SimConfig(end_time=50.0), s, random.Random(seed))
+    for n in s.nodes:
+        if n != "y":
+            eng.add_node(n, _Sink())
+    eng.now = rng.uniform(0, 20)
+    return eng, rng
+
+
+def _full_scan(eng, sender, receiver=None):
+    """(receiver, addressed, arrival) of every delivery a frame makes,
+    found by testing every roster node in id order."""
+    rng = random.Random()
+    rng.setstate(eng.rng.getstate())
+    t0, t1 = eng.now, eng.now + eng.config.tx_time
+    out = []
+
+    def deliver(v, addressed):
+        out.append((v, addressed, eng.now + eng.config.tau * (1.0 - rng.random())))
+    if receiver is not None and eng.schedules.covers(sender, receiver, t0, t1):
+        deliver(receiver, True)
+    for v in sorted(eng.nodes):
+        if v not in (sender, receiver) and eng.schedules.covers(sender, v, t0, t1):
+            deliver(v, receiver is None)
+    return out
+
+
+def _queued_deliveries(eng):
+    """Deliveries in the order they were scheduled."""
+    events = sorted((ev for _, _, ev in eng._queue), key=lambda ev: ev.seq)
+    return [(ev.payload[0], ev.payload[3], ev.time)
+            for ev in events if ev.kind == DELIVER]
+
+
+class TestNeighbourScanMatchesFullScan:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_broadcast(self, seed):
+        eng, rng = _random_engine(seed)
+        sender = rng.choice(sorted(eng.nodes))
+        expected = _full_scan(eng, sender)
+        eng.bcast_l(sender, MSG)
+        assert _queued_deliveries(eng) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_unicast(self, seed):
+        eng, rng = _random_engine(seed)
+        sender = rng.choice(sorted(eng.nodes))
+        receiver = rng.choice([n for n in sorted(eng.nodes) + ["ghost"] if n != sender])
+        expected = _full_scan(eng, sender, receiver)
+        eng.send_l(sender, receiver, MSG)
+        assert _queued_deliveries(eng) == expected
+
+    def test_unicast_off_roster_fails_but_is_overheard(self):
+        s = schedules(("x", "a", [(0, 50)]), nodes=["x", "a", "z"])
+        eng, sinks = _engine(s)
+        assert eng.send_l("x", "ghost", MSG) is False
+        assert _queued_deliveries(eng) == _full_scan(_engine(s)[0], "x", "ghost")
+        eng.run()
+        assert sinks["a"].got[0][2] is False and sinks["z"].got == []
+
+
+class TestDigestMemo:
+    def test_equal_messages_share_one_entry(self):
+        eng, _ = _engine(schedules(("x", "a", [(0, 50)])))
+        a, b = Rreq("S", "T", 1, 42, ("x",)), Rreq("S", "T", 1, 42, ("x",))
+        assert a is not b
+        assert eng._digest(a) == eng._digest(b) == message_digest(a)
+        assert len(eng._digests) == 1
+
+    def test_none_digests_to_dash(self):
+        eng, _ = _engine(schedules(("x", "a", [(0, 50)])))
+        assert eng._digest(None) == "-" == eng._digest(None)
 
 
 class TestOrdering:

@@ -7,7 +7,7 @@ ground truth: loop-freedom, freshness, weak freshness, and metric accuracy.
 """
 
 from .adversary import (AdversaryClass, AdversaryNode, AttackClassError,
-                        AttackScript, CATALOG, attack, fuzz_script,
+                        AttackScript, CATALOG, FuzzScript, attack,
                         step_adversary)
 from .harness import (CampaignReport, FuzzConfig, RunResult, accuracy_campaign,
                       bundled_scenarios, check_trace, evaluate_expectations,

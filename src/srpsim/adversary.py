@@ -670,11 +670,6 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None) -> At
     return cls(params)
 
 
-def fuzz_script(seed: int, klass: AdversaryClass, bounds=None) -> FuzzScript:
-    """Seeded random attack script; same seed, same behavior."""
-    return FuzzScript(seed, klass, bounds)
-
-
 def step_adversary(klass: AdversaryClass, script: AttackScript, received,
                    state, transmitter: str, now: float, ctx: AdvContext, qos=None):
     """One adversary step: classify the received message with the exact
@@ -751,30 +746,14 @@ class AdversaryNode:
             self._execute(engine, [tag[1]], "deferred")
 
     def on_action(self, engine, action, now):
-        pass
-
-    def on_time(self, engine, now):
-        self._execute(engine, self.script.on_time(self.ctx, now), "spontaneous")
+        if action[0] == "adversary_time":
+            self._execute(engine, self.script.on_time(self.ctx, now), "spontaneous")
 
     def on_tunnel(self, engine, msg, frm, now):
         actions = self.script.on_tunnel(self.ctx, msg, frm, now)
         self._execute(engine, actions, "tunnel")
 
-    def on_send_failure(self, engine, msg, receiver, now):
-        pass
-
     # -- execution ------------------------------------------------------------
-
-    def _after_emit(self, msg):
-        if not isinstance(msg, Rreq):
-            return
-        key = (msg.src, msg.qid)
-        self.state.seen.add(key)
-        self.state.relayed[key] = msg.node_list
-        self.state.relayed_metrics[key] = msg.metric_list if msg.metric_list is not None else ()
-        self.state.fwd[key] = {}
-        if self.qos is not None and msg.metric_list:
-            self.state.prefix_metric[key] = self.qos.aggregate_scaled(msg.metric_list)
 
     def _execute(self, engine, actions, trigger: str):
         """Apply the adversary-only rules (deferral, the emission budget, no
@@ -796,5 +775,5 @@ class AdversaryNode:
                     raise AttackClassError("tunnel use by a non-arbitrary adversary")
                 engine.note_adversary_emission(self.node_id, a.msg, trigger)
             srp.execute(engine, self.node_id, [a])
-            if isinstance(a, Broadcast):
-                self._after_emit(a.msg)
+            if isinstance(a, Broadcast) and isinstance(a.msg, Rreq):
+                srp.remember_broadcast(self.state, a.msg, self.qos)

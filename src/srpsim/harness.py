@@ -354,10 +354,13 @@ def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: floa
 # Trace persistence and re-verification
 # --------------------------------------------------------------------------
 
+TRACE_HEADER = "# srpsim-trace scenario="
+
+
 def write_trace(path, result: RunResult) -> None:
     lines = [te.line() for te in result.trace]
     with open(path, "w") as f:
-        f.write(f"# srpsim-trace scenario={result.scenario.name} seed={result.seed}\n")
+        f.write(f"{TRACE_HEADER}{result.scenario.name} seed={result.seed}\n")
         for line in lines:
             f.write(line + "\n")
         for rec in result.records:
@@ -370,14 +373,19 @@ def write_trace(path, result: RunResult) -> None:
 
 
 def read_trace(path):
-    """Returns (event_lines, records, stored_digest)."""
+    """Returns (header, event_lines, records, stored_digest); header is the
+    (scenario name, seed text) of the `# srpsim-trace` line, or None."""
+    header = None
     lines = []
     records = []
     stored_digest = None
     with open(path) as f:
         for raw in f:
             raw = raw.rstrip("\n")
-            if raw.startswith("# accepted "):
+            if raw.startswith(TRACE_HEADER):
+                name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
+                header = (name, seed)
+            elif raw.startswith("# accepted "):
                 d = json.loads(raw[len("# accepted "):])
                 records.append(RouteRecord(
                     route=tuple(d["route"]), t1=d["t1"], t2=d["t2"],
@@ -390,17 +398,24 @@ def read_trace(path):
                 continue
             elif raw:
                 lines.append(raw)
-    return lines, records, stored_digest
+    return header, lines, records, stored_digest
 
 
 def check_trace(trace_path, scenario: Scenario):
-    """Re-verify a stored trace against a scenario: recompute the digest over
-    the event lines, match the recorded routes against the accept lines the
-    digest covers, and re-run the verifier on those routes.  Returns
-    (ok, messages, verdicts)."""
-    lines, records, stored_digest = read_trace(trace_path)
+    """Re-verify a stored trace against a scenario: require the header to
+    name the scenario, recompute the digest over the event lines, match the
+    recorded routes against the accept lines the digest covers, and re-run
+    the verifier on those routes.  Returns (ok, messages, verdicts)."""
+    header, lines, records, stored_digest = read_trace(trace_path)
     messages = []
     ok = True
+    if header is None:
+        ok = False
+        messages.append("trace file carries no srpsim-trace header")
+    elif header[0] != scenario.name:
+        ok = False
+        messages.append(f"trace header names scenario {header[0]!r}, "
+                        f"not {scenario.name!r}")
     recomputed = trace_digest_of_lines(lines)
     if stored_digest is None:
         ok = False

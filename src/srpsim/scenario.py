@@ -9,13 +9,14 @@ expectations that makes the scenario self-checking.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from .adversary import (AdversaryClass, AdversaryNode, AttackClassError,
-                        attack, fuzz_script)
+                        FuzzScript, attack)
 from .identity import KeyTable
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig,
                       TunnelChannel, edge_key)
@@ -28,6 +29,10 @@ EXPECT_KEYS = {
     "min_accepted", "max_accepted", "loop_free", "fresh", "weakly_fresh",
     "accurate", "victim_link", "victim_link_accepted", "max_metric_error",
 }
+PROPERTY_MODES = ("all", "not-all", "none")
+EXPECT_MODES = {"loop_free": PROPERTY_MODES, "fresh": PROPERTY_MODES,
+                "weakly_fresh": PROPERTY_MODES, "accurate": PROPERTY_MODES,
+                "victim_link_accepted": ("none", "some")}
 
 # attack params that name the node a script unicasts to
 NODE_PARAMS = ("shortcut_to", "target", "jump_to")
@@ -42,7 +47,6 @@ class AdversarySpec:
     klass: AdversaryClass
     attack: str
     params: dict = field(default_factory=dict)
-    script_factory: Optional[object] = None  # programmatic override (fuzzing)
 
 
 @dataclass
@@ -113,26 +117,25 @@ class Scenario:
             if edge_key(src, dst) not in keyset:
                 raise ScenarioError(
                     f"discovery {src}->{dst} has no declared end-node key")
-            if at < 0:
-                raise ScenarioError("discovery start time must be >= 0")
+            if not (math.isfinite(at) and at >= 0):
+                raise ScenarioError("discovery start time must be finite and >= 0")
         for node, spec in self.adversaries.items():
             if node not in known:
                 raise ScenarioError(f"adversary {node} is not in the roster")
-            if spec.script_factory is None:
-                if spec.attack == "fuzz":
-                    if spec.klass is AdversaryClass.INDEPENDENT and \
-                            spec.params.get("tunnel"):
-                        raise ScenarioError(
-                            "independent adversaries have no tunnel channel")
-                else:
-                    try:
-                        attack(spec.attack, spec.params, spec.klass)
-                    except AttackClassError as e:
-                        raise ScenarioError(
-                            f"adversary {node}: {e} (independent adversaries "
-                            f"never act on detectably non-compliant traffic)")
-                    except ValueError as e:  # unknown attack or missing param
-                        raise ScenarioError(f"adversary {node}: {e}")
+            if spec.attack == "fuzz":
+                if spec.klass is AdversaryClass.INDEPENDENT and \
+                        spec.params.get("tunnel"):
+                    raise ScenarioError(
+                        "independent adversaries have no tunnel channel")
+            else:
+                try:
+                    attack(spec.attack, spec.params, spec.klass)
+                except AttackClassError as e:
+                    raise ScenarioError(
+                        f"adversary {node}: {e} (independent adversaries "
+                        f"never act on detectably non-compliant traffic)")
+                except ValueError as e:  # unknown attack or missing param
+                    raise ScenarioError(f"adversary {node}: {e}")
             for param in NODE_PARAMS:
                 value = spec.params.get(param)
                 if value is not None and value not in self.nodes:
@@ -140,6 +143,9 @@ class Scenario:
                                         f"{value!r}, which is not in the roster")
             path = spec.params.get("path")
             if path is not None:
+                if not isinstance(path, (list, tuple)) or len(path) < 2:
+                    raise ScenarioError(f"tunnel path for {node} must list at "
+                                        f"least two node ids")
                 if spec.klass is not AdversaryClass.ARBITRARY:
                     raise ScenarioError(
                         f"adversary {node}: tunnel paths require the arbitrary class")
@@ -151,11 +157,30 @@ class Scenario:
                 for hop in path:
                     if hop not in known:
                         raise ScenarioError(f"tunnel path hop {hop} is undeclared")
-        for key in self.expect:
+        self._validate_expect(known)
+
+    def _validate_expect(self, known) -> None:
+        for key, value in self.expect.items():
             if key not in EXPECT_KEYS:
                 raise ScenarioError(f"unknown expectation {key!r}")
+            modes = EXPECT_MODES.get(key)
+            if modes is not None and value not in modes:
+                raise ScenarioError(f"expectation {key!r} must be one of "
+                                    f"{', '.join(modes)}, not {value!r}")
+        for key in ("min_accepted", "max_accepted"):
+            n = self.expect.get(key, 0)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise ScenarioError(f"expectation {key!r} must be a count, not {n!r}")
+        cap = self.expect.get("max_metric_error", 0.0)
+        if isinstance(cap, bool) or not isinstance(cap, (int, float)) \
+                or not (math.isfinite(cap) and cap >= 0):
+            raise ScenarioError(f"expectation 'max_metric_error' must be a "
+                                f"finite number >= 0, not {cap!r}")
         victim = self.expect.get("victim_link")
         if victim is not None:
+            if not isinstance(victim, (list, tuple)) or len(victim) != 2 \
+                    or victim[0] == victim[1]:
+                raise ScenarioError("victim_link must name two distinct nodes")
             if victim[0] not in known or victim[1] not in known:
                 raise ScenarioError("victim_link names an undeclared node")
 
@@ -218,6 +243,9 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             )
         adversaries = {}
         for node, spec in dict(data.get("adversaries", {})).items():
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"adversary {node}: spec must be an object "
+                                    f"with 'class', 'attack' and 'params'")
             try:
                 klass = AdversaryClass(spec.get("class", "independent"))
             except ValueError:
@@ -240,11 +268,11 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             adversaries=adversaries,
             expect=dict(data.get("expect", {})),
         )
+        scenario.validate()
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise ScenarioError(f"{name_hint}: malformed scenario ({e})")
-    scenario.validate()
     return scenario
 
 
@@ -288,11 +316,9 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
         if spec is None:
             engine.add_node(node, SrpNode(state, cfg, qos))
             continue
-        if spec.script_factory is not None:
-            script = spec.script_factory()
-        elif spec.attack == "fuzz":
-            script = fuzz_script(int(spec.params.get("seed", cfg.seed)),
-                                 spec.klass, spec.params.get("bounds"))
+        if spec.attack == "fuzz":
+            script = FuzzScript(int(spec.params.get("seed", cfg.seed)),
+                                spec.klass, spec.params.get("bounds"))
         else:
             script = attack(spec.attack, spec.params, spec.klass)
         driver = AdversaryNode(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -50,6 +51,9 @@ class SimConfig:
     reply_wait_max: float = 256.0
 
     def __post_init__(self):
+        for name in ("tau", "tx_time", "end_time", "reply_wait_min", "reply_wait_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         if self.end_time <= 0:
@@ -154,21 +158,6 @@ class ScheduleMap:
         return out
 
 
-# Event kinds, ordered only by (time, seq).
-DELIVER = "deliver"
-LINK_CHANGE = "link_change"
-TIMER_FIRE = "timer_fire"
-NODE_ACTION = "node_action"
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    seq: int
-    kind: str
-    payload: tuple
-
-
 class TraceEvent:
     """One line of the replayable run log."""
 
@@ -231,7 +220,7 @@ class Engine:
         self.tunnels: dict[str, TunnelChannel] = {}
         self.trace: list[TraceEvent] = []
         self.accepted: list[tuple[str, object]] = []
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple] = []  # (time, seq, Engine handler, args)
         self._seq = 0
         self._delivery_seq = 0
         self._digests: dict = {}  # message -> message_digest, for this run
@@ -249,20 +238,22 @@ class Engine:
     def seed_link_changes(self) -> None:
         for t, state, edge in self.schedules.boundaries():
             if t <= self.config.end_time:
-                self._push(t, LINK_CHANGE, (state, edge))
+                self._push(t, Engine._record,
+                           (edge[0], "link", "-", state, f"{edge[0]}-{edge[1]}"))
 
     def schedule_action(self, at: float, node: str, action: tuple) -> None:
-        self._push(at, NODE_ACTION, (node, action))
+        self._push(at, Engine._act, (node, action))
 
     # -- scheduling -------------------------------------------------------
 
-    def _push(self, at: float, kind: str, payload: tuple) -> Event:
+    def _push(self, at: float, handler, args: tuple) -> None:
+        # handler is a plain Engine function, never a bound method: events
+        # past end_time stay queued, and a bound method would tie the engine
+        # into a reference cycle that only the cyclic collector frees
         if at < self.now:
             raise OrderingError(f"event at {at} scheduled before current time {self.now}")
         self._seq += 1
-        ev = Event(at, self._seq, kind, payload)
-        heapq.heappush(self._queue, (at, self._seq, ev))
-        return ev
+        heapq.heappush(self._queue, (at, self._seq, handler, args))
 
     def _record(self, node, primitive, digest, outcome, detail="") -> None:
         self._seq += 1
@@ -282,19 +273,16 @@ class Engine:
 
     # -- link-layer primitives (invoked by node drivers) -------------------
 
-    def bcast_l(self, sender: str, msg) -> list[Event]:
+    def bcast_l(self, sender: str, msg) -> None:
         """Broadcast: one delivery per node whose link to the sender is up
         throughout the transmission window."""
-        d = self._digest(msg)
-        self._record(sender, "bcast_l", d, "sent")
+        self._record(sender, "bcast_l", self._digest(msg), "sent")
         t0, t1 = self.now, self.now + self.config.tx_time
-        out = []
         for v, link in self.schedules.neighbours(sender):
             if v in self.nodes and link.covers(t0, t1):
                 self._delivery_seq += 1
-                at = self.now + self._delay()
-                out.append(self._push(at, DELIVER, (v, msg, sender, True, self._delivery_seq)))
-        return out
+                self._push(self.now + self._delay(), Engine._deliver,
+                           (v, msg, sender, True, self._delivery_seq))
 
     def send_l(self, sender: str, receiver: str, msg) -> bool:
         """Unicast to `receiver`; other up neighbors overhear the frame but do
@@ -309,15 +297,16 @@ class Engine:
         self._record(sender, "send_l", d, "sent" if ok else "failure_reported", receiver)
         if ok:
             self._delivery_seq += 1
-            self._push(self.now + self._delay(), DELIVER,
+            self._push(self.now + self._delay(), Engine._deliver,
                        (receiver, msg, sender, True, self._delivery_seq))
         else:
-            self._push(t1, NODE_ACTION, (sender, ("send_failure", msg, receiver)))
+            self._push(t1, Engine._record,
+                       (sender, "report", d, "failure_reported", receiver))
         # Promiscuous overhearing by third parties with an up link.
         for w, link in self.schedules.neighbours(sender):
             if w != receiver and w in self.nodes and link.covers(t0, t1):
                 self._delivery_seq += 1
-                self._push(self.now + self._delay(), DELIVER,
+                self._push(self.now + self._delay(), Engine._deliver,
                            (w, msg, sender, False, self._delivery_seq))
         return ok
 
@@ -334,11 +323,11 @@ class Engine:
                 return False
             self._record(a, "tunnel", d, "sent", f"hop {a}->{b}")
             t += self.config.tau * (1.0 - self.rng.random())
-        self._push(t, NODE_ACTION, (channel.peer, ("tunnel", msg, owner)))
+        self._push(t, Engine._tunnel_arrive, (channel.peer, msg, owner))
         return True
 
     def arm_timer(self, node: str, at: float, tag: tuple) -> None:
-        self._push(at, TIMER_FIRE, (node, tag))
+        self._push(at, Engine._fire, (node, tag))
 
     def accept_route(self, node: str, record) -> None:
         self.accepted.append((node, record))
@@ -354,52 +343,31 @@ class Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> list[TraceEvent]:
-        while self._queue:
-            at, _, ev = self._queue[0]
-            if at > self.config.end_time:
-                break
-            heapq.heappop(self._queue)
-            if at < self.now:
-                raise OrderingError("event queue went backwards")
-            self.now = at
-            self._dispatch(ev)
+        queue, end_time = self._queue, self.config.end_time
+        while queue and queue[0][0] <= end_time:
+            self.now, _, handler, args = heapq.heappop(queue)
+            handler(self, *args)
         return self.trace
 
-    def _dispatch(self, ev: Event) -> None:
-        if ev.kind == DELIVER:
-            node, msg, transmitter, addressed, delivery_id = ev.payload
-            primitive = "receive_l" if addressed else "overhear"
-            self._record(node, primitive, self._digest(msg), "delivered", transmitter)
-            self.nodes[node].on_deliver(self, msg, transmitter, addressed,
-                                        self.now, delivery_id)
-        elif ev.kind == TIMER_FIRE:
-            node, tag = ev.payload
-            detail = ":".join(str(x) for x in tag if isinstance(x, (str, int, float)))
-            self._record(node, "timer", "-", "fired", detail)
-            self.nodes[node].on_timer(self, tag, self.now)
-        elif ev.kind == NODE_ACTION:
-            node, action = ev.payload
-            kind = action[0]
-            if kind == "initiate":
-                self.nodes[node].on_action(self, action, self.now)
-            elif kind == "tunnel":
-                _, msg, frm = action
-                self._record(node, "tunnel", self._digest(msg), "delivered", frm)
-                self.nodes[node].on_tunnel(self, msg, frm, self.now)
-            elif kind == "send_failure":
-                _, msg, receiver = action
-                self._record(node, "report", self._digest(msg),
-                             "failure_reported", receiver)
-                self.nodes[node].on_send_failure(self, msg, receiver, self.now)
-            elif kind == "adversary_time":
-                self.nodes[node].on_time(self, self.now)
-            else:
-                raise RuntimeError(f"unknown node action {kind}")
-        elif ev.kind == LINK_CHANGE:
-            state, edge = ev.payload
-            self._record(edge[0], "link", "-", state, f"{edge[0]}-{edge[1]}")
-        else:
-            raise RuntimeError(f"unknown event kind {ev.kind}")
+    # -- event handlers: what a heap entry names ------------------------------
+
+    def _deliver(self, node, msg, transmitter, addressed, delivery_id) -> None:
+        primitive = "receive_l" if addressed else "overhear"
+        self._record(node, primitive, self._digest(msg), "delivered", transmitter)
+        self.nodes[node].on_deliver(self, msg, transmitter, addressed,
+                                    self.now, delivery_id)
+
+    def _fire(self, node, tag) -> None:
+        detail = ":".join(str(x) for x in tag if isinstance(x, (str, int, float)))
+        self._record(node, "timer", "-", "fired", detail)
+        self.nodes[node].on_timer(self, tag, self.now)
+
+    def _tunnel_arrive(self, node, msg, frm) -> None:
+        self._record(node, "tunnel", self._digest(msg), "delivered", frm)
+        self.nodes[node].on_tunnel(self, msg, frm, self.now)
+
+    def _act(self, node, action) -> None:
+        self.nodes[node].on_action(self, action, self.now)
 
     # -- replay support -----------------------------------------------------
 

@@ -170,12 +170,10 @@ class NodeState:
     relayed: dict = field(default_factory=dict)          # (src, qid) -> node_list we broadcast
     relayed_metrics: dict = field(default_factory=dict)  # (src, qid) -> metric_list we broadcast
     prefix_metric: dict = field(default_factory=dict)    # (src, qid) -> scaled prefix aggregate
-    precursor: dict = field(default_factory=dict)        # (src, qid) -> node we relayed from
     discoveries: dict = field(default_factory=dict)      # dst -> active Discovery
     deferred: dict = field(default_factory=dict)         # dst -> pending re-invocations
     last_reply_wait: dict = field(default_factory=dict)  # dst -> timer value to reuse
     next_qid: int = 1
-    records: list = field(default_factory=list)          # accepted RouteRecords (as source)
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +307,19 @@ def _rrep_verdict_at_source(state, rrep, forwarder, qos) -> Optional[Discard]:
 # Process phase (checks + state mutation + effects)
 # --------------------------------------------------------------------------
 
+def remember_broadcast(state: NodeState, rreq: Rreq, qos) -> None:
+    """Record a request this node broadcasts: the query is seen, and the
+    lists sent out are what a neighbour's relay must extend by one entry to
+    join the (fresh, empty) forward list."""
+    key = (rreq.src, rreq.qid)
+    state.seen.add(key)
+    state.relayed[key] = rreq.node_list
+    state.relayed_metrics[key] = rreq.metric_list if rreq.metric_list is not None else ()
+    state.fwd[key] = {}
+    if qos is not None and rreq.metric_list:
+        state.prefix_metric[key] = qos.aggregate_scaled(rreq.metric_list)
+
+
 def _start_discovery(state: NodeState, dst: str, now: float, reply_wait: float, qos):
     qid = state.next_qid
     state.next_qid += 1
@@ -316,11 +327,7 @@ def _start_discovery(state: NodeState, dst: str, now: float, reply_wait: float, 
     metric_list = () if qos is not None else None
     rreq = Rreq(state.self_id, dst, qid, auth, (), metric_list)
     state.discoveries[dst] = Discovery(dst=dst, qid=qid, t1=now, reply_wait=reply_wait)
-    key = (state.self_id, qid)
-    state.seen.add(key)
-    state.relayed[key] = ()
-    state.relayed_metrics[key] = ()
-    state.fwd[key] = {}
+    remember_broadcast(state, rreq, qos)
     return [
         Note("query", f"dst={dst} qid={qid} reply_wait={reply_wait!r}", rreq),
         Broadcast(rreq),
@@ -406,19 +413,13 @@ def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str,
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
         return [Note("discard", str(verdict), rreq)]
-    key = (rreq.src, rreq.qid)
-    node_list = rreq.node_list + (state.self_id,)
     metric_list = rreq.metric_list
     if qos is not None:
         own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
         metric_list = rreq.metric_list + (own if own is not None else 0,)
-        state.prefix_metric[key] = qos.aggregate_scaled(metric_list)
-    out = replace(rreq, node_list=node_list, metric_list=metric_list)
-    state.seen.add(key)
-    state.precursor[key] = transmitter
-    state.relayed[key] = node_list
-    state.relayed_metrics[key] = metric_list if metric_list is not None else ()
-    state.fwd[key] = {}
+    out = replace(rreq, node_list=rreq.node_list + (state.self_id,),
+                  metric_list=metric_list)
+    remember_broadcast(state, out, qos)
     return [Note("relay", "2.2.4", out), Broadcast(out)]
 
 
@@ -456,7 +457,6 @@ def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
         record = RouteRecord(route=full, t1=disc.t1, t2=now, qid=disc.qid,
                              reported=reported)
         disc.accepted.append(record)
-        state.records.append(record)
         fx = [Note("accepted", "4.5", rrep), Accept(record)]
         min_conclude = disc.t1 + cfg.reply_wait_min
         if now >= min_conclude:
@@ -541,9 +541,3 @@ class SrpNode:
 
     def on_tunnel(self, engine, msg, frm, now):
         pass  # correct nodes have no private channel
-
-    def on_send_failure(self, engine, msg, receiver, now):
-        pass  # no reply recovery: failures surface in the trace only
-
-    def on_time(self, engine, now):
-        pass

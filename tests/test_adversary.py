@@ -8,7 +8,7 @@ import pytest
 
 from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
                     Engine, LinkSchedule, Rreq, ScheduleMap, SimConfig,
-                    TunnelChannel, TunnelSend, Unicast, attack, fuzz_script,
+                    FuzzScript, TunnelChannel, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict)
 from srpsim.adversary import AdversaryNode, step_adversary
 from srpsim.harness import FuzzConfig, bundled_scenarios, fuzz_campaign, random_scenario
@@ -209,7 +209,7 @@ class TestFuzzScripts:
 
     def test_independent_script_has_no_tunnel_in_alphabet(self):
         from srpsim.srp import TunnelSend
-        script = fuzz_script(7, AdversaryClass.INDEPENDENT)
+        script = FuzzScript(7, AdversaryClass.INDEPENDENT)
         node = _adv_node(AdversaryClass.INDEPENDENT, script)
         table = _table()
         for i in range(200):

@@ -136,6 +136,38 @@ class TestLoadValidation:
             scenario_from_dict(d)
 
 
+def _tunnel(path):
+    return _mini(nodes=["S", "T", "m1", "m2"], adversaries={"m1": {
+        "class": "arbitrary", "attack": "passive",
+        "params": {"peer": "m2", "path": path}}})
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("data, match", [
+    (_mini(discoveries=[{"src": "S", "dst": "T", "at": NAN}]), "discovery start"),
+    (_mini(config={"seed": 1, "end_time": 40.0, "tau": NAN}), "tau must be finite"),
+    (_mini(config={"seed": 1, "end_time": float("inf")}), "end_time must be finite"),
+    (_tunnel(5), "tunnel path for m1"),
+    (_tunnel([]), "tunnel path for m1"),
+    (_mini(expect={"victim_link": ["S"]}), "victim_link"),
+    (_mini(expect={"victim_link": ["S", "S"]}), "victim_link"),
+    (_mini(adversaries={"T": "passive"}), "adversary T: spec must be an object"),
+    (_mini(expect={"loop_free": "maybe"}), "'loop_free' must be one of"),
+    (_mini(expect={"min_accepted": "a"}), "'min_accepted' must be a count"),
+    (_mini(expect={"max_metric_error": "a"}), "'max_metric_error'"),
+], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
+        "victim-one-node", "victim-self-edge", "adversary-string",
+        "loop-free-maybe", "min-accepted-str", "metric-error-str"])
+def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
+    with pytest.raises(ScenarioError, match=match):
+        scenario_from_dict(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli_main(["run", str(bad)]) == 2
+
+
 def _verdict(**kw):
     defaults = dict(route=("S", "a", "T"), t1=1.0, t2=5.0, loop_free=True,
                     fresh=True, weakly_fresh=True, never_up_links=(),
@@ -232,6 +264,18 @@ class TestTracePersistence:
             return lines
         ok, messages, _ = self._edit_records(tmp_path, edit)
         assert not ok and any("accept lines" in m for m in messages)
+
+    @pytest.mark.parametrize("header, message", [
+        ("# srpsim-trace scenario=other seed=1",
+         "trace header names scenario 'other', not 'mini'"),
+        (None, "trace file carries no srpsim-trace header"),
+    ], ids=["other-scenario", "no-header"])
+    def test_header_must_name_the_scenario(self, tmp_path, header, message):
+        def edit(lines, i):
+            assert lines[0] == "# srpsim-trace scenario=mini seed=1"
+            return ([header] if header else []) + lines[1:]
+        ok, messages, _ = self._edit_records(tmp_path, edit)
+        assert not ok and messages == [message]
 
 
 class TestCli:

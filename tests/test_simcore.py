@@ -1,15 +1,18 @@
 """Link-layer engine: link state lookups, delivery windows, failure reports,
 overhearing, event ordering, and replay determinism."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from srpsim import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
-                    Rreq, ScheduleError, ScheduleMap, SimConfig,
+from srpsim import (AdversaryNode, Engine, InvalidEdgeError, LinkSchedule,
+                    OrderingError, Rreq, ScheduleError, ScheduleMap, SimConfig,
+                    SrpNode, build, bundled_scenarios, load_scenario,
                     run_scenario, scenario_from_dict)
-from srpsim.simcore import DELIVER, message_digest
+from srpsim.simcore import message_digest
 
 
 def schedules(*entries, nodes=None):
@@ -89,9 +92,6 @@ class _Sink:
     def on_timer(self, *a): ...
     def on_action(self, *a): ...
     def on_tunnel(self, *a): ...
-    def on_send_failure(self, engine, msg, receiver, now):
-        self.got.append(("failure", receiver, now))
-    def on_time(self, *a): ...
 
 
 def _engine(sched, tau=1.0, seed=1):
@@ -113,8 +113,9 @@ class TestBroadcast:
         s = schedules(("x", "a", [(0, 50)]), ("x", "b", [(0, 50)]))
         eng, sinks = _engine(s)
         eng.schedule_action(0.0, "x", ("initiate", "T"))  # advance clock hook
-        events = eng.bcast_l("x", MSG)
-        assert len(events) == 2
+        eng.bcast_l("x", MSG)
+        assert [(v, addressed) for v, addressed, _ in _queued_deliveries(eng)] == \
+            [("a", True), ("b", True)]
         eng.run()
         for n in ("a", "b"):
             (msg, frm, addressed, at) = sinks[n].got[0]
@@ -132,7 +133,10 @@ class TestBroadcast:
     def test_isolated_sender_is_a_noop(self):
         s = schedules(("a", "b", [(0, 50)]), nodes=["x", "a", "b"])
         eng, sinks = _engine(s)
-        assert eng.bcast_l("x", MSG) == []
+        eng.bcast_l("x", MSG)
+        assert eng._queue == []
+        eng.run()
+        assert all(not sink.got for sink in sinks.values())
 
 
 class TestUnicast:
@@ -149,8 +153,10 @@ class TestUnicast:
         assert eng.send_l("x", "a", MSG) is False
         eng.run()
         assert sinks["a"].got == []
-        assert ("failure", "a", 1.0) in sinks["x"].got
-        assert any(te.outcome == "failure_reported" for te in eng.trace)
+        reports = [te for te in eng.trace if te.primitive == "report"]
+        assert [(te.time, te.node, te.digest, te.outcome, te.detail)
+                for te in reports] == \
+            [(1.0, "x", message_digest(MSG), "failure_reported", "a")]
 
     def test_third_party_overhears_without_processing(self):
         s = schedules(("x", "a", [(0, 50)]), ("x", "w", [(0, 50)]))
@@ -208,10 +214,11 @@ def _full_scan(eng, sender, receiver=None):
 
 
 def _queued_deliveries(eng):
-    """Deliveries in the order they were scheduled."""
-    events = sorted((ev for _, _, ev in eng._queue), key=lambda ev: ev.seq)
-    return [(ev.payload[0], ev.payload[3], ev.time)
-            for ev in events if ev.kind == DELIVER]
+    """(receiver, addressed, arrival) of the queued deliveries, in the
+    order they were scheduled."""
+    return [(args[0], args[3], at)
+            for at, _, handler, args in sorted(eng._queue, key=lambda e: e[1])
+            if handler is Engine._deliver]
 
 
 class TestNeighbourScanMatchesFullScan:
@@ -288,6 +295,36 @@ class TestOrdering:
             if te.primitive in ("receive_l", "overhear"):
                 assert te.digest in tx_times
                 assert tx_times[te.digest] <= te.time
+
+
+DRIVER_HOOKS = {"on_deliver", "on_timer", "on_action", "on_tunnel"}
+
+
+class TestDriverContract:
+    @pytest.mark.parametrize("driver", [SrpNode, AdversaryNode, _Sink])
+    def test_drivers_define_the_four_hooks(self, driver):
+        assert {n for n in vars(driver) if n.startswith("on_")} == DRIVER_HOOKS
+
+    def test_heap_entries_name_plain_engine_functions(self):
+        scen = load_scenario(bundled_scenarios()[0])
+        engine = build(scen).engine
+        handlers = {handler for _, _, handler, _ in engine._queue}
+        assert handlers and handlers <= {Engine._deliver, Engine._fire,
+                                         Engine._tunnel_arrive, Engine._act,
+                                         Engine._record}
+
+    @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+    def test_engine_freed_without_cyclic_gc(self, path):
+        scen = load_scenario(path)
+        gc.disable()
+        try:
+            built = build(scen)
+            built.engine.run()
+            ref = weakref.ref(built.engine)
+            del built
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

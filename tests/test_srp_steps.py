@@ -39,7 +39,6 @@ class TestRequestActions:
         assert ("S", 1) in state.seen
         assert state.relayed[("S", 1)] == ("a", "m")
         assert state.fwd[("S", 1)] == {}
-        assert state.precursor[("S", 1)] == "a"
 
     def test_2_2_4_appends_own_link_metric(self):
         table = _table()
@@ -145,7 +144,7 @@ class TestReplyActions:
         (acc,) = _effects_of(Accept, fx)
         assert acc.record.route == ("S", "a", "b", "T")
         assert acc.record.t1 == 1.0 and acc.record.t2 == 5.0
-        assert state.records == [acc.record]
+        assert state.discoveries["T"].accepted == [acc.record]
 
     def test_4_2_applies_at_source_too(self):
         table = _table()

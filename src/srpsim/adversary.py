@@ -44,129 +44,92 @@ class UnknownAttackError(ValueError):
 
 
 class AttackParamError(ValueError):
-    """A named attack is missing a param its script cannot run without."""
+    """A named attack's params are missing, of the wrong type, or name a
+    node outside the roster."""
 
 
-class AdvContext:
-    """What a script may see and do, bound to one adversarial node."""
+# params naming the node a script unicasts to: each must be on the roster
+UNICAST_PARAMS = ("shortcut_to", "target", "jump_to")
+_REQUIRED = object()
 
-    def __init__(self, node):
-        self._node = node
 
-    @property
-    def self_id(self):
-        return self._node.node_id
+def _param(params: dict, key: str, convert, default=_REQUIRED):
+    """Param `key` read through `convert`; an absent or null param takes
+    `default` as is, or is an error when there is none."""
+    value = params.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise AttackParamError(f"param {key!r} is required")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise AttackParamError(f"param {key!r}: {e}") from None
 
-    @property
-    def rng(self):
-        return self._node.rng
 
-    @property
-    def qos(self):
-        return self._node.qos
+def _node(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a node id, not {value!r}")
+    return value
 
-    @property
-    def roster(self):
-        return self._node.roster
 
-    @property
-    def tau(self):
-        return self._node.cfg.tau
+def _list(convert):
+    """A converter for a list of items that `convert` converts."""
+    def read(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, not {value!r}")
+        return tuple(map(convert, value))
+    return read
 
-    @property
-    def store(self):
-        return self._node.store
 
-    @property
-    def observer(self):
-        return self._node.state
+_nodes = _list(_node)
 
-    def garbage_auth(self) -> int:
-        return self._node.rng.getrandbits(64)
 
-    def fake_metric(self, edge=None) -> int:
-        """A plausible metric value for a link the adversary is lying about."""
-        if self.qos is not None and edge is not None:
-            v = self.qos.model.actual_scaled(edge)
-            if v is not None:
-                return v
-        return to_scaled(1.0)
+def _count(value) -> int:
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"expected an integer >= 0, not {value!r}")
+    return n
 
-    def own_metric(self, edge) -> int:
-        if self.qos is None:
-            return 0
-        v = self.qos.measure_scaled(self.self_id, edge)
-        return v if v is not None else self.fake_metric(edge)
 
-    def neighbor_measurement(self, neighbor: str, edge) -> Optional[int]:
-        """Instrumented oracle: the exact value the neighbor's apparatus
-        reads for the shared link (used by discrepancy-maximizing scripts)."""
-        if self.qos is None:
-            return None
-        return self.qos.measure_scaled(neighbor, edge)
-
-    def set_self_bias(self, bias_scaled: int) -> None:
-        """Skew this node's own measurement apparatus by a constant; affects
-        both what it reports and what its own consistency checks read."""
-        if self.qos is not None:
-            self.qos.model.biases[self.self_id] = bias_scaled
-
-    def appended_rreq(self, rreq: Rreq, transmitter: str, node_list=None,
-                      metric: Optional[int] = None, extra_metrics=()) -> Rreq:
-        """The relay a protocol-following node would broadcast, with optional
-        overrides of the appended identity list and metric entries."""
-        nl = node_list if node_list is not None else rreq.node_list + (self.self_id,)
-        ml = rreq.metric_list
-        if self.qos is not None and ml is not None:
-            if metric is None:
-                metric = self.own_metric((transmitter, self.self_id))
-            pad = len(nl) - len(rreq.node_list) - 1
-            fabricated = tuple(self.fake_metric() for _ in range(max(pad, 0)))
-            ml = rreq.metric_list + fabricated + (metric,) + tuple(extra_metrics)
-        return replace(rreq, node_list=nl, metric_list=ml)
-
-    def protocol_rrep_forward(self, rrep: Rrep, payload=None):
-        """Relay a reply the way the protocol prescribes for our position;
-        `payload`, when given, goes to that next hop in the reply's place."""
-        if self.self_id not in rrep.route:
-            return None
-        idx = rrep.route.index(self.self_id)
-        target = rrep.route[idx + 1] if idx + 1 < len(rrep.route) else rrep.src
-        if target == self.self_id:  # looped route: no sane forwarding target
-            return None
-        return Unicast(target, rrep if payload is None else payload)
+def _scaled(value) -> int:
+    return to_scaled(float(value))
 
 
 class AttackScript:
-    """Base class: every hook returns a list of effects to execute (a None
-    entry is skipped).  Request and reply hooks default to what a
-    protocol-following node does, so a script overrides only the hooks where
-    it deviates; `required` names the params it cannot run without."""
+    """Base class: every hook gets the `AdversaryNode` it drives and returns
+    a list of effects to execute (a None entry is skipped).  Request and
+    reply hooks default to what a protocol-following node does, so a script
+    overrides only the hooks where it deviates.  A script reads and converts
+    its params once, in `__init__`."""
 
     name = "base"
     arbitrary_only = False
-    required: tuple[str, ...] = ()
+    max_emissions = 64
+    spontaneous_at: tuple[float, ...] = ()
+    reply_to: Optional[str] = None  # unicast every reply straight to this node
 
-    def __init__(self, params=None):
-        self.params = dict(params or {})
-        self.spontaneous_at: list[float] = []
-
-    def setup(self, ctx: AdvContext) -> None:
+    def __init__(self, params):
         pass
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter))]
+    def setup(self, node) -> None:
+        pass
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        return [ctx.protocol_rrep_forward(rrep)]
+    def on_rreq(self, node, rreq, transmitter, now):
+        return [Broadcast(node.appended_rreq(rreq, transmitter))]
 
-    def on_overhear(self, ctx, msg, transmitter, now):
+    def on_rrep(self, node, rrep, forwarder, now):
+        if self.reply_to is not None:
+            return [Unicast(self.reply_to, rrep)]
+        return [node.protocol_rrep_forward(rrep)]
+
+    def on_overhear(self, node, msg, transmitter, now):
         return []
 
-    def on_tunnel(self, ctx, msg, frm, now):
+    def on_tunnel(self, node, msg, frm, now):
         return []
 
-    def on_time(self, ctx, now):
+    def on_time(self, node, now):
         return []
 
 
@@ -176,18 +139,22 @@ class LoopInject(AttackScript):
 
     name = "loop_inject"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        if self.params.get("where", "rreq") != "rreq":
-            return super().on_rreq(ctx, rreq, transmitter, now)
-        dup = self.params.get("dup") or (rreq.node_list[-1] if rreq.node_list else ctx.self_id)
-        nl = rreq.node_list + (dup, ctx.self_id)
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
+    def __init__(self, params):
+        self.where = params.get("where", "rreq")
+        self.dup = _param(params, "dup", _node, None)
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        if self.params.get("where", "rreq") != "rrep" or not rrep.route:
-            return super().on_rrep(ctx, rrep, forwarder, now)
+    def on_rreq(self, node, rreq, transmitter, now):
+        if self.where != "rreq":
+            return super().on_rreq(node, rreq, transmitter, now)
+        dup = self.dup or (rreq.node_list[-1] if rreq.node_list else node.node_id)
+        nl = rreq.node_list + (dup, node.node_id)
+        return [Broadcast(node.appended_rreq(rreq, transmitter, node_list=nl))]
+
+    def on_rrep(self, node, rrep, forwarder, now):
+        if self.where != "rrep" or not rrep.route:
+            return super().on_rrep(node, rrep, forwarder, now)
         tampered = replace(rrep, route=(rrep.route[0],) + rrep.route)
-        return [ctx.protocol_rrep_forward(rrep, tampered)]
+        return [node.protocol_rrep_forward(rrep, tampered)]
 
 
 class TamperNodelistDownstream(AttackScript):
@@ -197,10 +164,12 @@ class TamperNodelistDownstream(AttackScript):
 
     name = "tamper_nodelist_downstream"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        insert = tuple(self.params.get("insert", ()))
-        nl = rreq.node_list + insert + (ctx.self_id,)
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
+    def __init__(self, params):
+        self.insert = _param(params, "insert", _nodes, ())
+
+    def on_rreq(self, node, rreq, transmitter, now):
+        nl = rreq.node_list + self.insert + (node.node_id,)
+        return [Broadcast(node.appended_rreq(rreq, transmitter, node_list=nl))]
 
 
 class ShortcutRelay(TamperNodelistDownstream):
@@ -208,10 +177,10 @@ class ShortcutRelay(TamperNodelistDownstream):
     straight to a node earlier in the route, skipping the claimed chain."""
 
     name = "shortcut_relay"
-    required = ("shortcut_to",)
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        return [Unicast(self.params["shortcut_to"], rrep)]
+    def __init__(self, params):
+        super().__init__(params)
+        self.reply_to = _param(params, "shortcut_to", _node)
 
 
 class TamperNodelistUpstream(AttackScript):
@@ -219,23 +188,19 @@ class TamperNodelistUpstream(AttackScript):
     ending at this node (claiming a link to it that was never up)."""
 
     name = "tamper_nodelist_upstream"
-    required = ("fake_list",)
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        fake = tuple(self.params["fake_list"])
-        nl = fake + (ctx.self_id,)
+    def __init__(self, params):
+        self.fake_list = _param(params, "fake_list", _nodes)
+        self.reply_to = _param(params, "jump_to", _node, None)
+
+    def on_rreq(self, node, rreq, transmitter, now):
+        nl = self.fake_list + (node.node_id,)
         ml = None
         if rreq.metric_list is not None:
-            ml = tuple(ctx.fake_metric() for _ in fake) + \
-                (ctx.own_metric((transmitter, ctx.self_id)),)
+            ml = tuple(node.fake_metric() for _ in self.fake_list) + \
+                (node.own_metric((transmitter, node.node_id)),)
         out = replace(rreq, node_list=nl, metric_list=ml)
         return [Broadcast(out)]
-
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        jump = self.params.get("jump_to")
-        if jump is not None:
-            return [Unicast(jump, rrep)]
-        return super().on_rrep(ctx, rrep, forwarder, now)
 
 
 class TamperRrepRoute(AttackScript):
@@ -244,36 +209,13 @@ class TamperRrepRoute(AttackScript):
 
     name = "tamper_rrep_route"
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        insert = tuple(self.params.get("insert", ()))
-        index = int(self.params.get("index", 1))
-        tampered = replace(rrep, route=rrep.route[:index] + insert + rrep.route[index:])
-        return [ctx.protocol_rrep_forward(rrep, tampered)]
+    def __init__(self, params):
+        self.insert = _param(params, "insert", _nodes, ())
+        self.index = _param(params, "index", int, 1)
 
-
-class ImpersonateT(AttackScript):
-    """Deliver a reply whose route makes the victim's expected forwarder the
-    destination itself; the link-layer source identity gives the lie away."""
-
-    name = "impersonate_t"
-    required = ("route", "target")
-
-    def __init__(self, params=None):
-        super().__init__(params)
-        self._done = set()
-
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        fx = super().on_rreq(ctx, rreq, transmitter, now)
-        key = (rreq.src, rreq.qid)
-        if key not in self._done:
-            self._done.add(key)
-            route = tuple(self.params["route"])
-            ml = None
-            if rreq.metric_list is not None:
-                ml = tuple(ctx.fake_metric() for _ in range(len(route) + 1))
-            forged = Rrep(rreq.src, rreq.dst, rreq.qid, route, ctx.garbage_auth(), ml)
-            fx.append(Unicast(self.params["target"], forged))
-        return fx
+    def on_rrep(self, node, rrep, forwarder, now):
+        route = rrep.route[:self.index] + self.insert + rrep.route[self.index:]
+        return [node.protocol_rrep_forward(rrep, replace(rrep, route=route))]
 
 
 class ForgeRrep(AttackScript):
@@ -281,27 +223,39 @@ class ForgeRrep(AttackScript):
     authenticator cannot be computed without the end-node key."""
 
     name = "forge_rrep"
-    required = ("fake_route",)
 
-    def __init__(self, params=None):
-        super().__init__(params)
+    def __init__(self, params):
+        self.fake_route = _param(params, "fake_route", _nodes)
         self._done = set()
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        fx = super().on_rreq(ctx, rreq, transmitter, now)
+    def on_rreq(self, node, rreq, transmitter, now):
+        fx = super().on_rreq(node, rreq, transmitter, now)
         key = (rreq.src, rreq.qid)
-        if key not in self._done:
+        if key not in self._done:  # one forgery per query
             self._done.add(key)
-            route = tuple(self.params["fake_route"]) + (ctx.self_id,) + \
-                tuple(reversed(rreq.node_list))
-            ml = None
-            if rreq.metric_list is not None:
-                ml = tuple(ctx.fake_metric() for _ in range(len(route) + 1))
-            forged = Rrep(rreq.src, rreq.dst, rreq.qid, route, ctx.garbage_auth(), ml)
-            # hold the forgery until our broadcast above has been overheard,
-            # so the upstream forward-list check is not what stops it
-            fx.append(Later(3.0 * ctx.tau, Unicast(transmitter, forged)))
+            fx.append(self.forgery(node, rreq, transmitter))
         return fx
+
+    def forgery(self, node, rreq, transmitter):
+        route = self.fake_route + (node.node_id,) + tuple(reversed(rreq.node_list))
+        # hold the forgery until our broadcast above has been overheard,
+        # so the upstream forward-list check is not what stops it
+        return Later(3.0 * node.cfg.tau, Unicast(transmitter, node.forged_rrep(rreq, route)))
+
+
+class ImpersonateT(ForgeRrep):
+    """Deliver a reply whose route makes the victim's expected forwarder the
+    destination itself; the link-layer source identity gives the lie away."""
+
+    name = "impersonate_t"
+
+    def __init__(self, params):
+        self.route = _param(params, "route", _nodes)
+        self.target = _param(params, "target", _node)
+        self._done = set()
+
+    def forgery(self, node, rreq, transmitter):
+        return Unicast(self.target, node.forged_rrep(rreq, self.route))
 
 
 class ReplayStaleRrep(AttackScript):
@@ -310,18 +264,17 @@ class ReplayStaleRrep(AttackScript):
 
     name = "replay_stale_rrep"
 
-    def __init__(self, params=None):
-        super().__init__(params)
+    def __init__(self, params):
         self._stored = None  # (rrep, relay_target)
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
+    def on_rrep(self, node, rrep, forwarder, now):
+        fwd = node.protocol_rrep_forward(rrep)
         if fwd is not None and self._stored is None:
             self._stored = (rrep, fwd.to)
         return [fwd]
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        fx = super().on_rreq(ctx, rreq, transmitter, now)
+    def on_rreq(self, node, rreq, transmitter, now):
+        fx = super().on_rreq(node, rreq, transmitter, now)
         if self._stored is not None:
             old, target = self._stored
             if (old.src, old.dst) == (rreq.src, rreq.dst) and old.qid != rreq.qid:
@@ -329,37 +282,42 @@ class ReplayStaleRrep(AttackScript):
         return fx
 
 
-class TamperMetricRrep(AttackScript):
-    """Alter one reported metric in a reply while relaying it."""
+class _MetricEdit(AttackScript):
+    """Adds `delta` to the metric entry at `index`; an index past the end of
+    the list leaves the message as a protocol-following node relays it."""
+
+    def __init__(self, params):
+        self.index = _param(params, "index", _count, 0)
+        self.delta = _param(params, "delta", _scaled, to_scaled(0.5))
+
+
+class TamperMetricRrep(_MetricEdit):
+    """Alter one reported metric in a reply while relaying it; `index`
+    counts from the source end of the route."""
 
     name = "tamper_metriclist_rrep"
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        fwd = ctx.protocol_rrep_forward(rrep)
-        if fwd is None or rrep.metric_list is None:
+    def on_rrep(self, node, rrep, forwarder, now):
+        fwd = node.protocol_rrep_forward(rrep)
+        if fwd is None or self.index >= len(rrep.metric_list or ()):
             return [fwd]
-        # index counts from the source end of the route
-        idx_from_src = int(self.params.get("index", 0))
         ml = list(rrep.metric_list)
-        pos = len(ml) - 1 - idx_from_src
-        ml[pos] += to_scaled(float(self.params.get("delta", 0.5)))
+        ml[len(ml) - 1 - self.index] += self.delta
         return [Unicast(fwd.to, replace(rrep, metric_list=tuple(ml)))]
 
 
-class TamperMetricRreqUpstream(AttackScript):
+class TamperMetricRreqUpstream(_MetricEdit):
     """Alter an already-recorded metric entry in a request before relaying;
     undetectable downstream, caught by a stored prefix on the way back."""
 
     name = "tamper_metriclist_rreq_upstream"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        if not rreq.metric_list:
-            return super().on_rreq(ctx, rreq, transmitter, now)
-        idx = int(self.params.get("index", 0))
-        ml = list(rreq.metric_list)
-        ml[idx] += to_scaled(float(self.params.get("delta", 0.5)))
-        tampered = replace(rreq, metric_list=tuple(ml))
-        return super().on_rreq(ctx, tampered, transmitter, now)
+    def on_rreq(self, node, rreq, transmitter, now):
+        if self.index < len(rreq.metric_list or ()):
+            ml = list(rreq.metric_list)
+            ml[self.index] += self.delta
+            rreq = replace(rreq, metric_list=tuple(ml))
+        return super().on_rreq(node, rreq, transmitter, now)
 
 
 class TamperMetricRreqDownstream(AttackScript):
@@ -368,11 +326,13 @@ class TamperMetricRreqDownstream(AttackScript):
 
     name = "tamper_metriclist_rreq_downstream"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        extra = tuple(to_scaled(float(x)) for x in self.params.get("extra", (1.0,)))
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter, extra_metrics=extra))]
+    def __init__(self, params):
+        self.extra = _param(params, "extra", _list(_scaled), (to_scaled(1.0),))
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
+    def on_rreq(self, node, rreq, transmitter, now):
+        return [Broadcast(node.appended_rreq(rreq, transmitter, extra_metrics=self.extra))]
+
+    def on_rrep(self, node, rrep, forwarder, now):
         # Replies are dropped, not forwarded.  Augmented-mode runs never
         # route one through this node; in basic mode this is what it does.
         return []
@@ -394,30 +354,34 @@ class BiasedMetric(AttackScript):
 
     name = "biased_metric"
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        if ctx.qos is None:
-            return super().on_rreq(ctx, rreq, transmitter, now)
-        s = 1 if float(self.params.get("direction", 1)) >= 0 else -1
-        eps_s = ctx.qos.epsilon_scaled
-        d_s = ctx.qos.delta_scaled
-        edge = (transmitter, ctx.self_id)
-        actual = ctx.qos.model.actual_scaled(edge)
-        if "links" in self.params and actual is not None:
+    def __init__(self, params):
+        self.sign = 1 if _param(params, "direction", float, 1.0) >= 0 else -1
+        self.links = _param(params, "links", int, None)
+        self.headroom = _param(params, "headroom_scaled", int, 0)
+
+    def on_rreq(self, node, rreq, transmitter, now):
+        qos = node.qos
+        if qos is None:
+            return super().on_rreq(node, rreq, transmitter, now)
+        s = self.sign
+        eps_s = qos.epsilon_scaled
+        d_s = qos.delta_scaled
+        edge = (transmitter, node.node_id)
+        actual = qos.model.actual_scaled(edge)
+        if self.links is not None and actual is not None:
             i = len(rreq.node_list) + 1
-            n = int(self.params["links"])
             step = max(eps_s - 1 - 2 * d_s, 0)
-            bias = s * min(i, max(n - i, 0)) * step
-            ctx.set_self_bias(bias)
+            bias = s * min(i, max(self.links - i, 0)) * step
+            node.set_self_bias(bias)
             report = actual + bias
         else:
-            anchor = ctx.neighbor_measurement(transmitter, edge)
+            anchor = node.neighbor_measurement(transmitter, edge)
             if anchor is None:
-                anchor = ctx.own_metric(edge)
-            headroom = int(self.params.get("headroom_scaled", 0))
-            report = anchor + s * max(eps_s - 1 - headroom, 0)
+                anchor = node.own_metric(edge)
+            report = anchor + s * max(eps_s - 1 - self.headroom, 0)
             if actual is not None:
-                ctx.set_self_bias(report - actual)
-        return [Broadcast(ctx.appended_rreq(rreq, transmitter, metric=report))]
+                node.set_self_bias(report - actual)
+        return [Broadcast(node.appended_rreq(rreq, transmitter, metric=report))]
 
 
 class Fig1aTunnel(AttackScript):
@@ -429,43 +393,43 @@ class Fig1aTunnel(AttackScript):
     name = "fig1a_tunnel"
     arbitrary_only = True
 
-    def __init__(self, params=None):
-        super().__init__(params)
+    def __init__(self, params):
+        _param(params, "path", _nodes)  # both roles send through the tunnel
+        self.role = params.get("role", "entry")
+        # the advertised link has no honest second opinion: report whatever
+        # the scenario asks for
+        self.fake_link_metric = _param(params, "fake_link_metric", _scaled, None)
         self._done = set()
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        if self.params.get("role", "entry") != "entry":
+    def on_rreq(self, node, rreq, transmitter, now):
+        if self.role != "entry":
             return []  # exit node ignores link-layer copies of the query
         key = (rreq.src, rreq.qid)
         if key in self._done:
             return []
         self._done.add(key)
-        out = ctx.appended_rreq(rreq, transmitter)
+        out = node.appended_rreq(rreq, transmitter)
         return [TunnelSend(out), Broadcast(out)]
 
-    def on_tunnel(self, ctx, msg, frm, now):
-        if isinstance(msg, Rreq) and self.params.get("role") == "exit":
-            nl = msg.node_list + (ctx.self_id,)
+    def on_tunnel(self, node, msg, frm, now):
+        if isinstance(msg, Rreq) and self.role == "exit":
+            nl = msg.node_list + (node.node_id,)
             ml = msg.metric_list
             if ml is not None:
-                # the advertised link has no honest second opinion: report
-                # whatever the scenario asks for
-                lie = self.params.get("fake_link_metric")
-                appended = to_scaled(float(lie)) if lie is not None \
-                    else ctx.fake_metric((frm, ctx.self_id))
-                ml = ml + (appended,)
+                lie = self.fake_link_metric
+                ml += (node.fake_metric((frm, node.node_id)) if lie is None else lie,)
             return [Broadcast(replace(msg, node_list=nl, metric_list=ml))]
-        if isinstance(msg, Rrep) and self.params.get("role", "entry") == "entry":
-            return [ctx.protocol_rrep_forward(msg)]
+        if isinstance(msg, Rrep) and self.role == "entry":
+            return [node.protocol_rrep_forward(msg)]
         return []
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        if self.params.get("role") == "exit":
+    def on_rrep(self, node, rrep, forwarder, now):
+        if self.role == "exit":
             return [TunnelSend(rrep)]
         return []
 
 
-class Fig1bChain(AttackScript):
+class Fig1bChain(TamperNodelistDownstream):
     """A chain of colluders between two correct nodes: the interior node
     rewrites the identity list at will; the others skip the checks and relay
     so the fabrication survives to the endpoints.  Arbitrary class only."""
@@ -473,19 +437,12 @@ class Fig1bChain(AttackScript):
     name = "fig1b_chain"
     arbitrary_only = True
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
-        role = self.params.get("role", "interior")
-        if role == "interior":
-            insert = tuple(self.params.get("insert", ()))
-            nl = rreq.node_list + insert + (ctx.self_id,)
-            return [Broadcast(ctx.appended_rreq(rreq, transmitter, node_list=nl))]
-        return super().on_rreq(ctx, rreq, transmitter, now)
-
-    def on_rrep(self, ctx, rrep, forwarder, now):
-        role = self.params.get("role", "interior")
-        if role == "interior" and "jump_to" in self.params:
-            return [Unicast(self.params["jump_to"], rrep)]
-        return super().on_rrep(ctx, rrep, forwarder, now)
+    def __init__(self, params):
+        interior = params.get("role", "interior") == "interior"
+        # an empty insert relays the request as a correct node would
+        super().__init__(params if interior else {})
+        if interior:
+            self.reply_to = _param(params, "jump_to", _node, None)
 
 
 class PassThrough(AttackScript):
@@ -496,32 +453,42 @@ class PassThrough(AttackScript):
 
 
 class FuzzScript(AttackScript):
-    """Seeded random behavior over the action alphabet, respecting the class
-    constraints (no tunnel use when independent; the compliance gate applies
-    at runtime regardless of what this script would do)."""
+    """Seeded random behavior over the whole action alphabet but the tunnel.
+
+    The compliance gate applies at runtime regardless of what this script
+    would do.  Params: `seed` (default: the run seed) and `bounds`, which may
+    set `max_emissions`, `ghosts` (ids it invents) and `spontaneous` (the
+    most unprompted moves)."""
 
     name = "fuzz"
+    max_emissions = 10
 
-    def __init__(self, seed: int, klass: AdversaryClass, bounds=None):
-        super().__init__({})
-        self.seed = seed
-        self.klass = klass
-        b = dict(bounds or {})
-        self.max_emissions = int(b.get("max_emissions", 10))
-        self.ghosts = tuple(b.get("ghosts", ("zz1", "zz2")))
+    def __init__(self, params):
+        self.seed = _param(params, "seed", int, None)
+        bounds = _param(params, "bounds", dict, {})
+        self.max_emissions = _param(bounds, "max_emissions", int, self.max_emissions)
+        self.ghosts = _param(bounds, "ghosts", _nodes, ("zz1", "zz2"))
+        self._spontaneous = _param(bounds, "spontaneous", _count, 1)
+        if not self.ghosts:
+            raise AttackParamError("param 'ghosts' must name at least one id")
+
+    def setup(self, node):
+        # seeded here, not in __init__: validation builds a script per
+        # adversary and never runs it
+        seed = node.cfg.seed if self.seed is None else self.seed
         self.rng = random.Random(f"fuzz-script|{seed}")
-        self._spontaneous = int(b.get("spontaneous", 1))
-
-    def setup(self, ctx):
         self.spontaneous_at = sorted(
             self.rng.uniform(1.0, 30.0) for _ in range(self.rng.randint(0, self._spontaneous))
         )
 
     # -- helpers -----------------------------------------------------------
 
-    def _mangle_nodelist(self, ctx, nl: tuple) -> tuple:
+    def _others(self, node) -> list:
+        return [x for x in node.roster if x != node.node_id]
+
+    def _mangle_nodelist(self, node, nl: tuple) -> tuple:
         r = self.rng
-        roster = [x for x in ctx.roster if x != ctx.self_id]
+        roster = self._others(node)
         choice = r.randrange(6)
         nl = list(nl)
         if choice == 0 and nl:
@@ -536,15 +503,15 @@ class FuzzScript(AttackScript):
         elif choice == 4:
             nl = r.sample(roster, min(len(roster), r.randint(1, 3)))
         else:
-            nl.insert(0, r.choice(list(self.ghosts)))
+            nl.insert(0, r.choice(self.ghosts))
         return tuple(nl)
 
-    def _mangle_metrics(self, ctx, ml: tuple) -> tuple:
-        if ml is None or ctx.qos is None:
+    def _mangle_metrics(self, node, ml: tuple) -> tuple:
+        if ml is None or node.qos is None:
             return ml
         r = self.rng
         ml = list(ml)
-        eps = ctx.qos.epsilon_scaled
+        eps = node.qos.epsilon_scaled
         choice = r.randrange(4)
         if choice == 0 and ml:
             ml[r.randrange(len(ml))] += r.randint(-3 * eps, 3 * eps)
@@ -556,9 +523,9 @@ class FuzzScript(AttackScript):
             del ml[r.randrange(len(ml))]
         return tuple(ml)
 
-    def _forged_rrep(self, ctx, src, dst, qid, augmented) -> Rrep:
+    def _forged_rrep(self, node, src, dst, qid, augmented) -> Rrep:
         r = self.rng
-        roster = [x for x in ctx.roster if x not in (src, dst)]
+        roster = [x for x in node.roster if x not in (src, dst)]
         k = r.randint(0, min(3, len(roster)))
         route = tuple(r.sample(roster, k))
         if r.random() < 0.3 and route:
@@ -570,16 +537,16 @@ class FuzzScript(AttackScript):
 
     # -- hooks --------------------------------------------------------------
 
-    def on_rreq(self, ctx, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter, now):
         r = self.rng
         p = r.random()
         if p < 0.35:
-            return super().on_rreq(ctx, rreq, transmitter, now)
+            return super().on_rreq(node, rreq, transmitter, now)
         if p < 0.65:
-            nl = self._mangle_nodelist(ctx, rreq.node_list + (ctx.self_id,))
-            out = ctx.appended_rreq(rreq, transmitter, node_list=nl)
+            nl = self._mangle_nodelist(node, rreq.node_list + (node.node_id,))
+            out = node.appended_rreq(rreq, transmitter, node_list=nl)
             if out.metric_list is not None:
-                ml = self._mangle_metrics(ctx, out.metric_list)
+                ml = self._mangle_metrics(node, out.metric_list)
                 if r.random() < 0.5:
                     # realign lengths half the time so the relay can proceed
                     ml = list(ml)
@@ -594,53 +561,50 @@ class FuzzScript(AttackScript):
             return []  # drop
         if p < 0.90:
             return [Unicast(transmitter, self._forged_rrep(
-                ctx, rreq.src, rreq.dst, rreq.qid, rreq.metric_list is not None))]
-        for msg, _, _ in reversed(ctx.store):
+                node, rreq.src, rreq.dst, rreq.qid, rreq.metric_list is not None))]
+        for msg, _, _ in reversed(node.store):
             if isinstance(msg, Rrep):
-                target = r.choice([x for x in ctx.roster if x != ctx.self_id])
-                return [Unicast(target, msg)]
+                return [Unicast(r.choice(self._others(node)), msg)]
             if isinstance(msg, Rreq) and r.random() < 0.5:
                 return [Broadcast(msg)]  # replay a stored query
         return []
 
-    def on_rrep(self, ctx, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder, now):
         r = self.rng
         p = r.random()
-        fwd = ctx.protocol_rrep_forward(rrep)
+        fwd = node.protocol_rrep_forward(rrep)
         if p < 0.40:
             return [fwd]
         if p < 0.65:
-            out = replace(rrep, route=self._mangle_nodelist(ctx, rrep.route))
+            out = replace(rrep, route=self._mangle_nodelist(node, rrep.route))
             if rrep.metric_list is not None:
-                ml = self._mangle_metrics(ctx, rrep.metric_list)
+                ml = self._mangle_metrics(node, rrep.metric_list)
                 out = replace(out, metric_list=ml)
-            target = fwd.to if fwd else r.choice([x for x in ctx.roster if x != ctx.self_id])
+            target = fwd.to if fwd else r.choice(self._others(node))
             return [Unicast(target, out)]
         if p < 0.80:
             return []
-        target = r.choice([x for x in ctx.roster if x != ctx.self_id])
-        return [Unicast(target, rrep)]
+        return [Unicast(r.choice(self._others(node)), rrep)]
 
-    def on_overhear(self, ctx, msg, transmitter, now):
-        if self.klass is AdversaryClass.ARBITRARY and isinstance(msg, Rrep):
-            if self.rng.random() < 0.15:
-                target = self.rng.choice([x for x in ctx.roster if x != ctx.self_id])
-                return [Unicast(target, msg)]
+    def on_overhear(self, node, msg, transmitter, now):
+        # the driver calls this hook for the arbitrary class only
+        if isinstance(msg, Rrep) and self.rng.random() < 0.15:
+            return [Unicast(self.rng.choice(self._others(node)), msg)]
         return []
 
-    def on_time(self, ctx, now):
+    def on_time(self, node, now):
         r = self.rng
-        roster = [x for x in ctx.roster if x != ctx.self_id]
+        roster = self._others(node)
         if len(roster) < 2:
             return []
         src, dst = r.sample(roster, 2)
         if r.random() < 0.5:
             forged = Rreq(src, dst, r.randint(1, 3), r.getrandbits(64),
-                          (ctx.self_id,) if r.random() < 0.5 else (),
-                          None if ctx.qos is None else (to_scaled(1.0),) * (1 if r.random() < 0.5 else 0))
+                          (node.node_id,) if r.random() < 0.5 else (),
+                          None if node.qos is None else (to_scaled(1.0),) * (1 if r.random() < 0.5 else 0))
             return [Broadcast(forged)]
         return [Unicast(r.choice(roster),
-                        self._forged_rrep(ctx, src, dst, r.randint(1, 3), ctx.qos is not None))]
+                        self._forged_rrep(node, src, dst, r.randint(1, 3), node.qos is not None))]
 
 
 CATALOG: dict[str, type] = {
@@ -648,13 +612,15 @@ CATALOG: dict[str, type] = {
         LoopInject, TamperNodelistDownstream, ShortcutRelay, TamperNodelistUpstream,
         TamperRrepRoute, ImpersonateT, ForgeRrep, ReplayStaleRrep,
         TamperMetricRrep, TamperMetricRreqUpstream, TamperMetricRreqDownstream,
-        BiasedMetric, Fig1aTunnel, Fig1bChain, PassThrough,
+        BiasedMetric, Fig1aTunnel, Fig1bChain, PassThrough, FuzzScript,
     )
 }
 
 
-def attack(name: str, params=None, klass: Optional[AdversaryClass] = None) -> AttackScript:
-    """Build a validated script from the named catalog."""
+def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
+           roster=None) -> AttackScript:
+    """Build a script from the named catalog, checking its params' types and,
+    when a roster is given, that every unicast target is on it."""
     cls = CATALOG.get(name)
     if cls is None:
         raise UnknownAttackError(f"unknown attack {name!r}; see list-attacks")
@@ -664,14 +630,17 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None) -> At
             f"adversary never acts on traffic it detects as non-compliant "
             f"and has no tunnel channel"
         )
-    for key in cls.required:
-        if key not in (params or {}):
-            raise AttackParamError(f"attack {name!r} requires param {key!r}")
-    return cls(params)
+    params = params or {}
+    script = cls(params)
+    for key in UNICAST_PARAMS:
+        value = params.get(key)
+        if roster is not None and value is not None and value not in roster:
+            raise AttackParamError(f"param {key!r} names {value!r}, which is "
+                                   f"not in the roster")
+    return script
 
 
-def step_adversary(klass: AdversaryClass, script: AttackScript, received,
-                   state, transmitter: str, now: float, ctx: AdvContext, qos=None):
+def step_adversary(node: AdversaryNode, received, transmitter: str, now: float):
     """One adversary step: classify the received message with the exact
     protocol check functions run against the adversary's own observer state,
     enforce the independent-class constraint (detectably non-compliant input
@@ -681,31 +650,32 @@ def step_adversary(klass: AdversaryClass, script: AttackScript, received,
     from this node's position.
     """
     if isinstance(received, Rreq):
-        verdict = rreq_verdict(state, received, transmitter, qos)
+        verdict = rreq_verdict(node.state, received, transmitter, node.qos)
     else:
-        verdict = rrep_verdict(state, received, transmitter, qos)
-    if verdict is not None and klass is AdversaryClass.INDEPENDENT:
+        verdict = rrep_verdict(node.state, received, transmitter, node.qos)
+    if verdict is not None and node.klass is AdversaryClass.INDEPENDENT:
         return verdict, []
-    if verdict is None and isinstance(received, Rreq):
-        state.seen.add((received.src, received.qid))
-    if isinstance(received, Rreq):
-        actions = script.on_rreq(ctx, received, transmitter, now)
-    else:
-        actions = script.on_rrep(ctx, received, transmitter, now)
-    return verdict, actions
+    if not isinstance(received, Rreq):
+        return verdict, node.script.on_rrep(node, received, transmitter, now)
+    if verdict is None:
+        node.state.seen.add((received.src, received.qid))
+    return verdict, node.script.on_rreq(node, received, transmitter, now)
 
 
 class AdversaryNode:
-    """Engine driver for an adversarial node.
+    """Engine driver for an adversarial node, and what its script acts
+    through.
 
     Maintains the same protocol state a correct node would (in observer
     mode), classifies every addressed delivery with the real check functions,
     enforces the independent-class constraint, and executes script actions
-    with an emission budget.
+    with the script's emission budget.  Every script hook receives this node;
+    besides `node_id`, `cfg`, `qos`, `roster` and `store`, a script may call
+    the helper methods below.
     """
 
     def __init__(self, node_id: str, klass: AdversaryClass, script: AttackScript,
-                 state, cfg, qos=None, rng=None, roster=(), max_emissions=64):
+                 state, cfg, qos=None, rng=None, roster=()):
         self.node_id = node_id
         self.klass = klass
         self.script = script
@@ -716,9 +686,73 @@ class AdversaryNode:
         self.roster = tuple(roster)
         self.store: list[tuple[object, str, float]] = []
         self.emitted = 0
-        self.max_emissions = getattr(script, "max_emissions", max_emissions)
-        self.ctx = AdvContext(self)
-        script.setup(self.ctx)
+        self.max_emissions = script.max_emissions
+        script.setup(self)
+
+    # -- script helpers -------------------------------------------------------
+
+    def garbage_auth(self) -> int:
+        return self.rng.getrandbits(64)
+
+    def forged_rrep(self, rreq: Rreq, route) -> Rrep:
+        """A reply to `rreq` claiming `route`, with plausible metrics and an
+        authenticator no end node computed."""
+        ml = None
+        if rreq.metric_list is not None:
+            ml = tuple(self.fake_metric() for _ in range(len(route) + 1))
+        return Rrep(rreq.src, rreq.dst, rreq.qid, route, self.garbage_auth(), ml)
+
+    def fake_metric(self, edge=None) -> int:
+        """A plausible metric value for a link the adversary is lying about."""
+        if self.qos is not None and edge is not None:
+            v = self.qos.model.actual_scaled(edge)
+            if v is not None:
+                return v
+        return to_scaled(1.0)
+
+    def own_metric(self, edge) -> int:
+        if self.qos is None:
+            return 0
+        v = self.qos.measure_scaled(self.node_id, edge)
+        return v if v is not None else self.fake_metric(edge)
+
+    def neighbor_measurement(self, neighbor: str, edge) -> Optional[int]:
+        """Instrumented oracle: the exact value the neighbor's apparatus
+        reads for the shared link (used by discrepancy-maximizing scripts)."""
+        if self.qos is None:
+            return None
+        return self.qos.measure_scaled(neighbor, edge)
+
+    def set_self_bias(self, bias_scaled: int) -> None:
+        """Skew this node's own measurement apparatus by a constant; affects
+        both what it reports and what its own consistency checks read."""
+        if self.qos is not None:
+            self.qos.model.biases[self.node_id] = bias_scaled
+
+    def appended_rreq(self, rreq: Rreq, transmitter: str, node_list=None,
+                      metric: Optional[int] = None, extra_metrics=()) -> Rreq:
+        """The relay a protocol-following node would broadcast, with optional
+        overrides of the appended identity list and metric entries."""
+        nl = node_list if node_list is not None else rreq.node_list + (self.node_id,)
+        ml = rreq.metric_list
+        if self.qos is not None and ml is not None:
+            if metric is None:
+                metric = self.own_metric((transmitter, self.node_id))
+            pad = len(nl) - len(rreq.node_list) - 1
+            fabricated = tuple(self.fake_metric() for _ in range(max(pad, 0)))
+            ml = rreq.metric_list + fabricated + (metric,) + tuple(extra_metrics)
+        return replace(rreq, node_list=nl, metric_list=ml)
+
+    def protocol_rrep_forward(self, rrep: Rrep, payload=None):
+        """Relay a reply the way the protocol prescribes for our position;
+        `payload`, when given, goes to that next hop in the reply's place."""
+        if self.node_id not in rrep.route:
+            return None
+        idx = rrep.route.index(self.node_id)
+        target = rrep.route[idx + 1] if idx + 1 < len(rrep.route) else rrep.src
+        if target == self.node_id:  # looped route: no sane forwarding target
+            return None
+        return Unicast(target, rrep if payload is None else payload)
 
     # -- engine hooks -------------------------------------------------------
 
@@ -727,12 +761,10 @@ class AdversaryNode:
             observe_relay(self.state, msg, transmitter, self.qos)
         if not addressed:
             if self.klass is AdversaryClass.ARBITRARY:
-                actions = self.script.on_overhear(self.ctx, msg, transmitter, now)
+                actions = self.script.on_overhear(self, msg, transmitter, now)
                 self._execute(engine, actions, f"overhear:{delivery_id}")
             return
-        verdict, actions = step_adversary(self.klass, self.script, msg,
-                                          self.state, transmitter, now,
-                                          self.ctx, self.qos)
+        verdict, actions = step_adversary(self, msg, transmitter, now)
         if verdict is not None:
             engine.noncompliant_deliveries.add(delivery_id)
             engine.trace_step(self.node_id, "adv-noncompliant", str(verdict), msg)
@@ -747,10 +779,10 @@ class AdversaryNode:
 
     def on_action(self, engine, action, now):
         if action[0] == "adversary_time":
-            self._execute(engine, self.script.on_time(self.ctx, now), "spontaneous")
+            self._execute(engine, self.script.on_time(self, now), "spontaneous")
 
     def on_tunnel(self, engine, msg, frm, now):
-        actions = self.script.on_tunnel(self.ctx, msg, frm, now)
+        actions = self.script.on_tunnel(self, msg, frm, now)
         self._execute(engine, actions, "tunnel")
 
     # -- execution ------------------------------------------------------------

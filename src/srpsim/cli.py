@@ -34,11 +34,7 @@ def _out_path(p: str) -> Path:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario)
     result = run_scenario(scenario, seed=args.seed)
     print(f"scenario {scenario.name}  seed {result.seed}  "
           f"digest {result.digest:016x}")
@@ -102,11 +98,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario)
     try:
         ok, messages, verdicts = check_trace(args.trace, scenario)
     except FileNotFoundError:
@@ -168,6 +160,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ScenarioError as e:
+        print(f"scenario error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as e:  # a fault of srpsim, not of the input or the routes
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -34,10 +34,6 @@ class RunResult:
     summary: dict
     expect_failures: list[str]
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if not self.expect_failures else 1
-
 
 def _route_contains_link(route, link) -> bool:
     want = edge_key(*link)

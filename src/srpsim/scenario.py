@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .adversary import (AdversaryClass, AdversaryNode, AttackClassError,
-                        FuzzScript, attack)
+from .adversary import AdversaryClass, AdversaryNode, attack
 from .identity import KeyTable
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig,
                       TunnelChannel, edge_key)
@@ -33,9 +32,6 @@ PROPERTY_MODES = ("all", "not-all", "none")
 EXPECT_MODES = {"loop_free": PROPERTY_MODES, "fresh": PROPERTY_MODES,
                 "weakly_fresh": PROPERTY_MODES, "accurate": PROPERTY_MODES,
                 "victim_link_accepted": ("none", "some")}
-
-# attack params that name the node a script unicasts to
-NODE_PARAMS = ("shortcut_to", "target", "jump_to")
 
 
 class ScenarioError(ValueError):
@@ -122,33 +118,19 @@ class Scenario:
         for node, spec in self.adversaries.items():
             if node not in known:
                 raise ScenarioError(f"adversary {node} is not in the roster")
-            if spec.attack == "fuzz":
-                if spec.klass is AdversaryClass.INDEPENDENT and \
-                        spec.params.get("tunnel"):
-                    raise ScenarioError(
-                        "independent adversaries have no tunnel channel")
-            else:
-                try:
-                    attack(spec.attack, spec.params, spec.klass)
-                except AttackClassError as e:
-                    raise ScenarioError(
-                        f"adversary {node}: {e} (independent adversaries "
-                        f"never act on detectably non-compliant traffic)")
-                except ValueError as e:  # unknown attack or missing param
-                    raise ScenarioError(f"adversary {node}: {e}")
-            for param in NODE_PARAMS:
-                value = spec.params.get(param)
-                if value is not None and value not in self.nodes:
-                    raise ScenarioError(f"adversary {node}: param {param!r} names "
-                                        f"{value!r}, which is not in the roster")
+            try:
+                attack(spec.attack, spec.params, spec.klass, self.nodes)
+            except ValueError as e:  # unknown attack, wrong class or a bad param
+                raise ScenarioError(f"adversary {node}: {e}")
             path = spec.params.get("path")
+            if spec.klass is AdversaryClass.INDEPENDENT and \
+                    (path is not None or spec.params.get("tunnel")):
+                raise ScenarioError(f"adversary {node}: independent adversaries "
+                                    f"have no tunnel channel")
             if path is not None:
                 if not isinstance(path, (list, tuple)) or len(path) < 2:
                     raise ScenarioError(f"tunnel path for {node} must list at "
                                         f"least two node ids")
-                if spec.klass is not AdversaryClass.ARBITRARY:
-                    raise ScenarioError(
-                        f"adversary {node}: tunnel paths require the arbitrary class")
                 if path[0] != node:
                     raise ScenarioError(f"tunnel path for {node} must start at {node}")
                 peer = spec.params.get("peer")
@@ -316,11 +298,7 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
         if spec is None:
             engine.add_node(node, SrpNode(state, cfg, qos))
             continue
-        if spec.attack == "fuzz":
-            script = FuzzScript(int(spec.params.get("seed", cfg.seed)),
-                                spec.klass, spec.params.get("bounds"))
-        else:
-            script = attack(spec.attack, spec.params, spec.klass)
+        script = attack(spec.attack, spec.params, spec.klass)
         driver = AdversaryNode(
             node, spec.klass, script, state, cfg, qos,
             rng=random.Random(f"adv|{cfg.seed}|{node}"), roster=scenario.nodes,

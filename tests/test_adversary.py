@@ -7,10 +7,10 @@ import random
 import pytest
 
 from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
-                    Engine, LinkSchedule, Rreq, ScheduleMap, SimConfig,
+                    Engine, LinkSchedule, Rrep, Rreq, ScheduleMap, SimConfig,
                     FuzzScript, TunnelChannel, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict)
-from srpsim.adversary import AdversaryNode, step_adversary
+from srpsim.adversary import AdversaryNode, AttackParamError, step_adversary
 from srpsim.harness import FuzzConfig, bundled_scenarios, fuzz_campaign, random_scenario
 
 from conftest import make_state
@@ -39,7 +39,7 @@ def test_collusion_attacks_are_arbitrary_only(name):
     assert CATALOG[name].arbitrary_only
     with pytest.raises(AttackClassError):
         attack(name, {}, AdversaryClass.INDEPENDENT)
-    attack(name, {}, AdversaryClass.ARBITRARY)  # fine
+    attack(name, {"path": ["m1", "m2"]}, AdversaryClass.ARBITRARY)  # fine
 
 
 def _adv_node(klass, script, table=None):
@@ -57,8 +57,7 @@ class TestComplianceGate:
         node = _adv_node(AdversaryClass.INDEPENDENT, attack("loop_inject"))
         table = _table()
         rreq = _signed_rreq(table, ("a", "b"))  # transmitter mismatch below
-        verdict, actions = step_adversary(
-            node.klass, node.script, rreq, node.state, "c", 1.0, node.ctx)
+        verdict, actions = step_adversary(node, rreq, "c", 1.0)
         assert verdict is not None and verdict.step == "2.2.2"
         assert actions == []
 
@@ -66,8 +65,7 @@ class TestComplianceGate:
         node = _adv_node(AdversaryClass.ARBITRARY, attack("loop_inject"))
         table = _table()
         rreq = _signed_rreq(table, ("a", "b"))
-        verdict, actions = step_adversary(
-            node.klass, node.script, rreq, node.state, "c", 1.0, node.ctx)
+        verdict, actions = step_adversary(node, rreq, "c", 1.0)
         assert verdict is not None
         assert actions  # the script ran anyway
 
@@ -75,8 +73,7 @@ class TestComplianceGate:
         node = _adv_node(AdversaryClass.INDEPENDENT, attack("loop_inject"))
         table = _table()
         rreq = _signed_rreq(table, ("a",))
-        verdict, actions = step_adversary(
-            node.klass, node.script, rreq, node.state, "a", 1.0, node.ctx)
+        verdict, actions = step_adversary(node, rreq, "a", 1.0)
         assert verdict is None and actions
 
 
@@ -114,6 +111,46 @@ class TestExecutor:
     def test_tunnel_from_independent_node_raises(self):
         with pytest.raises(AttackClassError):
             self._run(AdversaryClass.INDEPENDENT, [TunnelSend(Rreq("S", "T", 1, 0, ()))])
+
+
+class TestMetricIndex:
+    """An index past the end of the metric list relays the message as a
+    protocol-following node would; an index inside it edits that entry."""
+
+    RREP = Rrep("S", "T", 1, ("a", "m"), 0, (10, 20, 30))
+    RREQ = Rreq("S", "T", 1, 0, ("a",), (10, 20))
+
+    def _node(self, name, index):
+        return _adv_node(AdversaryClass.ARBITRARY, attack(name, {"index": index, "delta": 1e-6}))
+
+    @pytest.mark.parametrize("index", [3, 50])
+    def test_rrep_index_past_the_list_relays_unmodified(self, index):
+        node = self._node("tamper_metriclist_rrep", index)
+        fx = node.script.on_rrep(node, self.RREP, "T", 1.0)
+        assert fx == [node.protocol_rrep_forward(self.RREP)] and fx[0].msg is self.RREP
+
+    @pytest.mark.parametrize("index, edited", [(0, (10, 20, 31)), (2, (11, 20, 30))])
+    def test_rrep_index_counts_from_the_source_end(self, index, edited):
+        node = self._node("tamper_metriclist_rrep", index)
+        (fwd,) = node.script.on_rrep(node, self.RREP, "T", 1.0)
+        assert fwd.msg.metric_list == edited
+
+    @pytest.mark.parametrize("index", [2, 50])
+    def test_rreq_index_past_the_list_relays_unmodified(self, index):
+        node = self._node("tamper_metriclist_rreq_upstream", index)
+        assert node.script.on_rreq(node, self.RREQ, "a", 1.0) == \
+            [Broadcast(node.appended_rreq(self.RREQ, "a"))]
+
+    def test_rreq_index_inside_the_list_edits_that_entry(self):
+        node = self._node("tamper_metriclist_rreq_upstream", 1)
+        (out,) = node.script.on_rreq(node, self.RREQ, "a", 1.0)
+        assert out.msg.metric_list == (10, 21)
+
+    @pytest.mark.parametrize("name", ["tamper_metriclist_rrep",
+                                      "tamper_metriclist_rreq_upstream"])
+    def test_negative_index_rejected(self, name):
+        with pytest.raises(AttackParamError, match="param 'index'"):
+            attack(name, {"index": -1})
 
 
 def test_downstream_metric_tamper_drops_replies_in_basic_mode():
@@ -209,15 +246,29 @@ class TestFuzzScripts:
 
     def test_independent_script_has_no_tunnel_in_alphabet(self):
         from srpsim.srp import TunnelSend
-        script = FuzzScript(7, AdversaryClass.INDEPENDENT)
-        node = _adv_node(AdversaryClass.INDEPENDENT, script)
+        node = _adv_node(AdversaryClass.INDEPENDENT, attack("fuzz", {"seed": 7}))
         table = _table()
         for i in range(200):
             rreq = _signed_rreq(table, ("a",), qid=1)
             node.state.seen.discard(("S", 1))
-            _, actions = step_adversary(node.klass, script, rreq, node.state,
-                                        "a", 1.0, node.ctx)
+            _, actions = step_adversary(node, rreq, "a", 1.0)
             assert not any(isinstance(a, TunnelSend) for a in actions)
+
+    def test_fuzz_is_a_catalog_entry_seeded_by_the_run_by_default(self):
+        assert CATALOG["fuzz"] is FuzzScript
+        default = _adv_node(AdversaryClass.ARBITRARY, attack("fuzz", {}))
+        seeded = _adv_node(AdversaryClass.ARBITRARY, attack("fuzz", {"seed": 1}))
+        assert default.cfg.seed == 1
+        assert default.script.rng.random() == seeded.script.rng.random()
+
+    @pytest.mark.parametrize("params", [
+        {"seed": "x"}, {"bounds": 5}, {"bounds": {"ghosts": []}},
+        {"bounds": {"ghosts": [1]}}, {"bounds": {"spontaneous": -1}},
+        {"bounds": {"max_emissions": "many"}},
+    ])
+    def test_bad_fuzz_params_rejected(self, params):
+        with pytest.raises(AttackParamError, match="param '"):
+            attack("fuzz", params)
 
     def test_emission_budget_is_enforced(self):
         report = fuzz_campaign(FuzzConfig(

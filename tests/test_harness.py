@@ -4,6 +4,7 @@ persistence and re-verification, the CLI surface, and the bundled corpus."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srpsim import (RouteRecord, ScenarioError, Verdict, bundled_scenarios,
                     check_trace, evaluate_expectations, load_scenario,
@@ -166,6 +167,65 @@ def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert cli_main(["run", str(bad)]) == 2
+
+
+def _bundled(stem):
+    return json.loads(next(p for p in bundled_scenarios() if p.stem == stem).read_text())
+
+
+@pytest.mark.parametrize("stem, param, value", [
+    ("tamper_nodelist_downstream_arbitrary", "insert", 5),
+    ("tamper_nodelist_downstream_arbitrary", "insert", [5]),
+    ("tamper_metriclist_rrep_arbitrary", "index", "a"),
+    ("tamper_metriclist_rrep_arbitrary", "delta", float("inf")),
+    ("tamper_metriclist_rrep_arbitrary", "index", -3),
+    ("tamper_metriclist_rreq_upstream_arbitrary", "index", -1),
+    ("tamper_nodelist_upstream_arbitrary", "fake_list", 3),
+    ("tamper_nodelist_upstream_arbitrary", "fake_list", [5, 6]),
+    ("loop_inject_rreq_arbitrary", "dup", 5),
+    ("biased_metric_arbitrary", "direction", "up"),
+    ("tamper_metriclist_rreq_downstream_arbitrary", "extra", 3),
+], ids=["insert-int", "insert-int-list", "index-str", "delta-inf",
+        "rrep-index-negative", "rreq-index-negative", "fake-list-int",
+        "fake-list-int-list", "dup-int", "direction-up", "extra-int"])
+def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
+    d = _bundled(stem)
+    node, spec = next(iter(d["adversaries"].items()))
+    spec["params"][param] = value
+    with pytest.raises(ScenarioError,
+                       match=f"adversary {node}: param '{param}'"):
+        scenario_from_dict(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert cli_main(["run", str(bad)]) == 2
+
+
+_ADVERSARIAL = [p.stem for p in bundled_scenarios()
+                if json.loads(p.read_text()).get("adversaries")]
+# every param some script or the tunnel wiring reads
+_READ_PARAMS = ["where", "dup", "insert", "shortcut_to", "fake_list", "jump_to",
+                "index", "route", "target", "fake_route", "delta", "extra",
+                "direction", "links", "headroom_scaled", "role",
+                "fake_link_metric", "seed", "bounds", "peer", "path", "tunnel"]
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(max_size=4))
+_VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=4),
+                   st.dictionaries(st.text(max_size=4), _LEAF, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stem=st.sampled_from(_ADVERSARIAL), pick=st.integers(0, 2),
+       key=st.one_of(st.sampled_from(_READ_PARAMS), st.text(max_size=6)),
+       value=_VALUE)
+def test_any_attack_param_fails_at_load_or_runs(stem, pick, key, value):
+    d = _bundled(stem)
+    nodes = sorted(d["adversaries"])
+    d["adversaries"][nodes[pick % len(nodes)]].setdefault("params", {})[key] = value
+    try:
+        scen = scenario_from_dict(d)
+    except ScenarioError:
+        return
+    run_scenario(scen)
 
 
 def _verdict(**kw):

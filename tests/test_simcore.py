@@ -320,9 +320,10 @@ class TestDriverContract:
         try:
             built = build(scen)
             built.engine.run()
-            ref = weakref.ref(built.engine)
+            refs = [weakref.ref(built.engine)]
+            refs += [weakref.ref(d) for d in built.engine.nodes.values()]
             del built
-            assert ref() is None
+            assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
 

@@ -50,6 +50,8 @@ class AttackParamError(ValueError):
 
 # params naming the node a script unicasts to: each must be on the roster
 UNICAST_PARAMS = ("shortcut_to", "target", "jump_to")
+# most unprompted moves a fuzz script may schedule (`bounds.spontaneous`)
+MAX_SPONTANEOUS = 1000
 _REQUIRED = object()
 
 
@@ -96,6 +98,15 @@ def _scaled(value) -> int:
     return to_scaled(float(value))
 
 
+def _choice(*choices):
+    """A converter that admits only one of `choices`."""
+    def read(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, not {value!r}")
+        return value
+    return read
+
+
 class AttackScript:
     """Base class: every hook gets the `AdversaryNode` it drives and returns
     a list of effects to execute (a None entry is skipped).  Request and
@@ -140,7 +151,7 @@ class LoopInject(AttackScript):
     name = "loop_inject"
 
     def __init__(self, params):
-        self.where = params.get("where", "rreq")
+        self.where = _param(params, "where", _choice("rreq", "rrep"), "rreq")
         self.dup = _param(params, "dup", _node, None)
 
     def on_rreq(self, node, rreq, transmitter, now):
@@ -395,7 +406,7 @@ class Fig1aTunnel(AttackScript):
 
     def __init__(self, params):
         _param(params, "path", _nodes)  # both roles send through the tunnel
-        self.role = params.get("role", "entry")
+        self.role = _param(params, "role", _choice("entry", "exit"), "entry")
         # the advertised link has no honest second opinion: report whatever
         # the scenario asks for
         self.fake_link_metric = _param(params, "fake_link_metric", _scaled, None)
@@ -438,7 +449,8 @@ class Fig1bChain(TamperNodelistDownstream):
     arbitrary_only = True
 
     def __init__(self, params):
-        interior = params.get("role", "interior") == "interior"
+        role = _param(params, "role", _choice("head", "interior", "tail"), "interior")
+        interior = role == "interior"
         # an empty insert relays the request as a correct node would
         super().__init__(params if interior else {})
         if interior:
@@ -469,6 +481,10 @@ class FuzzScript(AttackScript):
         self.max_emissions = _param(bounds, "max_emissions", int, self.max_emissions)
         self.ghosts = _param(bounds, "ghosts", _nodes, ("zz1", "zz2"))
         self._spontaneous = _param(bounds, "spontaneous", _count, 1)
+        if self._spontaneous > MAX_SPONTANEOUS:
+            # setup() draws up to this many move times up front
+            raise AttackParamError(f"param 'spontaneous': at most "
+                                   f"{MAX_SPONTANEOUS}, not {self._spontaneous}")
         if not self.ghosts:
             raise AttackParamError("param 'ghosts' must name at least one id")
 

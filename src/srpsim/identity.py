@@ -19,30 +19,68 @@ class KeyAccessError(Exception):
     """A node invoked the authenticator with a key it does not hold."""
 
 
+# str -> its encoding; emptied when it reaches STR_MEMO_CAP entries.  Only
+# exact `str` keys: an int memo would conflate True with 1.
+STR_MEMO_CAP = 1 << 16
+_STR_BYTES: dict[str, bytes] = {}
+_str_bytes = _STR_BYTES.__getitem__
+
+
+def _encode_str(obj: str) -> bytes:
+    raw = obj.encode("utf-8")
+    enc = b"s" + len(raw).to_bytes(4, "big") + raw
+    if type(obj) is str:
+        if len(_STR_BYTES) >= STR_MEMO_CAP:
+            _STR_BYTES.clear()
+        _STR_BYTES[obj] = enc
+    return enc
+
+
+def _encode_int(obj: int) -> bytes:
+    raw = str(obj).encode("ascii")
+    return b"i" + len(raw).to_bytes(4, "big") + raw
+
+
 def _encode(obj, out: bytearray) -> None:
     # Type-tagged, length-prefixed encoding; injective over nested
-    # str/int/None/tuple-or-list values.
-    if isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out += b"s"
-        out += len(raw).to_bytes(4, "big")
-        out += raw
+    # str/int/None/tuple-or-list values.  Exact types are tested first; the
+    # isinstance chain below them serves subclasses and bool.
+    t = type(obj)
+    if t is str:
+        enc = _STR_BYTES.get(obj)
+        out += enc if enc is not None else _encode_str(obj)
+    elif t is int:
+        out += _encode_int(obj)
+    elif t is tuple or t is list:
+        _encode_items(obj, out)
+    elif obj is None:
+        out += b"n"
+    elif isinstance(obj, str):
+        out += _encode_str(obj)
     elif isinstance(obj, bool):  # bool before int: bool is an int subclass
         out += b"b1" if obj else b"b0"
     elif isinstance(obj, int):
-        raw = str(obj).encode("ascii")
-        out += b"i"
-        out += len(raw).to_bytes(4, "big")
-        out += raw
-    elif obj is None:
-        out += b"n"
+        out += _encode_int(obj)
     elif isinstance(obj, (tuple, list)):
-        out += b"l"
-        out += len(obj).to_bytes(4, "big")
-        for item in obj:
-            _encode(item, out)
+        _encode_items(obj, out)
     else:
         raise TypeError(f"unencodable field type: {type(obj).__name__}")
+
+
+def _encode_items(obj, out: bytearray) -> None:
+    out += b"l"
+    out += len(obj).to_bytes(4, "big")
+    if obj and type(obj[0]) is str:
+        # a node list: one join over memoised encodings; any item that is
+        # not an already-seen str sends the list through the item loop,
+        # which memoises its strings
+        try:
+            out += b"".join(map(_str_bytes, obj))
+            return
+        except (KeyError, TypeError):
+            pass
+    for item in obj:
+        _encode(item, out)
 
 
 def encode_fields(fields: Sequence) -> bytes:
@@ -52,8 +90,11 @@ def encode_fields(fields: Sequence) -> bytes:
     encoding injective), so digests over this encoding commit to the exact
     field values, including empty lists vs. missing entries.
     """
-    out = bytearray()
-    _encode(tuple(fields), out)
+    fields = tuple(fields)
+    out = bytearray(b"l")
+    out += len(fields).to_bytes(4, "big")
+    for f in fields:
+        _encode(f, out)
     return bytes(out)
 
 

@@ -96,7 +96,10 @@ class LinkSchedule:
 
     def covers(self, t0: float, t1: float) -> bool:
         """Up throughout the closed window [t0, t1]."""
-        return any(a <= t0 and t1 <= b for a, b in self.up_intervals)
+        for a, b in self.up_intervals:
+            if a <= t0 and t1 <= b:
+                return True
+        return False
 
     def up_within(self, t1: float, t2: float) -> bool:
         """Up at some instant of the open interval (t1, t2)."""
@@ -223,7 +226,14 @@ class Engine:
         self._queue: list[tuple] = []  # (time, seq, Engine handler, args)
         self._seq = 0
         self._delivery_seq = 0
-        self._digests: dict = {}  # message -> message_digest, for this run
+        # id(message) -> (message, message_digest): the entry keeps its
+        # message alive, so the id is not reused within the run
+        self._digests: dict[int, tuple[object, str]] = {}
+        # running hash of the trace lines; each distinct `now` object is
+        # rendered once (by identity: 0.0 == -0.0, but they print apart)
+        self._trace_hash = hashlib.blake2b(digest_size=8)
+        self._rendered_now: object = None
+        self._now_text = ""
         self.noncompliant_deliveries: set[int] = set()
         self.adversary_emissions: list[tuple[str, object, str]] = []
 
@@ -256,16 +266,25 @@ class Engine:
         heapq.heappush(self._queue, (at, self._seq, handler, args))
 
     def _record(self, node, primitive, digest, outcome, detail="") -> None:
-        self._seq += 1
+        self._seq = seq = self._seq + 1
+        now = self.now
+        if now is not self._rendered_now:
+            self._rendered_now = now
+            self._now_text = repr(now)
         self.trace.append(
-            TraceEvent(self.now, self._seq, node, primitive, digest, outcome, detail)
+            TraceEvent(now, seq, node, primitive, digest, outcome, detail)
+        )
+        # the same text as TraceEvent.line(), plus the line break
+        self._trace_hash.update(
+            f"{self._now_text} {seq} {node} {primitive} "
+            f"{digest} {outcome} {detail}\n".encode()
         )
 
     def _digest(self, msg) -> str:
-        d = self._digests.get(msg)
-        if d is None:
-            d = self._digests[msg] = message_digest(msg)
-        return d
+        hit = self._digests.get(id(msg))
+        if hit is None:
+            hit = self._digests[id(msg)] = (msg, message_digest(msg))
+        return hit[1]
 
     def _delay(self) -> float:
         # Uniform over (0, tau]: excludes zero-latency delivery.
@@ -372,12 +391,10 @@ class Engine:
     # -- replay support -----------------------------------------------------
 
     def trace_digest(self) -> int:
-        return trace_digest_of_lines(te.line() for te in self.trace)
+        """Digest of the trace so far: trace_digest_of_lines of its lines."""
+        return int.from_bytes(self._trace_hash.digest(), "big")
 
 
 def trace_digest_of_lines(lines: Iterable[str]) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    for line in lines:
-        h.update(line.encode())
-        h.update(b"\n")
-    return int.from_bytes(h.digest(), "big")
+    data = "".join(line + "\n" for line in lines).encode()
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")

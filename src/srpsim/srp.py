@@ -14,7 +14,7 @@ the exact same compliance checks in observer mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .identity import KeyRing
@@ -417,8 +417,8 @@ def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str,
     if qos is not None:
         own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
         metric_list = rreq.metric_list + (own if own is not None else 0,)
-    out = replace(rreq, node_list=rreq.node_list + (state.self_id,),
-                  metric_list=metric_list)
+    out = Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth,
+               rreq.node_list + (state.self_id,), metric_list)
     remember_broadcast(state, out, qos)
     return [Note("relay", "2.2.4", out), Broadcast(out)]
 
@@ -485,7 +485,9 @@ def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, now: float, qos=
 def execute(engine, node: str, effects) -> None:
     """Apply one node's effects to the engine, in order."""
     for f in effects:
-        if isinstance(f, Broadcast):
+        if isinstance(f, Note):  # the most frequent effect
+            engine.trace_step(node, f.outcome, f.detail, f.msg)
+        elif isinstance(f, Broadcast):
             engine.bcast_l(node, f.msg)
         elif isinstance(f, Unicast):
             engine.send_l(node, f.to, f.msg)
@@ -493,8 +495,6 @@ def execute(engine, node: str, effects) -> None:
             engine.arm_timer(node, f.at, f.tag)
         elif isinstance(f, Accept):
             engine.accept_route(node, f.record)
-        elif isinstance(f, Note):
-            engine.trace_step(node, f.outcome, f.detail, f.msg)
         elif isinstance(f, TunnelSend):
             engine.tunnel_send(node, f.msg)
         else:

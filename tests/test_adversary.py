@@ -264,7 +264,7 @@ class TestFuzzScripts:
     @pytest.mark.parametrize("params", [
         {"seed": "x"}, {"bounds": 5}, {"bounds": {"ghosts": []}},
         {"bounds": {"ghosts": [1]}}, {"bounds": {"spontaneous": -1}},
-        {"bounds": {"max_emissions": "many"}},
+        {"bounds": {"max_emissions": "many"}}, {"bounds": {"spontaneous": 1001}},
     ])
     def test_bad_fuzz_params_rejected(self, params):
         with pytest.raises(AttackParamError, match="param '"):

@@ -1,0 +1,28 @@
+"""Behaviour lock on the benchmark: the combined trace digest of round 0 of
+each workload, as `python3 bench/run.py --workload <w> --seed 0 --digest`
+prints it.  A change to what any run does changes one of these values."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BENCH_DIGESTS = {
+    "fuzz_mix": "de39fc4a33c576cf",
+    "accuracy_cells": "2ee19e6477934648",
+    "grid_flood": "84f0b83e97d6b13e",
+    "corpus_check": "28e6c638740e4c54",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_bench_digest(workload):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--digest"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == BENCH_DIGESTS[workload]

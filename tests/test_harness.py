@@ -185,9 +185,13 @@ def _bundled(stem):
     ("loop_inject_rreq_arbitrary", "dup", 5),
     ("biased_metric_arbitrary", "direction", "up"),
     ("tamper_metriclist_rreq_downstream_arbitrary", "extra", 3),
+    ("fig1a_tunnel", "role", "exitt"),
+    ("fig1b_chain", "role", "middle"),
+    ("loop_inject_rreq_arbitrary", "where", "req"),
 ], ids=["insert-int", "insert-int-list", "index-str", "delta-inf",
         "rrep-index-negative", "rreq-index-negative", "fake-list-int",
-        "fake-list-int-list", "dup-int", "direction-up", "extra-int"])
+        "fake-list-int-list", "dup-int", "direction-up", "extra-int",
+        "role-exitt", "role-middle", "where-req"])
 def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
     d = _bundled(stem)
     node, spec = next(iter(d["adversaries"].items()))

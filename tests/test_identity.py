@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from srpsim import KeyAccessError, KeyTable, encode_fields
+from srpsim import KeyAccessError, KeyTable, encode_fields, identity
 
 
 def test_same_key_same_fields_equal_digests():
@@ -78,3 +78,81 @@ def test_list_nesting_is_length_prefixed():
     assert encode_fields((("a",), ("b",))) != encode_fields((("a", "b"),))
     assert encode_fields(("1",)) != encode_fields((1,))
     assert encode_fields(((),)) != encode_fields(())
+
+
+# -- the encoder against a plain recursive reference --------------------------
+
+def _reference_encode(obj, out: bytearray) -> None:
+    # the item-by-item encoder that the memoised one replaced
+    if isinstance(obj, str):
+        raw = obj.encode("utf-8")
+        out += b"s"
+        out += len(raw).to_bytes(4, "big")
+        out += raw
+    elif isinstance(obj, bool):
+        out += b"b1" if obj else b"b0"
+    elif isinstance(obj, int):
+        raw = str(obj).encode("ascii")
+        out += b"i"
+        out += len(raw).to_bytes(4, "big")
+        out += raw
+    elif obj is None:
+        out += b"n"
+    elif isinstance(obj, (tuple, list)):
+        out += b"l"
+        out += len(obj).to_bytes(4, "big")
+        for item in obj:
+            _reference_encode(item, out)
+    else:
+        raise TypeError(f"unencodable field type: {type(obj).__name__}")
+
+
+def _reference_encode_fields(fields) -> bytes:
+    out = bytearray()
+    _reference_encode(tuple(fields), out)
+    return bytes(out)
+
+
+class _Text(str):
+    pass
+
+
+_short_text = st.text(max_size=5)  # any code point but surrogates
+_leaf = st.one_of(
+    _short_text,
+    st.integers(),
+    st.integers(-2**100, -2**64) | st.integers(2**64, 2**100),
+    st.booleans(),
+    st.none(),
+    _short_text.map(_Text),
+)
+# a str first, then what the one-join path must hand to the item loop
+_str_led = st.builds(
+    lambda head, rest: [head] + rest,
+    _short_text,
+    st.lists(st.one_of(_short_text, st.booleans(), st.integers(),
+                       st.lists(_short_text, max_size=2),
+                       st.tuples(_short_text, st.integers())), max_size=4),
+)
+_any_value = st.recursive(
+    st.one_of(_leaf, _str_led, _str_led.map(tuple)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple)),
+    max_leaves=16,
+)
+
+
+@given(st.lists(_any_value, max_size=6))
+def test_encoding_equals_the_recursive_reference(fields):
+    expected = _reference_encode_fields(fields)
+    # twice: the second pass finds every string in the memo
+    assert encode_fields(fields) == expected
+    assert encode_fields(tuple(fields)) == expected
+
+
+def test_string_memo_never_exceeds_its_cap():
+    most = 0
+    for i in range(identity.STR_MEMO_CAP + 100):
+        encode_fields((f"cap-{i}", [f"cap-{i}", "cap-0"]))
+        most = max(most, len(identity._STR_BYTES))
+    assert most == identity.STR_MEMO_CAP

@@ -2,17 +2,20 @@
 overhearing, event ordering, and replay determinism."""
 
 import gc
+import json
 import random
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from srpsim import (AdversaryNode, Engine, InvalidEdgeError, LinkSchedule,
-                    OrderingError, Rreq, ScheduleError, ScheduleMap, SimConfig,
-                    SrpNode, build, bundled_scenarios, load_scenario,
-                    run_scenario, scenario_from_dict)
-from srpsim.simcore import message_digest
+from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
+                    LinkSchedule, OrderingError, Rreq, ScheduleError,
+                    ScheduleMap, SimConfig, SrpNode, build, bundled_scenarios,
+                    load_scenario, run_scenario, scenario_from_dict)
+from srpsim.harness import random_scenario
+from srpsim.simcore import message_digest, trace_digest_of_lines
+from test_golden_grid import grid
 
 
 def schedules(*entries, nodes=None):
@@ -254,11 +257,48 @@ class TestDigestMemo:
         a, b = Rreq("S", "T", 1, 42, ("x",)), Rreq("S", "T", 1, 42, ("x",))
         assert a is not b
         assert eng._digest(a) == eng._digest(b) == message_digest(a)
-        assert len(eng._digests) == 1
+        # each entry holds its message, so a memoised id is never reused
+        assert all(id(msg) == key for key, (msg, _) in eng._digests.items())
 
     def test_none_digests_to_dash(self):
         eng, _ = _engine(schedules(("x", "a", [(0, 50)])))
         assert eng._digest(None) == "-" == eng._digest(None)
+
+
+def _hash_cases():
+    for path in bundled_scenarios():
+        yield pytest.param(load_scenario(path), id=path.stem)
+    for k in (4, 8):
+        yield pytest.param(grid(k), id=f"grid{k}")
+    for klass in AdversaryClass:
+        for mode in ("basic", "augmented"):
+            for s in range(3):
+                sc = random_scenario(random.Random(f"fuzz-scenario|{s}"),
+                                     klass, mode, 8, s)
+                yield pytest.param(sc, id=f"fuzz-{klass.value}-{mode}-{s}")
+
+
+class TestRunningTraceHash:
+    @pytest.mark.parametrize("scenario", _hash_cases())
+    def test_running_hash_matches_the_stored_lines(self, scenario):
+        engine = build(scenario).engine
+        engine.run()
+        assert engine.trace_digest() == trace_digest_of_lines(
+            te.line() for te in engine.trace)
+
+    def test_negative_zero_renders_apart_from_zero(self):
+        # 0.0 == -0.0, but the two times print differently
+        path = next(p for p in bundled_scenarios() if p.stem == "benign_basic")
+        d = json.loads(path.read_text())
+        d["links"][0][2][0][0] = -0.0
+        d["discoveries"][0]["at"] = 0.0
+        engine = build(scenario_from_dict(d)).engine
+        engine.run()
+        lines = [te.line() for te in engine.trace]
+        assert lines[0].startswith("-0.0 8 S link ")
+        assert lines[1].startswith("0.0 9 T link ")
+        assert engine.trace_digest() == trace_digest_of_lines(lines) \
+            == 0x69a7703bf9304305
 
 
 class TestOrdering:

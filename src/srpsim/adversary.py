@@ -19,6 +19,7 @@ from typing import Optional
 from . import srp
 from .srp import (ArmTimer, Broadcast, Rrep, Rreq, TunnelSend, Unicast,
                   observe_relay, rreq_verdict, rrep_verdict)
+from .simcore import is_node_id
 from .srp_qos import SCALE, to_scaled
 
 
@@ -70,8 +71,9 @@ def _param(params: dict, key: str, convert, default=_REQUIRED):
 
 
 def _node(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a node id, not {value!r}")
+    if not is_node_id(value):
+        raise TypeError(f"expected a node id (a non-empty string with no "
+                        f"whitespace and no ','), not {value!r}")
     return value
 
 

@@ -17,7 +17,8 @@ from typing import Optional
 from .adversary import AdversaryClass
 from .scenario import (AdversarySpec, MetricsSpec, Scenario, build,
                        load_scenario)
-from .simcore import LinkSchedule, ScheduleMap, SimConfig, edge_key, trace_digest_of_lines
+from .simcore import (LinkSchedule, ScheduleMap, SimConfig, TraceView, edge_key,
+                      trace_digest_of_lines)
 from .srp import RouteRecord
 from .srp_qos import GKind, to_scaled
 from .verifier import Verdict, summarize, verdict_all
@@ -27,7 +28,7 @@ from .verifier import Verdict, summarize, verdict_all
 class RunResult:
     scenario: Scenario
     seed: int
-    trace: list
+    trace: TraceView
     digest: int
     records: list[RouteRecord]
     verdicts: list[Verdict]
@@ -354,46 +355,41 @@ TRACE_HEADER = "# srpsim-trace scenario="
 
 
 def write_trace(path, result: RunResult) -> None:
-    lines = [te.line() for te in result.trace]
+    out = [f"{TRACE_HEADER}{result.scenario.name} seed={result.seed}",
+           *result.trace.lines]
+    out += ["# accepted " + json.dumps({
+        "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
+        "reported": None if rec.reported is None else list(rec.reported),
+    }) for rec in result.records]
+    out.append(f"# digest {result.digest:016x}")
     with open(path, "w") as f:
-        f.write(f"{TRACE_HEADER}{result.scenario.name} seed={result.seed}\n")
-        for line in lines:
-            f.write(line + "\n")
-        for rec in result.records:
-            f.write("# accepted " + json.dumps({
-                "route": list(rec.route), "t1": rec.t1, "t2": rec.t2,
-                "qid": rec.qid,
-                "reported": None if rec.reported is None else list(rec.reported),
-            }) + "\n")
-        f.write(f"# digest {result.digest:016x}\n")
+        f.write("\n".join(out) + "\n")
 
 
 def read_trace(path):
     """Returns (header, event_lines, records, stored_digest); header is the
     (scenario name, seed text) of the `# srpsim-trace` line, or None."""
+    with open(path) as f:
+        raw_lines = f.read().split("\n")
+    lines = [raw for raw in raw_lines if raw and raw[0] != "#"]
     header = None
-    lines = []
     records = []
     stored_digest = None
-    with open(path) as f:
-        for raw in f:
-            raw = raw.rstrip("\n")
-            if raw.startswith(TRACE_HEADER):
-                name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
-                header = (name, seed)
-            elif raw.startswith("# accepted "):
-                d = json.loads(raw[len("# accepted "):])
-                records.append(RouteRecord(
-                    route=tuple(d["route"]), t1=d["t1"], t2=d["t2"],
-                    qid=d["qid"],
-                    reported=None if d["reported"] is None else tuple(d["reported"]),
-                ))
-            elif raw.startswith("# digest "):
-                stored_digest = int(raw[len("# digest "):], 16)
-            elif raw.startswith("#"):
-                continue
-            elif raw:
-                lines.append(raw)
+    for raw in raw_lines:
+        if not raw.startswith("#"):
+            continue
+        if raw.startswith(TRACE_HEADER):
+            name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
+            header = (name, seed)
+        elif raw.startswith("# accepted "):
+            d = json.loads(raw[len("# accepted "):])
+            records.append(RouteRecord(
+                route=tuple(d["route"]), t1=d["t1"], t2=d["t2"],
+                qid=d["qid"],
+                reported=None if d["reported"] is None else tuple(d["reported"]),
+            ))
+        elif raw.startswith("# digest "):
+            stored_digest = int(raw[len("# digest "):], 16)
     return header, lines, records, stored_digest
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 from .adversary import AdversaryClass, AdversaryNode, attack
 from .identity import KeyTable
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig,
-                      TunnelChannel, edge_key)
+                      TunnelChannel, edge_key, is_node_id)
 from .srp import NodeState, SrpNode
 from .srp_qos import GKind, LinkMetricModel, QosRuntime
 
@@ -77,8 +77,16 @@ class Scenario:
     def validate(self) -> None:
         if not self.nodes:
             raise ScenarioError("empty node roster")
+        for node in self.nodes:
+            if not is_node_id(node):
+                raise ScenarioError(f"node id {node!r} must be a non-empty string "
+                                    f"with no whitespace and no ','")
         if len(set(self.nodes)) != len(self.nodes):
             raise ScenarioError("duplicate node ids in roster")
+        # the name is written into a stored trace's one-line header
+        if len(f"{self.name}.".splitlines()) != 1:
+            raise ScenarioError(f"scenario name {self.name!r} must not contain "
+                                f"a line break")
         known = set(self.nodes)
         try:
             schedules = ScheduleMap(self.nodes, self.links)

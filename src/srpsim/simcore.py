@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -27,6 +28,12 @@ class OrderingError(RuntimeError):
 
 class ScheduleError(ValueError):
     """A link schedule violates the dwell-time or ordering rules."""
+
+
+def is_node_id(value) -> bool:
+    """Node ids are non-empty strings with no whitespace and no ',': the
+    fields of a trace line are space-separated and routes comma-joined."""
+    return isinstance(value, str) and value.split() == [value] and "," not in value
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -162,7 +169,7 @@ class ScheduleMap:
 
 
 class TraceEvent:
-    """One line of the replayable run log."""
+    """One line of the replayable run log, parsed."""
 
     __slots__ = ("time", "seq", "node", "primitive", "digest", "outcome", "detail")
 
@@ -183,6 +190,31 @@ class TraceEvent:
 
     def __repr__(self):
         return f"<TraceEvent {self.line()}>"
+
+
+def parse_trace_line(line: str) -> TraceEvent:
+    time, seq, node, primitive, digest, outcome, detail = line.split(" ", 6)
+    return TraceEvent(float(time), int(seq), node, primitive, digest, outcome, detail)
+
+
+class TraceView:
+    """Read-only view of a run's trace.  `lines` is the rendered text, the
+    only record the engine keeps; each item read through the view is a
+    TraceEvent parsed from its line."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __iter__(self):
+        return map(parse_trace_line, self.lines)
+
+    def __getitem__(self, i: int) -> TraceEvent:
+        return parse_trace_line(self.lines[i])
 
 
 def message_digest(msg) -> str:
@@ -221,7 +253,8 @@ class Engine:
         self.now = 0.0
         self.nodes: dict[str, object] = {}
         self.tunnels: dict[str, TunnelChannel] = {}
-        self.trace: list[TraceEvent] = []
+        self.lines: list[str] = []
+        self.trace = TraceView(self.lines)
         self.accepted: list[tuple[str, object]] = []
         self._queue: list[tuple] = []  # (time, seq, Engine handler, args)
         self._seq = 0
@@ -229,9 +262,8 @@ class Engine:
         # id(message) -> (message, message_digest): the entry keeps its
         # message alive, so the id is not reused within the run
         self._digests: dict[int, tuple[object, str]] = {}
-        # running hash of the trace lines; each distinct `now` object is
-        # rendered once (by identity: 0.0 == -0.0, but they print apart)
-        self._trace_hash = hashlib.blake2b(digest_size=8)
+        # each distinct `now` object is rendered once (by identity:
+        # 0.0 == -0.0, but they print apart)
         self._rendered_now: object = None
         self._now_text = ""
         self.noncompliant_deliveries: set[int] = set()
@@ -271,13 +303,9 @@ class Engine:
         if now is not self._rendered_now:
             self._rendered_now = now
             self._now_text = repr(now)
-        self.trace.append(
-            TraceEvent(now, seq, node, primitive, digest, outcome, detail)
-        )
-        # the same text as TraceEvent.line(), plus the line break
-        self._trace_hash.update(
-            f"{self._now_text} {seq} {node} {primitive} "
-            f"{digest} {outcome} {detail}\n".encode()
+        # the same text as TraceEvent.line()
+        self.lines.append(
+            f"{self._now_text} {seq} {node} {primitive} {digest} {outcome} {detail}"
         )
 
     def _digest(self, msg) -> str:
@@ -361,7 +389,7 @@ class Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> list[TraceEvent]:
+    def run(self) -> TraceView:
         queue, end_time = self._queue, self.config.end_time
         while queue and queue[0][0] <= end_time:
             self.now, _, handler, args = heapq.heappop(queue)
@@ -391,10 +419,11 @@ class Engine:
     # -- replay support -----------------------------------------------------
 
     def trace_digest(self) -> int:
-        """Digest of the trace so far: trace_digest_of_lines of its lines."""
-        return int.from_bytes(self._trace_hash.digest(), "big")
+        """Digest of the trace so far."""
+        return trace_digest_of_lines(self.lines)
 
 
 def trace_digest_of_lines(lines: Iterable[str]) -> int:
-    data = "".join(line + "\n" for line in lines).encode()
+    """blake2b-64 of the lines, each ended by a line break."""
+    data = "\n".join(itertools.chain(lines, ("",))).encode()
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")

@@ -10,6 +10,7 @@ from srpsim import (RouteRecord, ScenarioError, Verdict, bundled_scenarios,
                     check_trace, evaluate_expectations, load_scenario,
                     run_scenario, scenario_from_dict, write_trace)
 from srpsim.cli import main as cli_main
+from srpsim.harness import TRACE_HEADER, read_trace
 
 MINIMAL = {
     "name": "mini",
@@ -158,9 +159,18 @@ NAN = float("nan")
     (_mini(expect={"loop_free": "maybe"}), "'loop_free' must be one of"),
     (_mini(expect={"min_accepted": "a"}), "'min_accepted' must be a count"),
     (_mini(expect={"max_metric_error": "a"}), "'max_metric_error'"),
+    (_mini(nodes=["S", "T", "a b"]), "node id 'a b' must be a non-empty string"),
+    (_mini(nodes=["S", "T", "a\nb"]), "with no whitespace and no ','"),
+    (_mini(nodes=["S", "T", "a,b"]), "node id 'a,b'"),
+    (_mini(nodes=["S", "T", ""]), "node id ''"),
+    (_mini(nodes=["S", "T", 5]), "node id 5"),
+    (_mini(name="x\ny"), "scenario name 'x.ny' must not contain a line break"),
+    (_mini(name="x\ry"), "must not contain a line break"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "victim-one-node", "victim-self-edge", "adversary-string",
-        "loop-free-maybe", "min-accepted-str", "metric-error-str"])
+        "loop-free-maybe", "min-accepted-str", "metric-error-str",
+        "node-space", "node-newline", "node-comma", "node-empty", "node-int",
+        "name-newline", "name-return"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)
@@ -171,6 +181,16 @@ def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
 
 def _bundled(stem):
     return json.loads(next(p for p in bundled_scenarios() if p.stem == stem).read_text())
+
+
+def test_renamed_node_with_a_line_break_fails_at_load(tmp_path):
+    # a line break in an id would split the run's own trace lines
+    text = json.dumps(_bundled("benign_basic")).replace('"a"', '"A\\nB"')
+    with pytest.raises(ScenarioError, match="node id 'A\\\\nB'"):
+        scenario_from_dict(json.loads(text))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli_main(["run", str(bad)]) == 2
 
 
 @pytest.mark.parametrize("stem, param, value", [
@@ -188,10 +208,11 @@ def _bundled(stem):
     ("fig1a_tunnel", "role", "exitt"),
     ("fig1b_chain", "role", "middle"),
     ("loop_inject_rreq_arbitrary", "where", "req"),
+    ("tamper_nodelist_downstream_arbitrary", "insert", ["x\ny"]),
 ], ids=["insert-int", "insert-int-list", "index-str", "delta-inf",
         "rrep-index-negative", "rreq-index-negative", "fake-list-int",
         "fake-list-int-list", "dup-int", "direction-up", "extra-int",
-        "role-exitt", "role-middle", "where-req"])
+        "role-exitt", "role-middle", "where-req", "insert-line-break"])
 def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
     d = _bundled(stem)
     node, spec = next(iter(d["adversaries"].items()))
@@ -340,6 +361,62 @@ class TestTracePersistence:
             return ([header] if header else []) + lines[1:]
         ok, messages, _ = self._edit_records(tmp_path, edit)
         assert not ok and messages == [message]
+
+
+def _read_trace_line_by_line(path):
+    """A line-by-line reader of the stored format: the reference that
+    read_trace must agree with."""
+    header = None
+    lines = []
+    records = []
+    stored_digest = None
+    with open(path) as f:
+        for raw in f:
+            raw = raw.rstrip("\n")
+            if raw.startswith(TRACE_HEADER):
+                name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
+                header = (name, seed)
+            elif raw.startswith("# accepted "):
+                d = json.loads(raw[len("# accepted "):])
+                records.append(RouteRecord(
+                    route=tuple(d["route"]), t1=d["t1"], t2=d["t2"],
+                    qid=d["qid"],
+                    reported=None if d["reported"] is None else tuple(d["reported"]),
+                ))
+            elif raw.startswith("# digest "):
+                stored_digest = int(raw[len("# digest "):], 16)
+            elif raw.startswith("#"):
+                continue
+            elif raw:
+                lines.append(raw)
+    return header, lines, records, stored_digest
+
+
+class TestReadTrace:
+    @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+    def test_agrees_with_a_line_by_line_reader(self, tmp_path, path):
+        p = tmp_path / "run.trace"
+        res = run_scenario(load_scenario(path))
+        write_trace(p, res)
+        got = read_trace(p)
+        assert got == _read_trace_line_by_line(p)
+        assert got[1] == res.trace.lines and got[3] == res.digest
+
+    def test_agrees_on_a_tampered_trace(self, tmp_path):
+        p = tmp_path / "run.trace"
+        write_trace(p, run_scenario(load_scenario(
+            next(x for x in bundled_scenarios() if x.stem == "benign_basic"))))
+        lines = p.read_text().split("\n")
+        accepted = next(ln for ln in lines if ln.startswith("# accepted "))
+        lines[3] += "\r"                       # a CRLF line ending
+        lines[5] = lines[5].replace(" ", " \r", 1)  # a lone CR splits a line
+        lines[6] += "\f\x1c\u2028 tail"        # separators that end no line here
+        lines[7:7] = ["", "   ", "# note", "#", "# srpsim-trace scenario=x seed=1"]
+        lines[-1:] = [accepted, lines[1], "# digest 00ff", "0.5 x y"]
+        p.write_text("\n".join(lines))        # no final line break
+        got = read_trace(p)
+        assert got == _read_trace_line_by_line(p)
+        assert got[0] == ("x", "1") and got[3] == 0xff and got[1][-1] == "0.5 x y"
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 overhearing, event ordering, and replay determinism."""
 
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -265,7 +266,7 @@ class TestDigestMemo:
         assert eng._digest(None) == "-" == eng._digest(None)
 
 
-def _hash_cases():
+def _trace_cases():
     for path in bundled_scenarios():
         yield pytest.param(load_scenario(path), id=path.stem)
     for k in (4, 8):
@@ -278,13 +279,29 @@ def _hash_cases():
                 yield pytest.param(sc, id=f"fuzz-{klass.value}-{mode}-{s}")
 
 
-class TestRunningTraceHash:
-    @pytest.mark.parametrize("scenario", _hash_cases())
-    def test_running_hash_matches_the_stored_lines(self, scenario):
+def _ended_lines_digest(lines):
+    data = "".join(line + "\n" for line in lines).encode()
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+class TestTraceLines:
+    @pytest.mark.parametrize("scenario", _trace_cases())
+    def test_parsed_events_render_the_stored_lines(self, scenario):
         engine = build(scenario).engine
-        engine.run()
-        assert engine.trace_digest() == trace_digest_of_lines(
-            te.line() for te in engine.trace)
+        trace = engine.run()
+        events = list(trace)
+        assert [te.line() for te in events] == trace.lines
+        assert len(trace) == len(trace.lines) == len(events) > 0
+        assert all(type(te.time) is float and type(te.seq) is int for te in events)
+        assert (trace[0].line(), trace[-1].line()) == (trace.lines[0], trace.lines[-1])
+        assert engine.trace_digest() == _ended_lines_digest(trace.lines) \
+            == trace_digest_of_lines(te.line() for te in trace)
+
+    @pytest.mark.parametrize("lines", [[], [""], ["a"], ["a", "", "b c"]],
+                             ids=["none", "one-empty", "one", "three"])
+    def test_digest_of_lines_hashes_each_line_with_its_break(self, lines):
+        assert trace_digest_of_lines(lines) == _ended_lines_digest(lines) \
+            == trace_digest_of_lines(line for line in lines)
 
     def test_negative_zero_renders_apart_from_zero(self):
         # 0.0 == -0.0, but the two times print differently
@@ -295,6 +312,7 @@ class TestRunningTraceHash:
         engine = build(scenario_from_dict(d)).engine
         engine.run()
         lines = [te.line() for te in engine.trace]
+        assert lines == engine.trace.lines
         assert lines[0].startswith("-0.0 8 S link ")
         assert lines[1].startswith("0.0 9 T link ")
         assert engine.trace_digest() == trace_digest_of_lines(lines) \
@@ -404,7 +422,7 @@ class TestDeterminism:
             "config": {"seed": 1, "end_time": 10.0}, "links": [],
         })
         res = run_scenario(scen)
-        assert res.trace == [] and res.records == []
+        assert len(res.trace) == 0 and res.records == []
 
 
 @given(st.floats(0, 100), st.floats(0, 100), st.floats(0.1, 100),

@@ -745,7 +745,7 @@ class AdversaryNode:
         """Skew this node's own measurement apparatus by a constant; affects
         both what it reports and what its own consistency checks read."""
         if self.qos is not None:
-            self.qos.model.biases[self.node_id] = bias_scaled
+            self.qos.biases[self.node_id] = bias_scaled
 
     def appended_rreq(self, rreq: Rreq, transmitter: str, node_list=None,
                       metric: Optional[int] = None, extra_metrics=()) -> Rreq:

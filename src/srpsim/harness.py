@@ -15,12 +15,11 @@ from pathlib import Path
 from typing import Optional
 
 from .adversary import AdversaryClass
-from .scenario import (AdversarySpec, MetricsSpec, Scenario, build,
-                       load_scenario)
+from .scenario import AdversarySpec, Scenario, build, load_scenario
 from .simcore import (LinkSchedule, ScheduleMap, SimConfig, TraceView, edge_key,
                       trace_digest_of_lines)
 from .srp import RouteRecord
-from .srp_qos import GKind, to_scaled
+from .srp_qos import GKind, LinkMetricModel, to_scaled
 from .verifier import Verdict, summarize, verdict_all
 
 
@@ -89,7 +88,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
     engine = built.engine
     engine.run()
     records = [rec for _, rec in engine.accepted]
-    verdicts = verdict_all(records, engine.schedules, built.model, built.faulty)
+    verdicts = verdict_all(records, engine.schedules, scenario.metrics,
+                           scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)
     classes = {spec.klass.value for spec in scenario.adversaries.values()}
     return RunResult(
@@ -159,7 +159,7 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     metrics = None
     if mode == "augmented":
         eps = rng.choice((0.01, 0.1))
-        metrics = MetricsSpec(
+        metrics = LinkMetricModel(
             kind=GKind(rng.choice(("add", "max", "min"))),
             epsilon=eps,
             delta_tilde=rng.choice((0.0, eps / 2)),
@@ -179,7 +179,6 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
         links=tuple(LinkSchedule(edge=e, up_intervals=iv) for e, iv in sorted(links.items())),
         keys=(("S", "T"),),
         discoveries=tuple(discoveries),
-        mode=mode,
         metrics=metrics,
         adversaries=adversaries,
     )
@@ -321,9 +320,8 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
                     for e, iv in sorted(links_map.items())),
         keys=(("S", "T"),),
         discoveries=(("S", "T", 1.0),),
-        mode="augmented",
-        metrics=MetricsSpec(kind=kind, epsilon=epsilon, delta_tilde=delta_tilde,
-                            actual=actual),
+        metrics=LinkMetricModel(kind=kind, epsilon=epsilon,
+                                delta_tilde=delta_tilde, actual=actual),
         adversaries=adversaries,
     )
     return scenario
@@ -366,30 +364,60 @@ def write_trace(path, result: RunResult) -> None:
         f.write("\n".join(out) + "\n")
 
 
+class TraceFormatError(ValueError):
+    """A stored trace's comment line is not in the form write_trace writes;
+    the message names the line."""
+
+
+def _parse_record(text: str) -> Optional[RouteRecord]:
+    """An `# accepted` record of the shape write_trace writes, or None."""
+    try:
+        d = json.loads(text)
+        route, t1, t2, qid, reported = (
+            d[k] for k in ("route", "t1", "t2", "qid", "reported"))
+    except (ValueError, TypeError, KeyError):
+        return None
+    if not (type(route) is list and len(route) >= 2
+            and all(type(n) is str for n in route)
+            and type(t1) in (int, float) and type(t2) in (int, float) and t1 < t2
+            and type(qid) is int
+            and (reported is None or type(reported) is list
+                 and len(reported) == len(route) - 1
+                 and all(type(m) is int for m in reported))):
+        return None
+    return RouteRecord(route=tuple(route), t1=t1, t2=t2, qid=qid,
+                       reported=None if reported is None else tuple(reported))
+
+
 def read_trace(path):
     """Returns (header, event_lines, records, stored_digest); header is the
-    (scenario name, seed text) of the `# srpsim-trace` line, or None."""
+    (scenario name, seed text) of the `# srpsim-trace` line, or None.
+    Raises TraceFormatError for a malformed record or digest footer."""
     with open(path) as f:
         raw_lines = f.read().split("\n")
     lines = [raw for raw in raw_lines if raw and raw[0] != "#"]
     header = None
     records = []
     stored_digest = None
-    for raw in raw_lines:
+    for number, raw in enumerate(raw_lines, start=1):
         if not raw.startswith("#"):
             continue
         if raw.startswith(TRACE_HEADER):
             name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
             header = (name, seed)
         elif raw.startswith("# accepted "):
-            d = json.loads(raw[len("# accepted "):])
-            records.append(RouteRecord(
-                route=tuple(d["route"]), t1=d["t1"], t2=d["t2"],
-                qid=d["qid"],
-                reported=None if d["reported"] is None else tuple(d["reported"]),
-            ))
+            rec = _parse_record(raw[len("# accepted "):])
+            if rec is None:
+                raise TraceFormatError(
+                    f"line {number}: accepted-route record is not a JSON object "
+                    f"with route, t1 < t2, qid and reported as write_trace "
+                    f"writes them")
+            records.append(rec)
         elif raw.startswith("# digest "):
-            stored_digest = int(raw[len("# digest "):], 16)
+            try:
+                stored_digest = int(raw[len("# digest "):], 16)
+            except ValueError:
+                raise TraceFormatError(f"line {number}: digest footer is not hex")
     return header, lines, records, stored_digest
 
 
@@ -398,7 +426,10 @@ def check_trace(trace_path, scenario: Scenario):
     name the scenario, recompute the digest over the event lines, match the
     recorded routes against the accept lines the digest covers, and re-run
     the verifier on those routes.  Returns (ok, messages, verdicts)."""
-    header, lines, records, stored_digest = read_trace(trace_path)
+    try:
+        header, lines, records, stored_digest = read_trace(trace_path)
+    except TraceFormatError as e:
+        return False, [str(e)], []
     messages = []
     ok = True
     if header is None:
@@ -424,10 +455,8 @@ def check_trace(trace_path, scenario: Scenario):
         messages.append("accepted-route records do not match the trace's "
                         "accept lines (time and route, in order)")
     schedules = ScheduleMap(scenario.nodes, scenario.links)
-    model = scenario.metrics.build_model(scenario.config.seed) \
-        if scenario.metrics is not None else None
-    verdicts = verdict_all(records, schedules, model,
-                           frozenset(scenario.adversaries))
+    verdicts = verdict_all(records, schedules, scenario.metrics,
+                           scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)
     if failures:
         ok = False

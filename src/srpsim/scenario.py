@@ -46,21 +46,6 @@ class AdversarySpec:
 
 
 @dataclass
-class MetricsSpec:
-    kind: GKind
-    epsilon: float
-    delta_tilde: float = 0.0
-    administrative: bool = False
-    actual: dict = field(default_factory=dict)  # edge_key -> float
-
-    def build_model(self, seed: int) -> LinkMetricModel:
-        return LinkMetricModel(
-            kind=self.kind, epsilon=self.epsilon, delta_tilde=self.delta_tilde,
-            administrative=self.administrative, actual=dict(self.actual), seed=seed,
-        )
-
-
-@dataclass
 class Scenario:
     name: str
     config: SimConfig
@@ -68,8 +53,7 @@ class Scenario:
     links: tuple[LinkSchedule, ...]
     keys: tuple[tuple[str, str], ...]
     discoveries: tuple[tuple[str, str, float], ...]
-    mode: str = "basic"
-    metrics: Optional[MetricsSpec] = None
+    metrics: Optional[LinkMetricModel] = None  # None: basic mode
     adversaries: dict = field(default_factory=dict)  # node -> AdversarySpec
     expect: dict = field(default_factory=dict)
     description: str = ""
@@ -98,20 +82,10 @@ class Scenario:
                 raise ScenarioError(f"key pair ({a}, {b}) names an undeclared node")
             if a == b:
                 raise ScenarioError("a node cannot share a key with itself")
-        if self.mode not in ("basic", "augmented"):
-            raise ScenarioError(f"unknown mode {self.mode!r}")
-        if (self.mode == "augmented") != (self.metrics is not None):
-            raise ScenarioError("augmented mode requires a metrics section and "
-                                "basic mode forbids one")
         if self.metrics is not None:
             for e in self.metrics.actual:
                 if e[0] not in known or e[1] not in known:
                     raise ScenarioError(f"metric for undeclared edge {e}")
-            try:
-                # constructing the model re-runs the numeric validity rules
-                self.metrics.build_model(0)
-            except ValueError as e:
-                raise ScenarioError(str(e))
         keyset = {edge_key(a, b) for a, b in self.keys}
         for src, dst, at in self.discoveries:
             if src not in known or dst not in known:
@@ -212,8 +186,14 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             (d["src"], d["dst"], float(d.get("at", 0.0)))
             for d in data.get("discoveries", [])
         )
+        mode = data.get("mode", "basic")
+        if mode not in ("basic", "augmented"):
+            raise ScenarioError(f"unknown mode {mode!r}")
+        if (mode == "augmented") != (data.get("metrics") is not None):
+            raise ScenarioError("augmented mode requires a metrics section and "
+                                "basic mode forbids one")
         metrics = None
-        if data.get("metrics") is not None:
+        if mode == "augmented":
             m = data["metrics"]
             kind_name = str(_require(m, "kind", "metrics"))
             if kind_name in REJECTED_METRIC_KINDS:
@@ -224,11 +204,15 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
                 kind = GKind(kind_name)
             except ValueError:
                 raise ScenarioError(f"unknown metric kind {kind_name!r}")
-            metrics = MetricsSpec(
+            administrative = m.get("administrative", False)
+            if not isinstance(administrative, bool):
+                raise ScenarioError(f"metrics: 'administrative' must be true or "
+                                    f"false, not {administrative!r}")
+            metrics = LinkMetricModel(
                 kind=kind,
                 epsilon=float(_require(m, "epsilon", "metrics")),
                 delta_tilde=float(m.get("delta_tilde", 0.0)),
-                administrative=bool(m.get("administrative", False)),
+                administrative=administrative,
                 actual={edge_key(e[0], e[1]): float(e[2]) for e in m.get("actual", [])},
             )
         adversaries = {}
@@ -253,7 +237,6 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             links=tuple(links),
             keys=keys,
             discoveries=discoveries,
-            mode=str(data.get("mode", "basic")),
             metrics=metrics,
             adversaries=adversaries,
             expect=dict(data.get("expect", {})),
@@ -281,10 +264,7 @@ def load_scenario(path) -> Scenario:
 @dataclass
 class BuiltRun:
     engine: Engine
-    scenario: Scenario
-    model: Optional[LinkMetricModel]
     key_table: KeyTable
-    faulty: frozenset
 
 
 def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
@@ -295,11 +275,7 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
     table = KeyTable()
     for a, b in scenario.keys:
         table.grant(a, b)
-    model = None
-    qos = None
-    if scenario.metrics is not None:
-        model = scenario.metrics.build_model(cfg.seed)
-        qos = QosRuntime(model)
+    qos = None if scenario.metrics is None else QosRuntime(scenario.metrics, cfg.seed)
     for node in scenario.nodes:
         state = NodeState(self_id=node, keys=table.ring(node))
         spec = scenario.adversaries.get(node)
@@ -321,7 +297,4 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
     engine.seed_link_changes()
     for src, dst, at in scenario.discoveries:
         engine.schedule_action(at, src, ("initiate", dst))
-    return BuiltRun(
-        engine=engine, scenario=scenario, model=model, key_table=table,
-        faulty=frozenset(scenario.adversaries),
-    )
+    return BuiltRun(engine=engine, key_table=table)

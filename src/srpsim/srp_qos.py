@@ -72,21 +72,16 @@ def delta_good(kind: GKind, n: int, epsilon: float, delta_tilde: float) -> float
 
 @dataclass
 class LinkMetricModel:
-    """Ground-truth link values plus the per-node measurement behavior.
-
-    Correct nodes see the actual value plus a deterministic, seeded offset
-    bounded by delta_tilde.  A node listed in `biases` (an adversary that
-    skews its apparatus) sees the actual value plus its bias on every
-    incident link, for reporting and for its own consistency checks alike.
-    """
+    """A scenario's metric definition: the aggregate, the consistency
+    tolerance epsilon, the measurement error bound delta_tilde, whether the
+    values are administrative (exact, no measurement), and the actual link
+    values.  Validated on construction; read-only afterwards."""
 
     kind: GKind
     epsilon: float
     delta_tilde: float = 0.0
     administrative: bool = False
     actual: dict = field(default_factory=dict)   # edge_key -> float
-    seed: int = 0
-    biases: dict = field(default_factory=dict)   # node -> scaled-int bias
 
     def __post_init__(self):
         if self.epsilon <= 0 and not self.administrative:
@@ -103,6 +98,27 @@ class LinkMetricModel:
         v = self.actual.get(edge_key(*edge))
         return None if v is None else to_scaled(v)
 
+
+class QosRuntime:
+    """One run's measurement apparatus over a metric definition, in scaled
+    integers: per-node measurements, consistency checks, and prefix
+    aggregation.
+
+    Correct nodes see the actual value plus a deterministic offset, seeded
+    by the run, bounded by delta_tilde.  A node listed in `biases` (an
+    adversary that skews its apparatus) sees the actual value plus its bias
+    on every incident link, for reporting and for its own consistency checks
+    alike.
+    """
+
+    def __init__(self, model: LinkMetricModel, seed: int = 0):
+        self.model = model
+        self.seed = seed
+        self.biases: dict = {}   # node -> scaled-int bias
+        self.kind = model.kind
+        self.epsilon_scaled = to_scaled(model.epsilon)
+        self.delta_scaled = to_scaled(model.delta_tilde)
+
     def _noise(self, node: str, e) -> float:
         """This node's fixed apparatus offset on link e, uniform over [-1, 1)."""
         h = hashlib.blake2b(f"noise|{self.seed}|{node}|{e[0]}|{e[1]}".encode(),
@@ -114,34 +130,21 @@ class LinkMetricModel:
         e = edge_key(*edge)
         if node not in e:
             raise ValueError(f"{node} is not incident to edge {e}")
-        base = self.actual_scaled(e)
+        base = self.model.actual_scaled(e)
         if base is None:
             return None
         bias = self.biases.get(node)
         if bias is not None:
             return base + bias
-        if self.delta_tilde == 0:
+        delta_tilde = self.model.delta_tilde
+        if delta_tilde == 0:
             return base
-        noise = self._noise(node, e) * self.delta_tilde
+        noise = self._noise(node, e) * delta_tilde
         if self.kind == GKind.MUL:
             # Multiplicative noise keeps values positive and makes the
             # tolerance meaningful in the log domain.
             return to_scaled(from_scaled(base) * math.exp(noise))
         return base + round(noise * SCALE)
-
-
-class QosRuntime:
-    """Protocol-facing adapter: scaled-integer measurements, consistency
-    checks, and prefix aggregation, bound to one scenario's metric model."""
-
-    def __init__(self, model: LinkMetricModel):
-        self.model = model
-        self.kind = model.kind
-        self.epsilon_scaled = to_scaled(model.epsilon)
-        self.delta_scaled = to_scaled(model.delta_tilde)
-
-    def measure_scaled(self, node: str, edge) -> Optional[int]:
-        return self.model.measure_scaled(node, edge)
 
     def consistent(self, own: Optional[int], reported: Optional[int]) -> bool:
         if own is None or reported is None:

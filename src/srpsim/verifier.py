@@ -118,15 +118,16 @@ def check_weakly_fresh(route: Sequence[str], schedules: ScheduleMap,
     substitution was needed, None for an outright-fresh route.  The search
     prefers the tightest segment (largest j, then smallest k).
     """
-    fresh, _ = check_fresh(route, schedules, t1, t2)
-    if fresh:
-        return True, None
-    n = len(route) - 1  # number of links
-    if n < 2:
-        return False, None  # a single-link route has no interior segment
+    if not t1 < t2:
+        raise ValueError("need t1 < t2")
     link_fresh = [
         schedules.up_within(u, v, t1, t2) for u, v in zip(route, route[1:])
     ]
+    if all(link_fresh):
+        return True, None
+    n = len(link_fresh)
+    if n < 2:
+        return False, None  # a single-link route has no interior segment
     adj = _fresh_graph(schedules, t1, t2)
     for j in range(n - 1, 0, -1):               # j in [1, n-1], prefer late start
         if not all(link_fresh[:j]):
@@ -177,7 +178,9 @@ def verdict_for(record: RouteRecord, schedules: ScheduleMap,
                 faulty_endpoints: frozenset = frozenset()) -> Verdict:
     loop_free = check_loop_free(record.route)
     fresh, never_up = check_fresh(record.route, schedules, record.t1, record.t2)
-    weakly, witness = check_weakly_fresh(record.route, schedules, record.t1, record.t2)
+    # only a route that is not fresh outright needs the detour search
+    weakly, witness = (True, None) if fresh else \
+        check_weakly_fresh(record.route, schedules, record.t1, record.t2)
     accurate = error = bound = None
     if model is not None and record.reported is not None:
         accurate, error, bound = check_accuracy(record.route, record.reported, model)
@@ -195,10 +198,8 @@ def verdict_all(records: Sequence[RouteRecord], schedules: ScheduleMap,
                 model: Optional[LinkMetricModel] = None,
                 faulty_endpoints=frozenset()) -> list[Verdict]:
     """One verdict per accepted route; read-only over its inputs."""
-    return [
-        verdict_for(r, schedules, model, frozenset(faulty_endpoints))
-        for r in records
-    ]
+    faulty_endpoints = frozenset(faulty_endpoints)
+    return [verdict_for(r, schedules, model, faulty_endpoints) for r in records]
 
 
 def summarize(verdicts: Sequence[Verdict], adversary_classes=()) -> dict:

@@ -25,8 +25,8 @@ def _state(node, table):
 
 def _qos(epsilon=0.1, delta_tilde=0.0, actual=None):
     model = LinkMetricModel(kind=GKind.ADD, epsilon=epsilon,
-                            delta_tilde=delta_tilde, actual=actual or {}, seed=1)
-    return QosRuntime(model)
+                            delta_tilde=delta_tilde, actual=actual or {})
+    return QosRuntime(model, 1)
 
 
 def _signed_rreq(table, node_list=(), metric_list=None, qid=1):

@@ -196,7 +196,7 @@ def test_criterion_4_per_hop_and_sum_error_chain_bounds():
                     errs = []
                     for idx, ((a, b), rep) in enumerate(
                             zip(rec.links(), rec.reported), start=1):
-                        actual = built.model.actual[edge_key(a, b)]
+                        actual = scen.metrics.actual[edge_key(a, b)]
                         errs.append(abs(from_scaled(rep) - actual))
                     # entry n was appended by the destination: noise only
                     if errs[n - 1] > dtil + 1e-12:

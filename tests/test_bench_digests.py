@@ -1,7 +1,9 @@
 """Behaviour lock on the benchmark: the combined trace digest of round 0 of
 each workload, as `python3 bench/run.py --workload <w> --seed 0 --digest`
-prints it.  A change to what any run does changes one of these values."""
+prints it.  A change to what any run does changes one of these values.
+Also a guard that the bench's tracer still finds every name it wraps."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +28,16 @@ def test_bench_digest(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == BENCH_DIGESTS[workload]
+
+
+def test_bench_tracer_finds_every_function_it_wraps():
+    """The bench's tracer wraps srpsim functions and methods by name; a
+    rename or deletion of any of them must fail here, not only in a traced
+    bench run."""
+    code = "import tracing; tracing.Tracer().install(); print('installed')"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")])}
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "installed"

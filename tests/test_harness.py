@@ -1,6 +1,7 @@
 """Scenario loading and validation, expectation evaluation, trace
 persistence and re-verification, the CLI surface, and the bundled corpus."""
 
+import copy
 import json
 
 import pytest
@@ -166,11 +167,17 @@ NAN = float("nan")
     (_mini(nodes=["S", "T", 5]), "node id 5"),
     (_mini(name="x\ny"), "scenario name 'x.ny' must not contain a line break"),
     (_mini(name="x\ry"), "must not contain a line break"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
+                                      "administrative": "false",
+                                      "actual": [["S", "T", 1.0]]}),
+     "'administrative' must be true or false"),
+    (_mini(mode="extended"), "unknown mode 'extended'"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
-        "name-newline", "name-return"])
+        "name-newline", "name-return", "administrative-string",
+        "unknown-mode"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)
@@ -462,6 +469,28 @@ class TestCli:
         assert cli_main(["run", str(p), "--trace", str(trace)]) == 0
         assert cli_main(["check", str(trace), str(p)]) == 0
 
+    @pytest.mark.parametrize("prefix, edit", [
+        ("# accepted ", lambda ln: ln.replace("{", "{x", 1)),
+        ("# digest ", lambda ln: "# digest zz"),
+        ("# accepted ", lambda ln: "# accepted " + json.dumps(
+            {k: v for k, v in json.loads(ln[len("# accepted "):]).items()
+             if k != "qid"})),
+        ("# accepted ", lambda ln: "# accepted " + json.dumps(
+            {**json.loads(ln[len("# accepted "):]), "t1": 1e9})),
+    ], ids=["record-not-json", "digest-not-hex", "record-without-qid",
+            "record-t1-after-t2"])
+    def test_check_fails_on_a_malformed_trace(self, tmp_path, capsys, prefix, edit):
+        p = self._write_scenario(tmp_path, _mini())
+        trace = tmp_path / "t.trace"
+        assert cli_main(["run", str(p), "--trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        i = max(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[i] = edit(lines[i])
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["check", str(trace), str(p)]) == 1
+        assert f"CHECK FAILED: line {i + 1}: " in capsys.readouterr().out
+
     def test_fuzz_subcommand_small(self, tmp_path):
         report = tmp_path / "r.json"
         assert cli_main(["fuzz", "--runs", "20", "--seed", "5",
@@ -489,6 +518,17 @@ def test_bundled_corpus_is_self_checking():
     for p in paths:
         res = run_scenario(load_scenario(p))
         assert res.expect_failures == [], f"{p.stem}: {res.expect_failures}"
+
+
+def test_runs_leave_the_scenario_metric_definition_as_it_was():
+    # an adversary's self-bias is per-run state; a second run of the same
+    # Scenario object must not see the first run's biases
+    scen = load_scenario(next(p for p in bundled_scenarios()
+                              if p.stem == "biased_metric_independent"))
+    before = copy.deepcopy(vars(scen.metrics))
+    first, second = run_scenario(scen), run_scenario(scen)
+    assert first.digest == second.digest and first.records
+    assert vars(scen.metrics) == before
 
 
 def test_bundled_corpus_covers_every_named_attack_in_compatible_classes():

@@ -79,36 +79,38 @@ class TestConsistency:
 
 class TestMeasurement:
     def test_zero_noise_returns_actual(self):
-        m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
-                            actual={("a", "b"): 2.0}, seed=3)
-        assert m.measure_scaled("a", ("a", "b")) == to_scaled(2.0)
+        q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
+                                       actual={("a", "b"): 2.0}), 3)
+        assert q.measure_scaled("a", ("a", "b")) == to_scaled(2.0)
 
     def test_noise_is_bounded_and_repeatable(self):
-        m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.1,
-                            actual={("a", "b"): 2.0}, seed=3)
-        v1 = m.measure_scaled("a", ("a", "b"))
-        v2 = m.measure_scaled("a", ("a", "b"))
+        q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.1,
+                                       actual={("a", "b"): 2.0}), 3)
+        v1 = q.measure_scaled("a", ("a", "b"))
+        v2 = q.measure_scaled("a", ("a", "b"))
         assert v1 == v2
         assert to_scaled(1.9) <= v1 <= to_scaled(2.1)
 
     def test_endpoints_measure_independently(self):
-        m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.1,
-                            actual={("a", "b"): 2.0}, seed=5)
-        va = m.measure_scaled("a", ("a", "b"))
-        vb = m.measure_scaled("b", ("a", "b"))
+        q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.1,
+                                       actual={("a", "b"): 2.0}), 5)
+        va = q.measure_scaled("a", ("a", "b"))
+        vb = q.measure_scaled("b", ("a", "b"))
         assert abs(va - to_scaled(2.0)) <= to_scaled(0.1)
         assert abs(vb - to_scaled(2.0)) <= to_scaled(0.1)
 
     def test_administrative_mode_is_exact_for_both_endpoints(self):
-        m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
-                            administrative=True, actual={("a", "b"): 3.0}, seed=3)
-        assert m.measure_scaled("a", ("a", "b")) == to_scaled(3.0)
-        assert m.measure_scaled("b", ("a", "b")) == to_scaled(3.0)
+        q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
+                                       administrative=True,
+                                       actual={("a", "b"): 3.0}), 3)
+        assert q.measure_scaled("a", ("a", "b")) == to_scaled(3.0)
+        assert q.measure_scaled("b", ("a", "b")) == to_scaled(3.0)
 
     def test_non_incident_node_invalid(self):
-        m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, actual={("a", "b"): 2.0})
+        q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1,
+                                       actual={("a", "b"): 2.0}))
         with pytest.raises(ValueError):
-            m.measure_scaled("c", ("a", "b"))
+            q.measure_scaled("c", ("a", "b"))
 
     def test_administrative_with_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -116,12 +118,12 @@ class TestMeasurement:
                             administrative=True)
 
     def test_bias_overrides_apparatus_on_all_incident_links(self):
-        m = LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
-                            actual={("a", "b"): 2.0, ("b", "c"): 1.0}, seed=3)
-        m.biases["b"] = to_scaled(0.09)
-        assert m.measure_scaled("b", ("a", "b")) == to_scaled(2.09)
-        assert m.measure_scaled("b", ("b", "c")) == to_scaled(1.09)
-        assert m.measure_scaled("a", ("a", "b")) == to_scaled(2.0)
+        q = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.0,
+                                       actual={("a", "b"): 2.0, ("b", "c"): 1.0}), 3)
+        q.biases["b"] = to_scaled(0.09)
+        assert q.measure_scaled("b", ("a", "b")) == to_scaled(2.09)
+        assert q.measure_scaled("b", ("b", "c")) == to_scaled(1.09)
+        assert q.measure_scaled("a", ("a", "b")) == to_scaled(2.0)
 
 
 class TestAggregateScaled:

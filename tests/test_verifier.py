@@ -107,7 +107,7 @@ class TestWeaklyFresh:
 class TestAccuracy:
     def model(self, **kw):
         defaults = dict(kind=GKind.ADD, epsilon=0.1, delta_tilde=0.05,
-                        actual={("S", "a"): 1.0, ("a", "T"): 1.0}, seed=1)
+                        actual={("S", "a"): 1.0, ("a", "T"): 1.0})
         defaults.update(kw)
         return LinkMetricModel(**defaults)
 

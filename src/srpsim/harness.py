@@ -16,7 +16,7 @@ from typing import Optional
 
 from .adversary import AdversaryClass
 from .scenario import AdversarySpec, Scenario, build, load_scenario
-from .simcore import (LinkSchedule, ScheduleMap, SimConfig, TraceView, edge_key,
+from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key,
                       trace_digest_of_lines)
 from .srp import RouteRecord
 from .srp_qos import GKind, LinkMetricModel, to_scaled
@@ -425,7 +425,9 @@ def check_trace(trace_path, scenario: Scenario):
     """Re-verify a stored trace against a scenario: require the header to
     name the scenario, recompute the digest over the event lines, match the
     recorded routes against the accept lines the digest covers, and re-run
-    the verifier on those routes.  Returns (ok, messages, verdicts)."""
+    the verifier on those routes.  Returns (ok, messages, verdicts); when
+    the records do not match the accept lines, no route is judged and the
+    verdicts are empty."""
     try:
         header, lines, records, stored_digest = read_trace(trace_path)
     except TraceFormatError as e:
@@ -451,11 +453,12 @@ def check_trace(trace_path, scenario: Scenario):
     accepts = [(ln.split(" ", 1)[0], ln.rsplit(" route=", 1)[1])
                for ln in lines if " step - accept route=" in ln]
     if [(repr(r.t2), ",".join(r.route)) for r in records] != accepts:
-        ok = False
+        # the records are not the run's routes: judging them would report
+        # verdicts on routes the trace never accepted
         messages.append("accepted-route records do not match the trace's "
                         "accept lines (time and route, in order)")
-    schedules = ScheduleMap(scenario.nodes, scenario.links)
-    verdicts = verdict_all(records, schedules, scenario.metrics,
+        return False, messages, []
+    verdicts = verdict_all(records, scenario.schedule_map(), scenario.metrics,
                            scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)
     if failures:

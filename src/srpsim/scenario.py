@@ -57,6 +57,19 @@ class Scenario:
     adversaries: dict = field(default_factory=dict)  # node -> AdversarySpec
     expect: dict = field(default_factory=dict)
     description: str = ""
+    # (nodes, links, ScheduleMap) of the last schedule_map() call
+    _schedules: Optional[tuple] = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    def schedule_map(self) -> ScheduleMap:
+        """The ScheduleMap of the scenario's roster and links, built once per
+        (nodes, links) pair, checked by identity: a scenario given a new
+        roster or new links gets a new map."""
+        cached = self._schedules
+        if cached is None or cached[0] is not self.nodes or cached[1] is not self.links:
+            cached = self._schedules = (self.nodes, self.links,
+                                        ScheduleMap(self.nodes, self.links))
+        return cached[2]
 
     def validate(self) -> None:
         if not self.nodes:
@@ -73,8 +86,7 @@ class Scenario:
                                 f"a line break")
         known = set(self.nodes)
         try:
-            schedules = ScheduleMap(self.nodes, self.links)
-            schedules.validate(self.config.tx_time)
+            self.schedule_map().validate(self.config.tx_time)
         except ValueError as e:
             raise ScenarioError(str(e))
         for a, b in self.keys:
@@ -270,8 +282,7 @@ class BuiltRun:
 def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
     """Wire a validated scenario into a ready-to-run engine."""
     cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)
-    schedules = ScheduleMap(scenario.nodes, scenario.links)
-    engine = Engine(cfg, schedules, random.Random(f"run|{cfg.seed}"))
+    engine = Engine(cfg, scenario.schedule_map(), random.Random(f"run|{cfg.seed}"))
     table = KeyTable()
     for a, b in scenario.keys:
         table.grant(a, b)

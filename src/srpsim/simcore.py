@@ -135,6 +135,14 @@ class ScheduleMap:
             adjacent.setdefault(v, []).append((u, s))
         self._neighbours = {u: tuple(sorted(links, key=lambda x: x[0]))
                             for u, links in adjacent.items()}
+        # every interval boundary as (time, Engine._record args), sorted by
+        # (time, "down" before "up", edge): the order, and so the seq
+        # numbers, the engine gives the link-change lines
+        boundaries = sorted((t, state, e) for e, s in sorted(self._by_edge.items())
+                            for a, b in s.up_intervals
+                            for t, state in ((a, "up"), (b, "down")))
+        self.link_changes = [(t, (e[0], "link", "-", state, f"{e[0]}-{e[1]}"))
+                             for t, state, e in boundaries]
 
     def neighbours(self, u: str) -> tuple[tuple[str, LinkSchedule], ...]:
         """(neighbour, schedule) for every edge at u, sorted by neighbour."""
@@ -157,15 +165,6 @@ class ScheduleMap:
 
     def edges(self) -> list[tuple[str, str]]:
         return sorted(self._by_edge)
-
-    def boundaries(self) -> list[tuple[float, str, tuple[str, str]]]:
-        out = []
-        for e, s in sorted(self._by_edge.items()):
-            for a, b in s.up_intervals:
-                out.append((a, "up", e))
-                out.append((b, "down", e))
-        out.sort()
-        return out
 
 
 class TraceEvent:
@@ -278,10 +277,20 @@ class Engine:
         self.tunnels[channel.owner] = channel
 
     def seed_link_changes(self) -> None:
-        for t, state, edge in self.schedules.boundaries():
-            if t <= self.config.end_time:
-                self._push(t, Engine._record,
-                           (edge[0], "link", "-", state, f"{edge[0]}-{edge[1]}"))
+        """Queue every link change up to end_time, numbered after what is
+        already queued, with one heapify instead of a push per change."""
+        end_time = self.config.end_time
+        seq = itertools.count(self._seq + 1)
+        changes = [(t, next(seq), Engine._record, args)
+                   for t, args in self.schedules.link_changes if t <= end_time]
+        if not changes:
+            return
+        if changes[0][0] < self.now:  # link_changes is sorted by time
+            raise OrderingError(f"event at {changes[0][0]} scheduled before "
+                                f"current time {self.now}")
+        self._seq = changes[-1][1]
+        self._queue += changes
+        heapq.heapify(self._queue)
 
     def schedule_action(self, at: float, node: str, action: tuple) -> None:
         self._push(at, Engine._act, (node, action))

@@ -99,6 +99,10 @@ class Discard:
 
 FMT = "fmt"  # message format violations, checked before any numbered rule
 
+# a flood delivers most copies of a query to nodes that have already seen it
+DUPLICATE_AT_RELAY = Discard("2.2.1", "duplicate-query")
+DUPLICATE_AT_DESTINATION = Discard("2.3.1", "duplicate-query")
+
 
 def _has_duplicates(seq) -> bool:
     return len(set(seq)) != len(seq)
@@ -106,36 +110,39 @@ def _has_duplicates(seq) -> bool:
 
 # --------------------------------------------------------------------------
 # Effects (executed by node drivers against the engine)
+#
+# Slotted, not frozen: one is made per protocol step, and a frozen dataclass
+# costs several times as much to create.  Effects still compare by value.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Broadcast:
     msg: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unicast:
     to: str
     msg: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArmTimer:
     at: float
     tag: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Accept:
     record: RouteRecord
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TunnelSend:
     msg: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Note:
     outcome: str
     detail: str
@@ -212,9 +219,9 @@ def rreq_verdict(state: NodeState, rreq: Rreq, transmitter: str, qos) -> Optiona
     if fmt is not None:
         return fmt
     at_destination = rreq.dst == state.self_id
-    prefix = "2.3" if at_destination else "2.2"
     if (rreq.src, rreq.qid) in state.seen:
-        return Discard(prefix + ".1", "duplicate-query")
+        return DUPLICATE_AT_DESTINATION if at_destination else DUPLICATE_AT_RELAY
+    prefix = "2.3" if at_destination else "2.2"
     expected = rreq.node_list[-1] if rreq.node_list else rreq.src
     if transmitter != expected:
         return Discard(prefix + ".2", "precursor-mismatch")
@@ -515,14 +522,14 @@ class SrpNode:
         return self.state.self_id
 
     def on_deliver(self, engine, msg, transmitter, addressed, now, delivery_id=0):
-        fx = []
+        node = self.state.self_id
         if isinstance(msg, Rreq):
-            fx += observe_relay(self.state, msg, transmitter, self.qos)
+            execute(engine, node, observe_relay(self.state, msg, transmitter, self.qos))
             if addressed:
-                fx += handle_rreq(self.state, msg, transmitter, now, self.qos)
+                execute(engine, node, handle_rreq(self.state, msg, transmitter, now, self.qos))
         elif isinstance(msg, Rrep) and addressed:
-            fx += process_rrep(self.state, msg, transmitter, now, self.cfg, self.qos)
-        execute(engine, self.node_id, fx)
+            execute(engine, node, process_rrep(self.state, msg, transmitter, now,
+                                               self.cfg, self.qos))
 
     def on_timer(self, engine, tag, now):
         kind = tag[0]

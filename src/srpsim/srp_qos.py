@@ -84,6 +84,10 @@ class LinkMetricModel:
     actual: dict = field(default_factory=dict)   # edge_key -> float
 
     def __post_init__(self):
+        # every value is carried as a scaled int
+        for name in ("epsilon", "delta_tilde"):
+            if not math.isfinite(getattr(self, name) * SCALE):
+                raise ValueError(f"{name} must be finite once scaled to micro units")
         if self.epsilon <= 0 and not self.administrative:
             raise ValueError("epsilon must be > 0 outside administrative mode")
         if self.delta_tilde < 0:
@@ -91,6 +95,9 @@ class LinkMetricModel:
         if self.administrative and self.delta_tilde != 0:
             raise ValueError("administrative metrics admit no measurement error")
         self.actual = {edge_key(*e): float(v) for e, v in self.actual.items()}
+        if not all(math.isfinite(v * SCALE) for v in self.actual.values()):
+            raise ValueError("actual link metrics must be finite once scaled "
+                             "to micro units")
         if self.kind == GKind.MUL and any(v <= 0 for v in self.actual.values()):
             raise ValueError("product metrics must be strictly positive")
 

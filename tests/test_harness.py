@@ -2,16 +2,20 @@
 persistence and re-verification, the CLI surface, and the bundled corpus."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srpsim import (RouteRecord, ScenarioError, Verdict, bundled_scenarios,
-                    check_trace, evaluate_expectations, load_scenario,
-                    run_scenario, scenario_from_dict, write_trace)
+from srpsim import (LinkSchedule, RouteRecord, ScenarioError, ScheduleMap,
+                    Verdict, bundled_scenarios, check_trace,
+                    evaluate_expectations, load_scenario, run_scenario,
+                    scenario_from_dict, write_trace)
+from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
 from srpsim.harness import TRACE_HEADER, read_trace
+from srpsim.scenario import EXPECT_KEYS
 
 MINIMAL = {
     "name": "mini",
@@ -172,12 +176,20 @@ NAN = float("nan")
                                       "actual": [["S", "T", 1.0]]}),
      "'administrative' must be true or false"),
     (_mini(mode="extended"), "unknown mode 'extended'"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": NAN}),
+     "epsilon must be finite"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
+                                      "delta_tilde": float("inf")}),
+     "delta_tilde must be finite"),
+    (_mini(mode="augmented", metrics={"kind": "max", "epsilon": 0.1,
+                                      "actual": [["S", "T", 1e303]]}),
+     "actual link metrics must be finite"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
         "name-newline", "name-return", "administrative-string",
-        "unknown-mode"])
+        "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)
@@ -258,6 +270,118 @@ def test_any_attack_param_fails_at_load_or_runs(stem, pick, key, value):
     except ScenarioError:
         return
     run_scenario(scen)
+
+
+_CORPUS = [json.loads(p.read_text()) for p in bundled_scenarios()]
+# the params every bundled adversary runs with
+_CORPUS_PARAMS = [spec.get("params", {}) for d in _CORPUS
+                  for spec in d.get("adversaries", {}).values()]
+_BAD_IDS = ["ghost", "", "a b", 5, None]
+
+
+def _mostly(valid, invalid):
+    """`valid` nine times in ten, else `invalid` (what shrinking tends to)."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else invalid)
+
+
+def _values(valid, invalid):
+    return _mostly(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+_TIME = _values([0, 0.0, 1, 10.5, 20, 40, 60, 120], [-5, NAN, float("inf"), "1"])
+_INTERVALS = _mostly(
+    st.sampled_from([[[0, 120]], [[0, 40]], [[10, 60], [70, 120]], [[0, 30], [30.5, 90]]]),
+    st.one_of(st.lists(st.lists(_TIME, min_size=2, max_size=2), max_size=3), _LEAF))
+
+
+def _section(name, nodes):
+    """A generated value for one top-level section of a scenario whose
+    roster is `nodes`: mostly well-formed entries that name roster nodes,
+    sometimes malformed entries or ones that name other ids."""
+    node = _values(list(nodes), _BAD_IDS)
+    pair = st.lists(node, min_size=2, max_size=2)
+    if name == "nodes":
+        return _mostly(st.permutations(nodes), st.one_of(
+            st.lists(node, max_size=6), st.just(list(nodes) + ["extra"]), _LEAF))
+    if name == "config":
+        return st.fixed_dictionaries({}, optional={
+            "tau": _values([1.0, 0.5, 2], [0, -1, NAN, "x", None]),
+            "tx_time": _values([1.0, 0.5, 3], [0, NAN]),
+            "end_time": _values([40, 120.0, 260], [0, -5, NAN, "x"]),
+            "seed": _mostly(st.integers(-5, 10 ** 20),
+                            st.sampled_from(["x", None, 1.5, True, NAN])),
+            "reply_wait_min": _values([None, 4.0, 8], [0, -1, NAN, "x"]),
+            "reply_wait_max": _values([None, 16.0, 64], [2, NAN]),
+        })
+    if name == "links":
+        return st.lists(_mostly(st.tuples(node, node, _INTERVALS).map(list), _LEAF),
+                        max_size=8)
+    if name == "keys":
+        return st.lists(_mostly(st.one_of(pair, st.just(["S", "T"])), _LEAF), max_size=3)
+    if name == "discoveries":
+        return st.lists(_mostly(st.one_of(
+            st.fixed_dictionaries({"src": node, "dst": node}, optional={"at": _TIME}),
+            st.just({"src": "S", "dst": "T", "at": 1.0})), _LEAF), max_size=3)
+    if name == "metrics":
+        actual = st.lists(_mostly(
+            st.tuples(node, node,
+                      _values([1.0, 0.5, 2], [-1, NAN, "-inf", 1e303, "x"])).map(list),
+            _LEAF), max_size=6)
+        return _mostly(st.fixed_dictionaries({
+            "kind": _values(["add", "max", "min", "mul"], ["battery", "zz", 5]),
+            "epsilon": _values([0.1, 0.01], [0, -1, NAN, float("inf"), 1e303, "x"]),
+        }, optional={
+            "delta_tilde": _values([0.0, 0.05], [0.2, -1, NAN, float("inf")]),
+            "administrative": _values([True, False], ["false", 0]),
+            "actual": actual,
+        }), st.one_of(st.none(), _LEAF))
+    if name == "mode":
+        return _values(["basic", "augmented"], ["x", 5])
+    if name == "adversaries":
+        params = st.one_of(
+            st.sampled_from(_CORPUS_PARAMS),
+            st.dictionaries(st.sampled_from(_READ_PARAMS), st.one_of(
+                _VALUE, node, st.lists(node, max_size=4)), max_size=3))
+        spec = st.fixed_dictionaries(
+            {"attack": _values(sorted(CATALOG), ["nope"])},
+            optional={"class": _values(["independent", "arbitrary"], ["x"]),
+                      "params": params})
+        return st.dictionaries(node.filter(lambda n: isinstance(n, str)),
+                               _mostly(spec, _LEAF), max_size=3)
+    assert name == "expect"
+    return st.dictionaries(
+        _values(sorted(EXPECT_KEYS), ["bogus"]),
+        st.one_of(_VALUE, st.sampled_from(["all", "not-all", "none", "some"]),
+                  pair), max_size=3)
+
+
+_SECTIONS = ["nodes", "config", "links", "keys", "metrics", "mode",
+             "discoveries", "adversaries", "expect"]
+
+
+@st.composite
+def _scenario_dicts(draw):
+    """A bundled scenario with up to three of its sections replaced."""
+    d = copy.deepcopy(draw(st.sampled_from(_CORPUS)))
+    roster = d["nodes"]
+    names = draw(st.lists(st.sampled_from(_SECTIONS), unique=True, max_size=3))
+    for name in names:
+        d[name] = draw(_section(name, roster))
+    if "metrics" in names and "mode" not in names:
+        d["mode"] = "basic" if d["metrics"] is None else "augmented"
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_scenario_dicts())
+def test_any_scenario_dict_fails_at_load_or_runs(data):
+    try:
+        scen = scenario_from_dict(data)  # validates
+    except ScenarioError:
+        return
+    schedules = scen.schedule_map()
+    res = run_scenario(scen)  # builds the same object
+    assert res.scenario is scen and scen.schedule_map() is schedules
 
 
 def _verdict(**kw):
@@ -368,6 +492,39 @@ class TestTracePersistence:
             return ([header] if header else []) + lines[1:]
         ok, messages, _ = self._edit_records(tmp_path, edit)
         assert not ok and messages == [message]
+
+
+class TestOneScheduleMap:
+    def test_validate_build_and_check_share_one_map(self, tmp_path, monkeypatch):
+        built_maps = []
+        init = ScheduleMap.__init__
+
+        def counting_init(self, *args):
+            built_maps.append(self)
+            init(self, *args)
+        monkeypatch.setattr(ScheduleMap, "__init__", counting_init)
+        scen = scenario_from_dict(MINIMAL)  # validates
+        assert built_maps == [scen.schedule_map()]
+        scen.validate()
+        res = run_scenario(scen)
+        p = tmp_path / "run.trace"
+        write_trace(p, res)
+        ok, messages, verdicts = check_trace(p, scen)
+        assert ok, messages
+        assert verdicts and built_maps == [scen.schedule_map()]
+
+    def test_new_links_get_a_new_map(self):
+        scen = scenario_from_dict(MINIMAL)
+        late = dataclasses.replace(
+            scen, links=(LinkSchedule(("S", "T"), ((20.0, 40.0),)),))
+        assert late.schedule_map() is not scen.schedule_map()
+        assert late.schedule_map().get("S", "T").up_intervals == ((20.0, 40.0),)
+        def link_lines(res):
+            return [(te.time, te.outcome) for te in res.trace if te.primitive == "link"]
+        res = run_scenario(late)
+        assert link_lines(res) == [(20.0, "up"), (40.0, "down")]
+        assert res.records and all(r.t2 > 20.0 for r in res.records)
+        assert link_lines(run_scenario(scen)) == [(0.0, "up"), (40.0, "down")]
 
 
 def _read_trace_line_by_line(path):
@@ -490,6 +647,23 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["check", str(trace), str(p)]) == 1
         assert f"CHECK FAILED: line {i + 1}: " in capsys.readouterr().out
+
+    def test_check_judges_no_record_after_a_mismatch(self, tmp_path, capsys):
+        p = next(x for x in bundled_scenarios() if x.stem == "benign_basic")
+        trace = tmp_path / "t.trace"
+        assert cli_main(["run", str(p), "--trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        at = [i for i, ln in enumerate(lines) if ln.startswith("# accepted ")]
+        assert len(at) == 1
+        lines.insert(at[0], lines[at[0]])
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["check", str(trace), str(p)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("re-verified 0 accepted routes")
+        assert "CHECK FAILED: accepted-route records do not match" in out
+        ok, messages, verdicts = check_trace(trace, load_scenario(p))
+        assert not ok and verdicts == [] and len(messages) == 1
 
     def test_fuzz_subcommand_small(self, tmp_path):
         report = tmp_path / "r.json"

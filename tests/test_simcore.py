@@ -3,6 +3,7 @@ overhearing, event ordering, and replay determinism."""
 
 import gc
 import hashlib
+import heapq
 import json
 import random
 import weakref
@@ -15,6 +16,7 @@ from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
                     ScheduleMap, SimConfig, SrpNode, build, bundled_scenarios,
                     load_scenario, run_scenario, scenario_from_dict)
 from srpsim.harness import random_scenario
+from srpsim.scenario import Scenario
 from srpsim.simcore import message_digest, trace_digest_of_lines
 from test_golden_grid import grid
 
@@ -384,6 +386,62 @@ class TestDriverContract:
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+
+def _seed_one_at_a_time(engine):
+    """The reference seeding: every interval boundary up to end_time, sorted
+    by (time, "down" before "up", edge), pushed one at a time."""
+    changes = sorted((t, state, s.edge) for s in engine.schedules._by_edge.values()
+                     for a, b in s.up_intervals
+                     for t, state in ((a, "up"), (b, "down")))
+    for t, state, (u, v) in changes:
+        if t <= engine.config.end_time:
+            engine._push(t, Engine._record, (u, "link", "-", state, f"{u}-{v}"))
+
+
+def _drain(engine):
+    return [heapq.heappop(engine._queue) for _ in range(len(engine._queue))]
+
+
+class TestLinkChangeSeeding:
+    @pytest.mark.parametrize("stem", ["replay_stale_rrep_arbitrary", "fig1a_tunnel"])
+    def test_heap_pops_as_with_one_push_per_change(self, stem, monkeypatch):
+        # no bundled scenario schedules spontaneous adversary actions, so
+        # one adversary becomes a fuzz script that does, queued before the
+        # link changes
+        d = json.loads(next(p for p in bundled_scenarios() if p.stem == stem).read_text())
+        node = sorted(d["adversaries"])[0]
+        d["adversaries"][node] = {"class": "arbitrary", "attack": "fuzz", "params": {
+            "seed": 7, "bounds": {"spontaneous": 40}}}
+        d["links"].append([d["nodes"][0], node, [[0, 20], [25, 60], [70, 500]]])
+        scen = scenario_from_dict(d)
+        got = build(scen).engine
+        assert any(h is Engine._act and args[1] == ("adversary_time",)
+                   for _, _, h, args in got._queue)
+        monkeypatch.setattr(Engine, "seed_link_changes", _seed_one_at_a_time)
+        want = build(scen).engine
+        assert got._seq == want._seq
+        assert _drain(got) == _drain(want)
+
+    def test_changes_past_end_time_are_not_queued(self):
+        scen = scenario_from_dict({
+            "name": "late", "nodes": ["a", "b", "c"],
+            "config": {"seed": 1, "end_time": 40.0},
+            "links": [["a", "b", [[0, 50]]], ["b", "c", [[10, 40], [45, 60]]]],
+        })
+        engine = build(scen).engine
+        queued = sorted((t, args[3], args[4]) for t, _, _, args in engine._queue)
+        assert queued == [(0.0, "up", "a-b"), (10.0, "up", "b-c"),
+                          (40.0, "down", "b-c")]
+
+    def test_negative_start_without_validate_aborts_build(self):
+        # Scenario() itself does not validate; the engine still refuses to
+        # queue a link change before time 0
+        scen = Scenario(name="neg", config=SimConfig(end_time=40.0),
+                        nodes=("a", "b"), keys=(), discoveries=(),
+                        links=(LinkSchedule(("a", "b"), ((-5.0, 30.0),)),))
+        with pytest.raises(OrderingError, match="before current time"):
+            build(scen)
 
 
 class TestDeterminism:

@@ -283,12 +283,10 @@ class Engine:
         seq = itertools.count(self._seq + 1)
         changes = [(t, next(seq), Engine._record, args)
                    for t, args in self.schedules.link_changes if t <= end_time]
-        if not changes:
-            return
-        if changes[0][0] < self.now:  # link_changes is sorted by time
+        if changes and changes[0][0] < self.now:  # link_changes is sorted by time
             raise OrderingError(f"event at {changes[0][0]} scheduled before "
                                 f"current time {self.now}")
-        self._seq = changes[-1][1]
+        self._seq += len(changes)
         self._queue += changes
         heapq.heapify(self._queue)
 

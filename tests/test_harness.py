@@ -525,6 +525,11 @@ class TestOneScheduleMap:
         assert link_lines(res) == [(20.0, "up"), (40.0, "down")]
         assert res.records and all(r.t2 > 20.0 for r in res.records)
         assert link_lines(run_scenario(scen)) == [(0.0, "up"), (40.0, "down")]
+        # links assigned in place: the map is rebuilt too
+        first = scen.schedule_map()
+        scen.links = late.links
+        assert scen.schedule_map() is not first
+        assert link_lines(run_scenario(scen)) == [(20.0, "up"), (40.0, "down")]
 
 
 def _read_trace_line_by_line(path):

@@ -785,7 +785,7 @@ class AdversaryNode:
         verdict, actions = step_adversary(self, msg, transmitter, now)
         if verdict is not None:
             engine.noncompliant_deliveries.add(delivery_id)
-            engine.trace_step(self.node_id, "adv-noncompliant", str(verdict), msg)
+            engine.trace_step(self.node_id, "adv-noncompliant", verdict.text, msg)
             if self.klass is AdversaryClass.INDEPENDENT:
                 return  # the one permitted reaction: silent drop
         self.store.append((msg, transmitter, now))

@@ -33,6 +33,13 @@ def _out_path(p: str) -> Path:
     return path
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     result = run_scenario(scenario, seed=args.seed)
@@ -101,8 +108,8 @@ def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     try:
         ok, messages, verdicts = check_trace(args.trace, scenario)
-    except FileNotFoundError:
-        print(f"no such trace file: {args.trace}", file=sys.stderr)
+    except OSError as e:  # missing, a directory, unreadable
+        print(f"cannot read trace file {args.trace}: {e.strerror}", file=sys.stderr)
         return EXIT_USAGE
     print(f"re-verified {len(verdicts)} accepted routes from {args.trace}")
     for m in messages:
@@ -139,7 +146,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded random-adversary campaign")
-    p_fuzz.add_argument("--runs", type=int, default=1000)
+    p_fuzz.add_argument("--runs", type=_count, default=1000)
     p_fuzz.add_argument("--class", dest="adversary_class",
                         choices=[c.value for c in AdversaryClass],
                         default="arbitrary")

@@ -360,7 +360,7 @@ def write_trace(path, result: RunResult) -> None:
         "reported": None if rec.reported is None else list(rec.reported),
     }) for rec in result.records]
     out.append(f"# digest {result.digest:016x}")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(out) + "\n")
 
 
@@ -392,9 +392,13 @@ def _parse_record(text: str) -> Optional[RouteRecord]:
 def read_trace(path):
     """Returns (header, event_lines, records, stored_digest); header is the
     (scenario name, seed text) of the `# srpsim-trace` line, or None.
-    Raises TraceFormatError for a malformed record or digest footer."""
-    with open(path) as f:
-        raw_lines = f.read().split("\n")
+    Raises TraceFormatError for a file that is not UTF-8 text, or for a
+    malformed record or digest footer."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw_lines = f.read().split("\n")
+    except UnicodeDecodeError:
+        raise TraceFormatError(f"{path}: trace file is not UTF-8 text")
     lines = [raw for raw in raw_lines if raw and raw[0] != "#"]
     header = None
     records = []
@@ -423,9 +427,9 @@ def read_trace(path):
 
 def check_trace(trace_path, scenario: Scenario):
     """Re-verify a stored trace against a scenario: require the header to
-    name the scenario, recompute the digest over the event lines, match the
-    recorded routes against the accept lines the digest covers, and re-run
-    the verifier on those routes.  Returns (ok, messages, verdicts); when
+    name the scenario and an integer seed, recompute the digest over the
+    event lines, match the recorded routes against the accept lines the
+    digest covers, and re-run the verifier on those routes.  Returns (ok, messages, verdicts); when
     the records do not match the accept lines, no route is judged and the
     verdicts are empty."""
     try:
@@ -437,10 +441,16 @@ def check_trace(trace_path, scenario: Scenario):
     if header is None:
         ok = False
         messages.append("trace file carries no srpsim-trace header")
-    elif header[0] != scenario.name:
-        ok = False
-        messages.append(f"trace header names scenario {header[0]!r}, "
-                        f"not {scenario.name!r}")
+    else:
+        if header[0] != scenario.name:
+            ok = False
+            messages.append(f"trace header names scenario {header[0]!r}, "
+                            f"not {scenario.name!r}")
+        try:
+            int(header[1])
+        except ValueError:
+            ok = False
+            messages.append(f"header seed is not an integer: {header[1]!r}")
     recomputed = trace_digest_of_lines(lines)
     if stored_digest is None:
         ok = False

@@ -265,9 +265,13 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ScenarioError(f"{p}: no such scenario file")
+    except OSError as e:
+        raise ScenarioError(f"{p}: cannot read scenario file: {e.strerror}")
+    except UnicodeDecodeError:
+        raise ScenarioError(f"{p}: scenario file is not UTF-8 text")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{p}:{e.lineno}:{e.colno}: parse error: {e.msg}")
     return scenario_from_dict(data, name_hint=p.stem)

@@ -83,25 +83,55 @@ class RouteRecord:
 
 
 # --------------------------------------------------------------------------
-# Discard bookkeeping
+# Rule registry: every verdict the checks can return, one constant per rule
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Discard:
-    """Why a message was dropped: the protocol rule id plus a stable code."""
+    """Why a message was dropped: the protocol rule id plus a stable code.
+    `text` is the form a trace line carries, rendered once."""
 
     step: str
     code: str
+    text: str = field(init=False, repr=False, compare=False)
 
-    def __str__(self):
-        return f"{self.step}:{self.code}"
+    def __post_init__(self):
+        object.__setattr__(self, "text", f"{self.step}:{self.code}")
 
 
-FMT = "fmt"  # message format violations, checked before any numbered rule
+RULES = (  # in protocol order
+    # message format violations, checked before any numbered rule
+    SRC_EQUALS_DST := Discard("fmt", "src-equals-dst"),
+    ENDPOINT_IN_NODE_LIST := Discard("fmt", "endpoint-in-node-list"),
+    ENDPOINT_IN_ROUTE := Discard("fmt", "endpoint-in-route"),
+    METRIC_LIST_MODE_MISMATCH := Discard("fmt", "metric-list-mode-mismatch"),
+    METRIC_LIST_LENGTH := Discard("fmt", "metric-list-length"),
+    REPLY_AT_GENERATOR := Discard("fmt", "reply-at-generator"),
+    NOT_ON_ROUTE := Discard("fmt", "not-on-route"),
+    # request checks at a relay (2.2.x) and at the destination (2.3.x)
+    RELAY_DUPLICATE := Discard("2.2.1", "duplicate-query"),
+    RELAY_PRECURSOR_MISMATCH := Discard("2.2.2", "precursor-mismatch"),
+    RELAY_IDENTITY_LOOP := Discard("2.2.3", "identity-loop"),
+    RELAY_METRIC_LENGTH := Discard("2.2.4.a", "metric-length-mismatch"),
+    DEST_DUPLICATE := Discard("2.3.1", "duplicate-query"),
+    DEST_PRECURSOR_MISMATCH := Discard("2.3.2", "precursor-mismatch"),
+    DEST_IDENTITY_LOOP := Discard("2.3.3", "identity-loop"),
+    DEST_METRIC_LENGTH := Discard("2.3.4.a", "metric-length-mismatch"),
+    DEST_NO_KEY := Discard("2.3.4", "no-key"),
+    DEST_AUTH_MISMATCH := Discard("2.3.4", "auth-mismatch"),
+    # reply checks on the return path and at the querying node
+    SUCCESSOR_MISMATCH := Discard("4.1", "successor-mismatch"),
+    NOT_IN_FORWARD_LIST := Discard("4.2", "not-in-forward-list"),
+    ROUTE_LOOP := Discard("4.3", "route-loop"),
+    ENDPOINT_METRIC_INCONSISTENT := Discard("4.2.1", "endpoint-metric-inconsistent"),
+    PREFIX_METRIC_MISMATCH := Discard("4.2.2", "prefix-metric-mismatch"),
+    REPLY_AUTH_MISMATCH := Discard("4.5", "auth-mismatch"),
+    STALE_REPLY := Discard("5.2", "stale-reply"),
+)
 
-# a flood delivers most copies of a query to nodes that have already seen it
-DUPLICATE_AT_RELAY = Discard("2.2.1", "duplicate-query")
-DUPLICATE_AT_DESTINATION = Discard("2.3.1", "duplicate-query")
+# the request checks a node's position picks: duplicate, precursor, loop, metric length
+_AT_RELAY = (RELAY_DUPLICATE, RELAY_PRECURSOR_MISMATCH, RELAY_IDENTITY_LOOP, RELAY_METRIC_LENGTH)
+_AT_DESTINATION = (DEST_DUPLICATE, DEST_PRECURSOR_MISMATCH, DEST_IDENTITY_LOOP, DEST_METRIC_LENGTH)
 
 
 def _has_duplicates(seq) -> bool:
@@ -187,126 +217,95 @@ class NodeState:
 # Check phase (pure; shared verbatim with adversary compliance classification)
 # --------------------------------------------------------------------------
 
-def _rreq_format(rreq: Rreq, qos) -> Optional[Discard]:
-    if rreq.src == rreq.dst:
-        return Discard(FMT, "src-equals-dst")
-    if rreq.src in rreq.node_list or rreq.dst in rreq.node_list:
-        # Accumulated entries are intermediate nodes; an end node in the list
-        # makes the eventual route repeat a node.
-        return Discard(FMT, "endpoint-in-node-list")
-    if (rreq.metric_list is not None) != (qos is not None):
-        return Discard(FMT, "metric-list-mode-mismatch")
-    return None
-
-
-def _rrep_format(rrep: Rrep, qos) -> Optional[Discard]:
-    if rrep.src == rrep.dst:
-        return Discard(FMT, "src-equals-dst")
-    if rrep.src in rrep.route or rrep.dst in rrep.route:
-        return Discard(FMT, "endpoint-in-route")
-    if qos is not None:
-        if rrep.metric_list is None or len(rrep.metric_list) != len(rrep.route) + 1:
-            return Discard(FMT, "metric-list-length")
-    elif rrep.metric_list is not None:
-        return Discard(FMT, "metric-list-mode-mismatch")
-    return None
-
-
 def rreq_verdict(state: NodeState, rreq: Rreq, transmitter: str, qos) -> Optional[Discard]:
     """Full compliance check for a received route request, from this node's
     position (intermediate or destination).  Returns None when compliant."""
-    fmt = _rreq_format(rreq, qos)
-    if fmt is not None:
-        return fmt
+    if rreq.src == rreq.dst:
+        return SRC_EQUALS_DST
+    if rreq.src in rreq.node_list or rreq.dst in rreq.node_list:
+        # Accumulated entries are intermediate nodes; an end node in the list
+        # makes the eventual route repeat a node.
+        return ENDPOINT_IN_NODE_LIST
+    if (rreq.metric_list is not None) != (qos is not None):
+        return METRIC_LIST_MODE_MISMATCH
     at_destination = rreq.dst == state.self_id
+    duplicate, precursor_mismatch, identity_loop, metric_length = (
+        _AT_DESTINATION if at_destination else _AT_RELAY)
     if (rreq.src, rreq.qid) in state.seen:
-        return DUPLICATE_AT_DESTINATION if at_destination else DUPLICATE_AT_RELAY
-    prefix = "2.3" if at_destination else "2.2"
+        return duplicate
     expected = rreq.node_list[-1] if rreq.node_list else rreq.src
     if transmitter != expected:
-        return Discard(prefix + ".2", "precursor-mismatch")
+        return precursor_mismatch
     if _has_duplicates(rreq.node_list) or state.self_id in rreq.node_list:
-        return Discard(prefix + ".3", "identity-loop")
+        return identity_loop
     if qos is not None and len(rreq.metric_list) != len(rreq.node_list):
-        return Discard(prefix + ".4.a", "metric-length-mismatch")
+        return metric_length
     if at_destination:
         if not state.keys.holds(rreq.src):
-            return Discard("2.3.4", "no-key")
+            return DEST_NO_KEY
         if state.keys.mac(rreq.src, (rreq.src, rreq.dst, rreq.qid)) != rreq.auth:
-            return Discard("2.3.4", "auth-mismatch")
+            return DEST_AUTH_MISMATCH
     return None
 
 
 def rrep_verdict(state: NodeState, rrep: Rrep, forwarder: str, qos) -> Optional[Discard]:
     """Full compliance check for a received route reply, from this node's
     position (querying node, on-route relay, or neither)."""
-    fmt = _rrep_format(rrep, qos)
-    if fmt is not None:
-        return fmt
-    if state.self_id == rrep.src:
-        return _rrep_verdict_at_source(state, rrep, forwarder, qos)
-    if state.self_id == rrep.dst:
-        # The reply generator never processes replies addressed from itself.
-        return Discard(FMT, "reply-at-generator")
-    if state.self_id not in rrep.route:
-        return Discard(FMT, "not-on-route")
-    return _rrep_verdict_on_route(state, rrep, forwarder, qos)
-
-
-def _rrep_verdict_on_route(state, rrep, forwarder, qos) -> Optional[Discard]:
     route = rrep.route
-    idx = route.index(state.self_id)
-    successor = route[idx - 1] if idx > 0 else rrep.dst
+    if rrep.src == rrep.dst:
+        return SRC_EQUALS_DST
+    if rrep.src in route or rrep.dst in route:
+        return ENDPOINT_IN_ROUTE
+    if qos is not None:
+        if rrep.metric_list is None or len(rrep.metric_list) != len(route) + 1:
+            return METRIC_LIST_LENGTH
+    elif rrep.metric_list is not None:
+        return METRIC_LIST_MODE_MISMATCH
+    at_source = state.self_id == rrep.src
+    if at_source:
+        disc = state.discoveries.get(rrep.dst)
+        if disc is None or disc.concluded:
+            return STALE_REPLY
+        successor = route[-1] if route else rrep.dst
+        key = (state.self_id, disc.qid)
+    elif state.self_id == rrep.dst:
+        # The reply generator never processes replies addressed from itself.
+        return REPLY_AT_GENERATOR
+    elif state.self_id not in route:
+        return NOT_ON_ROUTE
+    else:
+        idx = route.index(state.self_id)
+        successor = route[idx - 1] if idx > 0 else rrep.dst
+        key = (rrep.src, rrep.qid)
     if forwarder != successor:
-        return Discard("4.1", "successor-mismatch")
-    key = (rrep.src, rrep.qid)
+        return SUCCESSOR_MISMATCH
     if successor != rrep.dst:
         fl = state.fwd.get(key)
         if fl is None or forwarder not in fl:
-            return Discard("4.2", "not-in-forward-list")
+            return NOT_IN_FORWARD_LIST
     if _has_duplicates(route):
-        return Discard("4.3", "route-loop")
-    if qos is not None:
-        if successor == rrep.dst:
-            own = qos.measure_scaled(state.self_id, (state.self_id, rrep.dst))
-            if not qos.consistent(own, rrep.metric_list[0]):
-                return Discard("4.2.1", "endpoint-metric-inconsistent")
-        stored = state.prefix_metric.get(key)
+        return ROUTE_LOOP
+    if qos is not None and successor == rrep.dst:
+        # The generator's predecessor (the querying node itself on a
+        # single-link discovery) applies the endpoint metric tolerance.
+        own = qos.measure_scaled(state.self_id, (state.self_id, rrep.dst))
+        if not qos.consistent(own, rrep.metric_list[0]):
+            return ENDPOINT_METRIC_INCONSISTENT
+    if not at_source:
+        stored = state.prefix_metric.get(key) if qos is not None else None
         if stored is not None:
             k = len(route) - idx  # number of links between the source and us
             segment = tuple(reversed(rrep.metric_list[len(rrep.metric_list) - k:]))
             if qos.aggregate_scaled(segment) != stored:
-                return Discard("4.2.2", "prefix-metric-mismatch")
-    return None
-
-
-def _rrep_verdict_at_source(state, rrep, forwarder, qos) -> Optional[Discard]:
-    disc = state.discoveries.get(rrep.dst)
-    if disc is None or disc.concluded:
-        return Discard("5.2", "stale-reply")
-    route = rrep.route
-    successor = route[-1] if route else rrep.dst
-    if forwarder != successor:
-        return Discard("4.1", "successor-mismatch")
-    if successor != rrep.dst:
-        fl = state.fwd.get((state.self_id, disc.qid))
-        if fl is None or forwarder not in fl:
-            return Discard("4.2", "not-in-forward-list")
-    if _has_duplicates(route):
-        return Discard("4.3", "route-loop")
-    if qos is not None and not route:
-        # Single-link discovery: the querying node is the generator's
-        # predecessor and applies the endpoint metric tolerance itself.
-        own = qos.measure_scaled(state.self_id, (state.self_id, rrep.dst))
-        if not qos.consistent(own, rrep.metric_list[0]):
-            return Discard("4.2.1", "endpoint-metric-inconsistent")
+                return PREFIX_METRIC_MISMATCH
+        return None
     # Authenticator is recomputed with the qid of the current discovery, so a
     # reply to any other query fails here no matter what it carries.
     fields = (rrep.src, rrep.dst, disc.qid, route)
     if qos is not None:
         fields = fields + (rrep.metric_list,)
     if state.keys.mac(rrep.dst, fields) != rrep.auth:
-        return Discard("4.5", "auth-mismatch")
+        return REPLY_AUTH_MISMATCH
     return None
 
 
@@ -419,7 +418,7 @@ def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str,
     rule id that failed."""
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
-        return [Note("discard", str(verdict), rreq)]
+        return [Note("discard", verdict.text, rreq)]
     metric_list = rreq.metric_list
     if qos is not None:
         own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
@@ -435,7 +434,7 @@ def process_rreq_destination(state: NodeState, rreq: Rreq, transmitter: str,
     """Answer the first compliant copy of a query with a signed reply."""
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
-        return [Note("discard", str(verdict), rreq)]
+        return [Note("discard", verdict.text, rreq)]
     state.seen.add((rreq.src, rreq.qid))
     route = tuple(reversed(rreq.node_list))
     metric_list = None
@@ -456,7 +455,7 @@ def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
     authenticator verifies against the current query."""
     verdict = rrep_verdict(state, rrep, forwarder, qos)
     if verdict is not None:
-        return [Note("discard", str(verdict), rrep)]
+        return [Note("discard", verdict.text, rrep)]
     if state.self_id == rrep.src:
         disc = state.discoveries[rrep.dst]
         full = (state.self_id,) + tuple(reversed(rrep.route)) + (rrep.dst,)

@@ -13,6 +13,7 @@ from srpsim import (AdversaryClass, FuzzConfig, GKind, accuracy_campaign,
                     run_scenario)
 from srpsim.harness import random_scenario
 from srpsim.scenario import build
+from srpsim.srp import RULES
 
 from step_cases import DISCARD_CASES
 from test_verifier import brute_weakly_fresh, random_topology_and_route
@@ -283,17 +284,15 @@ def test_criterion_5_benign_augmented_composite():
 def test_criterion_6_numbered_checks_fire_with_matching_rule_ids():
     wrong = []
     for case in DISCARD_CASES:
-        verdict, step = case()
-        if verdict is None or verdict.step != step:
-            wrong.append((case.__name__, step, verdict))
+        verdict, expected = case()
+        if verdict is not expected:
+            wrong.append((case.__name__, expected.text, verdict))
     covered = {case()[1] for case in DISCARD_CASES}
-    required = {"2.2.1", "2.2.2", "2.2.3", "2.2.4.a", "2.3.1", "2.3.2",
-                "2.3.3", "2.3.4.a", "2.3.4", "4.1", "4.2", "4.3", "4.2.1",
-                "4.2.2", "4.5", "5.2"}
-    missing = required - covered
-    ok = not wrong and not missing
+    missing = sorted(rule.text for rule in set(RULES) - covered)
+    ok = not wrong and covered == set(RULES)
     _report("6 (step-level conformance)", ok,
-            f"cases={len(DISCARD_CASES)}, wrong={wrong}, missing rule ids={missing}")
+            f"cases={len(DISCARD_CASES)}, rules={len(RULES)}, wrong={wrong}, "
+            f"rules without a case={missing}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
                     Engine, LinkSchedule, Rrep, Rreq, ScheduleMap, SimConfig,
                     FuzzScript, TunnelChannel, TunnelSend, Unicast, attack,
-                    load_scenario, run_scenario, scenario_from_dict)
+                    load_scenario, run_scenario, scenario_from_dict, srp)
 from srpsim.adversary import AdversaryNode, AttackParamError, step_adversary
 from srpsim.harness import FuzzConfig, bundled_scenarios, fuzz_campaign, random_scenario
 
@@ -58,7 +58,7 @@ class TestComplianceGate:
         table = _table()
         rreq = _signed_rreq(table, ("a", "b"))  # transmitter mismatch below
         verdict, actions = step_adversary(node, rreq, "c", 1.0)
-        assert verdict is not None and verdict.step == "2.2.2"
+        assert verdict is srp.RELAY_PRECURSOR_MISMATCH
         assert actions == []
 
     def test_arbitrary_still_acts_on_noncompliant(self):

@@ -4,6 +4,7 @@ persistence and re-verification, the CLI surface, and the bundled corpus."""
 import copy
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -605,8 +606,22 @@ class TestCli:
         assert cli_main(["run", str(self._write_scenario(tmp_path, d))]) == 1
         assert "EXPECTATION VIOLATED" in capsys.readouterr().out
 
-    def test_run_exit_two_on_bad_file(self, tmp_path):
-        assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_run_exit_two_on_bad_file(self, tmp_path, capsys, kind):
+        path = tmp_path / "scen.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(json.dumps(_mini()).encode().replace(b'"', b'"\xe9', 1))
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {path}: ") and err.count("\n") == 1
+
+    def test_fuzz_rejects_negative_runs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fuzz", "--runs", "-3"])
+        assert exc.value.code == 2
+        assert "--runs: must not be negative: -3" in capsys.readouterr().err
 
     def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -652,6 +667,29 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["check", str(trace), str(p)]) == 1
         assert f"CHECK FAILED: line {i + 1}: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, code, message", [
+        ("not-utf8", 1, "CHECK FAILED: {trace}: trace file is not UTF-8 text"),
+        ("directory", 2, "cannot read trace file {trace}: "),
+        ("seed-not-integer", 1, "CHECK FAILED: header seed is not an integer"),
+    ], ids=["not-utf8", "directory", "seed-not-integer"])
+    def test_check_rejects_an_unreadable_trace(self, tmp_path, capsys, kind, code,
+                                               message):
+        p = self._write_scenario(tmp_path, _mini())
+        trace = tmp_path / "t.trace"
+        assert cli_main(["run", str(p), "--trace", str(trace)]) == 0
+        text = trace.read_bytes()
+        if kind == "not-utf8":
+            trace.write_bytes(text.replace(b"\n", b"\n\xff", 1))
+        elif kind == "directory":
+            trace.unlink()
+            trace.mkdir()
+        else:
+            trace.write_bytes(re.sub(rb" seed=\d+\n", b" seed=banana\n", text, count=1))
+        capsys.readouterr()
+        assert cli_main(["check", str(trace), str(p)]) == code
+        captured = capsys.readouterr()
+        assert message.format(trace=trace) in captured.out + captured.err
 
     def test_check_judges_no_record_after_a_mismatch(self, tmp_path, capsys):
         p = next(x for x in bundled_scenarios() if x.stem == "benign_basic")

@@ -1,7 +1,7 @@
-"""Step-level conformance: every numbered protocol check fires on a minimal
-counterexample with the matching rule id, and the action steps (append,
-forward-list admission, reply generation, relay, acceptance) do what they
-say."""
+"""Step-level conformance: every registered protocol check fires on a
+minimal counterexample and returns its own `srp.RULES` entry, and the action
+steps (append, forward-list admission, reply generation, relay, acceptance)
+do what they say."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from srpsim import (Accept, ArmTimer, Broadcast, ConfigurationError, Rrep,
                     handle_rreq, initiate_discovery, observe_relay,
                     on_replywait_timeout, process_rrep,
                     process_rreq_destination, process_rreq_intermediate,
-                    rrep_verdict, to_scaled)
+                    rrep_verdict, srp, to_scaled)
 from srpsim.srp import Note
 
 from conftest import make_state
@@ -20,9 +20,9 @@ from step_cases import (CFG, DISCARD_CASES, _qos, _signed_rrep, _signed_rreq,
 
 @pytest.mark.parametrize("case", DISCARD_CASES, ids=lambda c: c.__name__)
 def test_numbered_check_fires(case):
-    verdict, step = case()
+    verdict, expected = case()
     assert verdict is not None, "counterexample was not rejected at all"
-    assert verdict.step == step, f"rejected by {verdict} instead of rule {step}"
+    assert verdict is expected, f"rejected by {verdict} instead of {expected}"
 
 
 def _effects_of(kind, effects):
@@ -150,8 +150,7 @@ class TestReplyActions:
         table = _table()
         state = _source_state_with_discovery(table)
         rrep = _signed_rrep(table, ("b", "a"))
-        verdict = rrep_verdict(state, rrep, "a", None)
-        assert verdict is not None and verdict.step == "4.2"
+        assert rrep_verdict(state, rrep, "a", None) is srp.NOT_IN_FORWARD_LIST
 
     def test_single_hop_acceptance(self):
         table = _table()
@@ -169,28 +168,26 @@ class TestFormatRules:
         for node in ("m", "T"):
             v = handle_rreq(make_state(node, table), rreq, "a", 2.0)
             (note,) = [f for f in v if isinstance(f, Note)]
-            assert note.outcome == "discard" and "fmt" in note.detail
+            assert note.outcome == "discard"
+            assert note.detail == srp.ENDPOINT_IN_NODE_LIST.text
 
     def test_endpoint_in_route_is_rejected(self):
         table = _table()
         state = make_state("m", table)
         rrep = Rrep("S", "T", 1, ("T", "m"), 123, None)
-        verdict = rrep_verdict(state, rrep, "T", None)
-        assert verdict is not None and verdict.step == "fmt"
+        assert rrep_verdict(state, rrep, "T", None) is srp.ENDPOINT_IN_ROUTE
 
     def test_generator_never_relays_its_own_reply(self):
         table = _table()
         state = make_state("T", table)
         rrep = Rrep("S", "T", 1, ("m",), 123, None)
-        verdict = rrep_verdict(state, rrep, "m", None)
-        assert verdict is not None and verdict.step == "fmt"
+        assert rrep_verdict(state, rrep, "m", None) is srp.REPLY_AT_GENERATOR
 
     def test_off_route_node_rejects_reply(self):
         table = _table()
         state = make_state("w", table)
         rrep = _signed_rrep(table, ("b", "a"))
-        verdict = rrep_verdict(state, rrep, "b", None)
-        assert verdict is not None and verdict.step == "fmt"
+        assert rrep_verdict(state, rrep, "b", None) is srp.NOT_ON_ROUTE
 
 
 class TestDiscoveryLifecycle:
@@ -263,7 +260,7 @@ class TestDiscoveryLifecycle:
         observe_relay(state, _signed_rreq(table, ("a",)), "a")
         process_rrep(state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
         verdict = rrep_verdict(state, _signed_rrep(table, ("a",)), "a", None)
-        assert verdict is not None and verdict.step == "5.2"
+        assert verdict is srp.STALE_REPLY
 
     def test_conclusion_releases_deferred_invocation(self):
         table = _table()

@@ -24,12 +24,21 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _out_path(p: str) -> Path:
+class _CannotWrite(Exception):
+    """An output file could not be written; the message names it."""
+
+
+def _write_out(p: str, write) -> Path:
+    """Write an output file with `write(path)`, relative paths under
+    SRPSIM_OUT; raises _CannotWrite for any I/O error."""
     path = Path(p)
     if not path.is_absolute():
-        base = os.environ.get("SRPSIM_OUT", ".")
-        path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+        path = Path(os.environ.get("SRPSIM_OUT", ".")) / path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as e:
+        raise _CannotWrite(f"cannot write {path}: {e.strerror}")
     return path
 
 
@@ -58,14 +67,13 @@ def _cmd_run(args) -> int:
             j, k, detour = v.weak_witness
             print(f"    weak-freshness witness: segment [{j},{k}] via {'>'.join(detour)}")
     if args.trace:
-        write_trace(_out_path(args.trace), result)
-        print(f"trace written to {_out_path(args.trace)}")
+        p = _write_out(args.trace, lambda path: write_trace(path, result))
+        print(f"trace written to {p}")
     if args.verdicts:
-        p = _out_path(args.verdicts)
-        p.write_text(json.dumps({
+        p = _write_out(args.verdicts, lambda path: path.write_text(json.dumps({
             "summary": result.summary,
             "verdicts": [v.as_dict() for v in result.verdicts],
-        }, indent=2))
+        }, indent=2)))
         print(f"verdicts written to {p}")
     if result.expect_failures:
         for f in result.expect_failures:
@@ -98,8 +106,8 @@ def _cmd_fuzz(args) -> int:
               + report.accuracy_violations):
         print(f"  VIOLATION seed={v.seed} kind={v.kind} route={'>'.join(v.route)} {v.detail}")
     if args.report:
-        p = _out_path(args.report)
-        p.write_text(json.dumps(report.as_dict(), indent=2))
+        p = _write_out(args.report, lambda path: path.write_text(
+            json.dumps(report.as_dict(), indent=2)))
         print(f"report written to {p}")
     return report.exit_code
 
@@ -169,6 +177,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except _CannotWrite as e:
+        print(e, file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # a fault of srpsim, not of the input or the routes
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

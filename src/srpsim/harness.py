@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,11 +34,6 @@ class RunResult:
     verdicts: list[Verdict]
     summary: dict
     expect_failures: list[str]
-
-
-def _route_contains_link(route, link) -> bool:
-    want = edge_key(*link)
-    return any(edge_key(u, v) == want for u, v in zip(route, route[1:]))
 
 
 def evaluate_expectations(expect: dict, records, verdicts) -> list[str]:
@@ -67,7 +63,9 @@ def evaluate_expectations(expect: dict, records, verdicts) -> list[str]:
     victim = expect.get("victim_link")
     if victim is not None:
         mode = expect.get("victim_link_accepted", "none")
-        hits = sum(1 for r in records if _route_contains_link(r.route, victim))
+        want = edge_key(*victim)
+        hits = sum(1 for r in records if any(
+            edge_key(u, v) == want for u, v in zip(r.route, r.route[1:])))
         if mode == "none" and hits:
             failures.append(f"{hits} accepted routes contain the victim link {victim}")
         if mode == "some" and not hits:
@@ -84,8 +82,7 @@ def evaluate_expectations(expect: dict, records, verdicts) -> list[str]:
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
     """Simulate one scenario, verify every accepted route, and judge the
     expectation block."""
-    built = build(scenario, seed)
-    engine = built.engine
+    engine = build(scenario, seed).engine
     engine.run()
     records = [rec for _, rec in engine.accepted]
     verdicts = verdict_all(records, engine.schedules, scenario.metrics,
@@ -138,9 +135,7 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     correct_inter = [x for x in inter if x not in adv_nodes]
     path_nodes = rng.sample(correct_inter, rng.randint(1, len(correct_inter)))
     chain = ["S"] + path_nodes + ["T"]
-    links = {}
-    for u, v in zip(chain, chain[1:]):
-        links[edge_key(u, v)] = ((0.0, end_time),)
+    links = {edge_key(u, v): ((0.0, end_time),) for u, v in zip(chain, chain[1:])}
     for a in adv_nodes:
         for target in rng.sample(chain, rng.randint(1, min(3, len(chain)))):
             links.setdefault(edge_key(a, target),
@@ -148,9 +143,8 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:
             e = edge_key(u, v)
-            if e in links or rng.random() > 0.25:
-                continue
-            links[e] = _random_intervals(rng, end_time, 1.0)
+            if e not in links and rng.random() <= 0.25:
+                links[e] = _random_intervals(rng, end_time, 1.0)
     adversaries = {
         a: AdversarySpec(klass=klass, attack="fuzz",
                          params={"seed": rng.getrandbits(32), "bounds": bounds})
@@ -288,10 +282,7 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
     inter = [f"v{i}" for i in range(1, links)]
     nodes = ["S"] + inter + ["T"]
     end_time = 8.0 * len(nodes) + 40.0
-    links_map = {}
-    chain = nodes
-    for u, v in zip(chain, chain[1:]):
-        links_map[edge_key(u, v)] = ((0.0, end_time),)
+    links_map = {edge_key(u, v): ((0.0, end_time),) for u, v in zip(nodes, nodes[1:])}
     actual = {e: round(rng.uniform(1.0, 2.0), 3) for e in links_map}
     tent = inter and rng.random() < 0.5
     adversaries = {}
@@ -310,7 +301,7 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
                     "direction": rng.choice((1, -1)),
                     "headroom_scaled": rng.choice((0, 2 * to_scaled(delta_tilde))),
                 })
-    scenario = Scenario(
+    return Scenario(
         name=f"accuracy-{kind.value}-n{links}-{seed}",
         config=SimConfig(tau=1.0, tx_time=1.0, end_time=end_time, seed=seed,
                          reply_wait_min=4.0 * len(nodes),
@@ -324,7 +315,6 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
                                 delta_tilde=delta_tilde, actual=actual),
         adversaries=adversaries,
     )
-    return scenario
 
 
 def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: float,
@@ -351,130 +341,120 @@ def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: floa
 
 TRACE_HEADER = "# srpsim-trace scenario="
 
+# the two step lines a stored record is derived from
+_QUERY = re.compile(r"(\S+) \d+ (\S+) step \S+ query dst=(\S+) qid=(\S*) ")
+_ACCEPT = re.compile(r"(\S+) \d+ \S+ step - accept route=(\S+)")
 
-def write_trace(path, result: RunResult) -> None:
-    out = [f"{TRACE_HEADER}{result.scenario.name} seed={result.seed}",
-           *result.trace.lines]
+
+def render_trace(name: str, seed: int, lines, records, digest: int) -> str:
+    """The stored form of a run: a header naming the scenario and seed, the
+    event lines, one `# accepted` record per accepted route, and the digest
+    footer."""
+    out = [f"{TRACE_HEADER}{name} seed={seed}", *lines]
     out += ["# accepted " + json.dumps({
         "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
         "reported": None if rec.reported is None else list(rec.reported),
-    }) for rec in result.records]
-    out.append(f"# digest {result.digest:016x}")
+    }) for rec in records]
+    out.append(f"# digest {digest:016x}")
+    return "\n".join(out) + "\n"
+
+
+def write_trace(path, result: RunResult) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(out) + "\n")
+        f.write(render_trace(result.scenario.name, result.seed,
+                             result.trace.lines, result.records, result.digest))
 
 
 class TraceFormatError(ValueError):
-    """A stored trace's comment line is not in the form write_trace writes;
-    the message names the line."""
+    """A stored trace that cannot be checked; the message says where."""
 
 
-def _parse_record(text: str) -> Optional[RouteRecord]:
-    """An `# accepted` record of the shape write_trace writes, or None."""
+def read_trace(path) -> str:
+    """A stored trace's text, line breaks as written.  Raises
+    TraceFormatError for a file that is not UTF-8 text."""
     try:
-        d = json.loads(text)
-        route, t1, t2, qid, reported = (
-            d[k] for k in ("route", "t1", "t2", "qid", "reported"))
-    except (ValueError, TypeError, KeyError):
-        return None
-    if not (type(route) is list and len(route) >= 2
-            and all(type(n) is str for n in route)
-            and type(t1) in (int, float) and type(t2) in (int, float) and t1 < t2
-            and type(qid) is int
-            and (reported is None or type(reported) is list
-                 and len(reported) == len(route) - 1
-                 and all(type(m) is int for m in reported))):
-        return None
-    return RouteRecord(route=tuple(route), t1=t1, t2=t2, qid=qid,
-                       reported=None if reported is None else tuple(reported))
-
-
-def read_trace(path):
-    """Returns (header, event_lines, records, stored_digest); header is the
-    (scenario name, seed text) of the `# srpsim-trace` line, or None.
-    Raises TraceFormatError for a file that is not UTF-8 text, or for a
-    malformed record or digest footer."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw_lines = f.read().split("\n")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except UnicodeDecodeError:
         raise TraceFormatError(f"{path}: trace file is not UTF-8 text")
-    lines = [raw for raw in raw_lines if raw and raw[0] != "#"]
-    header = None
+
+
+def _accepted_routes(lines, stored, augmented: bool) -> list[RouteRecord]:
+    """The accepted routes the event lines determine: route and t2 from each
+    accept line, t1 and qid from the route source's latest query for its
+    destination.  No line carries `reported`: in augmented mode it is the
+    stored record's if that holds one int per link, else a value that renders
+    differently.  Raises TraceFormatError for an accept line that determines
+    no route."""
+    queries = {}
     records = []
-    stored_digest = None
-    for number, raw in enumerate(raw_lines, start=1):
-        if not raw.startswith("#"):
-            continue
-        if raw.startswith(TRACE_HEADER):
-            name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
-            header = (name, seed)
-        elif raw.startswith("# accepted "):
-            rec = _parse_record(raw[len("# accepted "):])
-            if rec is None:
-                raise TraceFormatError(
-                    f"line {number}: accepted-route record is not a JSON object "
-                    f"with route, t1 < t2, qid and reported as write_trace "
-                    f"writes them")
-            records.append(rec)
-        elif raw.startswith("# digest "):
+    for ln in lines:
+        if " query dst=" in ln and (m := _QUERY.match(ln)):
+            queries[m[2], m[3]] = m[1], m[4]
+        elif " step - accept route=" in ln:
+            m = _ACCEPT.fullmatch(ln)
+            route = tuple(m[2].split(",")) if m else ()
             try:
-                stored_digest = int(raw[len("# digest "):], 16)
-            except ValueError:
-                raise TraceFormatError(f"line {number}: digest footer is not hex")
-    return header, lines, records, stored_digest
+                t1, qid = queries[route[:1] + route[-1:]]
+                t1, t2, qid = float(t1), float(m[1]), int(qid)
+            except (KeyError, ValueError):
+                t1 = t2 = None
+            if len(route) < 2 or t1 is None or not t1 < t2:
+                raise TraceFormatError(
+                    f"accept line {ln!r} has no earlier query line with an "
+                    f"integer qid from its route's source to its destination")
+            reported = None
+            if augmented:
+                at = len(lines) + 1 + len(records)
+                try:
+                    reported = tuple(json.loads(stored[at][len("# accepted "):])["reported"])
+                except (IndexError, KeyError, TypeError, ValueError, RecursionError):
+                    reported = ()
+                if (len(reported) != len(route) - 1
+                        or any(type(x) is not int for x in reported)):
+                    reported = (0,) * (len(route) - 1)
+            records.append(RouteRecord(route, t1, t2, qid, reported))
+    return records
+
+
+def _first_difference(expected: str, found: str) -> str:
+    exp, got = expected.split("\n"), found.split("\n")
+    n = next((n for n, (e, f) in enumerate(zip(exp, got)) if e != f),
+             min(len(exp), len(got)) - 1)
+
+    def line(parts):  # line n with its line break, as written
+        if n + 1 < len(parts):
+            return repr(parts[n] + "\n")
+        return repr(parts[n]) if n < len(parts) and parts[n] else "end of file"
+    return f"line {n + 1}: expected {line(exp)}, found {line(got)}"
 
 
 def check_trace(trace_path, scenario: Scenario):
-    """Re-verify a stored trace against a scenario: require the header to
-    name the scenario and an integer seed, recompute the digest over the
-    event lines, match the recorded routes against the accept lines the
-    digest covers, and re-run the verifier on those routes.  Returns (ok, messages, verdicts); when
-    the records do not match the accept lines, no route is judged and the
-    verdicts are empty."""
+    """Re-verify a stored trace against a scenario: the file must be what
+    write_trace writes for the scenario, the header's integer seed, the event
+    lines and the records they determine, and those routes must meet the
+    scenario's expectations.  Returns (ok, messages, verdicts); a file that
+    differs gets one message naming its first differing line, no verdicts."""
     try:
-        header, lines, records, stored_digest = read_trace(trace_path)
+        text = read_trace(trace_path)
+        stored = text.split("\n")
+        try:
+            seed = int(stored[0].rpartition(" seed=")[2])
+        except ValueError:
+            raise TraceFormatError(f"line 1: no integer seed: expected '{TRACE_HEADER}"
+                                   f"{scenario.name} seed=<integer>', found {stored[0]!r}")
+        lines = [ln for ln in stored if ln and ln[0] != "#"]
+        records = _accepted_routes(lines, stored, scenario.metrics is not None)
     except TraceFormatError as e:
         return False, [str(e)], []
-    messages = []
-    ok = True
-    if header is None:
-        ok = False
-        messages.append("trace file carries no srpsim-trace header")
-    else:
-        if header[0] != scenario.name:
-            ok = False
-            messages.append(f"trace header names scenario {header[0]!r}, "
-                            f"not {scenario.name!r}")
-        try:
-            int(header[1])
-        except ValueError:
-            ok = False
-            messages.append(f"header seed is not an integer: {header[1]!r}")
-    recomputed = trace_digest_of_lines(lines)
-    if stored_digest is None:
-        ok = False
-        messages.append("trace file carries no digest footer")
-    elif recomputed != stored_digest:
-        ok = False
-        messages.append(
-            f"digest mismatch: stored {stored_digest:016x}, "
-            f"recomputed {recomputed:016x}")
-    accepts = [(ln.split(" ", 1)[0], ln.rsplit(" route=", 1)[1])
-               for ln in lines if " step - accept route=" in ln]
-    if [(repr(r.t2), ",".join(r.route)) for r in records] != accepts:
-        # the records are not the run's routes: judging them would report
-        # verdicts on routes the trace never accepted
-        messages.append("accepted-route records do not match the trace's "
-                        "accept lines (time and route, in order)")
-        return False, messages, []
+    rendered = render_trace(scenario.name, seed, lines, records,
+                            trace_digest_of_lines(lines))
+    if rendered != text:
+        return False, [_first_difference(rendered, text)], []
     verdicts = verdict_all(records, scenario.schedule_map(), scenario.metrics,
                            scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)
-    if failures:
-        ok = False
-        messages.extend(failures)
-    return ok, messages, verdicts
+    return not failures, failures, verdicts
 
 
 # --------------------------------------------------------------------------

@@ -162,7 +162,10 @@ def check_accuracy(route: Sequence[str], reported_scaled: Sequence[int],
         if a is None:
             return None, None, bound
         actual.append(a)
-    reported = [from_scaled(m) for m in reported_scaled]
+    try:
+        reported = [from_scaled(m) for m in reported_scaled]
+    except OverflowError:  # a value no float holds is beyond any bound
+        return False, float("inf"), bound
     if kind == GKind.MUL:
         if any(m <= 0 for m in reported):
             return False, float("inf"), bound

@@ -3,8 +3,11 @@ persistence and re-verification, the CLI surface, and the bundled corpus."""
 
 import copy
 import dataclasses
+import functools
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,9 @@ from srpsim import (LinkSchedule, RouteRecord, ScenarioError, ScheduleMap,
                     scenario_from_dict, write_trace)
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
-from srpsim.harness import TRACE_HEADER, read_trace
+from srpsim.harness import read_trace
 from srpsim.scenario import EXPECT_KEYS
+from srpsim.simcore import trace_digest_of_lines
 
 MINIMAL = {
     "name": "mini",
@@ -451,13 +455,16 @@ class TestTracePersistence:
                 lines[i] = line.replace("delivered", "dropped", 1)
                 break
         p.write_text("\n".join(lines) + "\n")
-        ok, messages, _ = check_trace(p, scen)
-        assert not ok and any("digest" in m for m in messages)
+        ok, messages, verdicts = check_trace(p, scen)
+        assert not ok and verdicts == [] and len(messages) == 1
+        assert messages[0].startswith(f"line {len(lines)}: expected '# digest ")
+        assert messages[0].endswith(f"found '{lines[-1]}\\n'")
 
-    def _edit_records(self, tmp_path, edit):
-        """Store MINIMAL's run, rewrite its `# accepted` records, and
-        re-check; the event lines and digest footer stay intact."""
-        scen = scenario_from_dict(MINIMAL)
+    def _edit_records(self, tmp_path, edit, scen=None):
+        """Store a run (MINIMAL's by default), rewrite its `# accepted`
+        records, and re-check; the event lines and digest footer stay
+        intact."""
+        scen = scen or scenario_from_dict(MINIMAL)
         p = tmp_path / "run.trace"
         write_trace(p, run_scenario(scen))
         lines = p.read_text().splitlines()
@@ -468,10 +475,12 @@ class TestTracePersistence:
         return check_trace(p, scen)
 
     def test_duplicated_record_fails(self, tmp_path):
-        ok, messages, _ = self._edit_records(
+        ok, messages, verdicts = self._edit_records(
             tmp_path, lambda lines, i: lines[:i + 1] + lines[i:])
-        assert not ok and any("accept lines" in m for m in messages)
-        assert not any("digest" in m for m in messages)
+        assert not ok and verdicts == [] and len(messages) == 1
+        # the copy stands where the footer belongs: line 16 of MINIMAL's trace
+        assert re.fullmatch(r"line 16: expected '# digest [0-9a-f]{16}\\n', "
+                            r"found '# accepted .*\\n'", messages[0])
 
     def test_edited_route_fails(self, tmp_path):
         def edit(lines, i):
@@ -479,13 +488,46 @@ class TestTracePersistence:
             rec["route"] = ["S", "X", "T"]
             lines[i] = "# accepted " + json.dumps(rec)
             return lines
-        ok, messages, _ = self._edit_records(tmp_path, edit)
-        assert not ok and any("accept lines" in m for m in messages)
+        ok, messages, verdicts = self._edit_records(tmp_path, edit)
+        assert not ok and verdicts == [] and len(messages) == 1
+        assert messages[0].startswith("line 15: expected '# accepted "
+                                      '{"route": ["S", "T"], ')
+
+    @pytest.mark.parametrize("field, value, stem", [
+        ("t1", 0.0, None),
+        ("qid", 99, None),
+        ("reported", [1, 2, 3], None),
+        ("reported", [1000000], "benign_augmented"),
+        ("reported", None, "benign_augmented"),
+    ], ids=["t1", "qid", "basic-reported-list", "augmented-reported-short",
+            "augmented-reported-null"])
+    def test_edited_record_field_fails(self, tmp_path, field, value, stem):
+        # all but the short list checked out with (True, []) when only each
+        # record's time and route were matched against the accept lines; a
+        # null `reported` in augmented mode left accuracy unjudged
+        scen = stem and load_scenario(
+            next(p for p in bundled_scenarios() if p.stem == stem))
+        found = []
+
+        def edit(lines, i):
+            rec = json.loads(lines[i][len("# accepted "):])
+            assert rec[field] != value
+            lines[i] = "# accepted " + json.dumps({**rec, field: value})
+            found.append((i + 1, lines[i]))
+            return lines
+        ok, messages, verdicts = self._edit_records(tmp_path, edit, scen)
+        (number, text), = found
+        assert not ok and verdicts == [] and len(messages) == 1
+        assert messages[0].startswith(f"line {number}: expected '# accepted ")
+        assert messages[0].endswith(f", found {text + chr(10)!r}")
 
     @pytest.mark.parametrize("header, message", [
         ("# srpsim-trace scenario=other seed=1",
-         "trace header names scenario 'other', not 'mini'"),
-        (None, "trace file carries no srpsim-trace header"),
+         "line 1: expected '# srpsim-trace scenario=mini seed=1\\n', "
+         "found '# srpsim-trace scenario=other seed=1\\n'"),
+        (None, "line 1: no integer seed: expected "
+               "'# srpsim-trace scenario=mini seed=<integer>', "
+               "found '0.0 4 S link - up S-T'"),
     ], ids=["other-scenario", "no-header"])
     def test_header_must_name_the_scenario(self, tmp_path, header, message):
         def edit(lines, i):
@@ -533,60 +575,126 @@ class TestOneScheduleMap:
         assert link_lines(run_scenario(scen)) == [(20.0, "up"), (40.0, "down")]
 
 
-def _read_trace_line_by_line(path):
-    """A line-by-line reader of the stored format: the reference that
-    read_trace must agree with."""
-    header = None
-    lines = []
-    records = []
-    stored_digest = None
-    with open(path) as f:
-        for raw in f:
-            raw = raw.rstrip("\n")
-            if raw.startswith(TRACE_HEADER):
-                name, _, seed = raw[len(TRACE_HEADER):].rpartition(" seed=")
-                header = (name, seed)
-            elif raw.startswith("# accepted "):
-                d = json.loads(raw[len("# accepted "):])
-                records.append(RouteRecord(
-                    route=tuple(d["route"]), t1=d["t1"], t2=d["t2"],
-                    qid=d["qid"],
-                    reported=None if d["reported"] is None else tuple(d["reported"]),
-                ))
-            elif raw.startswith("# digest "):
-                stored_digest = int(raw[len("# digest "):], 16)
-            elif raw.startswith("#"):
-                continue
-            elif raw:
-                lines.append(raw)
-    return header, lines, records, stored_digest
+@functools.lru_cache(maxsize=None)
+def _stored(stem):
+    """A bundled scenario and the text write_trace stores for its run."""
+    scen = load_scenario(next(p for p in bundled_scenarios() if p.stem == stem))
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "run.trace"
+        write_trace(path, run_scenario(scen))
+        return scen, read_trace(path)
 
 
-class TestReadTrace:
+def _check_text(tmp_path, scen, text):
+    p = tmp_path / "run.trace"
+    p.write_text(text, encoding="utf-8", newline="")
+    return check_trace(p, scen)
+
+
+def _with_footer_recomputed(text):
+    lines = text.split("\n")
+    digest = trace_digest_of_lines([ln for ln in lines if ln and ln[0] != "#"])
+    return "\n".join(f"# digest {digest:016x}" if ln.startswith("# digest ") else ln
+                     for ln in lines)
+
+
+@st.composite
+def _edited_trace(draw):
+    """A bundled scenario's stored trace with one edit: a line deleted,
+    duplicated or inserted, one character changed, a CR appended to a line,
+    or the final line break dropped.  No character of the header seed or of
+    an augmented record's `reported` list is changed: no line binds them."""
+    stem = draw(st.sampled_from([p.stem for p in bundled_scenarios()]))
+    scen, text = _stored(stem)
+    lines = text.split("\n")[:-1]
+    kind = draw(st.sampled_from(["delete", "duplicate", "insert", "change",
+                                 "cr", "no-final-break"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "insert":
+        lines.insert(i, draw(st.text(st.characters(codec="utf-8", exclude_characters="\n"))))
+    elif kind == "change":
+        line = lines[i]
+        unbound = re.search(r" seed=(.*)$" if i == 0 else r'"reported": (\[.*\])',
+                            line)
+        skip = range(*unbound.span(1)) if unbound and (i == 0 or scen.metrics) else ()
+        j = draw(st.sampled_from([j for j in range(len(line)) if j not in skip]))
+        c = draw(st.characters(codec="utf-8").filter(lambda c: c != line[j]))
+        lines[i] = line[:j] + c + line[j + 1:]
+    elif kind == "cr":
+        lines[i] += "\r"
+    edited = "\n".join(lines) + ("" if kind == "no-final-break" else "\n")
+    return scen, edited
+
+
+class TestStoredTraceCheck:
     @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
-    def test_agrees_with_a_line_by_line_reader(self, tmp_path, path):
-        p = tmp_path / "run.trace"
-        res = run_scenario(load_scenario(path))
-        write_trace(p, res)
-        got = read_trace(p)
-        assert got == _read_trace_line_by_line(p)
-        assert got[1] == res.trace.lines and got[3] == res.digest
+    def test_accepts_what_write_trace_writes(self, tmp_path, path):
+        scen, text = _stored(path.stem)
+        res = run_scenario(scen)
+        ok, messages, verdicts = _check_text(tmp_path, scen, text)
+        assert ok, messages
+        assert verdicts == res.verdicts
 
-    def test_agrees_on_a_tampered_trace(self, tmp_path):
-        p = tmp_path / "run.trace"
-        write_trace(p, run_scenario(load_scenario(
-            next(x for x in bundled_scenarios() if x.stem == "benign_basic"))))
-        lines = p.read_text().split("\n")
-        accepted = next(ln for ln in lines if ln.startswith("# accepted "))
-        lines[3] += "\r"                       # a CRLF line ending
-        lines[5] = lines[5].replace(" ", " \r", 1)  # a lone CR splits a line
-        lines[6] += "\f\x1c\u2028 tail"        # separators that end no line here
-        lines[7:7] = ["", "   ", "# note", "#", "# srpsim-trace scenario=x seed=1"]
-        lines[-1:] = [accepted, lines[1], "# digest 00ff", "0.5 x y"]
-        p.write_text("\n".join(lines))        # no final line break
-        got = read_trace(p)
-        assert got == _read_trace_line_by_line(p)
-        assert got[0] == ("x", "1") and got[3] == 0xff and got[1][-1] == "0.5 x y"
+    @given(case=_edited_trace())
+    @settings(max_examples=300, deadline=None)
+    def test_any_edit_is_rejected(self, tmp_path_factory, case):
+        scen, edited = case
+        tmp = tmp_path_factory.mktemp("edit")
+        ok, messages, verdicts = _check_text(tmp, scen, edited)
+        assert not ok and verdicts == [] and len(messages) == 1
+        # with the footer recomputed the edit may stand, but the check
+        # still ends with a verdict, never an exception
+        ok, messages, verdicts = _check_text(tmp, scen, _with_footer_recomputed(edited))
+        assert ok == (messages == [])
+
+    def _tampered(self, edit):
+        scen, text = _stored("benign_basic")
+        lines = text.split("\n")
+        assert lines[-1] == "" and lines[-2].startswith("# digest ")
+        return scen, edit(lines)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda ls: ls[:3] + [ls[3] + "\r"] + ls[4:], None),
+        (lambda ls: ls[:5] + [ls[5].replace(" ", " \r", 1)] + ls[6:], None),
+        (lambda ls: ls[:6] + [ls[6] + "\f\x1c\u2028 tail"] + ls[7:], None),
+        (lambda ls: ls[:7] + [""] + ls[7:], 8),
+        (lambda ls: ls[:7] + ["   "] + ls[7:], None),
+        (lambda ls: ls[:7] + ["# note"] + ls[7:], 8),
+        (lambda ls: ls[:7] + ["#"] + ls[7:], 8),
+        (lambda ls: ls[:7] + ["# srpsim-trace scenario=x seed=1"] + ls[7:], 8),
+        (lambda ls: ls[:-1] + ["# digest 00ff", ""], 40),
+        (lambda ls: ls[:-1], 39),
+    ], ids=["crlf", "lone-cr", "separators", "blank-line", "spaces-line",
+            "comment-line", "bare-hash", "second-header", "second-footer",
+            "no-final-break"])
+    def test_tampered_trace_is_rejected(self, tmp_path, edit, line):
+        # line None: an event line changed, so the digest footer is the
+        # first line that differs from what write_trace writes
+        scen, lines = self._tampered(edit)
+        ok, messages, verdicts = _check_text(tmp_path, scen, "\n".join(lines))
+        assert not ok and verdicts == [] and len(messages) == 1
+        assert messages[0].startswith(f"line {line or len(lines) - 1}: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda ln: re.sub(r" query dst=T qid=1 ", " query dst=U qid=1 ", ln),
+        lambda ln: ln.replace(" qid=1 ", " qid=one "),
+        lambda ln: ln.replace(" qid=1 ", " qid= "),
+        lambda ln: re.sub(r"^[0-9.]+ ", "9999.0 ", ln),
+    ], ids=["no-query-for-the-route", "qid-not-integer", "qid-empty",
+            "query-after-accept"])
+    def test_accept_line_without_its_query_is_rejected(self, tmp_path, edit):
+        scen, text = _stored("benign_basic")
+        lines = text.split("\n")
+        i = next(i for i, ln in enumerate(lines) if " query dst=T qid=1 " in ln)
+        lines[i] = edit(lines[i])
+        edited = _with_footer_recomputed("\n".join(lines))
+        ok, messages, verdicts = _check_text(tmp_path, scen, edited)
+        assert not ok and verdicts == [] and len(messages) == 1
+        assert messages[0].startswith("accept line '") and "no earlier query" in messages[0]
 
 
 class TestCli:
@@ -662,17 +770,24 @@ class TestCli:
         assert cli_main(["run", str(p), "--trace", str(trace)]) == 0
         lines = trace.read_text().splitlines()
         i = max(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        written = lines[i]
         lines[i] = edit(lines[i])
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert cli_main(["check", str(trace), str(p)]) == 1
-        assert f"CHECK FAILED: line {i + 1}: " in capsys.readouterr().out
+        assert (f"CHECK FAILED: line {i + 1}: expected {written + chr(10)!r}, "
+                f"found {lines[i] + chr(10)!r}\n") in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind, code, message", [
         ("not-utf8", 1, "CHECK FAILED: {trace}: trace file is not UTF-8 text"),
         ("directory", 2, "cannot read trace file {trace}: "),
-        ("seed-not-integer", 1, "CHECK FAILED: header seed is not an integer"),
-    ], ids=["not-utf8", "directory", "seed-not-integer"])
+        ("seed-not-integer", 1, "CHECK FAILED: line 1: no integer seed: expected "
+                                "'# srpsim-trace scenario=mini seed=<integer>', "
+                                "found '# srpsim-trace scenario=mini seed=banana'"),
+        ("seed-missing", 1, "CHECK FAILED: line 1: no integer seed: expected "
+                            "'# srpsim-trace scenario=mini seed=<integer>', "
+                            "found '# srpsim-trace scenario=mini'"),
+    ], ids=["not-utf8", "directory", "seed-not-integer", "seed-missing"])
     def test_check_rejects_an_unreadable_trace(self, tmp_path, capsys, kind, code,
                                                message):
         p = self._write_scenario(tmp_path, _mini())
@@ -684,8 +799,10 @@ class TestCli:
         elif kind == "directory":
             trace.unlink()
             trace.mkdir()
-        else:
+        elif kind == "seed-not-integer":
             trace.write_bytes(re.sub(rb" seed=\d+\n", b" seed=banana\n", text, count=1))
+        else:
+            trace.write_bytes(re.sub(rb" seed=\d+\n", b"\n", text, count=1))
         capsys.readouterr()
         assert cli_main(["check", str(trace), str(p)]) == code
         captured = capsys.readouterr()
@@ -704,9 +821,25 @@ class TestCli:
         assert cli_main(["check", str(trace), str(p)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("re-verified 0 accepted routes")
-        assert "CHECK FAILED: accepted-route records do not match" in out
+        # the original record stands where the footer belongs
+        assert (f"CHECK FAILED: line {at[0] + 2}: expected {lines[-1] + chr(10)!r}, "
+                f"found {lines[at[0]] + chr(10)!r}") in out
         ok, messages, verdicts = check_trace(trace, load_scenario(p))
         assert not ok and verdicts == [] and len(messages) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{scenario}", "--trace", "{out}"],
+        ["run", "{scenario}", "--verdicts", "{out}"],
+        ["fuzz", "--runs", "2", "--report", "{out}"],
+    ], ids=["trace", "verdicts", "report"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        scenario = self._write_scenario(tmp_path, _mini())
+        out = tmp_path / "a-directory"
+        out.mkdir()
+        argv = [a.format(scenario=scenario, out=out) for a in argv]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"cannot write {out}: Is a directory\n"
 
     def test_fuzz_subcommand_small(self, tmp_path):
         report = tmp_path / "r.json"

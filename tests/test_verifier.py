@@ -131,6 +131,12 @@ class TestAccuracy:
         ok, err, _ = check_accuracy(["S", "a", "T"], (to_scaled(1.0),) * 2, m)
         assert ok is None and err is None
 
+    def test_report_beyond_float_range_is_inaccurate(self):
+        # a stored record's `reported` is read as given; it must not crash
+        # the verifier
+        ok, err, _ = check_accuracy(["S", "a", "T"], (10 ** 400, 1), self.model())
+        assert ok is False and err == float("inf")
+
     def test_length_mismatch_invalid(self):
         with pytest.raises(ValueError):
             check_accuracy(["S", "a", "T"], (to_scaled(1.0),), self.model())

@@ -14,8 +14,7 @@ from .harness import (FuzzConfig, accuracy_campaign, bundled_scenarios,
 from .identity import KeyAccessError, KeyTable, encode_fields
 from .scenario import ScenarioError, build, load_scenario, scenario_from_dict
 from .simcore import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
-                      ScheduleError, ScheduleMap, SimConfig, TunnelChannel,
-                      edge_key)
+                      ScheduleError, ScheduleMap, SimConfig, edge_key)
 from .srp import (Accept, ArmTimer, Broadcast, ConfigurationError, NodeState,
                   RouteRecord, Rrep, Rreq, SrpNode, TunnelSend, Unicast,
                   handle_rreq, initiate_discovery, observe_relay,

@@ -57,9 +57,10 @@ _REQUIRED = object()
 
 
 def _param(params: dict, key: str, convert, default=_REQUIRED):
-    """Param `key` read through `convert`; an absent or null param takes
-    `default` as is, or is an error when there is none."""
-    value = params.get(key)
+    """Param `key` taken out of `params` and read through `convert`; an
+    absent or null param takes `default` as is, or is an error when there is
+    none.  What a script leaves in `params` it never reads."""
+    value = params.pop(key, None)
     if value is None:
         if default is _REQUIRED:
             raise AttackParamError(f"param {key!r} is required")
@@ -87,6 +88,16 @@ def _list(convert):
 
 
 _nodes = _list(_node)
+
+
+def _tunnel_path(value) -> tuple:
+    path = _nodes(value)
+    if len(path) < 2:
+        raise ValueError(f"expected at least two node ids, not {value!r}")
+    for a, b in zip(path, path[1:]):
+        if a == b:
+            raise ValueError(f"hop from {a!r} to itself")
+    return path
 
 
 def _count(value) -> int:
@@ -121,6 +132,7 @@ class AttackScript:
     max_emissions = 64
     spontaneous_at: tuple[float, ...] = ()
     reply_to: Optional[str] = None  # unicast every reply straight to this node
+    tunnel: tuple[str, ...] = ()  # private path to a colluder: owner first, peer last
 
     def __init__(self, params):
         pass
@@ -128,21 +140,21 @@ class AttackScript:
     def setup(self, node) -> None:
         pass
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         return [Broadcast(node.appended_rreq(rreq, transmitter))]
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         if self.reply_to is not None:
             return [Unicast(self.reply_to, rrep)]
         return [node.protocol_rrep_forward(rrep)]
 
-    def on_overhear(self, node, msg, transmitter, now):
+    def on_overhear(self, node, msg, transmitter):
         return []
 
-    def on_tunnel(self, node, msg, frm, now):
+    def on_tunnel(self, node, msg, frm):
         return []
 
-    def on_time(self, node, now):
+    def on_time(self, node):
         return []
 
 
@@ -156,16 +168,16 @@ class LoopInject(AttackScript):
         self.where = _param(params, "where", _choice("rreq", "rrep"), "rreq")
         self.dup = _param(params, "dup", _node, None)
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         if self.where != "rreq":
-            return super().on_rreq(node, rreq, transmitter, now)
+            return super().on_rreq(node, rreq, transmitter)
         dup = self.dup or (rreq.node_list[-1] if rreq.node_list else node.node_id)
         nl = rreq.node_list + (dup, node.node_id)
         return [Broadcast(node.appended_rreq(rreq, transmitter, node_list=nl))]
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         if self.where != "rrep" or not rrep.route:
-            return super().on_rrep(node, rrep, forwarder, now)
+            return super().on_rrep(node, rrep, forwarder)
         tampered = replace(rrep, route=(rrep.route[0],) + rrep.route)
         return [node.protocol_rrep_forward(rrep, tampered)]
 
@@ -180,7 +192,7 @@ class TamperNodelistDownstream(AttackScript):
     def __init__(self, params):
         self.insert = _param(params, "insert", _nodes, ())
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         nl = rreq.node_list + self.insert + (node.node_id,)
         return [Broadcast(node.appended_rreq(rreq, transmitter, node_list=nl))]
 
@@ -206,7 +218,7 @@ class TamperNodelistUpstream(AttackScript):
         self.fake_list = _param(params, "fake_list", _nodes)
         self.reply_to = _param(params, "jump_to", _node, None)
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         nl = self.fake_list + (node.node_id,)
         ml = None
         if rreq.metric_list is not None:
@@ -226,7 +238,7 @@ class TamperRrepRoute(AttackScript):
         self.insert = _param(params, "insert", _nodes, ())
         self.index = _param(params, "index", int, 1)
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         route = rrep.route[:self.index] + self.insert + rrep.route[self.index:]
         return [node.protocol_rrep_forward(rrep, replace(rrep, route=route))]
 
@@ -241,8 +253,8 @@ class ForgeRrep(AttackScript):
         self.fake_route = _param(params, "fake_route", _nodes)
         self._done = set()
 
-    def on_rreq(self, node, rreq, transmitter, now):
-        fx = super().on_rreq(node, rreq, transmitter, now)
+    def on_rreq(self, node, rreq, transmitter):
+        fx = super().on_rreq(node, rreq, transmitter)
         key = (rreq.src, rreq.qid)
         if key not in self._done:  # one forgery per query
             self._done.add(key)
@@ -280,14 +292,14 @@ class ReplayStaleRrep(AttackScript):
     def __init__(self, params):
         self._stored = None  # (rrep, relay_target)
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         fwd = node.protocol_rrep_forward(rrep)
         if fwd is not None and self._stored is None:
             self._stored = (rrep, fwd.to)
         return [fwd]
 
-    def on_rreq(self, node, rreq, transmitter, now):
-        fx = super().on_rreq(node, rreq, transmitter, now)
+    def on_rreq(self, node, rreq, transmitter):
+        fx = super().on_rreq(node, rreq, transmitter)
         if self._stored is not None:
             old, target = self._stored
             if (old.src, old.dst) == (rreq.src, rreq.dst) and old.qid != rreq.qid:
@@ -310,7 +322,7 @@ class TamperMetricRrep(_MetricEdit):
 
     name = "tamper_metriclist_rrep"
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         fwd = node.protocol_rrep_forward(rrep)
         if fwd is None or self.index >= len(rrep.metric_list or ()):
             return [fwd]
@@ -325,12 +337,12 @@ class TamperMetricRreqUpstream(_MetricEdit):
 
     name = "tamper_metriclist_rreq_upstream"
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         if self.index < len(rreq.metric_list or ()):
             ml = list(rreq.metric_list)
             ml[self.index] += self.delta
             rreq = replace(rreq, metric_list=tuple(ml))
-        return super().on_rreq(node, rreq, transmitter, now)
+        return super().on_rreq(node, rreq, transmitter)
 
 
 class TamperMetricRreqDownstream(AttackScript):
@@ -342,10 +354,10 @@ class TamperMetricRreqDownstream(AttackScript):
     def __init__(self, params):
         self.extra = _param(params, "extra", _list(_scaled), (to_scaled(1.0),))
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         return [Broadcast(node.appended_rreq(rreq, transmitter, extra_metrics=self.extra))]
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         # Replies are dropped, not forwarded.  Augmented-mode runs never
         # route one through this node; in basic mode this is what it does.
         return []
@@ -372,10 +384,10 @@ class BiasedMetric(AttackScript):
         self.links = _param(params, "links", int, None)
         self.headroom = _param(params, "headroom_scaled", int, 0)
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         qos = node.qos
         if qos is None:
-            return super().on_rreq(node, rreq, transmitter, now)
+            return super().on_rreq(node, rreq, transmitter)
         s = self.sign
         eps_s = qos.epsilon_scaled
         d_s = qos.delta_scaled
@@ -407,14 +419,14 @@ class Fig1aTunnel(AttackScript):
     arbitrary_only = True
 
     def __init__(self, params):
-        _param(params, "path", _nodes)  # both roles send through the tunnel
+        self.tunnel = _param(params, "path", _tunnel_path)  # both roles send through it
         self.role = _param(params, "role", _choice("entry", "exit"), "entry")
         # the advertised link has no honest second opinion: report whatever
         # the scenario asks for
         self.fake_link_metric = _param(params, "fake_link_metric", _scaled, None)
         self._done = set()
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         if self.role != "entry":
             return []  # exit node ignores link-layer copies of the query
         key = (rreq.src, rreq.qid)
@@ -424,7 +436,7 @@ class Fig1aTunnel(AttackScript):
         out = node.appended_rreq(rreq, transmitter)
         return [TunnelSend(out), Broadcast(out)]
 
-    def on_tunnel(self, node, msg, frm, now):
+    def on_tunnel(self, node, msg, frm):
         if isinstance(msg, Rreq) and self.role == "exit":
             nl = msg.node_list + (node.node_id,)
             ml = msg.metric_list
@@ -436,7 +448,7 @@ class Fig1aTunnel(AttackScript):
             return [node.protocol_rrep_forward(msg)]
         return []
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         if self.role == "exit":
             return [TunnelSend(rrep)]
         return []
@@ -555,11 +567,11 @@ class FuzzScript(AttackScript):
 
     # -- hooks --------------------------------------------------------------
 
-    def on_rreq(self, node, rreq, transmitter, now):
+    def on_rreq(self, node, rreq, transmitter):
         r = self.rng
         p = r.random()
         if p < 0.35:
-            return super().on_rreq(node, rreq, transmitter, now)
+            return super().on_rreq(node, rreq, transmitter)
         if p < 0.65:
             nl = self._mangle_nodelist(node, rreq.node_list + (node.node_id,))
             out = node.appended_rreq(rreq, transmitter, node_list=nl)
@@ -580,14 +592,14 @@ class FuzzScript(AttackScript):
         if p < 0.90:
             return [Unicast(transmitter, self._forged_rrep(
                 node, rreq.src, rreq.dst, rreq.qid, rreq.metric_list is not None))]
-        for msg, _, _ in reversed(node.store):
+        for msg in reversed(node.store):
             if isinstance(msg, Rrep):
                 return [Unicast(r.choice(self._others(node)), msg)]
             if isinstance(msg, Rreq) and r.random() < 0.5:
                 return [Broadcast(msg)]  # replay a stored query
         return []
 
-    def on_rrep(self, node, rrep, forwarder, now):
+    def on_rrep(self, node, rrep, forwarder):
         r = self.rng
         p = r.random()
         fwd = node.protocol_rrep_forward(rrep)
@@ -604,13 +616,13 @@ class FuzzScript(AttackScript):
             return []
         return [Unicast(r.choice(self._others(node)), rrep)]
 
-    def on_overhear(self, node, msg, transmitter, now):
+    def on_overhear(self, node, msg, transmitter):
         # the driver calls this hook for the arbitrary class only
         if isinstance(msg, Rrep) and self.rng.random() < 0.15:
             return [Unicast(self.rng.choice(self._others(node)), msg)]
         return []
 
-    def on_time(self, node, now):
+    def on_time(self, node):
         r = self.rng
         roster = self._others(node)
         if len(roster) < 2:
@@ -638,7 +650,8 @@ CATALOG: dict[str, type] = {
 def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
            roster=None) -> AttackScript:
     """Build a script from the named catalog, checking its params' types and,
-    when a roster is given, that every unicast target is on it."""
+    when a roster is given (at load time), that the script reads every param
+    and that every unicast target and tunnel hop is on the roster."""
     cls = CATALOG.get(name)
     if cls is None:
         raise UnknownAttackError(f"unknown attack {name!r}; see list-attacks")
@@ -649,16 +662,21 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
             f"and has no tunnel channel"
         )
     params = params or {}
-    script = cls(params)
-    for key in UNICAST_PARAMS:
-        value = params.get(key)
-        if roster is not None and value is not None and value not in roster:
+    unread = dict(params)  # the script takes out each param it reads
+    script = cls(unread)
+    if roster is None:
+        return script
+    if unread:
+        raise AttackParamError(f"attack {name!r} reads no param {next(iter(unread))!r}")
+    named = [(key, params.get(key)) for key in UNICAST_PARAMS]
+    for key, value in named + [("path", hop) for hop in script.tunnel]:
+        if value is not None and value not in roster:
             raise AttackParamError(f"param {key!r} names {value!r}, which is "
                                    f"not in the roster")
     return script
 
 
-def step_adversary(node: AdversaryNode, received, transmitter: str, now: float):
+def step_adversary(node: AdversaryNode, received, transmitter: str):
     """One adversary step: classify the received message with the exact
     protocol check functions run against the adversary's own observer state,
     enforce the independent-class constraint (detectably non-compliant input
@@ -674,10 +692,10 @@ def step_adversary(node: AdversaryNode, received, transmitter: str, now: float):
     if verdict is not None and node.klass is AdversaryClass.INDEPENDENT:
         return verdict, []
     if not isinstance(received, Rreq):
-        return verdict, node.script.on_rrep(node, received, transmitter, now)
+        return verdict, node.script.on_rrep(node, received, transmitter)
     if verdict is None:
         node.state.seen.add((received.src, received.qid))
-    return verdict, node.script.on_rreq(node, received, transmitter, now)
+    return verdict, node.script.on_rreq(node, received, transmitter)
 
 
 class AdversaryNode:
@@ -702,7 +720,7 @@ class AdversaryNode:
         self.qos = qos
         self.rng = rng or random.Random(node_id)
         self.roster = tuple(roster)
-        self.store: list[tuple[object, str, float]] = []
+        self.store: list = []  # every message delivered to this node
         self.emitted = 0
         self.max_emissions = script.max_emissions
         script.setup(self)
@@ -779,16 +797,16 @@ class AdversaryNode:
             observe_relay(self.state, msg, transmitter, self.qos)
         if not addressed:
             if self.klass is AdversaryClass.ARBITRARY:
-                actions = self.script.on_overhear(self, msg, transmitter, now)
+                actions = self.script.on_overhear(self, msg, transmitter)
                 self._execute(engine, actions, f"overhear:{delivery_id}")
             return
-        verdict, actions = step_adversary(self, msg, transmitter, now)
+        verdict, actions = step_adversary(self, msg, transmitter)
         if verdict is not None:
             engine.noncompliant_deliveries.add(delivery_id)
             engine.trace_step(self.node_id, "adv-noncompliant", verdict.text, msg)
             if self.klass is AdversaryClass.INDEPENDENT:
                 return  # the one permitted reaction: silent drop
-        self.store.append((msg, transmitter, now))
+        self.store.append(msg)
         self._execute(engine, actions, f"deliver:{delivery_id}")
 
     def on_timer(self, engine, tag, now):
@@ -797,10 +815,10 @@ class AdversaryNode:
 
     def on_action(self, engine, action, now):
         if action[0] == "adversary_time":
-            self._execute(engine, self.script.on_time(self, now), "spontaneous")
+            self._execute(engine, self.script.on_time(self), "spontaneous")
 
     def on_tunnel(self, engine, msg, frm, now):
-        actions = self.script.on_tunnel(self, msg, frm, now)
+        actions = self.script.on_tunnel(self, msg, frm)
         self._execute(engine, actions, "tunnel")
 
     # -- execution ------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional
 
 from .adversary import AdversaryClass, AdversaryNode, attack
 from .identity import KeyTable
-from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig,
-                      TunnelChannel, edge_key, is_node_id)
+from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
+                      is_node_id)
 from .srp import NodeState, SrpNode
 from .srp_qos import GKind, LinkMetricModel, QosRuntime
 
@@ -113,26 +113,11 @@ class Scenario:
             if node not in known:
                 raise ScenarioError(f"adversary {node} is not in the roster")
             try:
-                attack(spec.attack, spec.params, spec.klass, self.nodes)
+                script = attack(spec.attack, spec.params, spec.klass, self.nodes)
             except ValueError as e:  # unknown attack, wrong class or a bad param
                 raise ScenarioError(f"adversary {node}: {e}")
-            path = spec.params.get("path")
-            if spec.klass is AdversaryClass.INDEPENDENT and \
-                    (path is not None or spec.params.get("tunnel")):
-                raise ScenarioError(f"adversary {node}: independent adversaries "
-                                    f"have no tunnel channel")
-            if path is not None:
-                if not isinstance(path, (list, tuple)) or len(path) < 2:
-                    raise ScenarioError(f"tunnel path for {node} must list at "
-                                        f"least two node ids")
-                if path[0] != node:
-                    raise ScenarioError(f"tunnel path for {node} must start at {node}")
-                peer = spec.params.get("peer")
-                if peer is None or path[-1] != peer:
-                    raise ScenarioError(f"tunnel path for {node} must end at its peer")
-                for hop in path:
-                    if hop not in known:
-                        raise ScenarioError(f"tunnel path hop {hop} is undeclared")
+            if script.tunnel and script.tunnel[0] != node:
+                raise ScenarioError(f"adversary {node}: tunnel path must start at {node}")
         self._validate_expect(known)
 
     def _validate_expect(self, known) -> None:
@@ -303,10 +288,8 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
             rng=random.Random(f"adv|{cfg.seed}|{node}"), roster=scenario.nodes,
         )
         engine.add_node(node, driver)
-        path = spec.params.get("path")
-        if path is not None:
-            engine.add_tunnel(TunnelChannel(owner=node, peer=spec.params["peer"],
-                                            path=tuple(path)))
+        if script.tunnel:
+            engine.add_tunnel(script.tunnel)
         for t in script.spontaneous_at:
             engine.schedule_action(t, node, ("adversary_time",))
     engine.seed_link_changes()

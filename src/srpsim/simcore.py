@@ -223,20 +223,6 @@ def message_digest(msg) -> str:
     return hashlib.blake2b(encode_fields(msg.wire_fields()), digest_size=4).hexdigest()
 
 
-@dataclass(frozen=True)
-class TunnelChannel:
-    """Private multi-hop relay path between two colluding nodes.
-
-    Payloads are opaque to the relaying nodes; a hop succeeds only if its
-    link is up throughout the hop's transmission window, so a successful
-    crossing certifies that every path link was recently up.
-    """
-
-    owner: str
-    peer: str
-    path: tuple[str, ...]  # path[0] == owner, path[-1] == peer
-
-
 class Engine:
     """Single-threaded deterministic event loop.
 
@@ -251,7 +237,7 @@ class Engine:
         self.rng = rng
         self.now = 0.0
         self.nodes: dict[str, object] = {}
-        self.tunnels: dict[str, TunnelChannel] = {}
+        self.tunnels: dict[str, tuple[str, ...]] = {}  # owner -> path to its peer
         self.lines: list[str] = []
         self.trace = TraceView(self.lines)
         self.accepted: list[tuple[str, object]] = []
@@ -273,8 +259,10 @@ class Engine:
     def add_node(self, node_id: str, driver) -> None:
         self.nodes[node_id] = driver
 
-    def add_tunnel(self, channel: TunnelChannel) -> None:
-        self.tunnels[channel.owner] = channel
+    def add_tunnel(self, path: tuple[str, ...]) -> None:
+        """A private relay path between two colluders: path[0] owns it and
+        path[-1] is its peer."""
+        self.tunnels[path[0]] = path
 
     def seed_link_changes(self) -> None:
         """Queue every link change up to end_time, numbered after what is
@@ -365,19 +353,22 @@ class Engine:
         return ok
 
     def tunnel_send(self, owner: str, msg) -> bool:
-        """Forward a payload along the owner's tunnel path; opaque to relays."""
-        channel = self.tunnels.get(owner)
-        if channel is None:
+        """Forward a payload along the owner's tunnel path to its peer; opaque
+        to relays.  A hop succeeds only if its link is up throughout the
+        hop's transmission window, so a successful crossing certifies that
+        every path link was recently up."""
+        path = self.tunnels.get(owner)
+        if path is None:
             raise RuntimeError(f"{owner} has no tunnel channel")
         d = self._digest(msg)
         t = self.now
-        for a, b in zip(channel.path, channel.path[1:]):
+        for a, b in zip(path, path[1:]):
             if not self.schedules.covers(a, b, t, t + self.config.tx_time):
                 self._record(a, "tunnel", d, "dropped", f"hop {a}->{b} down")
                 return False
             self._record(a, "tunnel", d, "sent", f"hop {a}->{b}")
             t += self.config.tau * (1.0 - self.rng.random())
-        self._push(t, Engine._tunnel_arrive, (channel.peer, msg, owner))
+        self._push(t, Engine._tunnel_arrive, (path[-1], msg, owner))
         return True
 
     def arm_timer(self, node: str, at: float, tag: tuple) -> None:

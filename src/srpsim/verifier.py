@@ -76,28 +76,18 @@ def check_fresh(route: Sequence[str], schedules: ScheduleMap,
     return not never_up, tuple(never_up)
 
 
-def _fresh_graph(schedules: ScheduleMap, t1: float, t2: float) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {n: [] for n in schedules.nodes}
-    for u, v in schedules.edges():
-        if schedules.up_within(u, v, t1, t2):
-            adj[u].append(v)
-            adj[v].append(u)
-    for n in adj:
-        adj[n].sort()
-    return adj
-
-
-def _bfs_path(adj, start, goal) -> Optional[tuple[str, ...]]:
+def _detour(schedules: ScheduleMap, t1: float, t2: float,
+            start: str, goal: str) -> Optional[tuple[str, ...]]:
+    """A shortest path from start to goal over links up at some instant of
+    (t1, t2); neighbours are visited in id order."""
     if start == goal:
         return (start,)
-    if start not in adj or goal not in adj:
-        return None
     prev = {start: None}
     q = deque([start])
     while q:
         x = q.popleft()
-        for y in adj[x]:
-            if y not in prev:
+        for y, link in schedules.neighbours(x):
+            if y not in prev and link.up_within(t1, t2):
                 prev[y] = x
                 if y == goal:
                     path = [y]
@@ -128,28 +118,27 @@ def check_weakly_fresh(route: Sequence[str], schedules: ScheduleMap,
     n = len(link_fresh)
     if n < 2:
         return False, None  # a single-link route has no interior segment
-    adj = _fresh_graph(schedules, t1, t2)
     for j in range(n - 1, 0, -1):               # j in [1, n-1], prefer late start
         if not all(link_fresh[:j]):
             continue
         for k in range(j + 1, n):               # k in (j, n-1]
             if not all(link_fresh[k:]):
                 continue
-            detour = _bfs_path(adj, route[j], route[k])
+            detour = _detour(schedules, t1, t2, route[j], route[k])
             if detour is not None:
                 return True, (j, k, detour)
     return False, None
 
 
 def check_accuracy(route: Sequence[str], reported_scaled: Sequence[int],
-                   model: LinkMetricModel, kind: Optional[GKind] = None):
+                   model: LinkMetricModel):
     """Compare the reported route metric against the aggregate of the actual
     link values.  Returns (accurate, metric_error, bound); accurate is None
     when some actual value is undeclared (not evaluable).
 
     For the product aggregate, the error and bound live in the log domain.
     """
-    kind = kind or model.kind
+    kind = model.kind
     n = len(route) - 1
     if n < 1:
         raise ValueError("route has no links")
@@ -169,8 +158,11 @@ def check_accuracy(route: Sequence[str], reported_scaled: Sequence[int],
     if kind == GKind.MUL:
         if any(m <= 0 for m in reported):
             return False, float("inf"), bound
-        error = abs(math.log(route_metric(GKind.MUL, reported))
-                    - math.log(route_metric(GKind.MUL, actual)))
+        try:
+            error = abs(math.log(route_metric(GKind.MUL, reported))
+                        - math.log(route_metric(GKind.MUL, actual)))
+        except (OverflowError, ValueError):  # a product beyond float range
+            error = abs(sum(map(math.log, reported)) - sum(map(math.log, actual)))
     else:
         error = abs(route_metric(kind, reported) - route_metric(kind, actual))
     return error < bound, error, bound

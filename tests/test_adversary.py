@@ -2,13 +2,16 @@
 compliance gate, taint soundness of emissions, key unforgeability, tunnel
 preconditions, and fuzz-script reproducibility."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import srpsim
 from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
                     Engine, LinkSchedule, Rrep, Rreq, ScheduleMap, SimConfig,
-                    FuzzScript, TunnelChannel, TunnelSend, Unicast, attack,
+                    FuzzScript, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict, srp)
 from srpsim.adversary import AdversaryNode, AttackParamError, step_adversary
 from srpsim.harness import FuzzConfig, bundled_scenarios, fuzz_campaign, random_scenario
@@ -39,7 +42,29 @@ def test_collusion_attacks_are_arbitrary_only(name):
     assert CATALOG[name].arbitrary_only
     with pytest.raises(AttackClassError):
         attack(name, {}, AdversaryClass.INDEPENDENT)
-    attack(name, {"path": ["m1", "m2"]}, AdversaryClass.ARBITRARY)  # fine
+    params = {"path": ["m1", "m2"]} if name == "fig1a_tunnel" else {}
+    attack(name, params, AdversaryClass.ARBITRARY, ("m1", "m2"))  # fine
+
+
+def test_only_the_adversary_module_reads_attack_params():
+    """Outside adversary.py no srpsim module reads a key of a params mapping
+    (`...params[...]`, `...params.get(...)` or `...params.pop(...)`), so the
+    rules for an attack's inputs stay with its script."""
+    stray = []
+    for path in sorted(Path(srpsim.__file__).parent.glob("*.py")):
+        if path.name == "adversary.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript):
+                mapping = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("get", "pop"):
+                mapping = node.func.value
+            else:
+                continue
+            if ast.unparse(mapping).endswith("params"):
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not stray, stray
 
 
 def _adv_node(klass, script, table=None):
@@ -57,7 +82,7 @@ class TestComplianceGate:
         node = _adv_node(AdversaryClass.INDEPENDENT, attack("loop_inject"))
         table = _table()
         rreq = _signed_rreq(table, ("a", "b"))  # transmitter mismatch below
-        verdict, actions = step_adversary(node, rreq, "c", 1.0)
+        verdict, actions = step_adversary(node, rreq, "c")
         assert verdict is srp.RELAY_PRECURSOR_MISMATCH
         assert actions == []
 
@@ -65,7 +90,7 @@ class TestComplianceGate:
         node = _adv_node(AdversaryClass.ARBITRARY, attack("loop_inject"))
         table = _table()
         rreq = _signed_rreq(table, ("a", "b"))
-        verdict, actions = step_adversary(node, rreq, "c", 1.0)
+        verdict, actions = step_adversary(node, rreq, "c")
         assert verdict is not None
         assert actions  # the script ran anyway
 
@@ -73,7 +98,7 @@ class TestComplianceGate:
         node = _adv_node(AdversaryClass.INDEPENDENT, attack("loop_inject"))
         table = _table()
         rreq = _signed_rreq(table, ("a",))
-        verdict, actions = step_adversary(node, rreq, "a", 1.0)
+        verdict, actions = step_adversary(node, rreq, "a")
         assert verdict is None and actions
 
 
@@ -126,24 +151,24 @@ class TestMetricIndex:
     @pytest.mark.parametrize("index", [3, 50])
     def test_rrep_index_past_the_list_relays_unmodified(self, index):
         node = self._node("tamper_metriclist_rrep", index)
-        fx = node.script.on_rrep(node, self.RREP, "T", 1.0)
+        fx = node.script.on_rrep(node, self.RREP, "T")
         assert fx == [node.protocol_rrep_forward(self.RREP)] and fx[0].msg is self.RREP
 
     @pytest.mark.parametrize("index, edited", [(0, (10, 20, 31)), (2, (11, 20, 30))])
     def test_rrep_index_counts_from_the_source_end(self, index, edited):
         node = self._node("tamper_metriclist_rrep", index)
-        (fwd,) = node.script.on_rrep(node, self.RREP, "T", 1.0)
+        (fwd,) = node.script.on_rrep(node, self.RREP, "T")
         assert fwd.msg.metric_list == edited
 
     @pytest.mark.parametrize("index", [2, 50])
     def test_rreq_index_past_the_list_relays_unmodified(self, index):
         node = self._node("tamper_metriclist_rreq_upstream", index)
-        assert node.script.on_rreq(node, self.RREQ, "a", 1.0) == \
+        assert node.script.on_rreq(node, self.RREQ, "a") == \
             [Broadcast(node.appended_rreq(self.RREQ, "a"))]
 
     def test_rreq_index_inside_the_list_edits_that_entry(self):
         node = self._node("tamper_metriclist_rreq_upstream", 1)
-        (out,) = node.script.on_rreq(node, self.RREQ, "a", 1.0)
+        (out,) = node.script.on_rreq(node, self.RREQ, "a")
         assert out.msg.metric_list == (10, 21)
 
     @pytest.mark.parametrize("name", ["tamper_metriclist_rrep",
@@ -220,18 +245,39 @@ class TestTunnel:
             def on_tunnel(self, *a): ...
         for n in nodes:
             eng.add_node(n, _Null())
-        eng.add_tunnel(TunnelChannel(owner="m1", peer="m2", path=("m1", "y", "m2")))
+        eng.add_tunnel(("m1", "y", "m2"))
         return eng
 
     def test_delivery_requires_every_hop_up_in_sequence(self):
         eng = self._engine_with_tunnel([(0.0, 50.0)])
         assert eng.tunnel_send("m1", Rreq("S", "T", 1, 0, ())) is True
 
+    @pytest.mark.parametrize("path", [["m1", "m1"], ["m1", "y", "y", "m2"]])
+    def test_path_with_a_self_hop_rejected(self, path):
+        with pytest.raises(AttackParamError, match="param 'path': hop from '.*' to itself"):
+            attack("fig1a_tunnel", {"path": path})
+
+    def test_built_tunnel_is_the_scripts_path(self):
+        from srpsim.scenario import build
+        scen = load_scenario([p for p in bundled_scenarios() if p.stem == "fig1a_tunnel"][0])
+        assert build(scen).engine.tunnels == {"M1": ("M1", "y", "M2"),
+                                              "M2": ("M2", "y", "M1")}
+
     def test_dead_hop_drops_the_payload(self):
         eng = self._engine_with_tunnel([(30.0, 50.0)])
         assert eng.tunnel_send("m1", Rreq("S", "T", 1, 0, ())) is False
         assert any(te.primitive == "tunnel" and te.outcome == "dropped"
                    for te in eng.trace)
+
+
+def test_store_holds_the_delivered_messages():
+    from srpsim.scenario import build
+    scen = load_scenario([p for p in bundled_scenarios()
+                          if p.stem == "replay_stale_rrep_arbitrary"][0])
+    engine = build(scen).engine
+    engine.run()
+    (driver,) = [d for d in engine.nodes.values() if isinstance(d, AdversaryNode)]
+    assert driver.store and all(isinstance(m, (Rreq, Rrep)) for m in driver.store)
 
 
 class TestFuzzScripts:
@@ -251,7 +297,7 @@ class TestFuzzScripts:
         for i in range(200):
             rreq = _signed_rreq(table, ("a",), qid=1)
             node.state.seen.discard(("S", 1))
-            _, actions = step_adversary(node, rreq, "a", 1.0)
+            _, actions = step_adversary(node, rreq, "a")
             assert not any(isinstance(a, TunnelSend) for a in actions)
 
     def test_fuzz_is_a_catalog_entry_seeded_by_the_run_by_default(self):

@@ -58,7 +58,7 @@ class TestLoadValidation:
     def test_adversary_class_mismatch_names_the_rule(self):
         d = _mini(adversaries={"T": {
             "class": "independent", "attack": "fig1a_tunnel",
-            "params": {"role": "entry", "peer": "S", "path": ["T", "S"]}}})
+            "params": {"role": "entry", "path": ["T", "S"]}}})
         with pytest.raises(ScenarioError, match="arbitrary"):
             scenario_from_dict(d)
 
@@ -138,20 +138,15 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="before time 0"):
             scenario_from_dict(d)
 
-    def test_tunnel_path_must_start_and_end_correctly(self):
-        d = _mini(nodes=["S", "T", "m1", "m2"],
-                  adversaries={"m1": {
-                      "class": "arbitrary", "attack": "fig1a_tunnel",
-                      "params": {"role": "entry", "peer": "m2",
-                                 "path": ["m2", "m1"]}}})
-        with pytest.raises(ScenarioError, match="start"):
+    def test_tunnel_path_must_start_at_its_owner(self):
+        d = _tunnel(["m2", "m1"])
+        with pytest.raises(ScenarioError, match="adversary m1: tunnel path must start at m1"):
             scenario_from_dict(d)
 
 
 def _tunnel(path):
     return _mini(nodes=["S", "T", "m1", "m2"], adversaries={"m1": {
-        "class": "arbitrary", "attack": "passive",
-        "params": {"peer": "m2", "path": path}}})
+        "class": "arbitrary", "attack": "fig1a_tunnel", "params": {"path": path}}})
 
 
 NAN = float("nan")
@@ -161,8 +156,9 @@ NAN = float("nan")
     (_mini(discoveries=[{"src": "S", "dst": "T", "at": NAN}]), "discovery start"),
     (_mini(config={"seed": 1, "end_time": 40.0, "tau": NAN}), "tau must be finite"),
     (_mini(config={"seed": 1, "end_time": float("inf")}), "end_time must be finite"),
-    (_tunnel(5), "tunnel path for m1"),
-    (_tunnel([]), "tunnel path for m1"),
+    (_tunnel(5), "adversary m1: param 'path': expected a list"),
+    (_tunnel([]), "adversary m1: param 'path': expected at least two node ids"),
+    (_tunnel(["m1", "ghost"]), "adversary m1: param 'path' names 'ghost'"),
     (_mini(expect={"victim_link": ["S"]}), "victim_link"),
     (_mini(expect={"victim_link": ["S", "S"]}), "victim_link"),
     (_mini(adversaries={"T": "passive"}), "adversary T: spec must be an object"),
@@ -190,7 +186,7 @@ NAN = float("nan")
                                       "actual": [["S", "T", 1e303]]}),
      "actual link metrics must be finite"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
-        "victim-one-node", "victim-self-edge", "adversary-string",
+        "path-ghost", "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
         "name-newline", "name-return", "administrative-string",
@@ -205,6 +201,24 @@ def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
 
 def _bundled(stem):
     return json.loads(next(p for p in bundled_scenarios() if p.stem == stem).read_text())
+
+
+@pytest.mark.parametrize("stem, param, value", [
+    ("shortcut_relay_independent", "shortcut_too", "a"),
+    ("fig1a_tunnel", "peer", "M2"),
+    ("fig1a_tunnel", "tunnel", True),
+    ("fig1b_chain", "insert", ["u"]),
+], ids=["typo", "peer", "tunnel", "insert-at-head"])
+def test_unread_attack_param_fails_at_load(tmp_path, stem, param, value):
+    d = _bundled(stem)
+    node, spec = next(iter(d["adversaries"].items()))
+    spec["params"][param] = value
+    with pytest.raises(ScenarioError, match=f"adversary {node}: attack "
+                                            f"'{spec['attack']}' reads no param '{param}'"):
+        scenario_from_dict(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert cli_main(["run", str(bad)]) == 2
 
 
 def test_renamed_node_with_a_line_break_fails_at_load(tmp_path):
@@ -233,10 +247,13 @@ def test_renamed_node_with_a_line_break_fails_at_load(tmp_path):
     ("fig1b_chain", "role", "middle"),
     ("loop_inject_rreq_arbitrary", "where", "req"),
     ("tamper_nodelist_downstream_arbitrary", "insert", ["x\ny"]),
+    ("fig1a_tunnel", "path", ["M1", "M1"]),
+    ("fig1a_tunnel", "path", ["M1", "y", "y", "M2"]),
 ], ids=["insert-int", "insert-int-list", "index-str", "delta-inf",
         "rrep-index-negative", "rreq-index-negative", "fake-list-int",
         "fake-list-int-list", "dup-int", "direction-up", "extra-int",
-        "role-exitt", "role-middle", "where-req", "insert-line-break"])
+        "role-exitt", "role-middle", "where-req", "insert-line-break",
+        "path-self-hop", "path-inner-self-hop"])
 def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
     d = _bundled(stem)
     node, spec = next(iter(d["adversaries"].items()))
@@ -251,11 +268,11 @@ def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
 
 _ADVERSARIAL = [p.stem for p in bundled_scenarios()
                 if json.loads(p.read_text()).get("adversaries")]
-# every param some script or the tunnel wiring reads
+# every param some script reads
 _READ_PARAMS = ["where", "dup", "insert", "shortcut_to", "fake_list", "jump_to",
                 "index", "route", "target", "fake_route", "delta", "extra",
                 "direction", "links", "headroom_scaled", "role",
-                "fake_link_metric", "seed", "bounds", "peer", "path", "tunnel"]
+                "fake_link_metric", "seed", "bounds", "path"]
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                   st.text(max_size=4))
 _VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=4),
@@ -777,6 +794,23 @@ class TestCli:
         assert cli_main(["check", str(trace), str(p)]) == 1
         assert (f"CHECK FAILED: line {i + 1}: expected {written + chr(10)!r}, "
                 f"found {lines[i] + chr(10)!r}\n") in capsys.readouterr().out
+
+    def test_check_judges_a_product_beyond_float_range(self, tmp_path, capsys):
+        # every reported metric at 1e300: the route product overflows a float
+        p = next(p for p in bundled_scenarios() if p.stem == "benign_multiplicative")
+        trace = tmp_path / "t.trace"
+        assert cli_main(["run", str(p), "--trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith("# accepted "):
+                record = json.loads(line[len("# accepted "):])
+                record["reported"] = [10 ** 306] * len(record["reported"])
+                lines[i] = "# accepted " + json.dumps(record)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["check", str(trace), str(p)]) == 1
+        assert "CHECK FAILED: accurate: expected all, 1 of 1 routes violate it" \
+            in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind, code, message", [
         ("not-utf8", 1, "CHECK FAILED: {trace}: trace file is not UTF-8 text"),

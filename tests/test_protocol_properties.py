@@ -88,11 +88,9 @@ def test_tunnel_requires_path_links_up_in_sequence():
         "keys": [["S", "T"]],
         "adversaries": {
             "M1": {"class": "arbitrary", "attack": "fig1a_tunnel",
-                   "params": {"role": "entry", "peer": "M2",
-                              "path": ["M1", "y", "M2"]}},
+                   "params": {"role": "entry", "path": ["M1", "y", "M2"]}},
             "M2": {"class": "arbitrary", "attack": "fig1a_tunnel",
-                   "params": {"role": "exit", "peer": "M1",
-                              "path": ["M2", "y", "M1"]}},
+                   "params": {"role": "exit", "path": ["M2", "y", "M1"]}},
         },
         "discoveries": [{"src": "S", "dst": "T", "at": 1.0}],
         "expect": {"max_accepted": 0, "victim_link": ["M1", "M2"],

@@ -148,6 +148,19 @@ class TestAccuracy:
         import math
         assert err == pytest.approx(abs(math.log(1.2)), rel=1e-6)
 
+    @pytest.mark.parametrize("links, reported", [(60, 1), (2, 10 ** 306)],
+                             ids=["underflow", "overflow"])
+    def test_product_beyond_float_range_is_judged(self, links, reported):
+        # the product of the reported metrics leaves float range (1e-360,
+        # 1e600); the error is then the distance of the sums of logs
+        import math
+        route = [f"n{i}" for i in range(links + 1)]
+        m = self.model(kind=GKind.MUL,
+                       actual={tuple(sorted(e)): 1.0 for e in zip(route, route[1:])})
+        ok, err, _ = check_accuracy(route, (reported,) * links, m)
+        assert ok is False
+        assert err == pytest.approx(links * abs(math.log(reported / 10 ** 6)))
+
 
 class TestVerdictAll:
     def test_verifier_is_read_only_and_repeatable(self):

@@ -284,7 +284,7 @@ class ImpersonateT(ForgeRrep):
 
 
 class ReplayStaleRrep(AttackScript):
-    """Keep a reply from a concluded discovery and re-send it verbatim when
+    """Keep a reply from a finished discovery and re-send it verbatim when
     the source queries again (the stored reply answers an older query id)."""
 
     name = "replay_stale_rrep"
@@ -495,6 +495,8 @@ class FuzzScript(AttackScript):
         self.max_emissions = _param(bounds, "max_emissions", int, self.max_emissions)
         self.ghosts = _param(bounds, "ghosts", _nodes, ("zz1", "zz2"))
         self._spontaneous = _param(bounds, "spontaneous", _count, 1)
+        if bounds:
+            raise AttackParamError(f"param 'bounds' has no key {next(iter(bounds))!r}")
         if self._spontaneous > MAX_SPONTANEOUS:
             # setup() draws up to this many move times up front
             raise AttackParamError(f"param 'spontaneous': at most "
@@ -792,38 +794,35 @@ class AdversaryNode:
 
     # -- engine hooks -------------------------------------------------------
 
-    def on_deliver(self, engine, msg, transmitter, addressed, now, delivery_id=0):
+    def on_deliver(self, engine, msg, transmitter, addressed, now):
         if isinstance(msg, Rreq):
             observe_relay(self.state, msg, transmitter, self.qos)
         if not addressed:
             if self.klass is AdversaryClass.ARBITRARY:
-                actions = self.script.on_overhear(self, msg, transmitter)
-                self._execute(engine, actions, f"overhear:{delivery_id}")
+                self._execute(engine, self.script.on_overhear(self, msg, transmitter))
             return
         verdict, actions = step_adversary(self, msg, transmitter)
         if verdict is not None:
-            engine.noncompliant_deliveries.add(delivery_id)
             engine.trace_step(self.node_id, "adv-noncompliant", verdict.text, msg)
             if self.klass is AdversaryClass.INDEPENDENT:
                 return  # the one permitted reaction: silent drop
         self.store.append(msg)
-        self._execute(engine, actions, f"deliver:{delivery_id}")
+        self._execute(engine, actions)
 
     def on_timer(self, engine, tag, now):
         if tag and tag[0] == "adv_later":
-            self._execute(engine, [tag[1]], "deferred")
+            self._execute(engine, [tag[1]])
 
     def on_action(self, engine, action, now):
         if action[0] == "adversary_time":
-            self._execute(engine, self.script.on_time(self), "spontaneous")
+            self._execute(engine, self.script.on_time(self))
 
     def on_tunnel(self, engine, msg, frm, now):
-        actions = self.script.on_tunnel(self, msg, frm)
-        self._execute(engine, actions, "tunnel")
+        self._execute(engine, self.script.on_tunnel(self, msg, frm))
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(self, engine, actions, trigger: str):
+    def _execute(self, engine, actions):
         """Apply the adversary-only rules (deferral, the emission budget, no
         self-addressed frames, tunnels for the arbitrary class only) and hand
         each surviving effect to the shared executor."""
@@ -841,7 +840,7 @@ class AdversaryNode:
                     continue
                 if isinstance(a, TunnelSend) and self.klass is not AdversaryClass.ARBITRARY:
                     raise AttackClassError("tunnel use by a non-arbitrary adversary")
-                engine.note_adversary_emission(self.node_id, a.msg, trigger)
+                engine.note_adversary_emission(self.node_id, a.msg)
             srp.execute(engine, self.node_id, [a])
             if isinstance(a, Broadcast) and isinstance(a.msg, Rreq):
                 srp.remember_broadcast(self.state, a.msg, self.qos)

@@ -17,6 +17,7 @@ from .adversary import CATALOG, AdversaryClass
 from .harness import (FuzzConfig, check_trace, fuzz_campaign, load_scenario,
                       run_scenario, write_trace)
 from .scenario import ScenarioError
+from .verifier import summarize
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -70,8 +71,9 @@ def _cmd_run(args) -> int:
         p = _write_out(args.trace, lambda path: write_trace(path, result))
         print(f"trace written to {p}")
     if args.verdicts:
+        classes = {spec.klass.value for spec in scenario.adversaries.values()}
         p = _write_out(args.verdicts, lambda path: path.write_text(json.dumps({
-            "summary": result.summary,
+            "summary": summarize(result.verdicts, classes),
             "verdicts": [v.as_dict() for v in result.verdicts],
         }, indent=2)))
         print(f"verdicts written to {p}")

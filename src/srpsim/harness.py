@@ -21,7 +21,7 @@ from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key,
                       trace_digest_of_lines)
 from .srp import RouteRecord
 from .srp_qos import GKind, LinkMetricModel, to_scaled
-from .verifier import Verdict, summarize, verdict_all
+from .verifier import Verdict, verdict_all
 
 
 @dataclass
@@ -32,7 +32,6 @@ class RunResult:
     digest: int
     records: list[RouteRecord]
     verdicts: list[Verdict]
-    summary: dict
     expect_failures: list[str]
 
 
@@ -82,17 +81,16 @@ def evaluate_expectations(expect: dict, records, verdicts) -> list[str]:
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
     """Simulate one scenario, verify every accepted route, and judge the
     expectation block."""
-    engine = build(scenario, seed).engine
+    engine = build(scenario, seed)
     engine.run()
-    records = [rec for _, rec in engine.accepted]
+    records = engine.accepted
     verdicts = verdict_all(records, engine.schedules, scenario.metrics,
                            scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)
-    classes = {spec.klass.value for spec in scenario.adversaries.values()}
     return RunResult(
         scenario=scenario, seed=engine.config.seed, trace=engine.trace,
         digest=engine.trace_digest(), records=records, verdicts=verdicts,
-        summary=summarize(verdicts, classes), expect_failures=failures,
+        expect_failures=failures,
     )
 
 

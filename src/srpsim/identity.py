@@ -113,12 +113,10 @@ class KeyTable:
     """Scenario-wide registry of pairwise symmetric keys.
 
     Key material is derived deterministically from the node pair so that runs
-    are reproducible.  Every authenticator computation is logged so tests can
-    audit that no accepted digest was produced by a third party.
+    are reproducible.
     """
 
     _keys: dict[tuple[str, str], bytes] = field(default_factory=dict)
-    calls: list[tuple[str, tuple[str, str], int]] = field(default_factory=list)
 
     def grant(self, a: str, b: str) -> None:
         if a == b:
@@ -135,13 +133,10 @@ class KeyTable:
         return KeyRing(self, holder)
 
     def _mac(self, holder: str, peer: str, fields: Sequence) -> int:
-        p = _pair(holder, peer)
-        key = self._keys.get(p)
+        key = self._keys.get(_pair(holder, peer))
         if key is None:
             raise KeyAccessError(f"{holder} holds no key shared with {peer}")
-        digest = f_k(key, fields)
-        self.calls.append((holder, p, digest))
-        return digest
+        return f_k(key, fields)
 
 
 @dataclass(frozen=True)

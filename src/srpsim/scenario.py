@@ -56,7 +56,6 @@ class Scenario:
     metrics: Optional[LinkMetricModel] = None  # None: basic mode
     adversaries: dict = field(default_factory=dict)  # node -> AdversarySpec
     expect: dict = field(default_factory=dict)
-    description: str = ""
     # (nodes, links, ScheduleMap) of the last schedule_map() call
     _schedules: Optional[tuple] = field(default=None, init=False, repr=False,
                                         compare=False)
@@ -228,7 +227,6 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             )
         scenario = Scenario(
             name=str(data.get("name", name_hint)),
-            description=str(data.get("description", "")),
             config=config,
             nodes=nodes,
             links=tuple(links),
@@ -262,13 +260,7 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data, name_hint=p.stem)
 
 
-@dataclass
-class BuiltRun:
-    engine: Engine
-    key_table: KeyTable
-
-
-def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
+def build(scenario: Scenario, seed: Optional[int] = None) -> Engine:
     """Wire a validated scenario into a ready-to-run engine."""
     cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)
     engine = Engine(cfg, scenario.schedule_map(), random.Random(f"run|{cfg.seed}"))
@@ -295,4 +287,4 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> BuiltRun:
     engine.seed_link_changes()
     for src, dst, at in scenario.discoveries:
         engine.schedule_action(at, src, ("initiate", dst))
-    return BuiltRun(engine=engine, key_table=table)
+    return engine

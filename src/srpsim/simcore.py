@@ -240,10 +240,9 @@ class Engine:
         self.tunnels: dict[str, tuple[str, ...]] = {}  # owner -> path to its peer
         self.lines: list[str] = []
         self.trace = TraceView(self.lines)
-        self.accepted: list[tuple[str, object]] = []
+        self.accepted: list = []  # RouteRecords, in acceptance order
         self._queue: list[tuple] = []  # (time, seq, Engine handler, args)
         self._seq = 0
-        self._delivery_seq = 0
         # id(message) -> (message, message_digest): the entry keeps its
         # message alive, so the id is not reused within the run
         self._digests: dict[int, tuple[object, str]] = {}
@@ -251,8 +250,7 @@ class Engine:
         # 0.0 == -0.0, but they print apart)
         self._rendered_now: object = None
         self._now_text = ""
-        self.noncompliant_deliveries: set[int] = set()
-        self.adversary_emissions: list[tuple[str, object, str]] = []
+        self.adversary_emissions: list[tuple[str, object]] = []
 
     # -- wiring -----------------------------------------------------------
 
@@ -322,9 +320,8 @@ class Engine:
         t0, t1 = self.now, self.now + self.config.tx_time
         for v, link in self.schedules.neighbours(sender):
             if v in self.nodes and link.covers(t0, t1):
-                self._delivery_seq += 1
                 self._push(self.now + self._delay(), Engine._deliver,
-                           (v, msg, sender, True, self._delivery_seq))
+                           (v, msg, sender, True))
 
     def send_l(self, sender: str, receiver: str, msg) -> bool:
         """Unicast to `receiver`; other up neighbors overhear the frame but do
@@ -338,18 +335,16 @@ class Engine:
         ok = self.schedules.covers(sender, receiver, t0, t1)
         self._record(sender, "send_l", d, "sent" if ok else "failure_reported", receiver)
         if ok:
-            self._delivery_seq += 1
             self._push(self.now + self._delay(), Engine._deliver,
-                       (receiver, msg, sender, True, self._delivery_seq))
+                       (receiver, msg, sender, True))
         else:
             self._push(t1, Engine._record,
                        (sender, "report", d, "failure_reported", receiver))
         # Promiscuous overhearing by third parties with an up link.
         for w, link in self.schedules.neighbours(sender):
             if w != receiver and w in self.nodes and link.covers(t0, t1):
-                self._delivery_seq += 1
                 self._push(self.now + self._delay(), Engine._deliver,
-                           (w, msg, sender, False, self._delivery_seq))
+                           (w, msg, sender, False))
         return ok
 
     def tunnel_send(self, owner: str, msg) -> bool:
@@ -375,15 +370,15 @@ class Engine:
         self._push(at, Engine._fire, (node, tag))
 
     def accept_route(self, node: str, record) -> None:
-        self.accepted.append((node, record))
+        self.accepted.append(record)
         self._record(node, "step", "-", "accept",
                      "route=" + ",".join(record.route))
 
     def trace_step(self, node: str, outcome: str, detail: str, msg=None) -> None:
         self._record(node, "step", self._digest(msg), outcome, detail)
 
-    def note_adversary_emission(self, node: str, msg, trigger: str) -> None:
-        self.adversary_emissions.append((node, msg, trigger))
+    def note_adversary_emission(self, node: str, msg) -> None:
+        self.adversary_emissions.append((node, msg))
 
     # -- main loop ----------------------------------------------------------
 
@@ -396,11 +391,10 @@ class Engine:
 
     # -- event handlers: what a heap entry names ------------------------------
 
-    def _deliver(self, node, msg, transmitter, addressed, delivery_id) -> None:
+    def _deliver(self, node, msg, transmitter, addressed) -> None:
         primitive = "receive_l" if addressed else "overhear"
         self._record(node, primitive, self._digest(msg), "delivered", transmitter)
-        self.nodes[node].on_deliver(self, msg, transmitter, addressed,
-                                    self.now, delivery_id)
+        self.nodes[node].on_deliver(self, msg, transmitter, addressed, self.now)
 
     def _fire(self, node, tag) -> None:
         detail = ":".join(str(x) for x in tag if isinstance(x, (str, int, float)))

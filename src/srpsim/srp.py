@@ -191,8 +191,7 @@ class Discovery:
     qid: int
     t1: float
     reply_wait: float
-    accepted: list[RouteRecord] = field(default_factory=list)
-    concluded: bool = False
+    accepted: int = 0  # routes accepted so far
     conclude_at: Optional[float] = None
 
 
@@ -204,12 +203,10 @@ class NodeState:
     keys: KeyRing
     seen: set = field(default_factory=set)               # {(src, qid)}
     fwd: dict = field(default_factory=dict)              # (src, qid) -> {neighbor: metric|None}
-    relayed: dict = field(default_factory=dict)          # (src, qid) -> node_list we broadcast
-    relayed_metrics: dict = field(default_factory=dict)  # (src, qid) -> metric_list we broadcast
+    relayed: dict = field(default_factory=dict)          # (src, qid) -> Rreq we broadcast
     prefix_metric: dict = field(default_factory=dict)    # (src, qid) -> scaled prefix aggregate
     discoveries: dict = field(default_factory=dict)      # dst -> active Discovery
     deferred: dict = field(default_factory=dict)         # dst -> pending re-invocations
-    last_reply_wait: dict = field(default_factory=dict)  # dst -> timer value to reuse
     next_qid: int = 1
 
 
@@ -264,7 +261,7 @@ def rrep_verdict(state: NodeState, rrep: Rrep, forwarder: str, qos) -> Optional[
     at_source = state.self_id == rrep.src
     if at_source:
         disc = state.discoveries.get(rrep.dst)
-        if disc is None or disc.concluded:
+        if disc is None:
             return STALE_REPLY
         successor = route[-1] if route else rrep.dst
         key = (state.self_id, disc.qid)
@@ -319,8 +316,7 @@ def remember_broadcast(state: NodeState, rreq: Rreq, qos) -> None:
     join the (fresh, empty) forward list."""
     key = (rreq.src, rreq.qid)
     state.seen.add(key)
-    state.relayed[key] = rreq.node_list
-    state.relayed_metrics[key] = rreq.metric_list if rreq.metric_list is not None else ()
+    state.relayed[key] = rreq
     state.fwd[key] = {}
     if qos is not None and rreq.metric_list:
         state.prefix_metric[key] = qos.aggregate_scaled(rreq.metric_list)
@@ -348,15 +344,12 @@ def initiate_discovery(state: NodeState, dst: str, now: float, cfg, qos=None):
     if dst in state.discoveries:
         state.deferred[dst] = state.deferred.get(dst, 0) + 1
         return [Note("defer", f"discovery for {dst} already under way")]
-    rw = state.last_reply_wait.get(dst, cfg.reply_wait_min)
-    return _start_discovery(state, dst, now, rw, qos)
+    return _start_discovery(state, dst, now, cfg.reply_wait_min, qos)
 
 
 def _conclude(state: NodeState, disc: Discovery, now: float, cfg, qos):
-    disc.concluded = True
-    state.last_reply_wait[disc.dst] = cfg.reply_wait_min
     del state.discoveries[disc.dst]
-    fx = [Note("conclude", f"dst={disc.dst} qid={disc.qid} accepted={len(disc.accepted)}")]
+    fx = [Note("conclude", f"dst={disc.dst} qid={disc.qid} accepted={disc.accepted}")]
     if state.deferred.get(disc.dst, 0) > 0:
         state.deferred[disc.dst] -= 1
         fx += _start_discovery(state, disc.dst, now, cfg.reply_wait_min, qos)
@@ -367,20 +360,20 @@ def on_replywait_timeout(state: NodeState, dst: str, qid: int, now: float, cfg, 
     """Reply-wait expiry: retry with a larger timer if nothing was accepted,
     conclude the discovery otherwise."""
     disc = state.discoveries.get(dst)
-    if disc is None or disc.qid != qid or disc.concluded:
+    if disc is None or disc.qid != qid:
         return []
     if disc.accepted:
         return _conclude(state, disc, now, cfg, qos)
     del state.discoveries[dst]
     rw = min(disc.reply_wait * 2, cfg.reply_wait_max)
-    state.last_reply_wait[dst] = rw
     return [Note("retry", f"dst={dst} qid={qid} next_reply_wait={rw!r}")] + \
         _start_discovery(state, dst, now, rw, qos)
 
 
 def on_conclude_timer(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
+    # armed only once the discovery `qid` has accepted a route
     disc = state.discoveries.get(dst)
-    if disc is None or disc.qid != qid or disc.concluded or not disc.accepted:
+    if disc is None or disc.qid != qid:
         return []
     return _conclude(state, disc, now, cfg, qos)
 
@@ -390,14 +383,14 @@ def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     request with itself appended (and, in augmented mode, with a link metric
     consistent with our own measurement of the shared link)."""
     key = (rreq.src, rreq.qid)
-    base = state.relayed.get(key)
-    if base is None or rreq.node_list != base + (transmitter,):
+    sent = state.relayed.get(key)
+    if sent is None or rreq.node_list != sent.node_list + (transmitter,):
         return []
     step = "2.1.2" if state.self_id == rreq.src else "2.2.5"
     if qos is not None:
         if rreq.metric_list is None:
             return []
-        base_m = state.relayed_metrics.get(key, ())
+        base_m = sent.metric_list or ()
         if len(rreq.metric_list) != len(base_m) + 1 or rreq.metric_list[:-1] != base_m:
             return []
         appended = rreq.metric_list[-1]
@@ -412,8 +405,7 @@ def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     return [Note("fl-add", f"{step} neighbor={transmitter}", rreq)]
 
 
-def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str,
-                              now: float, qos=None):
+def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     """Relay a compliant request with ourselves appended, or discard with the
     rule id that failed."""
     verdict = rreq_verdict(state, rreq, transmitter, qos)
@@ -429,8 +421,7 @@ def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str,
     return [Note("relay", "2.2.4", out), Broadcast(out)]
 
 
-def process_rreq_destination(state: NodeState, rreq: Rreq, transmitter: str,
-                             now: float, qos=None):
+def process_rreq_destination(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     """Answer the first compliant copy of a query with a signed reply."""
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
@@ -462,7 +453,7 @@ def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
         reported = tuple(reversed(rrep.metric_list)) if qos is not None else None
         record = RouteRecord(route=full, t1=disc.t1, t2=now, qid=disc.qid,
                              reported=reported)
-        disc.accepted.append(record)
+        disc.accepted += 1
         fx = [Note("accepted", "4.5", rrep), Accept(record)]
         min_conclude = disc.t1 + cfg.reply_wait_min
         if now >= min_conclude:
@@ -476,12 +467,12 @@ def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
     return [Note("relay", f"4.4 to={predecessor}", rrep), Unicast(predecessor, rrep)]
 
 
-def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, now: float, qos=None):
+def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     if rreq.src == state.self_id:
         return []  # querying node: only forward-list observation applies
     if rreq.dst == state.self_id:
-        return process_rreq_destination(state, rreq, transmitter, now, qos)
-    return process_rreq_intermediate(state, rreq, transmitter, now, qos)
+        return process_rreq_destination(state, rreq, transmitter, qos)
+    return process_rreq_intermediate(state, rreq, transmitter, qos)
 
 
 # --------------------------------------------------------------------------
@@ -520,12 +511,12 @@ class SrpNode:
     def node_id(self):
         return self.state.self_id
 
-    def on_deliver(self, engine, msg, transmitter, addressed, now, delivery_id=0):
+    def on_deliver(self, engine, msg, transmitter, addressed, now):
         node = self.state.self_id
         if isinstance(msg, Rreq):
             execute(engine, node, observe_relay(self.state, msg, transmitter, self.qos))
             if addressed:
-                execute(engine, node, handle_rreq(self.state, msg, transmitter, now, self.qos))
+                execute(engine, node, handle_rreq(self.state, msg, transmitter, self.qos))
         elif isinstance(msg, Rrep) and addressed:
             execute(engine, node, process_rrep(self.state, msg, transmitter, now,
                                                self.cfg, self.qos))

@@ -24,3 +24,18 @@ def make_state(node, table=None):
 @pytest.fixture
 def st_table():
     return make_table(("S", "T"))
+
+
+@pytest.fixture
+def mac_calls(monkeypatch):
+    """(holder, key pair, digest) of every authenticator any KeyTable
+    computes during the test."""
+    calls = []
+    mac = KeyTable._mac
+
+    def recording(table, holder, peer, fields):
+        digest = mac(table, holder, peer, fields)
+        calls.append((holder, tuple(sorted((holder, peer))), digest))
+        return digest
+    monkeypatch.setattr(KeyTable, "_mac", recording)
+    return calls

@@ -190,9 +190,9 @@ def test_criterion_4_per_hop_and_sum_error_chain_bounds():
             for i in range(50):
                 rng = random.Random(f"hopchain|{n}|{dtil}|{i}")
                 scen = accuracy_scenario(GKind.ADD, n, eps, dtil, 9000 + i, rng)
-                built = build(scen)
-                built.engine.run()
-                for _, rec in built.engine.accepted:
+                engine = build(scen)
+                engine.run()
+                for rec in engine.accepted:
                     checked += 1
                     errs = []
                     for idx, ((a, b), rep) in enumerate(

@@ -113,7 +113,7 @@ class TestExecutor:
         cfg = SimConfig(tau=1.0, tx_time=1.0, end_time=50.0, seed=1,
                         reply_wait_min=8.0, reply_wait_max=64.0)
         eng = Engine(cfg, ScheduleMap(("S", "a", "m", "T"), links), random.Random(1))
-        node._execute(eng, actions, "test")
+        node._execute(eng, actions)
         return node, eng
 
     def test_budget_exhaustion_drops_the_rest(self):
@@ -123,7 +123,7 @@ class TestExecutor:
         assert [te.primitive for te in eng.trace if te.node == "m"].count("bcast_l") == 2
         assert [te.outcome for te in eng.trace].count("adv-budget") == 1
         assert node.emitted == 2
-        assert [e[1] for e in eng.adversary_emissions] == msgs[:2]
+        assert eng.adversary_emissions == [("m", m) for m in msgs[:2]]
 
     def test_self_addressed_unicast_skipped_but_spends_an_emission(self):
         msg = Rreq("S", "T", 1, 0, ("a",))
@@ -131,7 +131,7 @@ class TestExecutor:
                               [Unicast("m", msg), Unicast("a", msg)])
         assert node.emitted == 2
         assert [(te.primitive, te.detail) for te in eng.trace] == [("send_l", "a")]
-        assert eng.adversary_emissions == [("m", msg, "test")]
+        assert eng.adversary_emissions == [("m", msg)]
 
     def test_tunnel_from_independent_node_raises(self):
         with pytest.raises(AttackClassError):
@@ -197,37 +197,39 @@ def test_downstream_metric_tamper_drops_replies_in_basic_mode():
     assert res.records == []
 
 
-def _emission_taint_audit(result_engine):
-    """No adversary emission may be triggered by a delivery the compliance
-    checker flagged at that adversary (independent class soundness)."""
-    bad = {f"deliver:{i}" for i in result_engine.noncompliant_deliveries}
-    bad |= {f"overhear:{i}" for i in result_engine.noncompliant_deliveries}
-    return [e for e in result_engine.adversary_emissions if e[2] in bad]
-
-
-def test_independent_emissions_never_downstream_of_noncompliant_input():
+def test_independent_emissions_never_downstream_of_noncompliant_input(monkeypatch):
+    """A delivery the compliance check flags at an independent adversary
+    (it writes an `adv-noncompliant` line) spends no emission: the input
+    triggers nothing the node sends."""
     from srpsim.scenario import build
+    flagged = []  # emissions spent by each flagged delivery
+    on_deliver = AdversaryNode.on_deliver
+
+    def audited(self, engine, msg, transmitter, addressed, now):
+        lines, emitted = len(engine.lines), self.emitted
+        on_deliver(self, engine, msg, transmitter, addressed, now)
+        if any(" adv-noncompliant " in ln for ln in engine.lines[lines:]):
+            assert self.klass is AdversaryClass.INDEPENDENT
+            flagged.append(self.emitted - emitted)
+    monkeypatch.setattr(AdversaryNode, "on_deliver", audited)
     rng = random.Random(99)
     for i in range(50):
         scenario = random_scenario(rng, AdversaryClass.INDEPENDENT, "basic", 8, 5000 + i)
-        built = build(scenario)
-        built.engine.run()
-        assert _emission_taint_audit(built.engine) == []
+        build(scenario).run()
+    assert flagged and set(flagged) == {0}
 
 
-def test_accepted_authenticators_were_generated_by_an_end_node():
+def test_accepted_authenticators_were_generated_by_an_end_node(mac_calls):
     from srpsim.scenario import build
     scen = load_scenario([p for p in bundled_scenarios()
                           if p.stem == "forge_rrep_independent"][0])
-    built = build(scen)
-    built.engine.run()
-    accepted = [rec for _, rec in built.engine.accepted]
-    assert accepted
-    t_digests = {d for holder, pair, d in built.key_table.calls if holder == "T"}
-    for rec in accepted:
+    engine = build(scen)
+    engine.run()
+    assert engine.accepted
+    t_digests = {d for holder, pair, d in mac_calls if holder == "T"}
+    for rec in engine.accepted:
         route = tuple(reversed(rec.route[1:-1]))
-        expected = built.key_table.ring("T").mac(
-            "S", ("S", "T", rec.qid, route))
+        expected = _table().ring("T").mac("S", ("S", "T", rec.qid, route))
         assert expected in t_digests
 
 
@@ -260,8 +262,8 @@ class TestTunnel:
     def test_built_tunnel_is_the_scripts_path(self):
         from srpsim.scenario import build
         scen = load_scenario([p for p in bundled_scenarios() if p.stem == "fig1a_tunnel"][0])
-        assert build(scen).engine.tunnels == {"M1": ("M1", "y", "M2"),
-                                              "M2": ("M2", "y", "M1")}
+        assert build(scen).tunnels == {"M1": ("M1", "y", "M2"),
+                                       "M2": ("M2", "y", "M1")}
 
     def test_dead_hop_drops_the_payload(self):
         eng = self._engine_with_tunnel([(30.0, 50.0)])
@@ -274,7 +276,7 @@ def test_store_holds_the_delivered_messages():
     from srpsim.scenario import build
     scen = load_scenario([p for p in bundled_scenarios()
                           if p.stem == "replay_stale_rrep_arbitrary"][0])
-    engine = build(scen).engine
+    engine = build(scen)
     engine.run()
     (driver,) = [d for d in engine.nodes.values() if isinstance(d, AdversaryNode)]
     assert driver.store and all(isinstance(m, (Rreq, Rrep)) for m in driver.store)
@@ -311,6 +313,7 @@ class TestFuzzScripts:
         {"seed": "x"}, {"bounds": 5}, {"bounds": {"ghosts": []}},
         {"bounds": {"ghosts": [1]}}, {"bounds": {"spontaneous": -1}},
         {"bounds": {"max_emissions": "many"}}, {"bounds": {"spontaneous": 1001}},
+        {"bounds": {"spontanous": 5, "max_emisions": 2}},
     ])
     def test_bad_fuzz_params_rejected(self, params):
         with pytest.raises(AttackParamError, match="param '"):

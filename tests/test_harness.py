@@ -185,12 +185,17 @@ NAN = float("nan")
     (_mini(mode="augmented", metrics={"kind": "max", "epsilon": 0.1,
                                       "actual": [["S", "T", 1e303]]}),
      "actual link metrics must be finite"),
+    (_mini(nodes=["S", "T", "m"], adversaries={"m": {
+        "class": "arbitrary", "attack": "fuzz",
+        "params": {"bounds": {"max_emisions": 2}}}}),
+     "adversary m: param 'bounds' has no key 'max_emisions'"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
         "name-newline", "name-return", "administrative-string",
-        "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows"])
+        "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows",
+        "fuzz-bounds-typo"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)
@@ -764,6 +769,20 @@ class TestCli:
                          "--verdicts", "v.json"]) == 0
         assert (tmp_path / "out" / "t.trace").exists()
         assert json.loads((tmp_path / "out" / "v.json").read_text())
+
+    def test_run_verdicts_summary(self, tmp_path):
+        # the tunnel's one accepted route is loop-free and weakly fresh but
+        # not fresh; the basic-mode route is never judged for accuracy
+        p = next(p for p in bundled_scenarios() if p.stem == "fig1a_tunnel")
+        out = tmp_path / "v.json"
+        assert cli_main(["run", str(p), "--verdicts", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written["summary"] == {
+            "adversary_classes": ["arbitrary"], "routes": 1, "considered": 1,
+            "loop_free": 1, "fresh": 0, "weakly_fresh": 1,
+            "accurate": 0, "accuracy_evaluated": 0,
+        }
+        assert [v["route"] for v in written["verdicts"]] == [["S", "x", "M1", "M2", "z", "T"]]
 
     def test_check_subcommand_roundtrip(self, tmp_path):
         p = self._write_scenario(tmp_path, _mini())

@@ -33,13 +33,6 @@ def test_missing_key_is_an_access_violation():
         t.ring("M").mac("S", ("S", "T", 1))
 
 
-def test_calls_are_audited():
-    t = KeyTable()
-    t.grant("S", "T")
-    d = t.ring("S").mac("T", ("S", "T", 9))
-    assert ("S", ("S", "T"), d) in t.calls
-
-
 def test_no_collisions_over_random_samples():
     rng = random.Random(1234)
     t = KeyTable()

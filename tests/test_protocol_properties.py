@@ -134,16 +134,17 @@ def test_accepted_route_times_bracket_the_discovery():
     assert rec.t1 < rec.t2 <= 2.0 + 4 * 1.0 + 1e-9  # at most 4 hops of delay
 
 
-def test_unforgeable_acceptance_under_every_bundled_attack():
+def test_unforgeable_acceptance_under_every_bundled_attack(mac_calls):
     """Any accepted reply's authenticator must have been computed by one of
     the end nodes (the key-access rule makes third-party digests impossible)."""
     from srpsim import bundled_scenarios, load_scenario
     for p in bundled_scenarios():
         scen = load_scenario(p)
-        built = build(scen)
-        built.engine.run()
-        for node, rec in built.engine.accepted:
+        mac_calls.clear()
+        engine = build(scen)
+        engine.run()
+        for rec in engine.accepted:
             src, dst = rec.route[0], rec.route[-1]
-            holders = {h for h, pair, d in built.key_table.calls
+            holders = {h for h, pair, d in mac_calls
                        if pair == tuple(sorted((src, dst)))}
             assert holders <= {src, dst}

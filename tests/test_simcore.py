@@ -4,6 +4,7 @@ overhearing, event ordering, and replay determinism."""
 import gc
 import hashlib
 import heapq
+import inspect
 import json
 import random
 import weakref
@@ -92,12 +93,12 @@ class _Sink:
     def __init__(self):
         self.got = []
 
-    def on_deliver(self, engine, msg, transmitter, addressed, now, delivery_id=0):
+    def on_deliver(self, engine, msg, transmitter, addressed, now):
         self.got.append((msg, transmitter, addressed, now))
 
-    def on_timer(self, *a): ...
-    def on_action(self, *a): ...
-    def on_tunnel(self, *a): ...
+    def on_timer(self, engine, tag, now): ...
+    def on_action(self, engine, action, now): ...
+    def on_tunnel(self, engine, msg, frm, now): ...
 
 
 def _engine(sched, tau=1.0, seed=1):
@@ -289,7 +290,7 @@ def _ended_lines_digest(lines):
 class TestTraceLines:
     @pytest.mark.parametrize("scenario", _trace_cases())
     def test_parsed_events_render_the_stored_lines(self, scenario):
-        engine = build(scenario).engine
+        engine = build(scenario)
         trace = engine.run()
         events = list(trace)
         assert [te.line() for te in events] == trace.lines
@@ -311,7 +312,7 @@ class TestTraceLines:
         d = json.loads(path.read_text())
         d["links"][0][2][0][0] = -0.0
         d["discoveries"][0]["at"] = 0.0
-        engine = build(scenario_from_dict(d)).engine
+        engine = build(scenario_from_dict(d))
         engine.run()
         lines = [te.line() for te in engine.trace]
         assert lines == engine.trace.lines
@@ -357,17 +358,29 @@ class TestOrdering:
                 assert tx_times[te.digest] <= te.time
 
 
-DRIVER_HOOKS = {"on_deliver", "on_timer", "on_action", "on_tunnel"}
+# each hook's parameters after self: exactly what the engine passes
+DRIVER_HOOKS = {
+    "on_deliver": ("engine", "msg", "transmitter", "addressed", "now"),
+    "on_timer": ("engine", "tag", "now"),
+    "on_action": ("engine", "action", "now"),
+    "on_tunnel": ("engine", "msg", "frm", "now"),
+}
 
 
 class TestDriverContract:
     @pytest.mark.parametrize("driver", [SrpNode, AdversaryNode, _Sink])
     def test_drivers_define_the_four_hooks(self, driver):
-        assert {n for n in vars(driver) if n.startswith("on_")} == DRIVER_HOOKS
+        assert {n for n in vars(driver) if n.startswith("on_")} == set(DRIVER_HOOKS)
+
+    @pytest.mark.parametrize("driver", [SrpNode, AdversaryNode, _Sink])
+    @pytest.mark.parametrize("hook", sorted(DRIVER_HOOKS))
+    def test_hooks_take_what_the_engine_passes(self, driver, hook):
+        params = tuple(inspect.signature(getattr(driver, hook)).parameters)
+        assert params == ("self",) + DRIVER_HOOKS[hook]
 
     def test_heap_entries_name_plain_engine_functions(self):
         scen = load_scenario(bundled_scenarios()[0])
-        engine = build(scen).engine
+        engine = build(scen)
         handlers = {handler for _, _, handler, _ in engine._queue}
         assert handlers and handlers <= {Engine._deliver, Engine._fire,
                                          Engine._tunnel_arrive, Engine._act,
@@ -378,11 +391,11 @@ class TestDriverContract:
         scen = load_scenario(path)
         gc.disable()
         try:
-            built = build(scen)
-            built.engine.run()
-            refs = [weakref.ref(built.engine)]
-            refs += [weakref.ref(d) for d in built.engine.nodes.values()]
-            del built
+            engine = build(scen)
+            engine.run()
+            refs = [weakref.ref(engine)]
+            refs += [weakref.ref(d) for d in engine.nodes.values()]
+            del engine
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
@@ -415,11 +428,11 @@ class TestLinkChangeSeeding:
             "seed": 7, "bounds": {"spontaneous": 40}}}
         d["links"].append([d["nodes"][0], node, [[0, 20], [25, 60], [70, 500]]])
         scen = scenario_from_dict(d)
-        got = build(scen).engine
+        got = build(scen)
         assert any(h is Engine._act and args[1] == ("adversary_time",)
                    for _, _, h, args in got._queue)
         monkeypatch.setattr(Engine, "seed_link_changes", _seed_one_at_a_time)
-        want = build(scen).engine
+        want = build(scen)
         assert got._seq == want._seq
         assert _drain(got) == _drain(want)
 
@@ -429,7 +442,7 @@ class TestLinkChangeSeeding:
             "config": {"seed": 1, "end_time": 40.0},
             "links": [["a", "b", [[0, 50]]], ["b", "c", [[10, 40], [45, 60]]]],
         })
-        engine = build(scen).engine
+        engine = build(scen)
         queued = sorted((t, args[3], args[4]) for t, _, _, args in engine._queue)
         assert queued == [(0.0, "up", "a-b"), (10.0, "up", "b-c"),
                           (40.0, "down", "b-c")]

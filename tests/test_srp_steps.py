@@ -33,11 +33,11 @@ class TestRequestActions:
     def test_2_2_4_appends_self_and_rebroadcasts(self):
         table = _table()
         state = make_state("m", table)
-        fx = process_rreq_intermediate(state, _signed_rreq(table, ("a",)), "a", 2.0)
+        fx = process_rreq_intermediate(state, _signed_rreq(table, ("a",)), "a")
         (bc,) = _effects_of(Broadcast, fx)
         assert bc.msg.node_list == ("a", "m")
         assert ("S", 1) in state.seen
-        assert state.relayed[("S", 1)] == ("a", "m")
+        assert state.relayed[("S", 1)].node_list == ("a", "m")
         assert state.fwd[("S", 1)] == {}
 
     def test_2_2_4_appends_own_link_metric(self):
@@ -45,7 +45,7 @@ class TestRequestActions:
         qos = _qos(actual={("a", "m"): 1.5})
         state = make_state("m", table)
         rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
-        fx = process_rreq_intermediate(state, rreq, "a", 2.0, qos)
+        fx = process_rreq_intermediate(state, rreq, "a", qos)
         (bc,) = _effects_of(Broadcast, fx)
         assert bc.msg.metric_list == (to_scaled(1.0), to_scaled(1.5))
         # stored prefix covers both links (step 2.2.7)
@@ -54,7 +54,7 @@ class TestRequestActions:
     def test_2_2_5_admits_exact_relay_only(self):
         table = _table()
         state = make_state("m", table)
-        process_rreq_intermediate(state, _signed_rreq(table, ("a",)), "a", 2.0)
+        process_rreq_intermediate(state, _signed_rreq(table, ("a",)), "a")
         # v relays exactly our list plus itself: admitted
         observe_relay(state, _signed_rreq(table, ("a", "m", "v")), "v")
         assert "v" in state.fwd[("S", 1)]
@@ -71,7 +71,7 @@ class TestRequestActions:
         qos = _qos(epsilon=0.1, actual={("a", "m"): 1.0, ("m", "v"): 1.0})
         state = make_state("m", table)
         rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
-        fx = process_rreq_intermediate(state, rreq, "a", 2.0, qos)
+        fx = process_rreq_intermediate(state, rreq, "a", qos)
         relayed = _effects_of(Broadcast, fx)[0].msg
         base = relayed.metric_list
         ok = Rreq("S", "T", 1, rreq.auth, ("a", "m", "v"), base + (to_scaled(1.05),))
@@ -91,7 +91,7 @@ class TestRequestActions:
     def test_3_reply_reverses_list_and_signs(self):
         table = _table()
         state = make_state("T", table)
-        fx = process_rreq_destination(state, _signed_rreq(table, ("a", "b")), "b", 3.0)
+        fx = process_rreq_destination(state, _signed_rreq(table, ("a", "b")), "b")
         (uc,) = _effects_of(Unicast, fx)
         assert uc.to == "b"
         assert uc.msg.route == ("b", "a")
@@ -101,7 +101,7 @@ class TestRequestActions:
     def test_3_reply_single_hop_goes_straight_to_source(self):
         table = _table()
         state = make_state("T", table)
-        fx = process_rreq_destination(state, _signed_rreq(table, ()), "S", 3.0)
+        fx = process_rreq_destination(state, _signed_rreq(table, ()), "S")
         (uc,) = _effects_of(Unicast, fx)
         assert uc.to == "S"
         assert uc.msg.route == ()
@@ -109,9 +109,9 @@ class TestRequestActions:
     def test_destination_answers_only_first_copy(self):
         table = _table()
         state = make_state("T", table)
-        fx1 = process_rreq_destination(state, _signed_rreq(table, ("a",)), "a", 3.0)
+        fx1 = process_rreq_destination(state, _signed_rreq(table, ("a",)), "a")
         assert _effects_of(Unicast, fx1)
-        fx2 = process_rreq_destination(state, _signed_rreq(table, ("b",)), "b", 3.5)
+        fx2 = process_rreq_destination(state, _signed_rreq(table, ("b",)), "b")
         assert not _effects_of(Unicast, fx2)
 
 
@@ -144,7 +144,7 @@ class TestReplyActions:
         (acc,) = _effects_of(Accept, fx)
         assert acc.record.route == ("S", "a", "b", "T")
         assert acc.record.t1 == 1.0 and acc.record.t2 == 5.0
-        assert state.discoveries["T"].accepted == [acc.record]
+        assert state.discoveries["T"].accepted == 1
 
     def test_4_2_applies_at_source_too(self):
         table = _table()
@@ -166,7 +166,7 @@ class TestFormatRules:
         table = _table()
         rreq = _signed_rreq(table, ("T", "a"))
         for node in ("m", "T"):
-            v = handle_rreq(make_state(node, table), rreq, "a", 2.0)
+            v = handle_rreq(make_state(node, table), rreq, "a")
             (note,) = [f for f in v if isinstance(f, Note)]
             assert note.outcome == "discard"
             assert note.detail == srp.ENDPOINT_IN_NODE_LIST.text
@@ -244,7 +244,7 @@ class TestDiscoveryLifecycle:
         (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
         assert tm.tag == ("conclude", "T", 1)
         assert tm.at == 1.0 + CFG.reply_wait_min
-        assert not state.discoveries["T"].concluded
+        assert state.discoveries["T"].accepted == 1
 
     def test_acceptance_after_minimum_concludes_immediately(self):
         table = _table()
@@ -252,7 +252,31 @@ class TestDiscoveryLifecycle:
         observe_relay(state, _signed_rreq(table, ("a",)), "a")
         fx = process_rrep(state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
         assert "T" not in state.discoveries
-        assert state.last_reply_wait["T"] == CFG.reply_wait_min
+        (note,) = [f for f in fx if isinstance(f, Note) and f.outcome == "conclude"]
+        assert note.detail == "dst=T qid=1 accepted=1"
+
+    @pytest.mark.parametrize("deferred", [False, True], ids=["direct", "deferred"])
+    def test_discovery_after_a_conclusion_starts_at_the_minimum_timer(self, deferred):
+        # qid 1 times out and qid 2 retries with a doubled timer; once qid 2
+        # concludes, the next discovery toward T waits reply_wait_min again
+        table = _table()
+        state = _source_state_with_discovery(table)
+        on_replywait_timeout(state, "T", 1, 9.0, CFG)
+        assert state.discoveries["T"].reply_wait == 2 * CFG.reply_wait_min
+        if deferred:
+            initiate_discovery(state, "T", 10.0, CFG)
+        observe_relay(state, _signed_rreq(table, ("a",), qid=2), "a")
+        fx = process_rrep(state, _signed_rrep(table, ("a",), qid=2), "a", 30.0, CFG)
+        assert "conclude" in [f.outcome for f in fx if isinstance(f, Note)]
+        now = 30.0
+        if not deferred:
+            now = 31.0
+            fx = initiate_discovery(state, "T", now, CFG)
+        (query,) = [f for f in fx if isinstance(f, Note) and f.outcome == "query"]
+        (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
+        assert query.detail == f"dst=T qid=3 reply_wait={CFG.reply_wait_min!r}"
+        assert tm.at == now + CFG.reply_wait_min and tm.tag == ("replywait", "T", 3)
+        assert state.discoveries["T"].reply_wait == CFG.reply_wait_min
 
     def test_reply_after_conclusion_is_stale(self):
         table = _table()

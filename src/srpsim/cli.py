@@ -87,13 +87,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    config = FuzzConfig(
-        runs=args.runs,
-        klass=AdversaryClass(args.adversary_class),
-        mode=args.mode,
-        max_nodes=args.max_nodes,
-        seed=args.seed,
-    )
+    try:
+        config = FuzzConfig(
+            runs=args.runs,
+            klass=AdversaryClass(args.adversary_class),
+            mode=args.mode,
+            max_nodes=args.max_nodes,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        print(f"fuzz error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     report = fuzz_campaign(
         config,
         progress=lambda done, total: print(f"  {done}/{total} runs", file=sys.stderr),

@@ -9,6 +9,7 @@ an expectation or campaign property is violated, 2 for usage/IO errors.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -187,6 +188,12 @@ class FuzzConfig:
     seed: int = 0
     bounds: Optional[dict] = None
 
+    def __post_init__(self):
+        # random_scenario always draws S, T and two intermediates
+        if self.max_nodes < 4:
+            raise ValueError("max_nodes must be at least 4 (S, T and two "
+                             f"intermediates): {self.max_nodes}")
+
 
 @dataclass
 class Violation:
@@ -358,9 +365,22 @@ def render_trace(name: str, seed: int, lines, records, digest: int) -> str:
 
 
 def write_trace(path, result: RunResult) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(render_trace(result.scenario.name, result.seed,
-                             result.trace.lines, result.records, result.digest))
+    """Store a run's `render_trace` text at `path` as UTF-8.
+
+    An existing file is overwritten in place and a stale tail is cut off
+    after the write, rather than truncated to zero length first as mode "w"
+    does: ext4 starts writing back a file truncated to zero when it is
+    closed (its auto_da_alloc heuristic), which costs more than the write.
+    The tail is cut only when the file was longer than the new text, so a
+    target without a length, such as /dev/null or a pipe, is never
+    truncated.  A write that fails part-way leaves a file that `check_trace`
+    rejects."""
+    data = render_trace(result.scenario.name, result.seed, result.trace.lines,
+                        result.records, result.digest).encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if os.fstat(f.fileno()).st_size > len(data):
+            f.truncate()
 
 
 class TraceFormatError(ValueError):

@@ -5,20 +5,24 @@ import copy
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srpsim import (LinkSchedule, RouteRecord, ScenarioError, ScheduleMap,
-                    Verdict, bundled_scenarios, check_trace,
-                    evaluate_expectations, load_scenario, run_scenario,
-                    scenario_from_dict, write_trace)
+import srpsim
+from srpsim import (FuzzConfig, LinkSchedule, RouteRecord, ScenarioError,
+                    ScheduleMap, Verdict, bundled_scenarios, check_trace,
+                    evaluate_expectations, fuzz_campaign, load_scenario,
+                    run_scenario, scenario_from_dict, write_trace)
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
-from srpsim.harness import read_trace
+from srpsim.harness import read_trace, render_trace
 from srpsim.scenario import EXPECT_KEYS
 from srpsim.simcore import trace_digest_of_lines
 
@@ -466,6 +470,30 @@ class TestTracePersistence:
         assert ok, messages
         assert len(verdicts) == len(res.records)
 
+    def test_rewrite_leaves_exactly_the_new_trace(self, tmp_path):
+        # a long, a short, then a long trace at one path: each must leave the
+        # file byte for byte what render_trace gives, with no stale tail
+        mini = scenario_from_dict(MINIMAL)
+        basic = load_scenario(
+            next(p for p in bundled_scenarios() if p.stem == "benign_basic"))
+        p = tmp_path / "run.trace"
+        p.write_bytes(b"")
+        p.chmod(0o640)
+        inode = p.stat().st_ino
+        sizes = []
+        for scen in (basic, mini, basic):
+            res = run_scenario(scen)
+            write_trace(p, res)
+            assert p.read_bytes() == render_trace(
+                scen.name, res.seed, res.trace.lines, res.records,
+                res.digest).encode("utf-8")
+            ok, messages, _ = check_trace(p, scen)
+            assert ok, messages
+            sizes.append(p.stat().st_size)
+        assert sizes[0] == sizes[2] > sizes[1]
+        assert p.stat().st_ino == inode
+        assert p.stat().st_mode & 0o777 == 0o640
+
     def test_tampered_trace_fails_digest(self, tmp_path):
         scen = scenario_from_dict(MINIMAL)
         res = run_scenario(scen)
@@ -753,6 +781,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "--runs: must not be negative: -3" in capsys.readouterr().err
 
+    def test_fuzz_rejects_max_nodes_below_four(self, capsys):
+        # random_scenario always draws S, T and two intermediates
+        message = "max_nodes must be at least 4 (S, T and two intermediates): 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FuzzConfig(max_nodes=3)
+        assert fuzz_campaign(FuzzConfig(runs=3, max_nodes=4)).runs == 3
+        assert cli_main(["fuzz", "--max-nodes", "3"]) == 2
+        assert capsys.readouterr().err == f"fuzz error: {message}\n"
+
     def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys,
                                                       monkeypatch):
         def broken(*args, **kwargs):
@@ -769,6 +806,32 @@ class TestCli:
                          "--verdicts", "v.json"]) == 0
         assert (tmp_path / "out" / "t.trace").exists()
         assert json.loads((tmp_path / "out" / "v.json").read_text())
+
+    def test_run_writes_trace_through_a_symlink(self, tmp_path):
+        p = self._write_scenario(tmp_path, _mini())
+        target = tmp_path / "target.trace"
+        target.write_text("x" * 10_000)
+        link = tmp_path / "link.trace"
+        link.symlink_to(target)
+        assert cli_main(["run", str(p), "--trace", str(link)]) == 0
+        assert link.is_symlink()
+        assert cli_main(["check", str(target), str(p)]) == 0
+
+    def test_run_writes_trace_to_dev_null(self, capsys):
+        # /dev/null has no length to cut, so the write must not truncate it
+        p = next(p for p in bundled_scenarios() if p.stem == "benign_basic")
+        assert cli_main(["run", str(p), "--trace", os.devnull]) == 0
+        assert f"trace written to {os.devnull}" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(srpsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-m", "srpsim", "list-attacks"],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "fig1a_tunnel" in out.stdout
 
     def test_run_verdicts_summary(self, tmp_path):
         # the tunnel's one accepted route is loop-free and weakly fresh but

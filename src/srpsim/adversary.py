@@ -12,7 +12,7 @@ use a private multi-hop tunnel to a fellow adversary.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -178,7 +178,8 @@ class LoopInject(AttackScript):
     def on_rrep(self, node, rrep, forwarder):
         if self.where != "rrep" or not rrep.route:
             return super().on_rrep(node, rrep, forwarder)
-        tampered = replace(rrep, route=(rrep.route[0],) + rrep.route)
+        tampered = Rrep(rrep.src, rrep.dst, rrep.qid, (rrep.route[0],) + rrep.route,
+                        rrep.auth, rrep.metric_list)
         return [node.protocol_rrep_forward(rrep, tampered)]
 
 
@@ -224,8 +225,7 @@ class TamperNodelistUpstream(AttackScript):
         if rreq.metric_list is not None:
             ml = tuple(node.fake_metric() for _ in self.fake_list) + \
                 (node.own_metric((transmitter, node.node_id)),)
-        out = replace(rreq, node_list=nl, metric_list=ml)
-        return [Broadcast(out)]
+        return [Broadcast(Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth, nl, ml))]
 
 
 class TamperRrepRoute(AttackScript):
@@ -240,7 +240,8 @@ class TamperRrepRoute(AttackScript):
 
     def on_rrep(self, node, rrep, forwarder):
         route = rrep.route[:self.index] + self.insert + rrep.route[self.index:]
-        return [node.protocol_rrep_forward(rrep, replace(rrep, route=route))]
+        out = Rrep(rrep.src, rrep.dst, rrep.qid, route, rrep.auth, rrep.metric_list)
+        return [node.protocol_rrep_forward(rrep, out)]
 
 
 class ForgeRrep(AttackScript):
@@ -328,7 +329,8 @@ class TamperMetricRrep(_MetricEdit):
             return [fwd]
         ml = list(rrep.metric_list)
         ml[len(ml) - 1 - self.index] += self.delta
-        return [Unicast(fwd.to, replace(rrep, metric_list=tuple(ml)))]
+        out = Rrep(rrep.src, rrep.dst, rrep.qid, rrep.route, rrep.auth, tuple(ml))
+        return [Unicast(fwd.to, out)]
 
 
 class TamperMetricRreqUpstream(_MetricEdit):
@@ -341,7 +343,7 @@ class TamperMetricRreqUpstream(_MetricEdit):
         if self.index < len(rreq.metric_list or ()):
             ml = list(rreq.metric_list)
             ml[self.index] += self.delta
-            rreq = replace(rreq, metric_list=tuple(ml))
+            rreq = Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth, rreq.node_list, tuple(ml))
         return super().on_rreq(node, rreq, transmitter)
 
 
@@ -443,7 +445,7 @@ class Fig1aTunnel(AttackScript):
             if ml is not None:
                 lie = self.fake_link_metric
                 ml += (node.fake_metric((frm, node.node_id)) if lie is None else lie,)
-            return [Broadcast(replace(msg, node_list=nl, metric_list=ml))]
+            return [Broadcast(Rreq(msg.src, msg.dst, msg.qid, msg.auth, nl, ml))]
         if isinstance(msg, Rrep) and self.role == "entry":
             return [node.protocol_rrep_forward(msg)]
         return []
@@ -585,7 +587,7 @@ class FuzzScript(AttackScript):
                     while len(ml) < len(out.node_list):
                         ml.append(to_scaled(1.0))
                     ml = tuple(ml[:len(out.node_list)])
-                out = replace(out, metric_list=ml)
+                out = Rreq(out.src, out.dst, out.qid, out.auth, out.node_list, ml)
             return [Broadcast(out)]
         if p < 0.72:
             return [Broadcast(rreq)]  # verbatim replay of the received copy
@@ -608,10 +610,11 @@ class FuzzScript(AttackScript):
         if p < 0.40:
             return [fwd]
         if p < 0.65:
-            out = replace(rrep, route=self._mangle_nodelist(node, rrep.route))
-            if rrep.metric_list is not None:
-                ml = self._mangle_metrics(node, rrep.metric_list)
-                out = replace(out, metric_list=ml)
+            route = self._mangle_nodelist(node, rrep.route)
+            ml = rrep.metric_list
+            if ml is not None:
+                ml = self._mangle_metrics(node, ml)
+            out = Rrep(rrep.src, rrep.dst, rrep.qid, route, rrep.auth, ml)
             target = fwd.to if fwd else r.choice(self._others(node))
             return [Unicast(target, out)]
         if p < 0.80:
@@ -779,7 +782,7 @@ class AdversaryNode:
             pad = len(nl) - len(rreq.node_list) - 1
             fabricated = tuple(self.fake_metric() for _ in range(max(pad, 0)))
             ml = rreq.metric_list + fabricated + (metric,) + tuple(extra_metrics)
-        return replace(rreq, node_list=nl, metric_list=ml)
+        return Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth, nl, ml)
 
     def protocol_rrep_forward(self, rrep: Rrep, payload=None):
         """Relay a reply the way the protocol prescribes for our position;

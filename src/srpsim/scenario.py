@@ -79,10 +79,15 @@ class Scenario:
                                     f"with no whitespace and no ','")
         if len(set(self.nodes)) != len(self.nodes):
             raise ScenarioError("duplicate node ids in roster")
-        # the name is written into a stored trace's one-line header
+        # the name is written into a stored trace's one-line UTF-8 header
         if len(f"{self.name}.".splitlines()) != 1:
             raise ScenarioError(f"scenario name {self.name!r} must not contain "
                                 f"a line break")
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ScenarioError(f"scenario name {self.name!r} must be UTF-8 text, "
+                                f"with no lone surrogate")
         known = set(self.nodes)
         try:
             self.schedule_map().validate(self.config.tx_time)

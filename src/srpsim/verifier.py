@@ -66,12 +66,13 @@ def check_loop_free(route: Sequence[str]) -> bool:
 def check_fresh(route: Sequence[str], schedules: ScheduleMap,
                 t1: float, t2: float):
     """True iff every consecutive-pair link of the route was up at some
-    instant of the open interval (t1, t2); also returns the failing links."""
+    instant of the open interval (t1, t2); also returns the failing links.
+    A hop from a node to itself is no link, so it was never up."""
     if not t1 < t2:
         raise ValueError("need t1 < t2")
     never_up = [
         (u, v) for u, v in zip(route, route[1:])
-        if not schedules.up_within(u, v, t1, t2)
+        if u == v or not schedules.up_within(u, v, t1, t2)
     ]
     return not never_up, tuple(never_up)
 
@@ -111,7 +112,7 @@ def check_weakly_fresh(route: Sequence[str], schedules: ScheduleMap,
     if not t1 < t2:
         raise ValueError("need t1 < t2")
     link_fresh = [
-        schedules.up_within(u, v, t1, t2) for u, v in zip(route, route[1:])
+        u != v and schedules.up_within(u, v, t1, t2) for u, v in zip(route, route[1:])
     ]
     if all(link_fresh):
         return True, None

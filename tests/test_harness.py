@@ -176,6 +176,7 @@ NAN = float("nan")
     (_mini(nodes=["S", "T", 5]), "node id 5"),
     (_mini(name="x\ny"), "scenario name 'x.ny' must not contain a line break"),
     (_mini(name="x\ry"), "must not contain a line break"),
+    (_mini(name="bad\ud800name"), "scenario name 'bad\\\\ud800name' must be UTF-8 text"),
     (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
                                       "administrative": "false",
                                       "actual": [["S", "T", 1.0]]}),
@@ -197,7 +198,7 @@ NAN = float("nan")
         "path-ghost", "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
-        "name-newline", "name-return", "administrative-string",
+        "name-newline", "name-return", "name-surrogate", "administrative-string",
         "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows",
         "fuzz-bounds-typo"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
@@ -893,6 +894,23 @@ class TestCli:
         assert cli_main(["check", str(trace), str(p)]) == 1
         assert "CHECK FAILED: accurate: expected all, 1 of 1 routes violate it" \
             in capsys.readouterr().out
+
+    def test_check_judges_a_route_with_a_self_edge(self, tmp_path, capsys):
+        # the accept line and its record both repeat a, the footer is
+        # recomputed: the file is consistent, so the route gets verdicts
+        scen, text = _stored("benign_basic")
+        edited = _with_footer_recomputed(
+            text.replace("route=S,a,b,T", "route=S,a,a,T")
+                .replace('["S", "a", "b", "T"]', '["S", "a", "a", "T"]'))
+        assert edited.count("S,a,a,T") == 1 and edited.count('"a", "a"') == 1
+        trace = tmp_path / "t.trace"
+        trace.write_text(edited, encoding="utf-8", newline="")
+        p = next(p for p in bundled_scenarios() if p.stem == "benign_basic")
+        capsys.readouterr()
+        assert cli_main(["check", str(trace), str(p)]) == 1
+        out = capsys.readouterr().out
+        for prop in ("loop_free", "fresh"):
+            assert f"CHECK FAILED: {prop}: expected all, 1 of 1 routes violate it" in out
 
     @pytest.mark.parametrize("kind, code, message", [
         ("not-utf8", 1, "CHECK FAILED: {trace}: trace file is not UTF-8 text"),

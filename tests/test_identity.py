@@ -110,6 +110,10 @@ class _Text(str):
     pass
 
 
+class _Count(int):
+    pass
+
+
 _short_text = st.text(max_size=5)  # any code point but surrogates
 _leaf = st.one_of(
     _short_text,
@@ -118,7 +122,10 @@ _leaf = st.one_of(
     st.booleans(),
     st.none(),
     _short_text.map(_Text),
+    st.integers().map(_Count),
 )
+_any_int = st.one_of(st.integers(-2**20, 2**20),
+                     st.integers(-2**100, -2**64) | st.integers(2**64, 2**100))
 # a str first, then what the one-join path must hand to the item loop
 _str_led = st.builds(
     lambda head, rest: [head] + rest,
@@ -127,8 +134,17 @@ _str_led = st.builds(
                        st.lists(_short_text, max_size=2),
                        st.tuples(_short_text, st.integers())), max_size=4),
 )
+# an int first: all-int lists take the one-join path over the int memo, and
+# a bool or an int subclass among the items must send the list elsewhere
+_int_led = st.builds(
+    lambda head, rest: [head] + rest,
+    _any_int,
+    st.lists(st.one_of(_any_int, st.booleans(), _any_int.map(_Count),
+                       _short_text, st.none()), max_size=6),
+)
 _any_value = st.recursive(
-    st.one_of(_leaf, _str_led, _str_led.map(tuple)),
+    st.one_of(_leaf, _str_led, _str_led.map(tuple), _int_led, _int_led.map(tuple),
+               st.lists(_any_int, max_size=6).map(tuple)),
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple)),
     max_leaves=16,
@@ -138,7 +154,7 @@ _any_value = st.recursive(
 @given(st.lists(_any_value, max_size=6))
 def test_encoding_equals_the_recursive_reference(fields):
     expected = _reference_encode_fields(fields)
-    # twice: the second pass finds every string in the memo
+    # twice: the second pass finds every string and list int in the memo
     assert encode_fields(fields) == expected
     assert encode_fields(tuple(fields)) == expected
 
@@ -149,3 +165,38 @@ def test_string_memo_never_exceeds_its_cap():
         encode_fields((f"cap-{i}", [f"cap-{i}", "cap-0"]))
         most = max(most, len(identity._STR_BYTES))
     assert most == identity.STR_MEMO_CAP
+
+
+def test_int_memo_never_exceeds_its_cap():
+    most = 0
+    for i in range(identity.INT_MEMO_CAP + 100):
+        encode_fields((i, [10**12 + i, 7]))
+        most = max(most, len(identity._INT_BYTES))
+    assert most == identity.INT_MEMO_CAP
+
+
+def test_scalars_and_bool_lists_stay_off_the_int_memo():
+    identity._INT_BYTES.clear()
+    encode_fields(("rreq", "S", "T", 3, 2**63 + 5, ("S",), None))
+    encode_fields(([1, True, 2],))
+    assert identity._INT_BYTES == {}
+    encode_fields(([True, 1],))
+    assert encode_fields(([1, True],)) != encode_fields(([1, 1],))
+
+
+def test_a_metric_list_seen_before_encodes_without_encode_int(monkeypatch):
+    calls = []
+    encode_int = identity._encode_int
+
+    def counted(obj):
+        calls.append(obj)
+        return encode_int(obj)
+
+    monkeypatch.setattr(identity, "_encode_int", counted)
+    metrics = tuple(1_000_000 + 37 * i for i in range(128))
+    identity._INT_BYTES.clear()
+    first = encode_fields((metrics,))
+    assert len(calls) == 128
+    calls.clear()
+    assert encode_fields((metrics,)) == first
+    assert calls == []

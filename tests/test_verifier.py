@@ -58,6 +58,15 @@ class TestFresh:
         with pytest.raises(ValueError):
             check_fresh(["S", "a"], s, 10, 10)
 
+    def test_self_edge_is_a_link_never_up(self):
+        # a stored route may repeat a node back to back; the hop is no link
+        s = smap([("S", "a", [(0, 100)]), ("a", "T", [(0, 100)])])
+        ok, witness = check_fresh(["S", "a", "a", "T"], s, 1, 10)
+        assert not ok and witness == (("a", "a"),)
+        (v,) = verdict_all([RouteRecord(route=("S", "a", "a", "T"), t1=1.0,
+                                        t2=9.0, qid=1)], s)
+        assert not v.loop_free and not v.fresh and v.never_up_links == (("a", "a"),)
+
 
 class TestWeaklyFresh:
     def test_fresh_route_is_weakly_fresh(self):

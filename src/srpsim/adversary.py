@@ -73,8 +73,8 @@ def _param(params: dict, key: str, convert, default=_REQUIRED):
 
 def _node(value) -> str:
     if not is_node_id(value):
-        raise TypeError(f"expected a node id (a non-empty string with no "
-                        f"whitespace and no ','), not {value!r}")
+        raise TypeError(f"expected a node id (a non-empty string of UTF-8 text "
+                        f"with no whitespace and no ','), not {value!r}")
     return value
 
 

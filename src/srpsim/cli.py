@@ -105,17 +105,17 @@ def _cmd_fuzz(args) -> int:
     print(f"fuzz campaign: {report.runs} runs, class={config.klass.value}, "
           f"mode={config.mode}, max_nodes={config.max_nodes}, seed={config.seed}")
     print(f"accepted routes: {report.accepted_routes}")
-    print(f"loop violations: {len(report.loop_violations)}")
-    print(f"freshness violations: {len(report.freshness_violations)}")
-    print(f"accuracy violations: {len(report.accuracy_violations)}")
-    for v in (report.loop_violations + report.freshness_violations
-              + report.accuracy_violations):
-        print(f"  VIOLATION seed={v.seed} kind={v.kind} route={'>'.join(v.route)} {v.detail}")
+    groups = report.by_kind()
+    for kind, violations in groups.items():
+        print(f"{kind} violations: {len(violations)}")
+    for violations in groups.values():
+        for v in violations:
+            print(f"  VIOLATION seed={v.seed} kind={v.kind} route={'>'.join(v.route)} {v.detail}")
     if args.report:
         p = _write_out(args.report, lambda path: path.write_text(
             json.dumps(report.as_dict(), indent=2)))
         print(f"report written to {p}")
-    return report.exit_code
+    return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
 def _cmd_check(args) -> int:

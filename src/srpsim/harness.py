@@ -96,8 +96,27 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
 
 
 # --------------------------------------------------------------------------
-# Random scenario generation for fuzz campaigns
+# Campaigns: two scenario generators, one runner and its report
 # --------------------------------------------------------------------------
+
+def _campaign_scenario(name: str, seed: int, end_time: float, nodes, links: dict,
+                       discoveries, metrics, adversaries) -> Scenario:
+    """The campaigns' timing (unit tau and tx_time, reply waits of 4x and 64x
+    the roster size) and one S-T key, over `links` {edge: up intervals}."""
+    return Scenario(
+        name=name,
+        config=SimConfig(tau=1.0, tx_time=1.0, end_time=end_time, seed=seed,
+                         reply_wait_min=4.0 * len(nodes),
+                         reply_wait_max=64.0 * len(nodes)),
+        nodes=tuple(nodes),
+        links=tuple(LinkSchedule(edge=e, up_intervals=iv)
+                    for e, iv in sorted(links.items())),
+        keys=(("S", "T"),),
+        discoveries=tuple(discoveries),
+        metrics=metrics,
+        adversaries=adversaries,
+    )
+
 
 _CHURN_PATTERNS = ("always", "early", "late", "window")
 
@@ -161,20 +180,8 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     discoveries = [("S", "T", 1.0)]
     if rng.random() < 0.3:
         discoveries.append(("S", "T", rng.uniform(40.0, 80.0)))
-    cfg = SimConfig(
-        tau=1.0, tx_time=1.0, end_time=end_time, seed=seed,
-        reply_wait_min=4.0 * len(nodes), reply_wait_max=64.0 * len(nodes),
-    )
-    scenario = Scenario(
-        name=f"fuzz-{seed}",
-        config=cfg,
-        nodes=tuple(nodes),
-        links=tuple(LinkSchedule(edge=e, up_intervals=iv) for e, iv in sorted(links.items())),
-        keys=(("S", "T"),),
-        discoveries=tuple(discoveries),
-        metrics=metrics,
-        adversaries=adversaries,
-    )
+    scenario = _campaign_scenario(f"fuzz-{seed}", seed, end_time, nodes, links,
+                                  discoveries, metrics, adversaries)
     scenario.validate()
     return scenario
 
@@ -207,23 +214,57 @@ class Violation:
                 "route": list(self.route), "detail": self.detail}
 
 
+# per property kind, in report order: a violating verdict's detail, else None
+# (`accurate` is None on a scenario without metrics)
+JUDGES = {
+    "loop": lambda v: None if v.loop_free else "",
+    "freshness": lambda v: None if v.fresh else f"never-up links {list(v.never_up_links)}",
+    "accuracy": lambda v: (f"error {v.metric_error} >= bound {v.delta_good_used}"
+                           if v.accurate is False else None),
+}
+
+
+def run_campaign(generate, kinds, runs: int, seed: int, progress=None):
+    """Run `generate(run_seed)` for run seeds `seed` .. `seed + runs - 1`, and
+    judge the `kinds` of every accepted route whose end nodes are correct.
+    Returns (accepted_routes, violations in run order).  A run depends on its
+    run seed alone, so a one-run campaign at that seed replays it."""
+    accepted = 0
+    violations = []
+    for i in range(runs):
+        run_seed = seed + i
+        result = run_scenario(generate(run_seed))
+        accepted += len(result.records)
+        for v in result.verdicts:
+            if v.endpoints_faulty:
+                continue
+            for kind in kinds:
+                detail = JUDGES[kind](v)
+                if detail is not None:
+                    violations.append(Violation(run_seed, kind, v.route, detail))
+        if progress is not None and (i + 1) % 1000 == 0:
+            progress(i + 1, runs)
+    return accepted, violations
+
+
 @dataclass
 class CampaignReport:
     config: FuzzConfig
-    runs: int = 0
     accepted_routes: int = 0
-    loop_violations: list[Violation] = field(default_factory=list)
-    freshness_violations: list[Violation] = field(default_factory=list)
-    accuracy_violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)  # in run order
+
+    @property
+    def runs(self) -> int:
+        return self.config.runs  # a campaign never stops early
 
     @property
     def violation_count(self) -> int:
-        return (len(self.loop_violations) + len(self.freshness_violations)
-                + len(self.accuracy_violations))
+        return len(self.violations)
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.violation_count == 0 else 1
+    def by_kind(self) -> dict[str, list[Violation]]:
+        """The violations of each kind, in report order."""
+        return {kind: [v for v in self.violations if v.kind == kind]
+                for kind in JUDGES}
 
     def as_dict(self):
         return {
@@ -231,9 +272,8 @@ class CampaignReport:
             "class": self.config.klass.value,
             "mode": self.config.mode,
             "accepted_routes": self.accepted_routes,
-            "loop_violations": [v.as_dict() for v in self.loop_violations],
-            "freshness_violations": [v.as_dict() for v in self.freshness_violations],
-            "accuracy_violations": [v.as_dict() for v in self.accuracy_violations],
+            **{f"{kind}_violations": [v.as_dict() for v in violations]
+               for kind, violations in self.by_kind().items()},
         }
 
 
@@ -241,43 +281,16 @@ def fuzz_campaign(config: FuzzConfig, progress=None) -> CampaignReport:
     """Run seeded random scenarios and count property violations.
 
     Loop-freedom must hold under every adversary class; freshness and (in
-    augmented mode) accuracy must hold under the independent class.  Every
-    violation entry carries the run seed that reproduces it bit-exactly.
+    augmented mode) accuracy must hold under the independent class.
     """
-    report = CampaignReport(config=config)
-    for i in range(config.runs):
-        # keyed off the run seed alone, so `fuzz --runs 1 --seed <seed>`
-        # replays any reported violation bit-exactly
-        run_seed = config.seed + i
-        rng = random.Random(f"fuzz-scenario|{run_seed}")
-        scenario = random_scenario(rng, config.klass, config.mode,
-                                   config.max_nodes, run_seed, config.bounds)
-        result = run_scenario(scenario)
-        report.runs += 1
-        report.accepted_routes += len(result.records)
-        for v in result.verdicts:
-            if v.endpoints_faulty:
-                continue
-            if not v.loop_free:
-                report.loop_violations.append(
-                    Violation(run_seed, "loop", v.route))
-            if config.klass is AdversaryClass.INDEPENDENT:
-                if not v.fresh:
-                    report.freshness_violations.append(Violation(
-                        run_seed, "freshness", v.route,
-                        detail=f"never-up links {list(v.never_up_links)}"))
-                if config.mode == "augmented" and v.accurate is False:
-                    report.accuracy_violations.append(Violation(
-                        run_seed, "accuracy", v.route,
-                        detail=f"error {v.metric_error} >= bound {v.delta_good_used}"))
-        if progress is not None and (i + 1) % 1000 == 0:
-            progress(i + 1, config.runs)
-    return report
+    def generate(run_seed):
+        return random_scenario(random.Random(f"fuzz-scenario|{run_seed}"),
+                               config.klass, config.mode, config.max_nodes,
+                               run_seed, config.bounds)
+    kinds = tuple(JUDGES) if config.klass is AdversaryClass.INDEPENDENT else ("loop",)
+    return CampaignReport(config, *run_campaign(generate, kinds, config.runs,
+                                                config.seed, progress))
 
-
-# --------------------------------------------------------------------------
-# Accuracy campaign (structured line topologies, discrepancy-maximizing mix)
-# --------------------------------------------------------------------------
 
 def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: float,
                       seed: int, rng: random.Random) -> Scenario:
@@ -289,55 +302,34 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
     end_time = 8.0 * len(nodes) + 40.0
     links_map = {edge_key(u, v): ((0.0, end_time),) for u, v in zip(nodes, nodes[1:])}
     actual = {e: round(rng.uniform(1.0, 2.0), 3) for e in links_map}
-    tent = inter and rng.random() < 0.5
-    adversaries = {}
-    if tent:
+    if inter and rng.random() < 0.5:  # every intermediate, tent profile
         direction = rng.choice((1, -1))
-        for node in inter:
-            adversaries[node] = AdversarySpec(
-                klass=AdversaryClass.INDEPENDENT, attack="biased_metric",
-                params={"direction": direction, "links": links})
+        params = {node: {"direction": direction, "links": links} for node in inter}
     else:
         chosen = rng.sample(inter, rng.randint(1, len(inter))) if inter else []
-        for node in chosen:
-            adversaries[node] = AdversarySpec(
-                klass=AdversaryClass.INDEPENDENT, attack="biased_metric",
-                params={
-                    "direction": rng.choice((1, -1)),
-                    "headroom_scaled": rng.choice((0, 2 * to_scaled(delta_tilde))),
-                })
-    return Scenario(
-        name=f"accuracy-{kind.value}-n{links}-{seed}",
-        config=SimConfig(tau=1.0, tx_time=1.0, end_time=end_time, seed=seed,
-                         reply_wait_min=4.0 * len(nodes),
-                         reply_wait_max=64.0 * len(nodes)),
-        nodes=tuple(nodes),
-        links=tuple(LinkSchedule(edge=e, up_intervals=iv)
-                    for e, iv in sorted(links_map.items())),
-        keys=(("S", "T"),),
-        discoveries=(("S", "T", 1.0),),
-        metrics=LinkMetricModel(kind=kind, epsilon=epsilon,
-                                delta_tilde=delta_tilde, actual=actual),
-        adversaries=adversaries,
-    )
+        params = {node: {"direction": rng.choice((1, -1)),
+                         "headroom_scaled": rng.choice((0, 2 * to_scaled(delta_tilde)))}
+                  for node in chosen}
+    adversaries = {node: AdversarySpec(klass=AdversaryClass.INDEPENDENT,
+                                       attack="biased_metric", params=p)
+                   for node, p in params.items()}
+    return _campaign_scenario(
+        f"accuracy-{kind.value}-n{links}-{seed}", seed, end_time, nodes,
+        links_map, [("S", "T", 1.0)],
+        LinkMetricModel(kind=kind, epsilon=epsilon, delta_tilde=delta_tilde,
+                        actual=actual),
+        adversaries)
 
 
 def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: float,
                       runs: int, seed: int = 0):
     """Run one accuracy cell; returns (accepted_count, violations)."""
-    accepted = 0
-    violations = []
-    for i in range(runs):
-        rng = random.Random(f"acc|{kind.value}|{links}|{epsilon}|{delta_tilde}|{seed}|{i}")
-        scenario = accuracy_scenario(kind, links, epsilon, delta_tilde, seed + i, rng)
-        result = run_scenario(scenario)
-        accepted += len(result.records)
-        for v in result.verdicts:
-            if v.accurate is False:
-                violations.append(Violation(
-                    seed + i, "accuracy", v.route,
-                    detail=f"error {v.metric_error} >= bound {v.delta_good_used}"))
-    return accepted, violations
+    def generate(run_seed):
+        # the trailing 0 stands where the key once held the run index, so
+        # every one-run cell draws the same scenario as before
+        rng = random.Random(f"acc|{kind.value}|{links}|{epsilon}|{delta_tilde}|{run_seed}|0")
+        return accuracy_scenario(kind, links, epsilon, delta_tilde, run_seed, rng)
+    return run_campaign(generate, ("accuracy",), runs, seed)
 
 
 # --------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class Scenario:
         for node in self.nodes:
             if not is_node_id(node):
                 raise ScenarioError(f"node id {node!r} must be a non-empty string "
-                                    f"with no whitespace and no ','")
+                                    f"of UTF-8 text with no whitespace and no ','")
         if len(set(self.nodes)) != len(self.nodes):
             raise ScenarioError("duplicate node ids in roster")
         # the name is written into a stored trace's one-line UTF-8 header

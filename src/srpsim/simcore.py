@@ -31,9 +31,11 @@ class ScheduleError(ValueError):
 
 
 def is_node_id(value) -> bool:
-    """Node ids are non-empty strings with no whitespace and no ',': the
-    fields of a trace line are space-separated and routes comma-joined."""
-    return isinstance(value, str) and value.split() == [value] and "," not in value
+    """Node ids are non-empty strings of UTF-8 text with no whitespace and no
+    ',': the fields of a trace line are space-separated, routes comma-joined,
+    and a stored trace is UTF-8, which cannot encode a lone surrogate."""
+    return (isinstance(value, str) and value.split() == [value] and "," not in value
+            and (value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value)))
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:

@@ -44,13 +44,13 @@ def test_criterion_1_loop_freedom_under_arbitrary_adversaries():
         runs=FUZZ_RUNS, klass=AdversaryClass.ARBITRARY, mode="basic",
         max_nodes=8, seed=100))
     elapsed = time.time() - t0
-    ok = (not looped and not report.loop_violations
-          and report.accepted_routes > 2000 and elapsed < 300)
+    loops = report.by_kind()["loop"]
+    ok = not looped and not loops and report.accepted_routes > 2000 and elapsed < 300
     _report(
         "1 (loop-freedom, arbitrary adversaries)", ok,
         f"corpus routes={corpus_routes}, fuzz runs={report.runs}, "
         f"fuzz accepted={report.accepted_routes}, repeated-node routes="
-        f"{len(looped) + len(report.loop_violations)}, {elapsed:.0f}s")
+        f"{len(looped) + len(loops)}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +88,15 @@ def test_criterion_2_freshness_under_independent_adversaries():
         runs=FUZZ_RUNS, klass=AdversaryClass.INDEPENDENT, mode="basic",
         max_nodes=8, seed=200))
     elapsed = time.time() - t0
-    ok = (not family_violations and not report.freshness_violations
-          and not report.loop_violations and report.accepted_routes > 2000)
+    kinds = report.by_kind()
+    ok = (not family_violations and not kinds["freshness"]
+          and not kinds["loop"] and report.accepted_routes > 2000)
     _report(
         "2 (freshness, independent adversaries)", ok,
         f"families={len(FRESHNESS_ATTACK_FAMILIES)}, family violations="
         f"{family_violations}, fuzz runs={report.runs}, fuzz accepted="
         f"{report.accepted_routes}, freshness violations="
-        f"{len(report.freshness_violations)}, {elapsed:.0f}s")
+        f"{len(kinds['freshness'])}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

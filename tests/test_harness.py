@@ -174,6 +174,8 @@ NAN = float("nan")
     (_mini(nodes=["S", "T", "a,b"]), "node id 'a,b'"),
     (_mini(nodes=["S", "T", ""]), "node id ''"),
     (_mini(nodes=["S", "T", 5]), "node id 5"),
+    (_mini(nodes=["S", "T", "a\ud800"]),
+     "node id 'a\\\\ud800' must be a non-empty string of UTF-8 text"),
     (_mini(name="x\ny"), "scenario name 'x.ny' must not contain a line break"),
     (_mini(name="x\ry"), "must not contain a line break"),
     (_mini(name="bad\ud800name"), "scenario name 'bad\\\\ud800name' must be UTF-8 text"),
@@ -198,6 +200,7 @@ NAN = float("nan")
         "path-ghost", "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
+        "node-surrogate",
         "name-newline", "name-return", "name-surrogate", "administrative-string",
         "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows",
         "fuzz-bounds-typo"])
@@ -257,12 +260,14 @@ def test_renamed_node_with_a_line_break_fails_at_load(tmp_path):
     ("fig1b_chain", "role", "middle"),
     ("loop_inject_rreq_arbitrary", "where", "req"),
     ("tamper_nodelist_downstream_arbitrary", "insert", ["x\ny"]),
+    ("tamper_nodelist_downstream_arbitrary", "insert", ["x\ud800"]),
     ("fig1a_tunnel", "path", ["M1", "M1"]),
     ("fig1a_tunnel", "path", ["M1", "y", "y", "M2"]),
 ], ids=["insert-int", "insert-int-list", "index-str", "delta-inf",
         "rrep-index-negative", "rreq-index-negative", "fake-list-int",
         "fake-list-int-list", "dup-int", "direction-up", "extra-int",
         "role-exitt", "role-middle", "where-req", "insert-line-break",
+        "insert-surrogate",
         "path-self-hop", "path-inner-self-hop"])
 def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
     d = _bundled(stem)

@@ -186,6 +186,12 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     return scenario
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is an int, not a bool, >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}: {value!r}")
+
+
 @dataclass
 class FuzzConfig:
     runs: int = 1000
@@ -196,6 +202,11 @@ class FuzzConfig:
     bounds: Optional[dict] = None
 
     def __post_init__(self):
+        _require_int("runs", self.runs, 0)
+        if not isinstance(self.klass, AdversaryClass):
+            raise ValueError(f"klass must be an AdversaryClass: {self.klass!r}")
+        if self.mode not in ("basic", "augmented"):
+            raise ValueError(f"mode must be 'basic' or 'augmented': {self.mode!r}")
         # random_scenario always draws S, T and two intermediates
         if self.max_nodes < 4:
             raise ValueError("max_nodes must be at least 4 (S, T and two "
@@ -324,6 +335,8 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
 def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: float,
                       runs: int, seed: int = 0):
     """Run one accuracy cell; returns (accepted_count, violations)."""
+    _require_int("links", links, 1)
+    _require_int("runs", runs, 0)
     def generate(run_seed):
         # the trailing 0 stands where the key once held the run index, so
         # every one-run cell draws the same scenario as before

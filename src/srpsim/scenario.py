@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .adversary import AdversaryClass, AdversaryNode, attack
-from .identity import KeyTable
+from .identity import KeyRing, KeyTable
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
                       is_node_id)
 from .srp import NodeState, SrpNode
@@ -59,6 +59,9 @@ class Scenario:
     # (nodes, links, ScheduleMap) of the last schedule_map() call
     _schedules: Optional[tuple] = field(default=None, init=False, repr=False,
                                         compare=False)
+    # (nodes, keys, {node: KeyRing}) of the last key_rings() call
+    _key_rings: Optional[tuple] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def schedule_map(self) -> ScheduleMap:
         """The ScheduleMap of the scenario's roster and links, built once per
@@ -68,6 +71,18 @@ class Scenario:
         if cached is None or cached[0] is not self.nodes or cached[1] is not self.links:
             cached = self._schedules = (self.nodes, self.links,
                                         ScheduleMap(self.nodes, self.links))
+        return cached[2]
+
+    def key_rings(self) -> dict[str, KeyRing]:
+        """Each node's KeyRing over the scenario's key table, built once per
+        (nodes, keys) pair, checked by identity like schedule_map()."""
+        cached = self._key_rings
+        if cached is None or cached[0] is not self.nodes or cached[1] is not self.keys:
+            table = KeyTable()
+            for a, b in self.keys:
+                table.grant(a, b)
+            cached = self._key_rings = (self.nodes, self.keys,
+                                        {node: table.ring(node) for node in self.nodes})
         return cached[2]
 
     def validate(self) -> None:
@@ -269,12 +284,10 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> Engine:
     """Wire a validated scenario into a ready-to-run engine."""
     cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)
     engine = Engine(cfg, scenario.schedule_map(), random.Random(f"run|{cfg.seed}"))
-    table = KeyTable()
-    for a, b in scenario.keys:
-        table.grant(a, b)
+    rings = scenario.key_rings()
     qos = None if scenario.metrics is None else QosRuntime(scenario.metrics, cfg.seed)
     for node in scenario.nodes:
-        state = NodeState(self_id=node, keys=table.ring(node))
+        state = NodeState(self_id=node, keys=rings[node])
         spec = scenario.adversaries.get(node)
         if spec is None:
             engine.add_node(node, SrpNode(state, cfg, qos))

@@ -8,11 +8,13 @@ adversaries.  Topology is given entirely by explicit link schedules.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .identity import encode_fields
@@ -137,14 +139,15 @@ class ScheduleMap:
             adjacent.setdefault(v, []).append((u, s))
         self._neighbours = {u: tuple(sorted(links, key=lambda x: x[0]))
                             for u, links in adjacent.items()}
-        # every interval boundary as (time, Engine._record args), sorted by
-        # (time, "down" before "up", edge): the order, and so the seq
-        # numbers, the engine gives the link-change lines
+        # every interval boundary as (time, repr(time), rest of its trace
+        # line after the seq), sorted by (time, "down" before "up", edge):
+        # the order, and so the seq numbers, the engine gives the
+        # link-change lines
         boundaries = sorted((t, state, e) for e, s in sorted(self._by_edge.items())
                             for a, b in s.up_intervals
                             for t, state in ((a, "up"), (b, "down")))
-        self.link_changes = [(t, (e[0], "link", "-", state, f"{e[0]}-{e[1]}"))
-                             for t, state, e in boundaries]
+        self.link_changes = [(t, repr(t), f" {u} link - {state} {u}-{v}")
+                             for t, state, (u, v) in boundaries]
 
     def neighbours(self, u: str) -> tuple[tuple[str, LinkSchedule], ...]:
         """(neighbour, schedule) for every edge at u, sorted by neighbour."""
@@ -245,6 +248,10 @@ class Engine:
         self.accepted: list = []  # RouteRecords, in acceptance order
         self._queue: list[tuple] = []  # (time, seq, Engine handler, args)
         self._seq = 0
+        # the link changes not yet run are schedules.link_changes[i] for
+        # _next_change <= i < _end_change, change i holding seq
+        # _change_seq0 + i; run() merges them with the heap
+        self._next_change = self._end_change = self._change_seq0 = 0
         # id(message) -> (message, message_digest): the entry keeps its
         # message alive, so the id is not reused within the run
         self._digests: dict[int, tuple[object, str]] = {}
@@ -265,18 +272,17 @@ class Engine:
         self.tunnels[path[0]] = path
 
     def seed_link_changes(self) -> None:
-        """Queue every link change up to end_time, numbered after what is
-        already queued, with one heapify instead of a push per change."""
-        end_time = self.config.end_time
-        seq = itertools.count(self._seq + 1)
-        changes = [(t, next(seq), Engine._record, args)
-                   for t, args in self.schedules.link_changes if t <= end_time]
-        if changes and changes[0][0] < self.now:  # link_changes is sorted by time
+        """Schedule every link change up to end_time, numbered after what is
+        already queued.  The changes stay in the map's sorted list, which
+        run() merges with the heap in (time, seq) order."""
+        changes = self.schedules.link_changes
+        n = bisect.bisect_right(changes, self.config.end_time, key=itemgetter(0))
+        if n and changes[0][0] < self.now:
             raise OrderingError(f"event at {changes[0][0]} scheduled before "
                                 f"current time {self.now}")
-        self._seq += len(changes)
-        self._queue += changes
-        heapq.heapify(self._queue)
+        self._next_change, self._end_change = 0, n
+        self._change_seq0 = self._seq + 1
+        self._seq += n
 
     def schedule_action(self, at: float, node: str, action: tuple) -> None:
         self._push(at, Engine._act, (node, action))
@@ -385,9 +391,20 @@ class Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> TraceView:
-        queue, end_time = self._queue, self.config.end_time
+        queue, end_time, pop = self._queue, self.config.end_time, heapq.heappop
+        changes, lines, seq0 = self.schedules.link_changes, self.lines, self._change_seq0
+        for i in range(self._next_change, self._end_change):
+            t, time_text, text = changes[i]
+            key = (t, seq0 + i)
+            while queue and queue[0] < key:  # seqs are unique: decided by [:2]
+                self.now, _, handler, args = pop(queue)
+                handler(self, *args)
+            self._next_change = i + 1
+            self.now = t
+            self._seq = seq = self._seq + 1
+            lines.append(f"{time_text} {seq}{text}")  # as _record writes it
         while queue and queue[0][0] <= end_time:
-            self.now, _, handler, args = heapq.heappop(queue)
+            self.now, _, handler, args = pop(queue)
             handler(self, *args)
         return self.trace
 

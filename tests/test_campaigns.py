@@ -2,6 +2,7 @@
 per run seed, and the replay of any run from its seed."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -175,3 +176,41 @@ def test_a_fuzz_run_replays_from_its_seed(monkeypatch):
     for i, run in enumerate(runs):
         assert _digests(monkeypatch, lambda: harness.fuzz_campaign(
             FuzzConfig(runs=1, seed=10 + i, **cfg))) == [run]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("runs", -3, "runs must be an integer >= 0: -3"),
+    ("runs", 2.0, "runs must be an integer >= 0: 2.0"),
+    ("runs", True, "runs must be an integer >= 0: True"),
+    ("mode", "augmentd", "mode must be 'basic' or 'augmented': 'augmentd'"),
+    ("klass", "arbitrary", "klass must be an AdversaryClass: 'arbitrary'"),
+])
+def test_fuzz_config_rejects_what_the_campaign_cannot_run(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FuzzConfig(**{field: value})
+
+
+def test_fuzz_config_accepts_zero_runs(monkeypatch):
+    calls = _count_calls(monkeypatch, "run_scenario")
+    report = harness.fuzz_campaign(FuzzConfig(runs=0, mode="augmented"))
+    assert (report.runs, report.as_dict()["mode"], calls) == (0, "augmented",
+                                                              {"run_scenario": 0})
+
+
+@pytest.mark.parametrize("links, runs, message", [
+    (0, 1, "links must be an integer >= 1: 0"),
+    (-2, 1, "links must be an integer >= 1: -2"),
+    (2.5, 1, "links must be an integer >= 1: 2.5"),
+    (2, -1, "runs must be an integer >= 0: -1"),
+])
+def test_accuracy_campaign_rejects_an_impossible_cell(monkeypatch, links, runs, message):
+    calls = _count_calls(monkeypatch, "run_scenario")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.accuracy_campaign(GKind.ADD, links, 0.1, 0.0, runs=runs)
+    assert calls == {"run_scenario": 0}
+
+
+def test_accuracy_campaign_runs_a_one_link_line():
+    assert harness.accuracy_campaign(GKind.ADD, 1, 0.1, 0.0, runs=0) == (0, [])
+    accepted, violations = harness.accuracy_campaign(GKind.ADD, 1, 0.1, 0.0, runs=1)
+    assert accepted >= 1 and violations == []

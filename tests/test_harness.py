@@ -631,6 +631,29 @@ class TestOneScheduleMap:
         assert link_lines(run_scenario(scen)) == [(20.0, "up"), (40.0, "down")]
 
 
+class TestOneKeyTable:
+    def test_builds_share_the_rings(self):
+        scen = scenario_from_dict(MINIMAL)
+        first, second = srpsim.build(scen), srpsim.build(scen, seed=2)
+        for node in scen.nodes:
+            ring = first.nodes[node].state.keys
+            assert ring is second.nodes[node].state.keys is scen.key_rings()[node]
+        assert scen.key_rings()["S"].holds("T")
+
+    def test_new_keys_get_new_rings(self):
+        scen = scenario_from_dict(_mini(nodes=["S", "a", "T"]))
+        rings = scen.key_rings()
+        other = dataclasses.replace(scen, keys=(("S", "a"),))
+        assert other.key_rings() is not rings and scen.key_rings() is rings
+        assert other.key_rings()["S"].holds("a")
+        assert not other.key_rings()["S"].holds("T")
+        assert srpsim.build(other).nodes["S"].state.keys is other.key_rings()["S"]
+        # keys assigned in place: the rings are rebuilt too
+        scen.keys = other.keys
+        assert scen.key_rings() is not rings
+        assert not scen.key_rings()["T"].holds("S")
+
+
 @functools.lru_cache(maxsize=None)
 def _stored(stem):
     """A bundled scenario and the text write_trace stores for its run."""

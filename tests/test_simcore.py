@@ -3,7 +3,6 @@ overhearing, event ordering, and replay determinism."""
 
 import gc
 import hashlib
-import heapq
 import inspect
 import json
 import random
@@ -412,13 +411,40 @@ def _seed_one_at_a_time(engine):
             engine._push(t, Engine._record, (u, "link", "-", state, f"{u}-{v}"))
 
 
-def _drain(engine):
-    return [heapq.heappop(engine._queue) for _ in range(len(engine._queue))]
+def _run_both(make, monkeypatch):
+    """(merged run, reference run) of the engine `make()` returns: the
+    reference seeds its link changes with one heap push each."""
+    got = make()
+    got.run()
+    with monkeypatch.context() as m:
+        m.setattr(Engine, "seed_link_changes", _seed_one_at_a_time)
+        want = make()
+    want.run()
+    return got, want
+
+
+def _link_lines(engine):
+    return [(e.time, e.outcome, e.detail) for e in engine.trace if e.primitive == "link"]
+
+
+class _Actor(_Sink):
+    """Sink that writes a trace line for every action, and unicasts over the
+    down link to `c` on an adversary move, so its failure report falls
+    tx_time later."""
+
+    def __init__(self, node):
+        super().__init__()
+        self.node = node
+
+    def on_action(self, engine, action, now):
+        engine.trace_step(self.node, "acted", ":".join(action))
+        if action == ("adversary_time",):
+            engine.send_l(self.node, "c", MSG)
 
 
 class TestLinkChangeSeeding:
     @pytest.mark.parametrize("stem", ["replay_stale_rrep_arbitrary", "fig1a_tunnel"])
-    def test_heap_pops_as_with_one_push_per_change(self, stem, monkeypatch):
+    def test_run_as_with_one_push_per_change(self, stem, monkeypatch):
         # no bundled scenario schedules spontaneous adversary actions, so
         # one adversary becomes a fuzz script that does, queued before the
         # link changes
@@ -428,24 +454,59 @@ class TestLinkChangeSeeding:
             "seed": 7, "bounds": {"spontaneous": 40}}}
         d["links"].append([d["nodes"][0], node, [[0, 20], [25, 60], [70, 500]]])
         scen = scenario_from_dict(d)
-        got = build(scen)
         assert any(h is Engine._act and args[1] == ("adversary_time",)
-                   for _, _, h, args in got._queue)
-        monkeypatch.setattr(Engine, "seed_link_changes", _seed_one_at_a_time)
-        want = build(scen)
+                   for _, _, h, args in build(scen)._queue)
+        got, want = _run_both(lambda: build(scen), monkeypatch)
+        assert _link_lines(got)
+        assert got.lines == want.lines
         assert got._seq == want._seq
-        assert _drain(got) == _drain(want)
 
-    def test_changes_past_end_time_are_not_queued(self):
+    def test_changes_past_end_time_never_run(self, monkeypatch):
         scen = scenario_from_dict({
             "name": "late", "nodes": ["a", "b", "c"],
             "config": {"seed": 1, "end_time": 40.0},
             "links": [["a", "b", [[0, 50]]], ["b", "c", [[10, 40], [45, 60]]]],
         })
+        got, want = _run_both(lambda: build(scen), monkeypatch)
+        assert _link_lines(got) == [(0.0, "up", "a-b"), (10.0, "up", "b-c"),
+                                    (40.0, "down", "b-c")]
+        assert got.lines == want.lines
+        # three seqs reserved at build, three taken by the lines
+        assert got._seq == want._seq == 6
+        got.run()  # a second run has nothing left to do
+        assert got.lines == want.lines
+
+    def test_ties_with_heap_events_break_by_seq(self, monkeypatch):
+        # at 5.0 a link change ties with an adversary move queued before the
+        # changes and a discovery start queued after them; at 6.0 another
+        # ties with the failure report the move's unicast pushes mid-run
+        sched = schedules(("a", "b", [(0, 5), (6, 20)]), ("b", "c", [(5, 30)]),
+                          nodes=["a", "b", "c"])
+
+        def make():
+            eng = Engine(SimConfig(end_time=50.0), sched, random.Random(1))
+            for n in sched.nodes:
+                eng.add_node(n, _Actor(n))
+            eng.schedule_action(5.0, "a", ("adversary_time",))
+            eng.seed_link_changes()
+            eng.schedule_action(5.0, "b", ("initiate", "c"))
+            return eng
+
+        got, want = _run_both(make, monkeypatch)
+        assert got.lines == want.lines
+        assert [(e.time, e.node, e.primitive, e.outcome) for e in got.trace
+                if e.time in (5.0, 6.0)] == [
+            (5.0, "a", "step", "acted"), (5.0, "a", "send_l", "failure_reported"),
+            (5.0, "a", "link", "down"), (5.0, "b", "link", "up"),
+            (5.0, "b", "step", "acted"),
+            (6.0, "a", "link", "up"), (6.0, "a", "report", "failure_reported")]
+
+    def test_heap_holds_only_the_discovery_after_build(self):
+        scen = grid(20)
         engine = build(scen)
-        queued = sorted((t, args[3], args[4]) for t, _, _, args in engine._queue)
-        assert queued == [(0.0, "up", "a-b"), (10.0, "up", "b-c"),
-                          (40.0, "down", "b-c")]
+        assert len(scen.links) == 760
+        assert engine._queue == [(1.0, engine._seq, Engine._act, ("S", ("initiate", "T")))]
+        assert engine._seq == 2 * 760 + 1
 
     def test_negative_start_without_validate_aborts_build(self):
         # Scenario() itself does not validate; the engine still refuses to

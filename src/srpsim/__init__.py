@@ -18,9 +18,7 @@ from .simcore import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
 from .srp import (Accept, ArmTimer, Broadcast, ConfigurationError, NodeState,
                   RouteRecord, Rrep, Rreq, SrpNode, TunnelSend, Unicast,
                   handle_rreq, initiate_discovery, observe_relay,
-                  on_replywait_timeout, process_rreq_destination,
-                  process_rreq_intermediate, process_rrep, rreq_verdict,
-                  rrep_verdict)
+                  on_discovery_timer, process_rrep, rreq_verdict, rrep_verdict)
 from .srp_qos import (GKind, LinkMetricModel, QosRuntime, delta_good,
                       from_scaled, route_metric, to_scaled)
 from .verifier import (Verdict, check_accuracy, check_fresh, check_loop_free,

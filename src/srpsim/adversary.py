@@ -727,7 +727,6 @@ class AdversaryNode:
         self.roster = tuple(roster)
         self.store: list = []  # every message delivered to this node
         self.emitted = 0
-        self.max_emissions = script.max_emissions
         script.setup(self)
 
     # -- script helpers -------------------------------------------------------
@@ -835,7 +834,7 @@ class AdversaryNode:
             if isinstance(a, Later):
                 a = ArmTimer(engine.now + a.delay, ("adv_later", a.action))
             elif isinstance(a, (Broadcast, Unicast, TunnelSend)):
-                if self.emitted >= self.max_emissions:
+                if self.emitted >= self.script.max_emissions:
                     engine.trace_step(self.node_id, "adv-budget", "emission budget exhausted")
                     return
                 self.emitted += 1

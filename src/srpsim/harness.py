@@ -186,10 +186,13 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     return scenario
 
 
-def _require_int(name: str, value, least: int) -> None:
-    """Raise ValueError unless `value` is an int, not a bool, >= `least`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}: {value!r}")
+def _require_int(name: str, value, least: Optional[int] = None) -> None:
+    """Raise ValueError unless `value` is an int, not a bool, and (when
+    `least` is given) >= `least`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}: {value!r}")
 
 
 @dataclass
@@ -207,6 +210,8 @@ class FuzzConfig:
             raise ValueError(f"klass must be an AdversaryClass: {self.klass!r}")
         if self.mode not in ("basic", "augmented"):
             raise ValueError(f"mode must be 'basic' or 'augmented': {self.mode!r}")
+        _require_int("seed", self.seed)
+        _require_int("max_nodes", self.max_nodes)
         # random_scenario always draws S, T and two intermediates
         if self.max_nodes < 4:
             raise ValueError("max_nodes must be at least 4 (S, T and two "
@@ -337,6 +342,7 @@ def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: floa
     """Run one accuracy cell; returns (accepted_count, violations)."""
     _require_int("links", links, 1)
     _require_int("runs", runs, 0)
+    _require_int("seed", seed)
     def generate(run_seed):
         # the trailing 0 stands where the key once held the run index, so
         # every one-run cell draws the same scenario as before

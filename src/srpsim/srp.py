@@ -7,9 +7,14 @@ reply-wait timer with retry/conclusion rules.  Every check is numbered with
 its protocol rule id so a discard can be traced to the exact rule that fired.
 
 The functions here are engine-agnostic: processing returns a list of effects
-(broadcast, unicast, timer, accept, trace note) that a driver executes.  The
-check phase is separated from the mutate phase so that adversary code can run
-the exact same compliance checks in observer mode.
+(broadcast, unicast, timer, accept, trace note) that a driver executes.  There
+is one step per event a driver sees: a delivered request goes through
+`observe_relay` and `handle_rreq` (relay or reply), a delivered reply through
+`process_rrep` (relay or accept), a fired timer through `on_discovery_timer`
+(retry or conclude), and a discovery action through `initiate_discovery`.
+The check phase (`rreq_verdict`, `rrep_verdict`) is separated from the mutate
+phase so that adversary code can run the exact same compliance checks in
+observer mode.
 """
 
 from __future__ import annotations
@@ -192,7 +197,6 @@ class Discovery:
     t1: float
     reply_wait: float
     accepted: int = 0  # routes accepted so far
-    conclude_at: Optional[float] = None
 
 
 @dataclass
@@ -356,9 +360,10 @@ def _conclude(state: NodeState, disc: Discovery, now: float, cfg, qos):
     return fx
 
 
-def on_replywait_timeout(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
-    """Reply-wait expiry: retry with a larger timer if nothing was accepted,
-    conclude the discovery otherwise."""
+def on_discovery_timer(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
+    """A discovery's reply-wait or conclude timer: conclude the discovery if
+    it has accepted a route, else retry with a doubled (clamped) reply wait.
+    A timer of a discovery that is no longer current does nothing."""
     disc = state.discoveries.get(dst)
     if disc is None or disc.qid != qid:
         return []
@@ -368,14 +373,6 @@ def on_replywait_timeout(state: NodeState, dst: str, qid: int, now: float, cfg, 
     rw = min(disc.reply_wait * 2, cfg.reply_wait_max)
     return [Note("retry", f"dst={dst} qid={qid} next_reply_wait={rw!r}")] + \
         _start_discovery(state, dst, now, rw, qos)
-
-
-def on_conclude_timer(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
-    # armed only once the discovery `qid` has accepted a route
-    disc = state.discoveries.get(dst)
-    if disc is None or disc.qid != qid:
-        return []
-    return _conclude(state, disc, now, cfg, qos)
 
 
 def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
@@ -405,35 +402,31 @@ def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     return [Note("fl-add", f"{step} neighbor={transmitter}", rreq)]
 
 
-def process_rreq_intermediate(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """Relay a compliant request with ourselves appended, or discard with the
-    rule id that failed."""
+def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
+    """Check a request from this node's position, then relay it with this
+    node (and, in augmented mode, its own link metric) appended, or, at the
+    destination, answer the first compliant copy with a signed reply.  A
+    failed check is discarded with the rule id that fired."""
+    if rreq.src == state.self_id:
+        return []  # querying node: only forward-list observation applies
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
         return [Note("discard", verdict.text, rreq)]
     metric_list = rreq.metric_list
     if qos is not None:
         own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
-        metric_list = rreq.metric_list + (own if own is not None else 0,)
-    out = Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth,
-               rreq.node_list + (state.self_id,), metric_list)
-    remember_broadcast(state, out, qos)
-    return [Note("relay", "2.2.4", out), Broadcast(out)]
-
-
-def process_rreq_destination(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """Answer the first compliant copy of a query with a signed reply."""
-    verdict = rreq_verdict(state, rreq, transmitter, qos)
-    if verdict is not None:
-        return [Note("discard", verdict.text, rreq)]
+        metric_list += (own if own is not None else 0,)
+    if rreq.dst != state.self_id:
+        out = Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth,
+                   rreq.node_list + (state.self_id,), metric_list)
+        remember_broadcast(state, out, qos)
+        return [Note("relay", "2.2.4", out), Broadcast(out)]
     state.seen.add((rreq.src, rreq.qid))
     route = tuple(reversed(rreq.node_list))
-    metric_list = None
     fields = (rreq.src, rreq.dst, rreq.qid, route)
     if qos is not None:
-        own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
-        metric_list = tuple(reversed(rreq.metric_list + (own if own is not None else 0,)))
-        fields = fields + (metric_list,)
+        metric_list = tuple(reversed(metric_list))
+        fields += (metric_list,)
     auth = state.keys.mac(rreq.src, fields)
     rrep = Rrep(rreq.src, rreq.dst, rreq.qid, route, auth, metric_list)
     target = route[0] if route else rreq.src
@@ -458,21 +451,12 @@ def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
         min_conclude = disc.t1 + cfg.reply_wait_min
         if now >= min_conclude:
             fx += _conclude(state, disc, now, cfg, qos)
-        elif disc.conclude_at is None:
-            disc.conclude_at = min_conclude
+        elif disc.accepted == 1:  # the first acceptance arms the conclude timer
             fx.append(ArmTimer(min_conclude, ("conclude", disc.dst, disc.qid)))
         return fx
     idx = rrep.route.index(state.self_id)
     predecessor = rrep.route[idx + 1] if idx + 1 < len(rrep.route) else rrep.src
     return [Note("relay", f"4.4 to={predecessor}", rrep), Unicast(predecessor, rrep)]
-
-
-def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    if rreq.src == state.self_id:
-        return []  # querying node: only forward-list observation applies
-    if rreq.dst == state.self_id:
-        return process_rreq_destination(state, rreq, transmitter, qos)
-    return process_rreq_intermediate(state, rreq, transmitter, qos)
 
 
 # --------------------------------------------------------------------------
@@ -507,10 +491,6 @@ class SrpNode:
         self.cfg = cfg
         self.qos = qos
 
-    @property
-    def node_id(self):
-        return self.state.self_id
-
     def on_deliver(self, engine, msg, transmitter, addressed, now):
         node = self.state.self_id
         if isinstance(msg, Rreq):
@@ -522,19 +502,14 @@ class SrpNode:
                                                self.cfg, self.qos))
 
     def on_timer(self, engine, tag, now):
-        kind = tag[0]
-        if kind == "replywait":
-            fx = on_replywait_timeout(self.state, tag[1], tag[2], now, self.cfg, self.qos)
-        elif kind == "conclude":
-            fx = on_conclude_timer(self.state, tag[1], tag[2], now, self.cfg, self.qos)
-        else:
-            fx = []
-        execute(engine, self.node_id, fx)
+        _, dst, qid = tag  # ("replywait" | "conclude", dst, qid)
+        execute(engine, self.state.self_id,
+                on_discovery_timer(self.state, dst, qid, now, self.cfg, self.qos))
 
     def on_action(self, engine, action, now):
         if action[0] == "initiate":
             fx = initiate_discovery(self.state, action[1], now, self.cfg, self.qos)
-            execute(engine, self.node_id, fx)
+            execute(engine, self.state.self_id, fx)
 
     def on_tunnel(self, engine, msg, frm, now):
         pass  # correct nodes have no private channel

@@ -108,7 +108,7 @@ class TestExecutor:
 
     def _run(self, klass, actions, max_emissions=64):
         node = _adv_node(klass, attack("passive"))
-        node.max_emissions = max_emissions
+        node.script.max_emissions = max_emissions
         links = [LinkSchedule(edge=("a", "m"), up_intervals=((0.0, 50.0),))]
         cfg = SimConfig(tau=1.0, tx_time=1.0, end_time=50.0, seed=1,
                         reply_wait_min=8.0, reply_wait_max=64.0)

@@ -184,6 +184,10 @@ def test_a_fuzz_run_replays_from_its_seed(monkeypatch):
     ("runs", True, "runs must be an integer >= 0: True"),
     ("mode", "augmentd", "mode must be 'basic' or 'augmented': 'augmentd'"),
     ("klass", "arbitrary", "klass must be an AdversaryClass: 'arbitrary'"),
+    ("max_nodes", 6.5, "max_nodes must be an integer: 6.5"),
+    ("max_nodes", True, "max_nodes must be an integer: True"),
+    ("seed", 1.5, "seed must be an integer: 1.5"),
+    ("seed", False, "seed must be an integer: False"),
 ])
 def test_fuzz_config_rejects_what_the_campaign_cannot_run(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -197,16 +201,19 @@ def test_fuzz_config_accepts_zero_runs(monkeypatch):
                                                               {"run_scenario": 0})
 
 
-@pytest.mark.parametrize("links, runs, message", [
-    (0, 1, "links must be an integer >= 1: 0"),
-    (-2, 1, "links must be an integer >= 1: -2"),
-    (2.5, 1, "links must be an integer >= 1: 2.5"),
-    (2, -1, "runs must be an integer >= 0: -1"),
+@pytest.mark.parametrize("links, runs, seed, message", [
+    (0, 1, 0, "links must be an integer >= 1: 0"),
+    (-2, 1, 0, "links must be an integer >= 1: -2"),
+    (2.5, 1, 0, "links must be an integer >= 1: 2.5"),
+    (2, -1, 0, "runs must be an integer >= 0: -1"),
+    (2, 1, 1.5, "seed must be an integer: 1.5"),
+    (2, 1, True, "seed must be an integer: True"),
 ])
-def test_accuracy_campaign_rejects_an_impossible_cell(monkeypatch, links, runs, message):
+def test_accuracy_campaign_rejects_an_impossible_cell(monkeypatch, links, runs, seed,
+                                                      message):
     calls = _count_calls(monkeypatch, "run_scenario")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        harness.accuracy_campaign(GKind.ADD, links, 0.1, 0.0, runs=runs)
+        harness.accuracy_campaign(GKind.ADD, links, 0.1, 0.0, runs=runs, seed=seed)
     assert calls == {"run_scenario": 0}
 
 

@@ -6,11 +6,10 @@ do what they say."""
 import pytest
 
 from srpsim import (Accept, ArmTimer, Broadcast, ConfigurationError, Rrep,
-                    Rreq, Unicast,
+                    Rreq, SrpNode, Unicast,
                     handle_rreq, initiate_discovery, observe_relay,
-                    on_replywait_timeout, process_rrep,
-                    process_rreq_destination, process_rreq_intermediate,
-                    rrep_verdict, srp, to_scaled)
+                    on_discovery_timer, process_rrep, rrep_verdict, srp,
+                    to_scaled)
 from srpsim.srp import Note
 
 from conftest import make_state
@@ -33,7 +32,7 @@ class TestRequestActions:
     def test_2_2_4_appends_self_and_rebroadcasts(self):
         table = _table()
         state = make_state("m", table)
-        fx = process_rreq_intermediate(state, _signed_rreq(table, ("a",)), "a")
+        fx = handle_rreq(state, _signed_rreq(table, ("a",)), "a")
         (bc,) = _effects_of(Broadcast, fx)
         assert bc.msg.node_list == ("a", "m")
         assert ("S", 1) in state.seen
@@ -45,7 +44,7 @@ class TestRequestActions:
         qos = _qos(actual={("a", "m"): 1.5})
         state = make_state("m", table)
         rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
-        fx = process_rreq_intermediate(state, rreq, "a", qos)
+        fx = handle_rreq(state, rreq, "a", qos)
         (bc,) = _effects_of(Broadcast, fx)
         assert bc.msg.metric_list == (to_scaled(1.0), to_scaled(1.5))
         # stored prefix covers both links (step 2.2.7)
@@ -54,7 +53,7 @@ class TestRequestActions:
     def test_2_2_5_admits_exact_relay_only(self):
         table = _table()
         state = make_state("m", table)
-        process_rreq_intermediate(state, _signed_rreq(table, ("a",)), "a")
+        handle_rreq(state, _signed_rreq(table, ("a",)), "a")
         # v relays exactly our list plus itself: admitted
         observe_relay(state, _signed_rreq(table, ("a", "m", "v")), "v")
         assert "v" in state.fwd[("S", 1)]
@@ -71,7 +70,7 @@ class TestRequestActions:
         qos = _qos(epsilon=0.1, actual={("a", "m"): 1.0, ("m", "v"): 1.0})
         state = make_state("m", table)
         rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
-        fx = process_rreq_intermediate(state, rreq, "a", qos)
+        fx = handle_rreq(state, rreq, "a", qos)
         relayed = _effects_of(Broadcast, fx)[0].msg
         base = relayed.metric_list
         ok = Rreq("S", "T", 1, rreq.auth, ("a", "m", "v"), base + (to_scaled(1.05),))
@@ -91,7 +90,7 @@ class TestRequestActions:
     def test_3_reply_reverses_list_and_signs(self):
         table = _table()
         state = make_state("T", table)
-        fx = process_rreq_destination(state, _signed_rreq(table, ("a", "b")), "b")
+        fx = handle_rreq(state, _signed_rreq(table, ("a", "b")), "b")
         (uc,) = _effects_of(Unicast, fx)
         assert uc.to == "b"
         assert uc.msg.route == ("b", "a")
@@ -101,7 +100,7 @@ class TestRequestActions:
     def test_3_reply_single_hop_goes_straight_to_source(self):
         table = _table()
         state = make_state("T", table)
-        fx = process_rreq_destination(state, _signed_rreq(table, ()), "S")
+        fx = handle_rreq(state, _signed_rreq(table, ()), "S")
         (uc,) = _effects_of(Unicast, fx)
         assert uc.to == "S"
         assert uc.msg.route == ()
@@ -109,9 +108,9 @@ class TestRequestActions:
     def test_destination_answers_only_first_copy(self):
         table = _table()
         state = make_state("T", table)
-        fx1 = process_rreq_destination(state, _signed_rreq(table, ("a",)), "a")
+        fx1 = handle_rreq(state, _signed_rreq(table, ("a",)), "a")
         assert _effects_of(Unicast, fx1)
-        fx2 = process_rreq_destination(state, _signed_rreq(table, ("b",)), "b")
+        fx2 = handle_rreq(state, _signed_rreq(table, ("b",)), "b")
         assert not _effects_of(Unicast, fx2)
 
 
@@ -217,7 +216,7 @@ class TestDiscoveryLifecycle:
     def test_timeout_retries_with_doubled_timer_and_fresh_qid(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        fx = on_replywait_timeout(state, "T", 1, 9.0, CFG)
+        fx = on_discovery_timer(state, "T", 1, 9.0, CFG)
         (bc,) = [f for f in fx if isinstance(f, Broadcast)]
         (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
         assert bc.msg.qid == 2
@@ -232,7 +231,7 @@ class TestDiscoveryLifecycle:
         for _ in range(6):
             disc = state.discoveries["T"]
             now = disc.t1 + disc.reply_wait
-            on_replywait_timeout(state, "T", qid, now, CFG)
+            on_discovery_timer(state, "T", qid, now, CFG)
             qid += 1
         assert state.discoveries["T"].reply_wait == CFG.reply_wait_max
 
@@ -261,7 +260,7 @@ class TestDiscoveryLifecycle:
         # concludes, the next discovery toward T waits reply_wait_min again
         table = _table()
         state = _source_state_with_discovery(table)
-        on_replywait_timeout(state, "T", 1, 9.0, CFG)
+        on_discovery_timer(state, "T", 1, 9.0, CFG)
         assert state.discoveries["T"].reply_wait == 2 * CFG.reply_wait_min
         if deferred:
             initiate_discovery(state, "T", 10.0, CFG)
@@ -295,3 +294,52 @@ class TestDiscoveryLifecycle:
         bcs = [f for f in fx if isinstance(f, Broadcast)]
         assert len(bcs) == 1 and bcs[0].msg.qid == 2
         assert state.deferred["T"] == 0
+
+    def _accepted_before_minimum(self, table, *relays):
+        """qid 1, with one route accepted per relay in `relays` before
+        reply_wait_min; returns the effects of each acceptance."""
+        state = _source_state_with_discovery(table)
+        fxs = []
+        for t, relay in enumerate(relays, start=3):
+            observe_relay(state, _signed_rreq(table, (relay,)), relay)
+            fxs.append(process_rrep(state, _signed_rrep(table, (relay,)), relay, float(t), CFG))
+        return state, fxs
+
+    @pytest.mark.parametrize("first, second", [("conclude", "replywait"),
+                                               ("replywait", "conclude")])
+    def test_timer_of_an_accepting_discovery_concludes_once(self, first, second):
+        table = _table()
+        state, _ = self._accepted_before_minimum(table, "a")
+        node, engine = SrpNode(state, CFG), _StepRecorder()
+        node.on_timer(engine, (first, "T", 1), 9.0)
+        assert engine.steps == [("conclude", "dst=T qid=1 accepted=1")]
+        assert "T" not in state.discoveries
+        node.on_timer(engine, (second, "T", 1), 9.0)
+        assert engine.steps == [("conclude", "dst=T qid=1 accepted=1")]
+        assert on_discovery_timer(state, "T", 1, 9.0, CFG) == []
+
+    def test_second_acceptance_before_minimum_arms_no_second_timer(self):
+        table = _table()
+        state, (fx1, fx2) = self._accepted_before_minimum(table, "a", "b")
+        assert [f.tag for f in fx1 if isinstance(f, ArmTimer)] == [("conclude", "T", 1)]
+        assert _effects_of(Accept, fx2) and not _effects_of(ArmTimer, fx2)
+        assert state.discoveries["T"].accepted == 2
+
+    def test_timer_of_a_superseded_query_does_nothing(self):
+        table = _table()
+        state = _source_state_with_discovery(table)
+        on_discovery_timer(state, "T", 1, 9.0, CFG)  # qid 1 retries as qid 2
+        current = state.discoveries["T"]
+        assert on_discovery_timer(state, "T", 1, 10.0, CFG) == []
+        assert state.discoveries["T"] is current and current.qid == 2
+
+
+class _StepRecorder:
+    """An engine stand-in that records a node's trace steps and refuses any
+    other effect."""
+
+    def __init__(self):
+        self.steps = []
+
+    def trace_step(self, node, outcome, detail, msg=None):
+        self.steps.append((outcome, detail))

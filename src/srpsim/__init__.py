@@ -7,7 +7,7 @@ ground truth: loop-freedom, freshness, weak freshness, and metric accuracy.
 """
 
 from .adversary import (AdversaryClass, AdversaryNode, AttackClassError,
-                        CATALOG, FuzzScript, attack)
+                        CATALOG, FuzzScript, TunnelSend, attack)
 from .harness import (FuzzConfig, accuracy_campaign, bundled_scenarios,
                       check_trace, evaluate_expectations, fuzz_campaign,
                       run_scenario, write_trace)
@@ -16,9 +16,9 @@ from .scenario import ScenarioError, build, load_scenario, scenario_from_dict
 from .simcore import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
                       ScheduleError, ScheduleMap, SimConfig, edge_key)
 from .srp import (Accept, ArmTimer, Broadcast, ConfigurationError, NodeState,
-                  RouteRecord, Rrep, Rreq, SrpNode, TunnelSend, Unicast,
-                  handle_rreq, initiate_discovery, observe_relay,
-                  on_discovery_timer, process_rrep, rreq_verdict, rrep_verdict)
+                  RouteRecord, Rrep, Rreq, SrpNode, Unicast, handle_rreq,
+                  initiate_discovery, observe_relay, on_discovery_timer,
+                  process_rrep, rreq_verdict, rrep_verdict)
 from .srp_qos import (GKind, LinkMetricModel, QosRuntime, delta_good,
                       from_scaled, route_metric, to_scaled)
 from .verifier import (Verdict, check_accuracy, check_fresh, check_loop_free,

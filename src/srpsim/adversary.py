@@ -17,9 +17,9 @@ from enum import Enum
 from typing import Optional
 
 from . import srp
-from .srp import (ArmTimer, Broadcast, Rrep, Rreq, TunnelSend, Unicast,
-                  observe_relay, rreq_verdict, rrep_verdict)
-from .simcore import is_node_id
+from .srp import (ArmTimer, Broadcast, Rrep, Rreq, Unicast, observe_relay,
+                  rreq_verdict, rrep_verdict)
+from .simcore import exact_int, exact_number, is_node_id
 from .srp_qos import SCALE, to_scaled
 
 
@@ -34,6 +34,13 @@ class Later:
 
     delay: float
     action: object
+
+
+@dataclass(slots=True)
+class TunnelSend:
+    """Send a payload along the script's tunnel (adversary-only effect)."""
+
+    msg: object
 
 
 class AttackClassError(ValueError):
@@ -101,14 +108,14 @@ def _tunnel_path(value) -> tuple:
 
 
 def _count(value) -> int:
-    n = int(value)
+    n = exact_int(value)
     if n < 0:
         raise ValueError(f"expected an integer >= 0, not {value!r}")
     return n
 
 
 def _scaled(value) -> int:
-    return to_scaled(float(value))
+    return to_scaled(exact_number(value))
 
 
 def _choice(*choices):
@@ -236,7 +243,7 @@ class TamperRrepRoute(AttackScript):
 
     def __init__(self, params):
         self.insert = _param(params, "insert", _nodes, ())
-        self.index = _param(params, "index", int, 1)
+        self.index = _param(params, "index", exact_int, 1)
 
     def on_rrep(self, node, rrep, forwarder):
         route = rrep.route[:self.index] + self.insert + rrep.route[self.index:]
@@ -382,9 +389,9 @@ class BiasedMetric(AttackScript):
     name = "biased_metric"
 
     def __init__(self, params):
-        self.sign = 1 if _param(params, "direction", float, 1.0) >= 0 else -1
-        self.links = _param(params, "links", int, None)
-        self.headroom = _param(params, "headroom_scaled", int, 0)
+        self.sign = 1 if _param(params, "direction", exact_number, 1.0) >= 0 else -1
+        self.links = _param(params, "links", exact_int, None)
+        self.headroom = _param(params, "headroom_scaled", exact_int, 0)
 
     def on_rreq(self, node, rreq, transmitter):
         qos = node.qos
@@ -402,7 +409,8 @@ class BiasedMetric(AttackScript):
             node.set_self_bias(bias)
             report = actual + bias
         else:
-            anchor = node.neighbor_measurement(transmitter, edge)
+            # instrumented oracle: what the neighbor's apparatus reads
+            anchor = qos.measure_scaled(transmitter, edge)
             if anchor is None:
                 anchor = node.own_metric(edge)
             report = anchor + s * max(eps_s - 1 - self.headroom, 0)
@@ -492,9 +500,9 @@ class FuzzScript(AttackScript):
     max_emissions = 10
 
     def __init__(self, params):
-        self.seed = _param(params, "seed", int, None)
+        self.seed = _param(params, "seed", exact_int, None)
         bounds = _param(params, "bounds", dict, {})
-        self.max_emissions = _param(bounds, "max_emissions", int, self.max_emissions)
+        self.max_emissions = _param(bounds, "max_emissions", exact_int, self.max_emissions)
         self.ghosts = _param(bounds, "ghosts", _nodes, ("zz1", "zz2"))
         self._spontaneous = _param(bounds, "spontaneous", _count, 1)
         if bounds:
@@ -731,16 +739,13 @@ class AdversaryNode:
 
     # -- script helpers -------------------------------------------------------
 
-    def garbage_auth(self) -> int:
-        return self.rng.getrandbits(64)
-
     def forged_rrep(self, rreq: Rreq, route) -> Rrep:
         """A reply to `rreq` claiming `route`, with plausible metrics and an
         authenticator no end node computed."""
         ml = None
         if rreq.metric_list is not None:
             ml = tuple(self.fake_metric() for _ in range(len(route) + 1))
-        return Rrep(rreq.src, rreq.dst, rreq.qid, route, self.garbage_auth(), ml)
+        return Rrep(rreq.src, rreq.dst, rreq.qid, route, self.rng.getrandbits(64), ml)
 
     def fake_metric(self, edge=None) -> int:
         """A plausible metric value for a link the adversary is lying about."""
@@ -755,13 +760,6 @@ class AdversaryNode:
             return 0
         v = self.qos.measure_scaled(self.node_id, edge)
         return v if v is not None else self.fake_metric(edge)
-
-    def neighbor_measurement(self, neighbor: str, edge) -> Optional[int]:
-        """Instrumented oracle: the exact value the neighbor's apparatus
-        reads for the shared link (used by discrepancy-maximizing scripts)."""
-        if self.qos is None:
-            return None
-        return self.qos.measure_scaled(neighbor, edge)
 
     def set_self_bias(self, bias_scaled: int) -> None:
         """Skew this node's own measurement apparatus by a constant; affects
@@ -827,7 +825,7 @@ class AdversaryNode:
     def _execute(self, engine, actions):
         """Apply the adversary-only rules (deferral, the emission budget, no
         self-addressed frames, tunnels for the arbitrary class only) and hand
-        each surviving effect to the shared executor."""
+        each surviving effect but a tunnel payload to the shared executor."""
         for a in actions:
             if a is None:
                 continue
@@ -843,6 +841,11 @@ class AdversaryNode:
                 if isinstance(a, TunnelSend) and self.klass is not AdversaryClass.ARBITRARY:
                     raise AttackClassError("tunnel use by a non-arbitrary adversary")
                 engine.note_adversary_emission(self.node_id, a.msg)
+            if isinstance(a, TunnelSend):
+                if not self.script.tunnel:
+                    raise RuntimeError(f"{self.node_id}'s script has no tunnel path")
+                engine.tunnel_send(self.script.tunnel, a.msg)
+                continue
             srp.execute(engine, self.node_id, [a])
             if isinstance(a, Broadcast) and isinstance(a.msg, Rreq):
                 srp.remember_broadcast(self.state, a.msg, self.qos)

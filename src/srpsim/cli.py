@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .adversary import CATALOG, AdversaryClass
@@ -74,7 +75,7 @@ def _cmd_run(args) -> int:
         classes = {spec.klass.value for spec in scenario.adversaries.values()}
         p = _write_out(args.verdicts, lambda path: path.write_text(json.dumps({
             "summary": summarize(result.verdicts, classes),
-            "verdicts": [v.as_dict() for v in result.verdicts],
+            "verdicts": [asdict(v) for v in result.verdicts],
         }, indent=2)))
         print(f"verdicts written to {p}")
     if result.expect_failures:

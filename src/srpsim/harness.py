@@ -480,7 +480,7 @@ def check_trace(trace_path, scenario: Scenario):
                             trace_digest_of_lines(lines))
     if rendered != text:
         return False, [_first_difference(rendered, text)], []
-    verdicts = verdict_all(records, scenario.schedule_map(), scenario.metrics,
+    verdicts = verdict_all(records, scenario.schedule_map, scenario.metrics,
                            scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)
     return not failures, failures, verdicts

@@ -12,13 +12,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 from .adversary import AdversaryClass, AdversaryNode, attack
 from .identity import KeyRing, KeyTable
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
-                      is_node_id)
+                      exact_int, exact_number, is_node_id)
 from .srp import NodeState, SrpNode
 from .srp_qos import GKind, LinkMetricModel, QosRuntime
 
@@ -45,7 +46,7 @@ class AdversarySpec:
     params: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     config: SimConfig
@@ -56,34 +57,19 @@ class Scenario:
     metrics: Optional[LinkMetricModel] = None  # None: basic mode
     adversaries: dict = field(default_factory=dict)  # node -> AdversarySpec
     expect: dict = field(default_factory=dict)
-    # (nodes, links, ScheduleMap) of the last schedule_map() call
-    _schedules: Optional[tuple] = field(default=None, init=False, repr=False,
-                                        compare=False)
-    # (nodes, keys, {node: KeyRing}) of the last key_rings() call
-    _key_rings: Optional[tuple] = field(default=None, init=False, repr=False,
-                                        compare=False)
 
+    @cached_property
     def schedule_map(self) -> ScheduleMap:
-        """The ScheduleMap of the scenario's roster and links, built once per
-        (nodes, links) pair, checked by identity: a scenario given a new
-        roster or new links gets a new map."""
-        cached = self._schedules
-        if cached is None or cached[0] is not self.nodes or cached[1] is not self.links:
-            cached = self._schedules = (self.nodes, self.links,
-                                        ScheduleMap(self.nodes, self.links))
-        return cached[2]
+        """The ScheduleMap of the scenario's roster and links."""
+        return ScheduleMap(self.nodes, self.links)
 
+    @cached_property
     def key_rings(self) -> dict[str, KeyRing]:
-        """Each node's KeyRing over the scenario's key table, built once per
-        (nodes, keys) pair, checked by identity like schedule_map()."""
-        cached = self._key_rings
-        if cached is None or cached[0] is not self.nodes or cached[1] is not self.keys:
-            table = KeyTable()
-            for a, b in self.keys:
-                table.grant(a, b)
-            cached = self._key_rings = (self.nodes, self.keys,
-                                        {node: table.ring(node) for node in self.nodes})
-        return cached[2]
+        """Each node's KeyRing over the scenario's key table."""
+        table = KeyTable()
+        for a, b in self.keys:
+            table.grant(a, b)
+        return {node: table.ring(node) for node in self.nodes}
 
     def validate(self) -> None:
         if not self.nodes:
@@ -105,7 +91,7 @@ class Scenario:
                                 f"with no lone surrogate")
         known = set(self.nodes)
         try:
-            self.schedule_map().validate(self.config.tx_time)
+            self.schedule_map.validate(self.config.tx_time)
         except ValueError as e:
             raise ScenarioError(str(e))
         for a, b in self.keys:
@@ -135,8 +121,14 @@ class Scenario:
                 script = attack(spec.attack, spec.params, spec.klass, self.nodes)
             except ValueError as e:  # unknown attack, wrong class or a bad param
                 raise ScenarioError(f"adversary {node}: {e}")
-            if script.tunnel and script.tunnel[0] != node:
+            if not script.tunnel:
+                continue
+            if script.tunnel[0] != node:
                 raise ScenarioError(f"adversary {node}: tunnel path must start at {node}")
+            peer = self.adversaries.get(script.tunnel[-1])
+            if peer is None or peer.klass is not AdversaryClass.ARBITRARY:
+                raise ScenarioError(f"adversary {node}: tunnel path must end at an "
+                                    f"arbitrary-class adversary, not {script.tunnel[-1]!r}")
         self._validate_expect(known)
 
     def _validate_expect(self, known) -> None:
@@ -171,35 +163,42 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
+def _config(raw_cfg: dict, key: str, read, default):
+    """Config field `key` read by exact type; absent or null, `default`."""
+    value = raw_cfg.get(key)
+    if value is None:
+        return default
+    try:
+        return read(value)
+    except TypeError as e:
+        raise ScenarioError(f"config {key!r}: {e}")
+
+
 def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
     try:
         nodes = tuple(_require(data, "nodes", name_hint))
         raw_cfg = dict(data.get("config", {}))
-        tau = float(raw_cfg.get("tau", 1.0))
-        rw_min = raw_cfg.get("reply_wait_min")
-        if rw_min is None:
-            rw_min = 4.0 * tau * max(len(nodes), 1)
-        rw_max = raw_cfg.get("reply_wait_max")
-        if rw_max is None:
-            rw_max = 16.0 * rw_min
+        tau = _config(raw_cfg, "tau", exact_number, 1.0)
+        rw_min = _config(raw_cfg, "reply_wait_min", exact_number,
+                         4.0 * tau * max(len(nodes), 1))
         config = SimConfig(
             tau=tau,
-            tx_time=float(raw_cfg.get("tx_time", 1.0)),
-            end_time=float(raw_cfg.get("end_time", 300.0)),
-            seed=int(raw_cfg.get("seed", 1)),
-            reply_wait_min=float(rw_min),
-            reply_wait_max=float(rw_max),
+            tx_time=_config(raw_cfg, "tx_time", exact_number, 1.0),
+            end_time=_config(raw_cfg, "end_time", exact_number, 300.0),
+            seed=_config(raw_cfg, "seed", exact_int, 1),
+            reply_wait_min=rw_min,
+            reply_wait_max=_config(raw_cfg, "reply_wait_max", exact_number, 16.0 * rw_min),
         )
         links = []
         for entry in data.get("links", []):
             u, v, intervals = entry[0], entry[1], entry[2]
             links.append(LinkSchedule(
                 edge=edge_key(u, v),
-                up_intervals=tuple((float(a), float(b)) for a, b in intervals),
+                up_intervals=tuple((exact_number(a), exact_number(b)) for a, b in intervals),
             ))
         keys = tuple((a, b) for a, b in data.get("keys", []))
         discoveries = tuple(
-            (d["src"], d["dst"], float(d.get("at", 0.0)))
+            (d["src"], d["dst"], exact_number(d.get("at", 0.0)))
             for d in data.get("discoveries", [])
         )
         mode = data.get("mode", "basic")
@@ -226,10 +225,10 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
                                     f"false, not {administrative!r}")
             metrics = LinkMetricModel(
                 kind=kind,
-                epsilon=float(_require(m, "epsilon", "metrics")),
-                delta_tilde=float(m.get("delta_tilde", 0.0)),
+                epsilon=exact_number(_require(m, "epsilon", "metrics")),
+                delta_tilde=exact_number(m.get("delta_tilde", 0.0)),
                 administrative=administrative,
-                actual={edge_key(e[0], e[1]): float(e[2]) for e in m.get("actual", [])},
+                actual={edge_key(e[0], e[1]): exact_number(e[2]) for e in m.get("actual", [])},
             )
         adversaries = {}
         for node, spec in dict(data.get("adversaries", {})).items():
@@ -259,7 +258,7 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
         scenario.validate()
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise ScenarioError(f"{name_hint}: malformed scenario ({e})")
     return scenario
 
@@ -283,8 +282,8 @@ def load_scenario(path) -> Scenario:
 def build(scenario: Scenario, seed: Optional[int] = None) -> Engine:
     """Wire a validated scenario into a ready-to-run engine."""
     cfg = scenario.config if seed is None else replace(scenario.config, seed=seed)
-    engine = Engine(cfg, scenario.schedule_map(), random.Random(f"run|{cfg.seed}"))
-    rings = scenario.key_rings()
+    engine = Engine(cfg, scenario.schedule_map, random.Random(f"run|{cfg.seed}"))
+    rings = scenario.key_rings
     qos = None if scenario.metrics is None else QosRuntime(scenario.metrics, cfg.seed)
     for node in scenario.nodes:
         state = NodeState(self_id=node, keys=rings[node])
@@ -298,8 +297,6 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> Engine:
             rng=random.Random(f"adv|{cfg.seed}|{node}"), roster=scenario.nodes,
         )
         engine.add_node(node, driver)
-        if script.tunnel:
-            engine.add_tunnel(script.tunnel)
         for t in script.spontaneous_at:
             engine.schedule_action(t, node, ("adversary_time",))
     engine.seed_link_changes()

@@ -40,6 +40,21 @@ def is_node_id(value) -> bool:
             and (value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value)))
 
 
+def exact_int(value) -> int:
+    """`value` if it is an int and not a bool: input numbers are read by
+    exact type, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+def exact_number(value) -> float:
+    """`value` as a float if it is an int or a float and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 def edge_key(u: str, v: str) -> tuple[str, str]:
     if u == v:
         raise InvalidEdgeError(f"self edge ({u}, {v})")
@@ -242,7 +257,6 @@ class Engine:
         self.rng = rng
         self.now = 0.0
         self.nodes: dict[str, object] = {}
-        self.tunnels: dict[str, tuple[str, ...]] = {}  # owner -> path to its peer
         self.lines: list[str] = []
         self.trace = TraceView(self.lines)
         self.accepted: list = []  # RouteRecords, in acceptance order
@@ -265,11 +279,6 @@ class Engine:
 
     def add_node(self, node_id: str, driver) -> None:
         self.nodes[node_id] = driver
-
-    def add_tunnel(self, path: tuple[str, ...]) -> None:
-        """A private relay path between two colluders: path[0] owns it and
-        path[-1] is its peer."""
-        self.tunnels[path[0]] = path
 
     def seed_link_changes(self) -> None:
         """Schedule every link change up to end_time, numbered after what is
@@ -355,14 +364,11 @@ class Engine:
                            (w, msg, sender, False))
         return ok
 
-    def tunnel_send(self, owner: str, msg) -> bool:
-        """Forward a payload along the owner's tunnel path to its peer; opaque
-        to relays.  A hop succeeds only if its link is up throughout the
-        hop's transmission window, so a successful crossing certifies that
-        every path link was recently up."""
-        path = self.tunnels.get(owner)
-        if path is None:
-            raise RuntimeError(f"{owner} has no tunnel channel")
+    def tunnel_send(self, path: tuple[str, ...], msg) -> bool:
+        """Forward a payload along a private tunnel from its owner path[0]
+        to its peer path[-1]; opaque to relays.  A hop succeeds only if its
+        link is up throughout the hop's transmission window, so a successful
+        crossing certifies that every path link was recently up."""
         d = self._digest(msg)
         t = self.now
         for a, b in zip(path, path[1:]):
@@ -371,7 +377,7 @@ class Engine:
                 return False
             self._record(a, "tunnel", d, "sent", f"hop {a}->{b}")
             t += self.config.tau * (1.0 - self.rng.random())
-        self._push(t, Engine._tunnel_arrive, (path[-1], msg, owner))
+        self._push(t, Engine._tunnel_arrive, (path[-1], msg, path[0]))
         return True
 
     def arm_timer(self, node: str, at: float, tag: tuple) -> None:

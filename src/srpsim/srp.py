@@ -173,11 +173,6 @@ class Accept:
 
 
 @dataclass(slots=True)
-class TunnelSend:
-    msg: object
-
-
-@dataclass(slots=True)
 class Note:
     outcome: str
     detail: str
@@ -476,8 +471,6 @@ def execute(engine, node: str, effects) -> None:
             engine.arm_timer(node, f.at, f.tag)
         elif isinstance(f, Accept):
             engine.accept_route(node, f.record)
-        elif isinstance(f, TunnelSend):
-            engine.tunnel_send(node, f.msg)
         else:
             raise RuntimeError(f"unexpected effect {f!r} from {node}")
 

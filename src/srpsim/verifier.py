@@ -38,23 +38,6 @@ class Verdict:
     delta_good_used: Optional[float] = None
     endpoints_faulty: bool = False
 
-    def as_dict(self):
-        return {
-            "route": list(self.route),
-            "t1": self.t1,
-            "t2": self.t2,
-            "loop_free": self.loop_free,
-            "fresh": self.fresh,
-            "weakly_fresh": self.weakly_fresh,
-            "never_up_links": [list(e) for e in self.never_up_links],
-            "weak_witness": None if self.weak_witness is None else
-                [self.weak_witness[0], self.weak_witness[1], list(self.weak_witness[2])],
-            "accurate": self.accurate,
-            "metric_error": self.metric_error,
-            "delta_good_used": self.delta_good_used,
-            "endpoints_faulty": self.endpoints_faulty,
-        }
-
 
 def check_loop_free(route: Sequence[str]) -> bool:
     """True iff the route repeats no node."""

@@ -6,6 +6,7 @@ lines and campaign sizes.  The campaigns are seeded and deterministic.
 
 import random
 import time
+from dataclasses import asdict
 
 from srpsim import (AdversaryClass, FuzzConfig, GKind, accuracy_campaign,
                     bundled_scenarios, check_fresh, check_weakly_fresh,
@@ -118,7 +119,7 @@ def test_criterion_3_weak_freshness_boundary():
         problems.append("fig1a: no accepted route over the never-up link")
     for v in res.verdicts:
         if not (v.loop_free and not v.fresh and v.weakly_fresh):
-            problems.append(f"fig1a verdict pattern wrong: {v.as_dict()}")
+            problems.append(f"fig1a verdict pattern wrong: {asdict(v)}")
         elif v.weak_witness is None or set(v.weak_witness[2]) != {"M1", "y", "M2"}:
             problems.append(f"fig1a witness is not the relay path: {v.weak_witness}")
 
@@ -132,7 +133,7 @@ def test_criterion_3_weak_freshness_boundary():
         problems.append("fig1b: no accepted route with the fabricated segment")
     for v in res.verdicts:
         if not (v.loop_free and not v.fresh and v.weakly_fresh):
-            problems.append(f"fig1b verdict pattern wrong: {v.as_dict()}")
+            problems.append(f"fig1b verdict pattern wrong: {asdict(v)}")
 
     for name in ("fig1a_demoted_independent", "fig1b_demoted_independent"):
         res = run_scenario(load_scenario(by_name[name]))
@@ -313,7 +314,7 @@ def test_criterion_7_replay_determinism():
         rb = run_scenario(random_scenario(rng_b, klass, mode, 8, seed))
         if ra.digest != rb.digest:
             mismatches += 1
-        elif [v.as_dict() for v in ra.verdicts] != [v.as_dict() for v in rb.verdicts]:
+        elif [asdict(v) for v in ra.verdicts] != [asdict(v) for v in rb.verdicts]:
             mismatches += 1
     _report("7 (replay determinism)", mismatches == 0,
             f"100 scenario/seed pairs run twice, digest mismatches={mismatches}")

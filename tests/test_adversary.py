@@ -137,6 +137,11 @@ class TestExecutor:
         with pytest.raises(AttackClassError):
             self._run(AdversaryClass.INDEPENDENT, [TunnelSend(Rreq("S", "T", 1, 0, ()))])
 
+    def test_tunnel_without_a_path_raises(self):
+        # `passive` sets no tunnel path
+        with pytest.raises(RuntimeError, match="m's script has no tunnel path"):
+            self._run(AdversaryClass.ARBITRARY, [TunnelSend(Rreq("S", "T", 1, 0, ()))])
+
 
 class TestMetricIndex:
     """An index past the end of the metric list relays the message as a
@@ -247,12 +252,11 @@ class TestTunnel:
             def on_tunnel(self, *a): ...
         for n in nodes:
             eng.add_node(n, _Null())
-        eng.add_tunnel(("m1", "y", "m2"))
         return eng
 
     def test_delivery_requires_every_hop_up_in_sequence(self):
         eng = self._engine_with_tunnel([(0.0, 50.0)])
-        assert eng.tunnel_send("m1", Rreq("S", "T", 1, 0, ())) is True
+        assert eng.tunnel_send(("m1", "y", "m2"), Rreq("S", "T", 1, 0, ())) is True
 
     @pytest.mark.parametrize("path", [["m1", "m1"], ["m1", "y", "y", "m2"]])
     def test_path_with_a_self_hop_rejected(self, path):
@@ -262,12 +266,18 @@ class TestTunnel:
     def test_built_tunnel_is_the_scripts_path(self):
         from srpsim.scenario import build
         scen = load_scenario([p for p in bundled_scenarios() if p.stem == "fig1a_tunnel"][0])
-        assert build(scen).tunnels == {"M1": ("M1", "y", "M2"),
-                                       "M2": ("M2", "y", "M1")}
+        engine = build(scen)
+        assert {node: driver.script.tunnel for node, driver in engine.nodes.items()
+                if isinstance(driver, AdversaryNode)} == {"M1": ("M1", "y", "M2"),
+                                                          "M2": ("M2", "y", "M1")}
+        engine.run()
+        assert [(te.node, te.detail) for te in engine.trace
+                if te.primitive == "tunnel" and te.outcome == "delivered"] == [
+            ("M2", "M1"), ("M1", "M2")]
 
     def test_dead_hop_drops_the_payload(self):
         eng = self._engine_with_tunnel([(30.0, 50.0)])
-        assert eng.tunnel_send("m1", Rreq("S", "T", 1, 0, ())) is False
+        assert eng.tunnel_send(("m1", "y", "m2"), Rreq("S", "T", 1, 0, ())) is False
         assert any(te.primitive == "tunnel" and te.outcome == "dropped"
                    for te in eng.trace)
 
@@ -293,7 +303,6 @@ class TestFuzzScripts:
         assert r1.digest == r2.digest
 
     def test_independent_script_has_no_tunnel_in_alphabet(self):
-        from srpsim.srp import TunnelSend
         node = _adv_node(AdversaryClass.INDEPENDENT, attack("fuzz", {"seed": 7}))
         table = _table()
         for i in range(200):

@@ -147,6 +147,17 @@ class TestLoadValidation:
         with pytest.raises(ScenarioError, match="adversary m1: tunnel path must start at m1"):
             scenario_from_dict(d)
 
+    def test_tunnel_must_end_at_an_arbitrary_adversary(self, tmp_path):
+        # the payload would reach a correct relay, which drops it silently
+        d = _bundled("fig1a_tunnel")
+        d["adversaries"]["M1"]["params"]["path"] = ["M1", "y"]
+        with pytest.raises(ScenarioError, match="adversary M1: tunnel path must end "
+                                                "at an arbitrary-class adversary, not 'y'"):
+            scenario_from_dict(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert cli_main(["run", str(bad)]) == 2
+
 
 def _tunnel(path):
     return _mini(nodes=["S", "T", "m1", "m2"], adversaries={"m1": {
@@ -163,6 +174,13 @@ NAN = float("nan")
     (_tunnel(5), "adversary m1: param 'path': expected a list"),
     (_tunnel([]), "adversary m1: param 'path': expected at least two node ids"),
     (_tunnel(["m1", "ghost"]), "adversary m1: param 'path' names 'ghost'"),
+    (_tunnel(["m1", "m2"]), "adversary m1: tunnel path must end at an "
+                            "arbitrary-class adversary, not 'm2'"),
+    (_mini(nodes=["S", "T", "m1", "m2"], adversaries={
+        "m1": {"class": "arbitrary", "attack": "fig1a_tunnel",
+               "params": {"path": ["m1", "m2"]}},
+        "m2": {"class": "independent", "attack": "passive"}}),
+     "adversary m1: tunnel path must end at an arbitrary-class adversary"),
     (_mini(expect={"victim_link": ["S"]}), "victim_link"),
     (_mini(expect={"victim_link": ["S", "S"]}), "victim_link"),
     (_mini(adversaries={"T": "passive"}), "adversary T: spec must be an object"),
@@ -196,14 +214,29 @@ NAN = float("nan")
         "class": "arbitrary", "attack": "fuzz",
         "params": {"bounds": {"max_emisions": 2}}}}),
      "adversary m: param 'bounds' has no key 'max_emisions'"),
+    (_mini(nodes=["S", "T", "m"], adversaries={"m": {
+        "class": "arbitrary", "attack": "fuzz", "params": {"seed": "12"}}}),
+     "adversary m: param 'seed': expected an integer, not '12'"),
+    (_mini(config={"seed": 7.9, "end_time": 40.0}),
+     "config 'seed': expected an integer, not 7.9"),
+    (_mini(config={"seed": "8", "end_time": 40.0}),
+     "config 'seed': expected an integer, not '8'"),
+    (_mini(config={"seed": True, "end_time": 40.0}),
+     "config 'seed': expected an integer, not True"),
+    (_mini(config={"seed": 1, "end_time": True}),
+     "config 'end_time': expected a number, not True"),
+    (_mini(config={"seed": 1, "end_time": 40.0, "tau": "1.0"}),
+     "config 'tau': expected a number, not '1.0'"),
+    (_mini(config={"seed": 1, "end_time": 10 ** 400}), "malformed scenario"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
-        "path-ghost", "victim-one-node", "victim-self-edge", "adversary-string",
+        "path-ghost", "path-to-correct-node", "path-to-independent", "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
         "node-surrogate",
         "name-newline", "name-return", "name-surrogate", "administrative-string",
         "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows",
-        "fuzz-bounds-typo"])
+        "fuzz-bounds-typo", "fuzz-seed-str", "seed-float", "seed-str",
+        "seed-bool", "end-time-bool", "tau-str", "end-time-overflows"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)
@@ -263,12 +296,18 @@ def test_renamed_node_with_a_line_break_fails_at_load(tmp_path):
     ("tamper_nodelist_downstream_arbitrary", "insert", ["x\ud800"]),
     ("fig1a_tunnel", "path", ["M1", "M1"]),
     ("fig1a_tunnel", "path", ["M1", "y", "y", "M2"]),
+    ("tamper_rrep_route_arbitrary", "index", 1.7),
+    ("tamper_rrep_route_arbitrary", "index", True),
+    ("biased_metric_arbitrary", "links", 4.6),
+    ("biased_metric_arbitrary", "direction", True),
+    ("tamper_metriclist_rrep_arbitrary", "delta", "0.5"),
 ], ids=["insert-int", "insert-int-list", "index-str", "delta-inf",
         "rrep-index-negative", "rreq-index-negative", "fake-list-int",
         "fake-list-int-list", "dup-int", "direction-up", "extra-int",
         "role-exitt", "role-middle", "where-req", "insert-line-break",
         "insert-surrogate",
-        "path-self-hop", "path-inner-self-hop"])
+        "path-self-hop", "path-inner-self-hop", "route-index-float",
+        "route-index-bool", "links-float", "direction-bool", "delta-str"])
 def test_attack_param_of_wrong_type_fails_at_load(tmp_path, stem, param, value):
     d = _bundled(stem)
     node, spec = next(iter(d["adversaries"].items()))
@@ -416,9 +455,9 @@ def test_any_scenario_dict_fails_at_load_or_runs(data):
         scen = scenario_from_dict(data)  # validates
     except ScenarioError:
         return
-    schedules = scen.schedule_map()
+    schedules = scen.schedule_map
     res = run_scenario(scen)  # builds the same object
-    assert res.scenario is scen and scen.schedule_map() is schedules
+    assert res.scenario is scen and scen.schedule_map is schedules
 
 
 def _verdict(**kw):
@@ -603,32 +642,31 @@ class TestOneScheduleMap:
             init(self, *args)
         monkeypatch.setattr(ScheduleMap, "__init__", counting_init)
         scen = scenario_from_dict(MINIMAL)  # validates
-        assert built_maps == [scen.schedule_map()]
+        assert built_maps == [scen.schedule_map]
         scen.validate()
         res = run_scenario(scen)
         p = tmp_path / "run.trace"
         write_trace(p, res)
         ok, messages, verdicts = check_trace(p, scen)
         assert ok, messages
-        assert verdicts and built_maps == [scen.schedule_map()]
+        assert verdicts and built_maps == [scen.schedule_map]
 
     def test_new_links_get_a_new_map(self):
         scen = scenario_from_dict(MINIMAL)
         late = dataclasses.replace(
             scen, links=(LinkSchedule(("S", "T"), ((20.0, 40.0),)),))
-        assert late.schedule_map() is not scen.schedule_map()
-        assert late.schedule_map().get("S", "T").up_intervals == ((20.0, 40.0),)
+        assert late.schedule_map is not scen.schedule_map
+        assert late.schedule_map.get("S", "T").up_intervals == ((20.0, 40.0),)
         def link_lines(res):
             return [(te.time, te.outcome) for te in res.trace if te.primitive == "link"]
         res = run_scenario(late)
         assert link_lines(res) == [(20.0, "up"), (40.0, "down")]
         assert res.records and all(r.t2 > 20.0 for r in res.records)
         assert link_lines(run_scenario(scen)) == [(0.0, "up"), (40.0, "down")]
-        # links assigned in place: the map is rebuilt too
-        first = scen.schedule_map()
-        scen.links = late.links
-        assert scen.schedule_map() is not first
-        assert link_lines(run_scenario(scen)) == [(20.0, "up"), (40.0, "down")]
+        # a scenario's links cannot be assigned in place
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scen.links = late.links
+        assert link_lines(run_scenario(scen)) == [(0.0, "up"), (40.0, "down")]
 
 
 class TestOneKeyTable:
@@ -637,21 +675,21 @@ class TestOneKeyTable:
         first, second = srpsim.build(scen), srpsim.build(scen, seed=2)
         for node in scen.nodes:
             ring = first.nodes[node].state.keys
-            assert ring is second.nodes[node].state.keys is scen.key_rings()[node]
-        assert scen.key_rings()["S"].holds("T")
+            assert ring is second.nodes[node].state.keys is scen.key_rings[node]
+        assert scen.key_rings["S"].holds("T")
 
     def test_new_keys_get_new_rings(self):
         scen = scenario_from_dict(_mini(nodes=["S", "a", "T"]))
-        rings = scen.key_rings()
+        rings = scen.key_rings
         other = dataclasses.replace(scen, keys=(("S", "a"),))
-        assert other.key_rings() is not rings and scen.key_rings() is rings
-        assert other.key_rings()["S"].holds("a")
-        assert not other.key_rings()["S"].holds("T")
-        assert srpsim.build(other).nodes["S"].state.keys is other.key_rings()["S"]
-        # keys assigned in place: the rings are rebuilt too
-        scen.keys = other.keys
-        assert scen.key_rings() is not rings
-        assert not scen.key_rings()["T"].holds("S")
+        assert other.key_rings is not rings and scen.key_rings is rings
+        assert other.key_rings["S"].holds("a")
+        assert not other.key_rings["S"].holds("T")
+        assert srpsim.build(other).nodes["S"].state.keys is other.key_rings["S"]
+        # a scenario's keys cannot be assigned in place
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scen.keys = other.keys
+        assert scen.key_rings is rings and scen.key_rings["T"].holds("S")
 
 
 @functools.lru_cache(maxsize=None)

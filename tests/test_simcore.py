@@ -7,6 +7,7 @@ import inspect
 import json
 import random
 import weakref
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -530,7 +531,7 @@ class TestDeterminism:
         })
         r1, r2 = run_scenario(scen), run_scenario(scen)
         assert r1.digest == r2.digest
-        assert [v.as_dict() for v in r1.verdicts] == [v.as_dict() for v in r2.verdicts]
+        assert [asdict(v) for v in r1.verdicts] == [asdict(v) for v in r2.verdicts]
 
     def test_different_seed_differs_only_in_random_choices(self):
         scen = scenario_from_dict({

@@ -2,6 +2,7 @@
 exhaustive-search cross-check for weak freshness."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -179,7 +180,7 @@ class TestVerdictAll:
                   (s.get("S", "a"), s.get("a", "T"))]
         v1 = verdict_all([rec], s)
         v2 = verdict_all([rec], s)
-        assert [x.as_dict() for x in v1] == [x.as_dict() for x in v2]
+        assert [asdict(x) for x in v1] == [asdict(x) for x in v2]
         after = [(sch.edge, sch.up_intervals) for sch in
                  (s.get("S", "a"), s.get("a", "T"))]
         assert before == after

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from . import srp
@@ -132,7 +133,14 @@ class AttackScript:
     a list of effects to execute (a None entry is skipped).  Request and
     reply hooks default to what a protocol-following node does, so a script
     overrides only the hooks where it deviates.  A script reads and converts
-    its params once, in `__init__`."""
+    its params once, in `__init__`.
+
+    Every value a script puts in a message is an exact `str`, `int` or
+    `None`, or a tuple of these: params go through `exact_int`, `_node` and
+    `_scaled`, never reaching a message as a `bool`, `float` or list.  The
+    process-wide memos behind `simcore.message_digest` and `identity.f_k`
+    rely on it, since `True == 1` and `1.0 == 1` would find the entry of an
+    equal int that encodes differently."""
 
     name = "base"
     arbitrary_only = False
@@ -724,18 +732,24 @@ class AdversaryNode:
     """
 
     def __init__(self, node_id: str, klass: AdversaryClass, script: AttackScript,
-                 state, cfg, qos=None, rng=None, roster=()):
+                 state, cfg, qos=None, rng_seed=None, roster=()):
         self.node_id = node_id
         self.klass = klass
         self.script = script
         self.state = state
         self.cfg = cfg
         self.qos = qos
-        self.rng = rng or random.Random(node_id)
+        self._rng_seed = node_id if rng_seed is None else rng_seed
         self.roster = tuple(roster)
         self.store: list = []  # every message delivered to this node
         self.emitted = 0
         script.setup(self)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This node's stream, seeded with `rng_seed` on its first draw:
+        few scripts draw from it."""
+        return random.Random(self._rng_seed)
 
     # -- script helpers -------------------------------------------------------
 

@@ -128,10 +128,33 @@ def encode_fields(fields: Sequence) -> bytes:
     return bytes(out)
 
 
-def f_k(key: bytes, fields: Sequence) -> int:
-    """Keyed digest over the canonical serialization of `fields`."""
+# (key, fields) -> f_k(key, fields), shared by every run in the process;
+# emptied when it reaches MAC_MEMO_CAP entries.  Exact because every MAC
+# input is an exact str, int or None, or a tuple of these (see AttackScript),
+# so equal keys encode identically: a bool or a float would find the entry of
+# an equal int.
+MAC_MEMO_CAP = 1 << 10
+_MACS: dict[tuple, int] = {}
+
+
+def _keyed_digest(key: bytes, fields: Sequence) -> int:
     h = hashlib.blake2b(encode_fields(fields), digest_size=DIGEST_BYTES, key=key)
     return int.from_bytes(h.digest(), "big")
+
+
+def f_k(key: bytes, fields: Sequence) -> int:
+    """Keyed digest over the canonical serialization of `fields`."""
+    memo_key = (key, tuple(fields))
+    try:
+        mac = _MACS.get(memo_key)
+    except TypeError:  # a list among the fields: not a key
+        return _keyed_digest(key, fields)
+    if mac is None:
+        mac = _keyed_digest(key, fields)
+        if len(_MACS) >= MAC_MEMO_CAP:
+            _MACS.clear()
+        _MACS[memo_key] = mac
+    return mac
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:

@@ -114,21 +114,29 @@ class Scenario:
                     f"discovery {src}->{dst} has no declared end-node key")
             if not (math.isfinite(at) and at >= 0):
                 raise ScenarioError("discovery start time must be finite and >= 0")
+        scripts = {}
         for node, spec in self.adversaries.items():
             if node not in known:
                 raise ScenarioError(f"adversary {node} is not in the roster")
             try:
-                script = attack(spec.attack, spec.params, spec.klass, self.nodes)
+                scripts[node] = attack(spec.attack, spec.params, spec.klass, self.nodes)
             except ValueError as e:  # unknown attack, wrong class or a bad param
                 raise ScenarioError(f"adversary {node}: {e}")
+        for node, script in scripts.items():
             if not script.tunnel:
                 continue
             if script.tunnel[0] != node:
                 raise ScenarioError(f"adversary {node}: tunnel path must start at {node}")
-            peer = self.adversaries.get(script.tunnel[-1])
-            if peer is None or peer.klass is not AdversaryClass.ARBITRARY:
+            peer = script.tunnel[-1]
+            spec = self.adversaries.get(peer)
+            if spec is None or spec.klass is not AdversaryClass.ARBITRARY:
                 raise ScenarioError(f"adversary {node}: tunnel path must end at an "
-                                    f"arbitrary-class adversary, not {script.tunnel[-1]!r}")
+                                    f"arbitrary-class adversary, not {peer!r}")
+            # only a colluding script, one that tunnels back, acts on what
+            # arrives through a tunnel
+            if scripts[peer].tunnel[-1:] != (node,):
+                raise ScenarioError(f"adversary {node}: tunnel peer {peer} must hold "
+                                    f"a tunnel that ends at {node}")
         self._validate_expect(known)
 
     def _validate_expect(self, known) -> None:
@@ -294,7 +302,7 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> Engine:
         script = attack(spec.attack, spec.params, spec.klass)
         driver = AdversaryNode(
             node, spec.klass, script, state, cfg, qos,
-            rng=random.Random(f"adv|{cfg.seed}|{node}"), roster=scenario.nodes,
+            rng_seed=f"adv|{cfg.seed}|{node}", roster=scenario.nodes,
         )
         engine.add_node(node, driver)
         for t in script.spontaneous_at:

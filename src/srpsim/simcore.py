@@ -236,11 +236,34 @@ class TraceView:
         return parse_trace_line(self.lines[i])
 
 
+# wire fields -> message digest, shared by every run in the process; emptied
+# when it reaches DIGEST_MEMO_CAP entries.  Exact because every wire field is
+# an exact str, int or None, or a tuple of these (see AttackScript), so equal
+# keys encode identically: a bool or a float would find the entry of an
+# equal int.  Engine._digests stays in front of it.
+DIGEST_MEMO_CAP = 1 << 10
+_DIGESTS: dict[tuple, str] = {}
+
+
+def _fields_digest(fields) -> str:
+    return hashlib.blake2b(encode_fields(fields), digest_size=4).hexdigest()
+
+
 def message_digest(msg) -> str:
     """Short stable digest of a message for trace lines."""
     if msg is None:
         return "-"
-    return hashlib.blake2b(encode_fields(msg.wire_fields()), digest_size=4).hexdigest()
+    fields = msg.wire_fields()
+    try:
+        digest = _DIGESTS.get(fields)
+    except TypeError:  # a list among the fields: not a key
+        return _fields_digest(fields)
+    if digest is None:
+        digest = _fields_digest(fields)
+        if len(_DIGESTS) >= DIGEST_MEMO_CAP:
+            _DIGESTS.clear()
+        _DIGESTS[fields] = digest
+    return digest
 
 
 class Engine:

@@ -73,7 +73,7 @@ def _adv_node(klass, script, table=None):
     cfg = SimConfig(tau=1.0, tx_time=1.0, end_time=100.0, seed=1,
                     reply_wait_min=8.0, reply_wait_max=64.0)
     node = AdversaryNode("m", klass, script, state, cfg,
-                         rng=random.Random(0), roster=("S", "a", "m", "T"))
+                         rng_seed=0, roster=("S", "a", "m", "T"))
     return node
 
 
@@ -290,6 +290,21 @@ def test_store_holds_the_delivered_messages():
     engine.run()
     (driver,) = [d for d in engine.nodes.values() if isinstance(d, AdversaryNode)]
     assert driver.store and all(isinstance(m, (Rreq, Rrep)) for m in driver.store)
+
+
+@pytest.mark.parametrize("stem, draws", [("forge_rrep_arbitrary", True),
+                                         ("biased_metric_arbitrary", False)])
+def test_adversary_stream_is_seeded_on_its_first_draw(stem, draws):
+    from srpsim.scenario import build
+    scen = load_scenario([p for p in bundled_scenarios() if p.stem == stem][0])
+    engine = build(scen)
+    drivers = [d for d in engine.nodes.values() if isinstance(d, AdversaryNode)]
+    assert drivers and not any("rng" in vars(d) for d in drivers)
+    engine.run()
+    assert any("rng" in vars(d) for d in drivers) == draws
+    # the forged authenticators in the golden traces pin the drawn values
+    d = [d for d in build(scen).nodes.values() if isinstance(d, AdversaryNode)][0]
+    assert d.rng.random() == random.Random(f"adv|{scen.config.seed}|{d.node_id}").random()
 
 
 class TestFuzzScripts:

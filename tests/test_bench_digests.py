@@ -1,8 +1,10 @@
 """Behaviour lock on the benchmark: the combined trace digest of round 0 of
 each workload, as `python3 bench/run.py --workload <w> --seed 0 --digest`
 prints it.  A change to what any run does changes one of these values.
-Also a guard that the bench's tracer still finds every name it wraps."""
+Also the counts of one traced run, which a pure speed-up must not move, and
+a guard that the bench's tracer still finds every name it wraps."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +30,27 @@ def test_bench_digest(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == BENCH_DIGESTS[workload]
+
+
+# counts of `python3 bench/run.py --workload fuzz_mix --seed 3 --trace 1`
+TRACE_COUNTS = {
+    "simcore.events": 122175,
+    "simcore.deliveries": 39024,
+    "simcore.msg_digest_calls": 15139,
+    "identity.mac_calls": 8677,
+    "srp.discards": 8498,
+    "verifier.routes": 1992,
+}
+
+
+def test_traced_run_counts():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "fuzz_mix",
+         "--seed", "3", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.splitlines()[-1])["metrics"]
+    assert {name: metrics[name]["value"] for name in TRACE_COUNTS} == TRACE_COUNTS
 
 
 def test_bench_tracer_finds_every_function_it_wraps():

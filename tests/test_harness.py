@@ -170,6 +170,11 @@ NAN = float("nan")
                "params": {"path": ["m1", "m2"]}},
         "m2": {"class": "independent", "attack": "passive"}}),
      "adversary m1: tunnel path must end at an arbitrary-class adversary"),
+    (_mini(nodes=["S", "T", "m1", "m2"], adversaries={
+        "m1": {"class": "arbitrary", "attack": "fig1a_tunnel",
+               "params": {"path": ["m1", "m2"]}},
+        "m2": {"class": "arbitrary", "attack": "passive"}}),
+     "adversary m1: tunnel peer m2 must hold a tunnel that ends at m1"),
     (_mini(expect={"victim_link": ["S"]}), "victim_link"),
     (_mini(expect={"victim_link": ["S", "S"]}), "victim_link"),
     (_mini(adversaries={"T": "passive"}), "adversary T: spec must be an object"),
@@ -219,6 +224,7 @@ NAN = float("nan")
     (_mini(config={"seed": 1, "end_time": 10 ** 400}), "malformed scenario"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "path-to-correct-node", "path-to-independent",
+        "path-to-peer-without-tunnel-back",
         "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",

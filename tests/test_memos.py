@@ -1,0 +1,127 @@
+"""The process-wide memos behind `simcore.message_digest` and `identity.f_k`:
+what reaches them is exact, they change no trace digest however warm or
+small they are, and neither grows past its cap."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from srpsim import (AdversaryClass, GKind, KeyTable, Rreq, build,
+                    bundled_scenarios, identity, load_scenario, run_scenario,
+                    simcore)
+from srpsim.harness import accuracy_scenario, random_scenario
+
+HERE = Path(__file__).resolve().parent
+
+
+def sweep():
+    """The bundled corpus under its authored seeds, a fuzz sweep in both
+    classes and both modes, and accuracy lines with chained liars."""
+    for path in bundled_scenarios():
+        yield path.stem, load_scenario(path)
+    for klass in AdversaryClass:
+        for mode in ("basic", "augmented"):
+            for s in range(12):
+                sc = random_scenario(random.Random(f"fuzz-scenario|{s}"), klass, mode, 8, s)
+                yield f"fuzz-{klass.value}-{mode}-{s}", sc
+    for kind in GKind:
+        for s in range(3):
+            yield f"accuracy-{kind.value}-{s}", accuracy_scenario(
+                kind, 6, 0.1, 0.05, s, random.Random(f"accuracy|{kind.value}|{s}"))
+
+
+def sweep_digests() -> dict:
+    return {name: f"{run_scenario(sc).digest:016x}" for name, sc in sweep()}
+
+
+def _exact(value) -> bool:
+    t = type(value)
+    if t is tuple:
+        return all(map(_exact, value))
+    return t is str or t is int or value is None
+
+
+def test_memo_keys_hold_only_exact_values(monkeypatch):
+    """Equal keys must encode identically, so no bool, float, list or
+    subclass may reach either memo: `True == 1` and `1.0 == 1`."""
+    wire, macs = [], []
+    digest, f_k = simcore.message_digest, identity.f_k
+
+    def recording_digest(msg):
+        if msg is not None:
+            wire.append(msg.wire_fields())
+        return digest(msg)
+
+    def recording_f_k(key, fields):
+        macs.append(fields)
+        return f_k(key, fields)
+
+    monkeypatch.setattr(simcore, "message_digest", recording_digest)
+    monkeypatch.setattr(identity, "f_k", recording_f_k)
+    for name, sc in sweep():
+        wire.clear()
+        macs.clear()
+        build(sc).run()
+        assert wire, name
+        bad = [f for f in wire + macs if type(f) is not tuple or not _exact(f)]
+        assert not bad, (name, bad[:3])
+
+
+def test_warm_and_starved_memos_give_a_cold_process_the_same_digests(monkeypatch):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from test_memos import sweep_digests; "
+         "print(json.dumps(sweep_digests()))"],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    cold = json.loads(out.stdout)
+    sweep_digests()  # warm both memos
+    assert sweep_digests() == cold
+    # a cap of 2 clears each memo many times within a run
+    monkeypatch.setattr(simcore, "DIGEST_MEMO_CAP", 2)
+    monkeypatch.setattr(identity, "MAC_MEMO_CAP", 2)
+    simcore._DIGESTS.clear()  # else the warm entries answer every lookup
+    identity._MACS.clear()
+    assert sweep_digests() == cold
+    assert len(simcore._DIGESTS) <= 2 and len(identity._MACS) <= 2
+
+
+def test_digest_memo_never_exceeds_its_cap():
+    most = 0
+    for i in range(simcore.DIGEST_MEMO_CAP + 100):
+        simcore.message_digest(Rreq("S", "T", i, 7, ("a",)))
+        most = max(most, len(simcore._DIGESTS))
+    assert most == simcore.DIGEST_MEMO_CAP
+
+
+def test_mac_memo_never_exceeds_its_cap():
+    key = bytes(32)
+    most = 0
+    for i in range(identity.MAC_MEMO_CAP + 100):
+        identity.f_k(key, ("S", "T", i))
+        most = max(most, len(identity._MACS))
+    assert most == identity.MAC_MEMO_CAP
+
+
+@pytest.mark.parametrize("fields", [("S", "T", [1, 2]), ["S", "T", 1]],
+                         ids=["nested-list", "list"])
+def test_fields_given_as_lists_digest_as_tuples(fields):
+    table = KeyTable()
+    table.grant("S", "T")
+    as_tuples = tuple(tuple(f) if isinstance(f, list) else f for f in fields)
+    ring = table.ring("S")
+    # the encoding does not tell a list from a tuple; a nested list is no
+    # memo key, so that call is digested unmemoised
+    assert ring.mac("T", fields) == ring.mac("T", as_tuples)
+
+
+def test_a_message_holding_a_list_digests_as_with_a_tuple():
+    assert simcore.message_digest(Rreq("S", "T", 1, 7, ["a", "b"])) \
+        == simcore.message_digest(Rreq("S", "T", 1, 7, ("a", "b")))

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
-                    LinkSchedule, OrderingError, Rreq, ScheduleError,
+                    KeyTable, LinkSchedule, OrderingError, Rreq, ScheduleError,
                     ScheduleMap, SimConfig, SrpNode, build, bundled_scenarios,
-                    load_scenario, run_scenario, scenario_from_dict)
+                    identity, load_scenario, run_scenario, scenario_from_dict,
+                    simcore)
 from srpsim.harness import random_scenario
 from srpsim.scenario import Scenario
 from srpsim.simcore import message_digest, trace_digest_of_lines
@@ -268,6 +269,50 @@ class TestDigestMemo:
         eng, _ = _engine(schedules(("x", "a", [(0, 50)])))
         assert eng._digest(None) == "-" == eng._digest(None)
 
+    def test_a_run_digests_each_message_object_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simcore, "message_digest",
+                            lambda msg: calls.append(msg) or message_digest(msg))
+        eng, _ = _engine(schedules(("x", "a", [(0, 50)])))
+        a, b = Rreq("S", "T", 1, 42, ("x",)), Rreq("S", "T", 1, 42, ("x",))
+        for msg in (a, a, b, a, b):
+            eng._digest(msg)
+        assert [id(m) for m in calls] == [id(a), id(b)]
+
+    def test_the_process_encodes_equal_messages_once(self, monkeypatch):
+        encoded = []
+        encode = simcore.encode_fields
+        monkeypatch.setattr(simcore, "encode_fields",
+                            lambda fields: encoded.append(fields) or encode(fields))
+        simcore._DIGESTS.clear()
+        msgs = [Rreq("S", "T", 1, 42, ("x",)), Rreq("S", "T", 1, 42, ("x",)),
+                Rreq("S", "T", 1, 42, ("x", "y"))]
+        digests = []
+        for msg in msgs:  # a new engine per message: a new run each
+            eng, _ = _engine(schedules(("x", "a", [(0, 50)])))
+            digests.append(eng._digest(msg))
+        assert digests[0] == digests[1] != digests[2]
+        assert encoded == [msgs[0].wire_fields(), msgs[2].wire_fields()]
+        assert simcore._DIGESTS == {m.wire_fields(): d for m, d in zip(msgs, digests)}
+
+    def test_the_process_computes_equal_macs_once(self, monkeypatch):
+        encoded = []
+        encode = identity.encode_fields
+        monkeypatch.setattr(identity, "encode_fields",
+                            lambda fields: encoded.append(fields) or encode(fields))
+        identity._MACS.clear()
+        table = KeyTable()
+        table.grant("S", "T")
+        first = table.ring("S").mac("T", ("S", "T", 1))
+        # the other holder, and a fresh table with the same key, hit the memo
+        again = KeyTable()
+        again.grant("T", "S")
+        assert table.ring("T").mac("S", ("S", "T", 1)) == first \
+            == again.ring("S").mac("T", ["S", "T", 1])
+        assert encoded == [("S", "T", 1)]
+        assert table.ring("S").mac("T", ("S", "T", 2)) != first
+        assert len(encoded) == 2
+
 
 def _trace_cases():
     for path in bundled_scenarios():
@@ -448,9 +493,13 @@ class TestLinkChangeSeeding:
     def test_run_as_with_one_push_per_change(self, stem, monkeypatch):
         # no bundled scenario schedules spontaneous adversary actions, so
         # one adversary becomes a fuzz script that does, queued before the
-        # link changes
+        # link changes; a colluder whose tunnel ends there would have no
+        # tunnel back, so it turns passive
         d = json.loads(next(p for p in bundled_scenarios() if p.stem == stem).read_text())
         node = sorted(d["adversaries"])[0]
+        for spec in d["adversaries"].values():
+            if node in spec.get("params", {}).get("path", ()):
+                spec.update(attack="passive", params={})
         d["adversaries"][node] = {"class": "arbitrary", "attack": "fuzz", "params": {
             "seed": 7, "bounds": {"spontaneous": 40}}}
         d["links"].append([d["nodes"][0], node, [[0, 20], [25, 60], [70, 500]]])

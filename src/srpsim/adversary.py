@@ -98,6 +98,12 @@ def _list(convert):
 _nodes = _list(_node)
 
 
+def _object(value) -> dict:
+    if type(value) is not dict:
+        raise TypeError(f"expected an object, not {value!r}")
+    return dict(value)  # a copy: the script takes out each key it reads
+
+
 def _tunnel_path(value) -> tuple:
     path = _nodes(value)
     if len(path) < 2:
@@ -133,7 +139,9 @@ class AttackScript:
     a list of effects to execute (a None entry is skipped).  Request and
     reply hooks default to what a protocol-following node does, so a script
     overrides only the hooks where it deviates.  A script reads and converts
-    its params once, in `__init__`.
+    its params once, in `__init__`, and holds nothing else: one script serves
+    every run of its scenario.  A run's state lives on the node: `store`,
+    `rng` (seeded from `rng_seed`) and the once-per-query test `first_copy`.
 
     Every value a script puts in a message is an exact `str`, `int` or
     `None`, or a tuple of these: params go through `exact_int`, `_node` and
@@ -145,15 +153,19 @@ class AttackScript:
     name = "base"
     arbitrary_only = False
     max_emissions = 64
-    spontaneous_at: tuple[float, ...] = ()
     reply_to: Optional[str] = None  # unicast every reply straight to this node
     tunnel: tuple[str, ...] = ()  # private path to a colluder: owner first, peer last
 
     def __init__(self, params):
         pass
 
-    def setup(self, node) -> None:
-        pass
+    def rng_seed(self, node) -> str:
+        """The seed of `node.rng`."""
+        return f"adv|{node.cfg.seed}|{node.node_id}"
+
+    def spontaneous_times(self, node) -> list[float]:
+        """When the run calls `on_time` unprompted; drawn as the run is built."""
+        return []
 
     def on_rreq(self, node, rreq, transmitter):
         return [Broadcast(node.appended_rreq(rreq, transmitter))]
@@ -267,13 +279,10 @@ class ForgeRrep(AttackScript):
 
     def __init__(self, params):
         self.fake_route = _param(params, "fake_route", _nodes)
-        self._done = set()
 
     def on_rreq(self, node, rreq, transmitter):
         fx = super().on_rreq(node, rreq, transmitter)
-        key = (rreq.src, rreq.qid)
-        if key not in self._done:  # one forgery per query
-            self._done.add(key)
+        if node.first_copy(rreq):  # one forgery per query
             fx.append(self.forgery(node, rreq, transmitter))
         return fx
 
@@ -293,7 +302,6 @@ class ImpersonateT(ForgeRrep):
     def __init__(self, params):
         self.route = _param(params, "route", _nodes)
         self.target = _param(params, "target", _node)
-        self._done = set()
 
     def forgery(self, node, rreq, transmitter):
         return Unicast(self.target, node.forged_rrep(rreq, self.route))
@@ -305,21 +313,15 @@ class ReplayStaleRrep(AttackScript):
 
     name = "replay_stale_rrep"
 
-    def __init__(self, params):
-        self._stored = None  # (rrep, relay_target)
-
-    def on_rrep(self, node, rrep, forwarder):
-        fwd = node.protocol_rrep_forward(rrep)
-        if fwd is not None and self._stored is None:
-            self._stored = (rrep, fwd.to)
-        return [fwd]
-
     def on_rreq(self, node, rreq, transmitter):
         fx = super().on_rreq(node, rreq, transmitter)
-        if self._stored is not None:
-            old, target = self._stored
+        # the stored reply is the first one this node relayed
+        relays = (node.protocol_rrep_forward(m) for m in node.store if isinstance(m, Rrep))
+        replay = next(filter(None, relays), None)
+        if replay is not None:
+            old = replay.msg
             if (old.src, old.dst) == (rreq.src, rreq.dst) and old.qid != rreq.qid:
-                fx.append(Unicast(target, old))
+                fx.append(replay)
         return fx
 
 
@@ -442,15 +444,11 @@ class Fig1aTunnel(AttackScript):
         # the advertised link has no honest second opinion: report whatever
         # the scenario asks for
         self.fake_link_metric = _param(params, "fake_link_metric", _scaled, None)
-        self._done = set()
 
     def on_rreq(self, node, rreq, transmitter):
-        if self.role != "entry":
-            return []  # exit node ignores link-layer copies of the query
-        key = (rreq.src, rreq.qid)
-        if key in self._done:
+        # the exit node ignores link-layer copies of the query
+        if self.role != "entry" or not node.first_copy(rreq):
             return []
-        self._done.add(key)
         out = node.appended_rreq(rreq, transmitter)
         return [TunnelSend(out), Broadcast(out)]
 
@@ -509,27 +507,25 @@ class FuzzScript(AttackScript):
 
     def __init__(self, params):
         self.seed = _param(params, "seed", exact_int, None)
-        bounds = _param(params, "bounds", dict, {})
+        bounds = _param(params, "bounds", _object, {})
         self.max_emissions = _param(bounds, "max_emissions", exact_int, self.max_emissions)
         self.ghosts = _param(bounds, "ghosts", _nodes, ("zz1", "zz2"))
         self._spontaneous = _param(bounds, "spontaneous", _count, 1)
         if bounds:
             raise AttackParamError(f"param 'bounds' has no key {next(iter(bounds))!r}")
         if self._spontaneous > MAX_SPONTANEOUS:
-            # setup() draws up to this many move times up front
+            # spontaneous_times() draws up to this many move times up front
             raise AttackParamError(f"param 'spontaneous': at most "
                                    f"{MAX_SPONTANEOUS}, not {self._spontaneous}")
         if not self.ghosts:
             raise AttackParamError("param 'ghosts' must name at least one id")
 
-    def setup(self, node):
-        # seeded here, not in __init__: validation builds a script per
-        # adversary and never runs it
-        seed = node.cfg.seed if self.seed is None else self.seed
-        self.rng = random.Random(f"fuzz-script|{seed}")
-        self.spontaneous_at = sorted(
-            self.rng.uniform(1.0, 30.0) for _ in range(self.rng.randint(0, self._spontaneous))
-        )
+    def rng_seed(self, node):
+        return f"fuzz-script|{node.cfg.seed if self.seed is None else self.seed}"
+
+    def spontaneous_times(self, node):
+        r = node.rng
+        return sorted(r.uniform(1.0, 30.0) for _ in range(r.randint(0, self._spontaneous)))
 
     # -- helpers -----------------------------------------------------------
 
@@ -537,7 +533,7 @@ class FuzzScript(AttackScript):
         return [x for x in node.roster if x != node.node_id]
 
     def _mangle_nodelist(self, node, nl: tuple) -> tuple:
-        r = self.rng
+        r = node.rng
         roster = self._others(node)
         choice = r.randrange(6)
         nl = list(nl)
@@ -559,7 +555,7 @@ class FuzzScript(AttackScript):
     def _mangle_metrics(self, node, ml: tuple) -> tuple:
         if ml is None or node.qos is None:
             return ml
-        r = self.rng
+        r = node.rng
         ml = list(ml)
         eps = node.qos.epsilon_scaled
         choice = r.randrange(4)
@@ -574,7 +570,7 @@ class FuzzScript(AttackScript):
         return tuple(ml)
 
     def _forged_rrep(self, node, src, dst, qid, augmented) -> Rrep:
-        r = self.rng
+        r = node.rng
         roster = [x for x in node.roster if x not in (src, dst)]
         k = r.randint(0, min(3, len(roster)))
         route = tuple(r.sample(roster, k))
@@ -588,7 +584,7 @@ class FuzzScript(AttackScript):
     # -- hooks --------------------------------------------------------------
 
     def on_rreq(self, node, rreq, transmitter):
-        r = self.rng
+        r = node.rng
         p = r.random()
         if p < 0.35:
             return super().on_rreq(node, rreq, transmitter)
@@ -620,7 +616,7 @@ class FuzzScript(AttackScript):
         return []
 
     def on_rrep(self, node, rrep, forwarder):
-        r = self.rng
+        r = node.rng
         p = r.random()
         fwd = node.protocol_rrep_forward(rrep)
         if p < 0.40:
@@ -639,12 +635,12 @@ class FuzzScript(AttackScript):
 
     def on_overhear(self, node, msg, transmitter):
         # the driver calls this hook for the arbitrary class only
-        if isinstance(msg, Rrep) and self.rng.random() < 0.15:
-            return [Unicast(self.rng.choice(self._others(node)), msg)]
+        if isinstance(msg, Rrep) and node.rng.random() < 0.15:
+            return [Unicast(node.rng.choice(self._others(node)), msg)]
         return []
 
     def on_time(self, node):
-        r = self.rng
+        r = node.rng
         roster = self._others(node)
         if len(roster) < 2:
             return []
@@ -669,10 +665,10 @@ CATALOG: dict[str, type] = {
 
 
 def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
-           roster=None) -> AttackScript:
-    """Build a script from the named catalog, checking its params' types and,
-    when a roster is given (at load time), that the script reads every param
-    and that every unicast target and tunnel hop is on the roster."""
+           roster=()) -> AttackScript:
+    """Build a script from the named catalog, checking its params' types,
+    that the script reads every param and that every unicast target and
+    tunnel hop is on the roster."""
     cls = CATALOG.get(name)
     if cls is None:
         raise UnknownAttackError(f"unknown attack {name!r}; see list-attacks")
@@ -685,8 +681,6 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
     params = params or {}
     unread = dict(params)  # the script takes out each param it reads
     script = cls(unread)
-    if roster is None:
-        return script
     if unread:
         raise AttackParamError(f"attack {name!r} reads no param {next(iter(unread))!r}")
     named = [(key, params.get(key)) for key in UNICAST_PARAMS]
@@ -732,26 +726,34 @@ class AdversaryNode:
     """
 
     def __init__(self, node_id: str, klass: AdversaryClass, script: AttackScript,
-                 state, cfg, qos=None, rng_seed=None, roster=()):
+                 state, cfg, qos=None, roster=()):
         self.node_id = node_id
         self.klass = klass
         self.script = script
         self.state = state
         self.cfg = cfg
         self.qos = qos
-        self._rng_seed = node_id if rng_seed is None else rng_seed
         self.roster = tuple(roster)
         self.store: list = []  # every message delivered to this node
         self.emitted = 0
-        script.setup(self)
+        self._queries: set = set()  # (src, qid) of each query passed to first_copy
 
     @cached_property
     def rng(self) -> random.Random:
-        """This node's stream, seeded with `rng_seed` on its first draw:
-        few scripts draw from it."""
-        return random.Random(self._rng_seed)
+        """This node's stream, seeded with `script.rng_seed(self)` on its
+        first draw: few scripts draw from it."""
+        return random.Random(self.script.rng_seed(self))
 
     # -- script helpers -------------------------------------------------------
+
+    def first_copy(self, rreq: Rreq) -> bool:
+        """True the first time this is asked of a query (its source and id),
+        for a script that acts once per query."""
+        key = (rreq.src, rreq.qid)
+        if key in self._queries:
+            return False
+        self._queries.add(key)
+        return True
 
     def forged_rrep(self, rreq: Rreq, route) -> Rrep:
         """A reply to `rreq` claiming `route`, with plausible metrics and an

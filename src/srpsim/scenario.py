@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .adversary import AdversaryClass, AdversaryNode, attack
+from .adversary import AdversaryClass, AdversaryNode, AttackScript, attack
 from .identity import KeyRing, KeyTable
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
                       exact_int, exact_number, is_node_id)
@@ -29,6 +29,13 @@ EXPECT_KEYS = {
     "min_accepted", "max_accepted", "loop_free", "fresh", "weakly_fresh",
     "accurate", "victim_link", "victim_link_accepted", "max_metric_error",
 }
+# the keys each object of a scenario file may hold
+SCENARIO_KEYS = {"name", "description", "mode", "nodes", "config", "links", "keys",
+                 "discoveries", "metrics", "adversaries", "expect"}
+CONFIG_KEYS = {"tau", "tx_time", "end_time", "seed", "reply_wait_min", "reply_wait_max"}
+DISCOVERY_KEYS = {"src", "dst", "at"}
+METRICS_KEYS = {"kind", "epsilon", "delta_tilde", "administrative", "actual"}
+ADVERSARY_KEYS = {"class", "attack", "params"}
 PROPERTY_MODES = ("all", "not-all", "none")
 EXPECT_MODES = {"loop_free": PROPERTY_MODES, "fresh": PROPERTY_MODES,
                 "weakly_fresh": PROPERTY_MODES, "accurate": PROPERTY_MODES,
@@ -39,7 +46,7 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the rule."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversarySpec:
     klass: AdversaryClass
     attack: str
@@ -70,6 +77,20 @@ class Scenario:
         for a, b in self.keys:
             table.grant(a, b)
         return {node: table.ring(node) for node in self.nodes}
+
+    @cached_property
+    def scripts(self) -> dict[str, AttackScript]:
+        """Each adversary's attack script, built and checked once and shared
+        by every run."""
+        scripts = {}
+        for node, spec in self.adversaries.items():
+            if node not in self.nodes:
+                raise ScenarioError(f"adversary {node} is not in the roster")
+            try:
+                scripts[node] = attack(spec.attack, spec.params, spec.klass, self.nodes)
+            except ValueError as e:  # unknown attack, wrong class or a bad param
+                raise ScenarioError(f"adversary {node}: {e}")
+        return scripts
 
     def validate(self) -> None:
         if not self.nodes:
@@ -114,14 +135,7 @@ class Scenario:
                     f"discovery {src}->{dst} has no declared end-node key")
             if not (math.isfinite(at) and at >= 0):
                 raise ScenarioError("discovery start time must be finite and >= 0")
-        scripts = {}
-        for node, spec in self.adversaries.items():
-            if node not in known:
-                raise ScenarioError(f"adversary {node} is not in the roster")
-            try:
-                scripts[node] = attack(spec.attack, spec.params, spec.klass, self.nodes)
-            except ValueError as e:  # unknown attack, wrong class or a bad param
-                raise ScenarioError(f"adversary {node}: {e}")
+        scripts = self.scripts
         for node, script in scripts.items():
             if not script.tunnel:
                 continue
@@ -171,6 +185,25 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
+def _array(value, what: str, length: Optional[int] = None) -> list:
+    """`value` if it is a JSON array, of `length` items when that is given."""
+    if type(value) is not list or length not in (None, len(value)):
+        items = "" if length is None else f" of {length} items"
+        raise ScenarioError(f"{what} must be an array{items}, not {value!r}")
+    return value
+
+
+def _object(value, what: str, keys=None) -> dict:
+    """`value` if it is a JSON object, holding no key outside `keys` when
+    they are given."""
+    if type(value) is not dict:
+        raise ScenarioError(f"{what} must be an object, not {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ScenarioError(f"{what} has no key {key!r}")
+    return value
+
+
 def _config(raw_cfg: dict, key: str, read, default):
     """Config field `key` read by exact type; absent or null, `default`."""
     value = raw_cfg.get(key)
@@ -184,8 +217,9 @@ def _config(raw_cfg: dict, key: str, read, default):
 
 def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
     try:
-        nodes = tuple(_require(data, "nodes", name_hint))
-        raw_cfg = dict(data.get("config", {}))
+        _object(data, "scenario", SCENARIO_KEYS)
+        nodes = tuple(_array(_require(data, "nodes", name_hint), "nodes"))
+        raw_cfg = _object(data.get("config", {}), "config", CONFIG_KEYS)
         tau = _config(raw_cfg, "tau", exact_number, 1.0)
         rw_min = _config(raw_cfg, "reply_wait_min", exact_number,
                          4.0 * tau * max(len(nodes), 1))
@@ -198,17 +232,19 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             reply_wait_max=_config(raw_cfg, "reply_wait_max", exact_number, 16.0 * rw_min),
         )
         links = []
-        for entry in data.get("links", []):
-            u, v, intervals = entry[0], entry[1], entry[2]
+        for i, entry in enumerate(_array(data.get("links", []), "links")):
+            u, v, intervals = _array(entry, f"links[{i}]", 3)
             links.append(LinkSchedule(
                 edge=edge_key(u, v),
                 up_intervals=tuple((exact_number(a), exact_number(b)) for a, b in intervals),
             ))
-        keys = tuple((a, b) for a, b in data.get("keys", []))
-        discoveries = tuple(
-            (d["src"], d["dst"], exact_number(d.get("at", 0.0)))
-            for d in data.get("discoveries", [])
-        )
+        keys = []
+        for i, pair in enumerate(_array(data.get("keys", []), "keys")):
+            keys.append(tuple(_array(pair, f"keys[{i}]", 2)))
+        discoveries = []
+        for i, d in enumerate(_array(data.get("discoveries", []), "discoveries")):
+            _object(d, f"discoveries[{i}]", DISCOVERY_KEYS)
+            discoveries.append((d["src"], d["dst"], exact_number(d.get("at", 0.0))))
         mode = data.get("mode", "basic")
         if mode not in ("basic", "augmented"):
             raise ScenarioError(f"unknown mode {mode!r}")
@@ -217,7 +253,7 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
                                 "basic mode forbids one")
         metrics = None
         if mode == "augmented":
-            m = data["metrics"]
+            m = _object(data["metrics"], "metrics", METRICS_KEYS)
             kind_name = str(_require(m, "kind", "metrics"))
             if kind_name in REJECTED_METRIC_KINDS:
                 raise ScenarioError(
@@ -231,18 +267,20 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             if not isinstance(administrative, bool):
                 raise ScenarioError(f"metrics: 'administrative' must be true or "
                                     f"false, not {administrative!r}")
+            actual = {}
+            for i, entry in enumerate(_array(m.get("actual", []), "metrics actual")):
+                u, v, value = _array(entry, f"metrics actual[{i}]", 3)
+                actual[edge_key(u, v)] = exact_number(value)
             metrics = LinkMetricModel(
                 kind=kind,
                 epsilon=exact_number(_require(m, "epsilon", "metrics")),
                 delta_tilde=exact_number(m.get("delta_tilde", 0.0)),
                 administrative=administrative,
-                actual={edge_key(e[0], e[1]): exact_number(e[2]) for e in m.get("actual", [])},
+                actual=actual,
             )
         adversaries = {}
-        for node, spec in dict(data.get("adversaries", {})).items():
-            if not isinstance(spec, dict):
-                raise ScenarioError(f"adversary {node}: spec must be an object "
-                                    f"with 'class', 'attack' and 'params'")
+        for node, spec in _object(data.get("adversaries", {}), "adversaries").items():
+            _object(spec, f"adversary {node}: spec", ADVERSARY_KEYS)
             try:
                 klass = AdversaryClass(spec.get("class", "independent"))
             except ValueError:
@@ -250,18 +288,21 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             adversaries[node] = AdversarySpec(
                 klass=klass,
                 attack=str(_require(spec, "attack", f"adversary {node}")),
-                params=dict(spec.get("params", {})),
+                params=dict(_object(spec.get("params", {}), f"adversary {node}: params")),
             )
+        name = data.get("name", name_hint)
+        if type(name) is not str:
+            raise ScenarioError(f"name must be a string, not {name!r}")
         scenario = Scenario(
-            name=str(data.get("name", name_hint)),
+            name=name,
             config=config,
             nodes=nodes,
             links=tuple(links),
-            keys=keys,
-            discoveries=discoveries,
+            keys=tuple(keys),
+            discoveries=tuple(discoveries),
             metrics=metrics,
             adversaries=adversaries,
-            expect=dict(data.get("expect", {})),
+            expect=dict(_object(data.get("expect", {}), "expect")),
         )
         scenario.validate()
     except ScenarioError:
@@ -299,13 +340,10 @@ def build(scenario: Scenario, seed: Optional[int] = None) -> Engine:
         if spec is None:
             engine.add_node(node, SrpNode(state, cfg, qos))
             continue
-        script = attack(spec.attack, spec.params, spec.klass)
-        driver = AdversaryNode(
-            node, spec.klass, script, state, cfg, qos,
-            rng_seed=f"adv|{cfg.seed}|{node}", roster=scenario.nodes,
-        )
+        driver = AdversaryNode(node, spec.klass, scenario.scripts[node], state, cfg,
+                               qos, roster=scenario.nodes)
         engine.add_node(node, driver)
-        for t in script.spontaneous_at:
+        for t in driver.script.spontaneous_times(driver):
             engine.schedule_action(t, node, ("adversary_time",))
     engine.seed_link_changes()
     for src, dst, at in scenario.discoveries:

@@ -3,7 +3,9 @@ compliance gate, taint soundness of emissions, key unforgeability, tunnel
 preconditions, and fuzz-script reproducibility."""
 
 import ast
+import copy
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
                     Engine, LinkSchedule, Rrep, Rreq, ScheduleMap, SimConfig,
                     FuzzScript, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict, srp)
+from srpsim import scenario as scenario_module
 from srpsim.adversary import AdversaryNode, AttackParamError, step_adversary
 from srpsim.harness import FuzzConfig, bundled_scenarios, fuzz_campaign, random_scenario
 
@@ -72,8 +75,7 @@ def _adv_node(klass, script, table=None):
     state = make_state("m", table)
     cfg = SimConfig(tau=1.0, tx_time=1.0, end_time=100.0, seed=1,
                     reply_wait_min=8.0, reply_wait_max=64.0)
-    node = AdversaryNode("m", klass, script, state, cfg,
-                         rng_seed=0, roster=("S", "a", "m", "T"))
+    node = AdversaryNode("m", klass, script, state, cfg, roster=("S", "a", "m", "T"))
     return node
 
 
@@ -307,6 +309,45 @@ def test_adversary_stream_is_seeded_on_its_first_draw(stem, draws):
     assert d.rng.random() == random.Random(f"adv|{scen.config.seed}|{d.node_id}").random()
 
 
+SCRIPT_CASES = [pytest.param(p, id=p.stem) for p in bundled_scenarios()] + [
+    pytest.param((klass, mode, i), id=f"fuzz-{klass.value}-{mode}-{i}")
+    for klass in AdversaryClass for mode in ("basic", "augmented") for i in range(4)]
+
+
+def _script_case(case):
+    if isinstance(case, Path):
+        return load_scenario(case)
+    klass, mode, i = case
+    scenario = random_scenario(random.Random(f"scripts|{i}"), klass, mode, 8, 40 + i)
+    if i % 2:  # fuzz scripts seeded by the run
+        adversaries = {node: replace(spec, params={})
+                       for node, spec in scenario.adversaries.items()}
+        scenario = replace(scenario, adversaries=adversaries)
+    return scenario
+
+
+@pytest.mark.parametrize("case", SCRIPT_CASES)
+def test_one_script_per_adversary_serves_every_run(case, monkeypatch):
+    """`validate`, `build` and the runs share one script per adversary, and
+    no run changes it: of runs under seeds a, b and a again, both runs under
+    a give one digest."""
+    scenario = replace(_script_case(case))  # a copy that has built no script
+    real = scenario_module.attack
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(scenario_module, "attack", counted)
+    scenario.validate()
+    built = {node: copy.deepcopy(vars(s)) for node, s in scenario.scripts.items()}
+    a = scenario.config.seed
+    digests = [run_scenario(scenario, seed).digest for seed in (a, a + 1, a)]
+    assert len(calls) == len(scenario.adversaries)
+    assert {node: vars(s) for node, s in scenario.scripts.items()} == built
+    assert digests[0] == digests[2]
+
+
 class TestFuzzScripts:
     def test_same_seed_reproduces_behavior(self):
         rng = random.Random(4)
@@ -331,7 +372,7 @@ class TestFuzzScripts:
         default = _adv_node(AdversaryClass.ARBITRARY, attack("fuzz", {}))
         seeded = _adv_node(AdversaryClass.ARBITRARY, attack("fuzz", {"seed": 1}))
         assert default.cfg.seed == 1
-        assert default.script.rng.random() == seeded.script.rng.random()
+        assert default.rng.random() == seeded.rng.random()
 
     @pytest.mark.parametrize("params", [
         {"seed": "x"}, {"bounds": 5}, {"bounds": {"ghosts": []}},

@@ -222,6 +222,33 @@ NAN = float("nan")
     (_mini(config={"seed": 1, "end_time": 40.0, "tau": "1.0"}),
      "config 'tau': expected a number, not '1.0'"),
     (_mini(config={"seed": 1, "end_time": 10 ** 400}), "malformed scenario"),
+    (_mini(nodes="ST"), "nodes must be an array, not 'ST'"),
+    (_mini(keys=["ST"]), "keys\\[0\\] must be an array of 2 items, not 'ST'"),
+    (_mini(name=5), "name must be a string, not 5"),
+    (_mini(config=[["seed", 1], ["end_time", 40.0]]), "config must be an object"),
+    (_mini(adversaries=[["T", {"attack": "passive"}]]), "adversaries must be an object"),
+    (_mini(nodes=["S", "T", "m"], adversaries={"m": {
+        "class": "arbitrary", "attack": "fuzz", "params": [["seed", 3]]}}),
+     "adversary m: params must be an object"),
+    (_mini(expect=[["min_accepted", 1]]), "expect must be an object"),
+    (_mini(nodes=["S", "T", "m"], adversaries={"m": {
+        "class": "arbitrary", "attack": "fuzz", "params": {"bounds": [["ghosts", ["g"]]]}}}),
+     "adversary m: param 'bounds': expected an object"),
+    (_mini(discoverys=[]), "scenario has no key 'discoverys'"),
+    (_mini(config={"seed": 1, "end_tme": 50}), "config has no key 'end_tme'"),
+    (_mini(discoveries=[{"src": "S", "dst": "T", "att": 9}]),
+     "discoveries\\[0\\] has no key 'att'"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1, "delta": 0.1,
+                                      "actual": [["S", "T", 1.0]]}),
+     "metrics has no key 'delta'"),
+    (_mini(nodes=["S", "T", "m"], adversaries={"m": {
+        "class": "arbitrary", "attack": "shortcut_relay", "param": {"shortcut_to": "S"}}}),
+     "adversary m: spec has no key 'param'"),
+    (_mini(links=[["S", "T", [[0, 40]], [[50, 60]]]]),
+     "links\\[0\\] must be an array of 3 items"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
+                                      "actual": [["S", "T", 1.0, 2.0]]}),
+     "metrics actual\\[0\\] must be an array of 3 items"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "path-to-correct-node", "path-to-independent",
         "path-to-peer-without-tunnel-back",
@@ -232,7 +259,11 @@ NAN = float("nan")
         "name-newline", "name-return", "name-surrogate", "administrative-string",
         "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows",
         "fuzz-bounds-typo", "fuzz-seed-str", "seed-float", "seed-str",
-        "seed-bool", "end-time-bool", "tau-str", "end-time-overflows"])
+        "seed-bool", "end-time-bool", "tau-str", "end-time-overflows",
+        "nodes-string", "keys-string", "name-int", "config-pairs",
+        "adversaries-pairs", "params-pairs", "expect-pairs", "bounds-pairs",
+        "top-level-typo", "config-typo", "discovery-typo", "metrics-typo",
+        "adversary-typo", "link-extra-item", "actual-extra-item"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)

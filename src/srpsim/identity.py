@@ -25,15 +25,6 @@ STR_MEMO_CAP = 1 << 16
 _STR_BYTES: dict[str, bytes] = {}
 _str_bytes = _STR_BYTES.__getitem__
 
-# int -> its encoding, for the items of lists whose items are all exact
-# `int` (metric lists); emptied when it reaches INT_MEMO_CAP entries.  Scalar
-# ints (random 64-bit `auth` values, `qid`) never enter it, and a list holding
-# a bool never reads it: True == 1 would find 1's encoding.
-INT_MEMO_CAP = 1 << 12
-_INT_BYTES: dict[int, bytes] = {}
-_int_bytes = _INT_BYTES.__getitem__
-_INT_ONLY = {int}
-
 
 def _encode_str(obj: str) -> bytes:
     raw = obj.encode("utf-8")
@@ -48,16 +39,6 @@ def _encode_str(obj: str) -> bytes:
 def _encode_int(obj: int) -> bytes:
     raw = str(obj).encode("ascii")
     return b"i" + len(raw).to_bytes(4, "big") + raw
-
-
-def _encode_list_int(obj: int) -> bytes:
-    enc = _INT_BYTES.get(obj)
-    if enc is None:
-        enc = _encode_int(obj)
-        if len(_INT_BYTES) >= INT_MEMO_CAP:
-            _INT_BYTES.clear()
-        _INT_BYTES[obj] = enc
-    return enc
 
 
 def _encode(obj, out: bytearray) -> None:
@@ -91,8 +72,7 @@ def _encode_items(obj, out: bytearray) -> None:
     out += len(obj).to_bytes(4, "big")
     if not obj:
         return
-    t = type(obj[0])
-    if t is str:
+    if type(obj[0]) is str:
         # a node list: one join over memoised encodings; any item that is
         # not an already-seen str sends the list through the item loop,
         # which memoises its strings
@@ -101,14 +81,6 @@ def _encode_items(obj, out: bytearray) -> None:
             return
         except (KeyError, TypeError):
             pass
-    elif t is int and set(map(type, obj)) == _INT_ONLY:
-        # a metric list: one join over the int memo; on a miss, join
-        # again while memoising the items not yet seen
-        try:
-            out += b"".join(map(_int_bytes, obj))
-        except KeyError:
-            out += b"".join(map(_encode_list_int, obj))
-        return
     for item in obj:
         _encode(item, out)
 

@@ -173,7 +173,7 @@ class Scenario:
         victim = self.expect.get("victim_link")
         if victim is not None:
             if not isinstance(victim, (list, tuple)) or len(victim) != 2 \
-                    or victim[0] == victim[1]:
+                    or not all(type(v) is str for v in victim) or victim[0] == victim[1]:
                 raise ScenarioError("victim_link must name two distinct nodes")
             if victim[0] not in known or victim[1] not in known:
                 raise ScenarioError("victim_link names an undeclared node")
@@ -204,15 +204,25 @@ def _object(value, what: str, keys=None) -> dict:
     return value
 
 
-def _config(raw_cfg: dict, key: str, read, default):
-    """Config field `key` read by exact type; absent or null, `default`."""
-    value = raw_cfg.get(key)
-    if value is None:
-        return default
+def _node(value, what: str) -> str:
+    """`value` if it is a string; validate checks that it is a roster node."""
+    if type(value) is not str:
+        raise ScenarioError(f"{what} must be a node id, not {value!r}")
+    return value
+
+
+def _exact(read, value, what: str):
+    """`read(value)` for an exact-type reader; its TypeError names `what`."""
     try:
         return read(value)
     except TypeError as e:
-        raise ScenarioError(f"config {key!r}: {e}")
+        raise ScenarioError(f"{what}: {e}")
+
+
+def _config(raw_cfg: dict, key: str, read, default):
+    """Config field `key` read by exact type; absent or null, `default`."""
+    value = raw_cfg.get(key)
+    return default if value is None else _exact(read, value, f"config {key!r}")
 
 
 def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
@@ -233,18 +243,27 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
         )
         links = []
         for i, entry in enumerate(_array(data.get("links", []), "links")):
-            u, v, intervals = _array(entry, f"links[{i}]", 3)
-            links.append(LinkSchedule(
-                edge=edge_key(u, v),
-                up_intervals=tuple((exact_number(a), exact_number(b)) for a, b in intervals),
-            ))
+            what = f"links[{i}]"
+            u, v, intervals = _array(entry, what, 3)
+            up = []
+            for j, interval in enumerate(_array(intervals, f"{what} intervals")):
+                span = f"{what} intervals[{j}]"
+                a, b = _array(interval, span, 2)
+                up.append((_exact(exact_number, a, span), _exact(exact_number, b, span)))
+            links.append(LinkSchedule(edge=edge_key(_node(u, what), _node(v, what)),
+                                      up_intervals=tuple(up)))
         keys = []
         for i, pair in enumerate(_array(data.get("keys", []), "keys")):
-            keys.append(tuple(_array(pair, f"keys[{i}]", 2)))
+            what = f"keys[{i}]"
+            a, b = _array(pair, what, 2)
+            keys.append((_node(a, what), _node(b, what)))
         discoveries = []
         for i, d in enumerate(_array(data.get("discoveries", []), "discoveries")):
-            _object(d, f"discoveries[{i}]", DISCOVERY_KEYS)
-            discoveries.append((d["src"], d["dst"], exact_number(d.get("at", 0.0))))
+            what = f"discoveries[{i}]"
+            _object(d, what, DISCOVERY_KEYS)
+            discoveries.append((_node(_require(d, "src", what), f"{what} src"),
+                                _node(_require(d, "dst", what), f"{what} dst"),
+                                _exact(exact_number, d.get("at", 0.0), f"{what} at")))
         mode = data.get("mode", "basic")
         if mode not in ("basic", "augmented"):
             raise ScenarioError(f"unknown mode {mode!r}")
@@ -269,12 +288,16 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
                                     f"false, not {administrative!r}")
             actual = {}
             for i, entry in enumerate(_array(m.get("actual", []), "metrics actual")):
-                u, v, value = _array(entry, f"metrics actual[{i}]", 3)
-                actual[edge_key(u, v)] = exact_number(value)
+                what = f"metrics actual[{i}]"
+                u, v, value = _array(entry, what, 3)
+                actual[edge_key(_node(u, what), _node(v, what))] = \
+                    _exact(exact_number, value, what)
             metrics = LinkMetricModel(
                 kind=kind,
-                epsilon=exact_number(_require(m, "epsilon", "metrics")),
-                delta_tilde=exact_number(m.get("delta_tilde", 0.0)),
+                epsilon=_exact(exact_number, _require(m, "epsilon", "metrics"),
+                               "metrics 'epsilon'"),
+                delta_tilde=_exact(exact_number, m.get("delta_tilde", 0.0),
+                                   "metrics 'delta_tilde'"),
                 administrative=administrative,
                 actual=actual,
             )
@@ -325,6 +348,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{p}: scenario file is not UTF-8 text")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{p}:{e.lineno}:{e.colno}: parse error: {e.msg}")
+    except ValueError as e:  # an integer literal past int's digit limit
+        raise ScenarioError(f"{p}: parse error: {e}")
+    except RecursionError:
+        raise ScenarioError(f"{p}: parse error: arrays or objects nested too deep")
     return scenario_from_dict(data, name_hint=p.stem)
 
 

@@ -249,6 +249,25 @@ NAN = float("nan")
     (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
                                       "actual": [["S", "T", 1.0, 2.0]]}),
      "metrics actual\\[0\\] must be an array of 3 items"),
+    (_mini(links=[["S", "T", [[0, 40, 99]]]]),
+     "links\\[0\\] intervals\\[0\\] must be an array of 2 items"),
+    (_mini(links=[["S", "T", 40]]), "links\\[0\\] intervals must be an array, not 40"),
+    (_mini(discoveries=[{"dst": "T"}]), "discoveries\\[0\\]: missing required field 'src'"),
+    (_mini(discoveries=[{"src": "S"}]), "discoveries\\[0\\]: missing required field 'dst'"),
+    (_mini(discoveries=[{"src": ["S"], "dst": "T"}]),
+     "discoveries\\[0\\] src must be a node id, not \\['S'\\]"),
+    (_mini(keys=[[["S"], "T"]]), "keys\\[0\\] must be a node id, not \\['S'\\]"),
+    (_mini(links=[[5, "T", [[0, 40]]]]), "links\\[0\\] must be a node id, not 5"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
+                                      "actual": [["S", 5, 1.0]]}),
+     "metrics actual\\[0\\] must be a node id, not 5"),
+    (_mini(links=[["S", "T", [[0, "40"]]]]),
+     "links\\[0\\] intervals\\[0\\]: expected a number, not '40'"),
+    (_mini(discoveries=[{"src": "S", "dst": "T", "at": "1"}]),
+     "discoveries\\[0\\] at: expected a number, not '1'"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": "0.1"}),
+     "metrics 'epsilon': expected a number, not '0.1'"),
+    (_mini(expect={"victim_link": [["S"], "T"]}), "victim_link must name two distinct nodes"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "path-to-correct-node", "path-to-independent",
         "path-to-peer-without-tunnel-back",
@@ -263,13 +282,30 @@ NAN = float("nan")
         "nodes-string", "keys-string", "name-int", "config-pairs",
         "adversaries-pairs", "params-pairs", "expect-pairs", "bounds-pairs",
         "top-level-typo", "config-typo", "discovery-typo", "metrics-typo",
-        "adversary-typo", "link-extra-item", "actual-extra-item"])
+        "adversary-typo", "link-extra-item", "actual-extra-item",
+        "interval-extra-item", "intervals-int", "discovery-no-src", "discovery-no-dst",
+        "discovery-src-list", "key-node-list", "link-node-int", "actual-node-int",
+        "interval-str", "at-str", "epsilon-str", "victim-node-list"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert cli_main(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(MINIMAL).replace('"seed": 1', '"seed": ' + "7" * 5000),
+    '{"nodes": ' + "[" * 5000 + "]" * 5000 + "}",
+], ids=["int-past-digit-limit", "nested-too-deep"])
+def test_unparsable_json_fails_at_load_with_exit_two(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(ScenarioError, match=f"{re.escape(str(bad))}: parse error"):
+        load_scenario(bad)
+    for argv in (["run", str(bad)], ["check", str(tmp_path / "run.trace"), str(bad)]):
+        assert cli_main(argv) == 2
+        assert f"scenario error: {bad}: parse error" in capsys.readouterr().err
 
 
 def _bundled(stem):

@@ -154,7 +154,7 @@ _any_value = st.recursive(
 @given(st.lists(_any_value, max_size=6))
 def test_encoding_equals_the_recursive_reference(fields):
     expected = _reference_encode_fields(fields)
-    # twice: the second pass finds every string and list int in the memo
+    # twice: the second pass finds every string in the memo
     assert encode_fields(fields) == expected
     assert encode_fields(tuple(fields)) == expected
 
@@ -167,36 +167,5 @@ def test_string_memo_never_exceeds_its_cap():
     assert most == identity.STR_MEMO_CAP
 
 
-def test_int_memo_never_exceeds_its_cap():
-    most = 0
-    for i in range(identity.INT_MEMO_CAP + 100):
-        encode_fields((i, [10**12 + i, 7]))
-        most = max(most, len(identity._INT_BYTES))
-    assert most == identity.INT_MEMO_CAP
-
-
-def test_scalars_and_bool_lists_stay_off_the_int_memo():
-    identity._INT_BYTES.clear()
-    encode_fields(("rreq", "S", "T", 3, 2**63 + 5, ("S",), None))
-    encode_fields(([1, True, 2],))
-    assert identity._INT_BYTES == {}
-    encode_fields(([True, 1],))
+def test_a_list_holding_a_bool_encodes_apart_from_its_int_twin():
     assert encode_fields(([1, True],)) != encode_fields(([1, 1],))
-
-
-def test_a_metric_list_seen_before_encodes_without_encode_int(monkeypatch):
-    calls = []
-    encode_int = identity._encode_int
-
-    def counted(obj):
-        calls.append(obj)
-        return encode_int(obj)
-
-    monkeypatch.setattr(identity, "_encode_int", counted)
-    metrics = tuple(1_000_000 + 37 * i for i in range(128))
-    identity._INT_BYTES.clear()
-    first = encode_fields((metrics,))
-    assert len(calls) == 128
-    calls.clear()
-    assert encode_fields((metrics,)) == first
-    assert calls == []

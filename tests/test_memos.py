@@ -82,15 +82,18 @@ def test_warm_and_starved_memos_give_a_cold_process_the_same_digests(monkeypatch
          "print(json.dumps(sweep_digests()))"],
         env=env, capture_output=True, text=True, check=True, timeout=300)
     cold = json.loads(out.stdout)
-    sweep_digests()  # warm both memos
+    sweep_digests()  # warm every memo
     assert sweep_digests() == cold
     # a cap of 2 clears each memo many times within a run
     monkeypatch.setattr(simcore, "DIGEST_MEMO_CAP", 2)
     monkeypatch.setattr(identity, "MAC_MEMO_CAP", 2)
+    monkeypatch.setattr(identity, "STR_MEMO_CAP", 2)
     simcore._DIGESTS.clear()  # else the warm entries answer every lookup
     identity._MACS.clear()
+    identity._STR_BYTES.clear()
     assert sweep_digests() == cold
     assert len(simcore._DIGESTS) <= 2 and len(identity._MACS) <= 2
+    assert len(identity._STR_BYTES) <= 2
 
 
 def test_digest_memo_never_exceeds_its_cap():

@@ -19,6 +19,15 @@ class KeyAccessError(Exception):
     """A node invoked the authenticator with a key it does not hold."""
 
 
+def remember(memo: dict, cap: int, key, value):
+    """Store `value` under `key` in a process-wide memo, emptying the memo
+    first when it holds `cap` entries; return `value`.  Called on a miss."""
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 # str -> its encoding; emptied when it reaches STR_MEMO_CAP entries.  Only
 # exact `str` keys.
 STR_MEMO_CAP = 1 << 16
@@ -30,9 +39,7 @@ def _encode_str(obj: str) -> bytes:
     raw = obj.encode("utf-8")
     enc = b"s" + len(raw).to_bytes(4, "big") + raw
     if type(obj) is str:
-        if len(_STR_BYTES) >= STR_MEMO_CAP:
-            _STR_BYTES.clear()
-        _STR_BYTES[obj] = enc
+        remember(_STR_BYTES, STR_MEMO_CAP, obj, enc)
     return enc
 
 
@@ -122,10 +129,7 @@ def f_k(key: bytes, fields: Sequence) -> int:
     except TypeError:  # a list among the fields: not a key
         return _keyed_digest(key, fields)
     if mac is None:
-        mac = _keyed_digest(key, fields)
-        if len(_MACS) >= MAC_MEMO_CAP:
-            _MACS.clear()
-        _MACS[memo_key] = mac
+        mac = remember(_MACS, MAC_MEMO_CAP, memo_key, _keyed_digest(key, fields))
     return mac
 
 
@@ -138,7 +142,8 @@ class KeyTable:
     """Scenario-wide registry of pairwise symmetric keys.
 
     Key material is derived deterministically from the node pair so that runs
-    are reproducible.
+    are reproducible.  Read-only once its rings exist: `Scenario.key_rings`
+    shares one table among every scenario of the same roster and key pairs.
     """
 
     _keys: dict[tuple[str, str], bytes] = field(default_factory=dict)

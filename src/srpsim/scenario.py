@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .adversary import AdversaryClass, AdversaryNode, AttackScript, attack
-from .identity import KeyRing, KeyTable
+from .identity import KeyRing, KeyTable, remember
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
                       exact_int, exact_number, is_node_id)
 from .srp import NodeState, SrpNode
@@ -40,6 +41,17 @@ PROPERTY_MODES = ("all", "not-all", "none")
 EXPECT_MODES = {"loop_free": PROPERTY_MODES, "fresh": PROPERTY_MODES,
                 "weakly_fresh": PROPERTY_MODES, "accurate": PROPERTY_MODES,
                 "victim_link_accepted": ("none", "some")}
+
+
+# (roster, ((edge, repr(up_intervals)), ...)) -> ScheduleMap, and
+# (roster, key pairs) -> key rings: each shared by every scenario of that
+# shape in the process, emptied when it reaches its cap.  Intervals are keyed
+# by their rendered form, which is what a link-change line prints: 0, 0.0 and
+# -0.0 are equal but print apart.
+SCHEDULE_MAP_MEMO_CAP = 16
+_SCHEDULE_MAPS: dict[tuple, ScheduleMap] = {}
+KEY_RINGS_MEMO_CAP = 16
+_KEY_RINGS: dict[tuple, Mapping[str, KeyRing]] = {}
 
 
 class ScenarioError(ValueError):
@@ -67,16 +79,31 @@ class Scenario:
 
     @cached_property
     def schedule_map(self) -> ScheduleMap:
-        """The ScheduleMap of the scenario's roster and links."""
-        return ScheduleMap(self.nodes, self.links)
+        """The ScheduleMap of the scenario's roster and links, shared with
+        every scenario whose roster, edges and rendered intervals are the
+        same; read-only once built."""
+        memo_key = (self.nodes,
+                    tuple((s.edge, repr(s.up_intervals)) for s in self.links))
+        schedules = _SCHEDULE_MAPS.get(memo_key)
+        if schedules is None:
+            schedules = remember(_SCHEDULE_MAPS, SCHEDULE_MAP_MEMO_CAP, memo_key,
+                                 ScheduleMap(self.nodes, self.links))
+        return schedules
 
     @cached_property
-    def key_rings(self) -> dict[str, KeyRing]:
-        """Each node's KeyRing over the scenario's key table."""
-        table = KeyTable()
-        for a, b in self.keys:
-            table.grant(a, b)
-        return {node: table.ring(node) for node in self.nodes}
+    def key_rings(self) -> Mapping[str, KeyRing]:
+        """Each node's KeyRing over the scenario's key table, shared with
+        every scenario of the same roster and key pairs; read-only, and no
+        key is granted once the rings exist."""
+        memo_key = (self.nodes, self.keys)
+        rings = _KEY_RINGS.get(memo_key)
+        if rings is None:
+            table = KeyTable()
+            for a, b in self.keys:
+                table.grant(a, b)
+            rings = remember(_KEY_RINGS, KEY_RINGS_MEMO_CAP, memo_key, MappingProxyType(
+                {node: table.ring(node) for node in self.nodes}))
+        return rings
 
     @cached_property
     def scripts(self) -> dict[str, AttackScript]:
@@ -212,10 +239,11 @@ def _node(value, what: str) -> str:
 
 
 def _exact(read, value, what: str):
-    """`read(value)` for an exact-type reader; its TypeError names `what`."""
+    """`read(value)` for an exact-type reader; its TypeError, or the
+    OverflowError of an int past float range, names `what`."""
     try:
         return read(value)
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:
         raise ScenarioError(f"{what}: {e}")
 
 

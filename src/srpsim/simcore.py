@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .identity import encode_fields
+from .identity import encode_fields, remember
 
 
 class InvalidEdgeError(ValueError):
@@ -133,7 +133,10 @@ class LinkSchedule:
 
 
 class ScheduleMap:
-    """All link schedules of a scenario; absent edges are permanently down."""
+    """All link schedules of a scenario; absent edges are permanently down.
+    Read-only once built: `Scenario.schedule_map` shares one map among every
+    scenario of the same roster and links, and engines read its lists in
+    place."""
 
     def __init__(self, nodes: Iterable[str], schedules: Iterable[LinkSchedule]):
         self.nodes = tuple(nodes)
@@ -259,10 +262,7 @@ def message_digest(msg) -> str:
     except TypeError:  # a list among the fields: not a key
         return _fields_digest(fields)
     if digest is None:
-        digest = _fields_digest(fields)
-        if len(_DIGESTS) >= DIGEST_MEMO_CAP:
-            _DIGESTS.clear()
-        _DIGESTS[fields] = digest
+        digest = remember(_DIGESTS, DIGEST_MEMO_CAP, fields, _fields_digest(fields))
     return digest
 
 
@@ -399,7 +399,7 @@ class Engine:
                 self._record(a, "tunnel", d, "dropped", f"hop {a}->{b} down")
                 return False
             self._record(a, "tunnel", d, "sent", f"hop {a}->{b}")
-            t += self.config.tau * (1.0 - self.rng.random())
+            t += self._delay()
         self._push(t, Engine._tunnel_arrive, (path[-1], msg, path[0]))
         return True
 

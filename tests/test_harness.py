@@ -20,6 +20,7 @@ from srpsim import (FuzzConfig, LinkSchedule, RouteRecord, ScenarioError,
                     ScheduleMap, Verdict, bundled_scenarios, check_trace,
                     evaluate_expectations, fuzz_campaign, load_scenario,
                     run_scenario, scenario_from_dict, write_trace)
+from srpsim import scenario as scenario_module
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
 from srpsim.harness import read_trace, render_trace
@@ -221,7 +222,12 @@ NAN = float("nan")
      "config 'end_time': expected a number, not True"),
     (_mini(config={"seed": 1, "end_time": 40.0, "tau": "1.0"}),
      "config 'tau': expected a number, not '1.0'"),
-    (_mini(config={"seed": 1, "end_time": 10 ** 400}), "malformed scenario"),
+    (_mini(config={"seed": 1, "end_time": 10 ** 400}),
+     "config 'end_time': int too large to convert to float"),
+    (_mini(discoveries=[{"src": "S", "dst": "T", "at": 10 ** 400}]),
+     "discoveries\\[0\\] at: int too large to convert to float"),
+    (_mini(links=[["S", "T", [[0, 10 ** 400]]]]),
+     "links\\[0\\] intervals\\[0\\]: int too large to convert to float"),
     (_mini(nodes="ST"), "nodes must be an array, not 'ST'"),
     (_mini(keys=["ST"]), "keys\\[0\\] must be an array of 2 items, not 'ST'"),
     (_mini(name=5), "name must be a string, not 5"),
@@ -279,6 +285,7 @@ NAN = float("nan")
         "unknown-mode", "epsilon-nan", "delta-tilde-inf", "actual-overflows",
         "fuzz-bounds-typo", "fuzz-seed-str", "seed-float", "seed-str",
         "seed-bool", "end-time-bool", "tau-str", "end-time-overflows",
+        "at-overflows", "interval-overflows",
         "nodes-string", "keys-string", "name-int", "config-pairs",
         "adversaries-pairs", "params-pairs", "expect-pairs", "bounds-pairs",
         "top-level-typo", "config-typo", "discovery-typo", "metrics-typo",
@@ -704,6 +711,8 @@ class TestOneScheduleMap:
             built_maps.append(self)
             init(self, *args)
         monkeypatch.setattr(ScheduleMap, "__init__", counting_init)
+        # else an earlier scenario of this shape lends its map
+        monkeypatch.setattr(scenario_module, "_SCHEDULE_MAPS", {})
         scen = scenario_from_dict(MINIMAL)  # validates
         assert built_maps == [scen.schedule_map]
         scen.validate()
@@ -731,6 +740,30 @@ class TestOneScheduleMap:
             scen.links = late.links
         assert link_lines(run_scenario(scen)) == [(0.0, "up"), (40.0, "down")]
 
+    def test_scenarios_of_one_shape_share_one_map(self):
+        scen = scenario_from_dict(MINIMAL)
+        assert scenario_from_dict(MINIMAL).schedule_map is scen.schedule_map
+        renamed = scenario_from_dict(_mini(name="other", config={"seed": 9}))
+        assert renamed.schedule_map is scen.schedule_map
+        for other in (_mini(nodes=["S", "T", "a"]),
+                      _mini(links=[["S", "T", [[0, 41]]]]),
+                      _mini(nodes=["S", "T", "a"], links=[["S", "T", [[0, 40]]],
+                                                          ["S", "a", [[0, 40]]]])):
+            assert scenario_from_dict(other).schedule_map is not scen.schedule_map
+
+    def test_zero_written_three_ways_gets_three_maps(self):
+        """0, 0.0 and -0.0 are equal but print apart in link lines."""
+        scen = scenario_from_dict(MINIMAL)
+        firsts, maps = [], []
+        for start in (0, 0.0, -0.0):
+            same = dataclasses.replace(
+                scen, links=(LinkSchedule(("S", "T"), ((start, 40.0),)),))
+            maps.append(same.schedule_map)
+            lines = run_scenario(same).trace.lines
+            firsts.append(next(ln for ln in lines if " link - up " in ln).split()[0])
+        assert firsts == ["0", "0.0", "-0.0"]
+        assert len(set(map(id, maps))) == 3
+
 
 class TestOneKeyTable:
     def test_builds_share_the_rings(self):
@@ -753,6 +786,18 @@ class TestOneKeyTable:
         with pytest.raises(dataclasses.FrozenInstanceError):
             scen.keys = other.keys
         assert scen.key_rings is rings and scen.key_rings["T"].holds("S")
+
+    def test_scenarios_of_one_shape_share_the_rings(self):
+        scen = scenario_from_dict(_mini(nodes=["S", "a", "T"]))
+        twin = scenario_from_dict(_mini(nodes=["S", "a", "T"], name="twin",
+                                        links=[["S", "a", [[0, 40]]]]))
+        assert twin.key_rings is scen.key_rings
+        assert twin.key_rings["S"].table is scen.key_rings["a"].table
+        for other in (_mini(nodes=["S", "T", "a"]), _mini(nodes=["S", "a", "T", "b"]),
+                      _mini(nodes=["S", "a", "T"], keys=[["S", "T"], ["S", "a"]])):
+            assert scenario_from_dict(other).key_rings is not scen.key_rings
+        with pytest.raises(TypeError):  # shared, so read-only
+            scen.key_rings["S"] = scen.key_rings["T"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,19 +1,23 @@
-"""The process-wide memos behind `simcore.message_digest` and `identity.f_k`:
-what reaches them is exact, they change no trace digest however warm or
-small they are, and neither grows past its cap."""
+"""The process-wide memos behind `simcore.message_digest`, `identity.f_k`,
+`Scenario.schedule_map` and `Scenario.key_rings`: what reaches them is
+exact, they change no trace digest however warm or small they are, and none
+grows past its cap."""
 
 import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from srpsim import (AdversaryClass, GKind, KeyTable, Rreq, build,
-                    bundled_scenarios, identity, load_scenario, run_scenario,
+from srpsim import (AdversaryClass, GKind, KeyTable, LinkSchedule, Rreq,
+                    ScenarioError, ScheduleError, build, bundled_scenarios,
+                    identity, load_scenario, run_scenario, scenario_from_dict,
                     simcore)
+from srpsim import scenario as scenario_module
 from srpsim.harness import accuracy_scenario, random_scenario
 
 HERE = Path(__file__).resolve().parent
@@ -88,12 +92,18 @@ def test_warm_and_starved_memos_give_a_cold_process_the_same_digests(monkeypatch
     monkeypatch.setattr(simcore, "DIGEST_MEMO_CAP", 2)
     monkeypatch.setattr(identity, "MAC_MEMO_CAP", 2)
     monkeypatch.setattr(identity, "STR_MEMO_CAP", 2)
+    # a cap of 1 keeps only the last scenario's map and rings
+    monkeypatch.setattr(scenario_module, "SCHEDULE_MAP_MEMO_CAP", 1)
+    monkeypatch.setattr(scenario_module, "KEY_RINGS_MEMO_CAP", 1)
     simcore._DIGESTS.clear()  # else the warm entries answer every lookup
     identity._MACS.clear()
     identity._STR_BYTES.clear()
+    scenario_module._SCHEDULE_MAPS.clear()
+    scenario_module._KEY_RINGS.clear()
     assert sweep_digests() == cold
     assert len(simcore._DIGESTS) <= 2 and len(identity._MACS) <= 2
     assert len(identity._STR_BYTES) <= 2
+    assert len(scenario_module._SCHEDULE_MAPS) == len(scenario_module._KEY_RINGS) == 1
 
 
 def test_digest_memo_never_exceeds_its_cap():
@@ -111,6 +121,66 @@ def test_mac_memo_never_exceeds_its_cap():
         identity.f_k(key, ("S", "T", i))
         most = max(most, len(identity._MACS))
     assert most == identity.MAC_MEMO_CAP
+
+
+MINIMAL = {"nodes": ["S", "T"], "links": [["S", "T", [[0, 40]]]], "keys": [["S", "T"]],
+           "config": {"end_time": 40.0}, "discoveries": [{"src": "S", "dst": "T"}]}
+
+
+def test_schedule_map_memo_never_exceeds_its_cap():
+    scen = scenario_from_dict(MINIMAL)
+    most = 0
+    for i in range(scenario_module.SCHEDULE_MAP_MEMO_CAP + 5):
+        links = (LinkSchedule(("S", "T"), ((0.0, 40.0 + i),)),)
+        replace(scen, links=links).schedule_map
+        most = max(most, len(scenario_module._SCHEDULE_MAPS))
+    assert most == scenario_module.SCHEDULE_MAP_MEMO_CAP
+
+
+def test_key_rings_memo_never_exceeds_its_cap():
+    most = 0
+    for i in range(scenario_module.KEY_RINGS_MEMO_CAP + 5):
+        scenario_from_dict({**MINIMAL, "nodes": ["S", "T", f"n{i}"]}).key_rings
+        most = max(most, len(scenario_module._KEY_RINGS))
+    assert most == scenario_module.KEY_RINGS_MEMO_CAP
+
+
+def test_a_map_or_rings_that_fail_to_build_leave_no_entry(monkeypatch):
+    monkeypatch.setattr(scenario_module, "_SCHEDULE_MAPS", {})
+    monkeypatch.setattr(scenario_module, "_KEY_RINGS", {})
+    with pytest.raises(ScenarioError, match="undeclared node"):
+        scenario_from_dict({**MINIMAL, "links": [["S", "ghost", [[0, 40]]]]})
+    with pytest.raises(ScenarioError, match="duplicate schedule"):
+        scenario_from_dict({**MINIMAL, "links": [["S", "T", [[0, 40]]]] * 2})
+    assert scenario_module._SCHEDULE_MAPS == {}
+    scen = scenario_from_dict(MINIMAL)
+    with pytest.raises(ValueError, match="with itself"):
+        replace(scen, keys=(("S", "T"), ("T", "T"))).key_rings
+    with pytest.raises(ScheduleError):
+        replace(scen, links=scen.links * 2).schedule_map
+    assert len(scenario_module._SCHEDULE_MAPS) == 1 and scenario_module._KEY_RINGS == {}
+
+
+def test_no_key_is_granted_once_a_table_has_handed_out_rings(monkeypatch):
+    """Tables are shared by every scenario of one roster and key pairs."""
+    dealt, late = {}, []  # id -> table: holding each table keeps its id unique
+    grant, ring = KeyTable.grant, KeyTable.ring
+
+    def checked_grant(table, a, b):
+        if id(table) in dealt:
+            late.append((a, b))
+        grant(table, a, b)
+
+    def recording_ring(table, holder):
+        dealt[id(table)] = table
+        return ring(table, holder)
+
+    monkeypatch.setattr(KeyTable, "grant", checked_grant)
+    monkeypatch.setattr(KeyTable, "ring", recording_ring)
+    monkeypatch.setattr(scenario_module, "_KEY_RINGS", {})
+    for _, sc in sweep():
+        build(sc).run()
+    assert dealt and not late
 
 
 @pytest.mark.parametrize("fields", [("S", "T", [1, 2]), ["S", "T", 1]],

@@ -15,8 +15,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .adversary import CATALOG, AdversaryClass
-from .harness import (FuzzConfig, check_trace, fuzz_campaign, load_scenario,
-                      run_scenario, write_trace)
+from .harness import (MAX_FUZZ_NODES, FuzzConfig, check_trace, fuzz_campaign,
+                      load_scenario, run_scenario, write_trace)
 from .scenario import ScenarioError
 from .verifier import summarize
 
@@ -166,7 +166,9 @@ def main(argv=None) -> int:
                         choices=[c.value for c in AdversaryClass],
                         default="arbitrary")
     p_fuzz.add_argument("--mode", choices=["basic", "augmented"], default="basic")
-    p_fuzz.add_argument("--max-nodes", type=int, default=8)
+    p_fuzz.add_argument("--max-nodes", type=int, default=8,
+                        help="largest topology, S and T included "
+                             f"(4 to {MAX_FUZZ_NODES}; default 8)")
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--report", default=None, help="write the campaign report (JSON) here")
     p_fuzz.set_defaults(func=_cmd_fuzz)

@@ -195,6 +195,11 @@ def _require_int(name: str, value, least: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}: {value!r}")
 
 
+# random_scenario draws a link for every node pair: at this many nodes one
+# run takes about a second and 130 MB, and both grow with the square
+MAX_FUZZ_NODES = 500
+
+
 @dataclass
 class FuzzConfig:
     runs: int = 1000
@@ -216,6 +221,9 @@ class FuzzConfig:
         if self.max_nodes < 4:
             raise ValueError("max_nodes must be at least 4 (S, T and two "
                              f"intermediates): {self.max_nodes}")
+        if self.max_nodes > MAX_FUZZ_NODES:
+            raise ValueError(f"max_nodes must be at most {MAX_FUZZ_NODES}: "
+                             f"{self.max_nodes}")
 
 
 @dataclass

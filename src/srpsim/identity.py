@@ -48,21 +48,28 @@ def _encode_int(obj: int) -> bytes:
     return b"i" + len(raw).to_bytes(4, "big") + raw
 
 
-def _encode(obj, out: bytearray) -> None:
+def _encode_each(items, out: bytearray) -> None:
     # Type-tagged, length-prefixed encoding; injective over nested
-    # str/int/None/tuple-or-list values.  Exact types are tested first; the
-    # isinstance chain below them serves subclasses and bool.
-    t = type(obj)
-    if t is str:
-        enc = _STR_BYTES.get(obj)
-        out += enc if enc is not None else _encode_str(obj)
-    elif t is int:
-        out += _encode_int(obj)
-    elif t is tuple or t is list:
-        _encode_items(obj, out)
-    elif obj is None:
-        out += b"n"
-    elif isinstance(obj, str):
+    # str/int/None/tuple-or-list values.  Exact types are handled here, the
+    # one dispatch site, which recurses only into lists; _encode_other
+    # serves subclasses and bool.
+    for item in items:
+        t = type(item)
+        if t is str:
+            enc = _STR_BYTES.get(item)
+            out += enc if enc is not None else _encode_str(item)
+        elif t is int:
+            out += _encode_int(item)
+        elif item is None:
+            out += b"n"
+        elif t is tuple or t is list:
+            _encode_items(item, out)
+        else:
+            _encode_other(item, out)
+
+
+def _encode_other(obj, out: bytearray) -> None:
+    if isinstance(obj, str):
         out += _encode_str(obj)
     elif isinstance(obj, bool):  # bool before int: bool is an int subclass
         out += b"b1" if obj else b"b0"
@@ -88,8 +95,7 @@ def _encode_items(obj, out: bytearray) -> None:
             return
         except (KeyError, TypeError):
             pass
-    for item in obj:
-        _encode(item, out)
+    _encode_each(obj, out)
 
 
 def encode_fields(fields: Sequence) -> bytes:
@@ -102,8 +108,7 @@ def encode_fields(fields: Sequence) -> bytes:
     fields = tuple(fields)
     out = bytearray(b"l")
     out += len(fields).to_bytes(4, "big")
-    for f in fields:
-        _encode(f, out)
+    _encode_each(fields, out)
     return bytes(out)
 
 

@@ -266,6 +266,9 @@ def message_digest(msg) -> str:
     return digest
 
 
+_time = itemgetter(0)  # the time of a link change
+
+
 class Engine:
     """Single-threaded deterministic event loop.
 
@@ -308,7 +311,7 @@ class Engine:
         already queued.  The changes stay in the map's sorted list, which
         run() merges with the heap in (time, seq) order."""
         changes = self.schedules.link_changes
-        n = bisect.bisect_right(changes, self.config.end_time, key=itemgetter(0))
+        n = bisect.bisect_right(changes, self.config.end_time, key=_time)
         if n and changes[0][0] < self.now:
             raise OrderingError(f"event at {changes[0][0]} scheduled before "
                                 f"current time {self.now}")
@@ -356,12 +359,9 @@ class Engine:
     def bcast_l(self, sender: str, msg) -> None:
         """Broadcast: one delivery per node whose link to the sender is up
         throughout the transmission window."""
-        self._record(sender, "bcast_l", self._digest(msg), "sent")
-        t0, t1 = self.now, self.now + self.config.tx_time
-        for v, link in self.schedules.neighbours(sender):
-            if v in self.nodes and link.covers(t0, t1):
-                self._push(self.now + self._delay(), Engine._deliver,
-                           (v, msg, sender, True))
+        d = self._digest(msg)
+        self._record(sender, "bcast_l", d, "sent")
+        self._fan_out(sender, msg, d, None)
 
     def send_l(self, sender: str, receiver: str, msg) -> bool:
         """Unicast to `receiver`; other up neighbors overhear the frame but do
@@ -376,16 +376,28 @@ class Engine:
         self._record(sender, "send_l", d, "sent" if ok else "failure_reported", receiver)
         if ok:
             self._push(self.now + self._delay(), Engine._deliver,
-                       (receiver, msg, sender, True))
+                       (receiver, msg, sender, True, d))
         else:
             self._push(t1, Engine._record,
                        (sender, "report", d, "failure_reported", receiver))
-        # Promiscuous overhearing by third parties with an up link.
-        for w, link in self.schedules.neighbours(sender):
-            if w != receiver and w in self.nodes and link.covers(t0, t1):
-                self._push(self.now + self._delay(), Engine._deliver,
-                           (w, msg, sender, False))
+        self._fan_out(sender, msg, d, receiver)  # promiscuous overhearing
         return ok
+
+    def _fan_out(self, sender: str, msg, digest: str, receiver) -> None:
+        """Queue a delivery of the frame to every node but `receiver` whose
+        link to the sender is up throughout the transmission window:
+        addressed for a broadcast (`receiver` None), overheard for a
+        unicast.  Each push is `_push(now + _delay(), ...)` written out: the
+        same delay draw and the same seq, in the same order."""
+        now, nodes, seq = self.now, self.nodes, self._seq
+        t1 = now + self.config.tx_time
+        for v, link in self.schedules.neighbours(sender):
+            if v != receiver and v in nodes and link.covers(now, t1):
+                seq += 1
+                heapq.heappush(self._queue, (
+                    now + self.config.tau * (1.0 - self.rng.random()), seq,
+                    Engine._deliver, (v, msg, sender, receiver is None, digest)))
+        self._seq = seq
 
     def tunnel_send(self, path: tuple[str, ...], msg) -> bool:
         """Forward a payload along a private tunnel from its owner path[0]
@@ -421,17 +433,28 @@ class Engine:
 
     def run(self) -> TraceView:
         queue, end_time, pop = self._queue, self.config.end_time, heapq.heappop
-        changes, lines, seq0 = self.schedules.link_changes, self.lines, self._change_seq0
-        for i in range(self._next_change, self._end_change):
-            t, time_text, text = changes[i]
-            key = (t, seq0 + i)
+        changes, append, seq0 = self.schedules.link_changes, self.lines.append, self._change_seq0
+        i, end = self._next_change, self._end_change
+        while i < end:
+            key = (changes[i][0], seq0 + i)
             while queue and queue[0] < key:  # seqs are unique: decided by [:2]
                 self.now, _, handler, args = pop(queue)
                 handler(self, *args)
-            self._next_change = i + 1
-            self.now = t
-            self._seq = seq = self._seq + 1
-            lines.append(f"{time_text} {seq}{text}")  # as _record writes it
+            # changes i..j-1 sort before the heap's head.  Its seq is below
+            # seq0 (queued before seed_link_changes) or past every change's,
+            # so it follows all the changes at its time or none of them
+            j = end
+            if queue:
+                t, head_seq = queue[0][:2]
+                bound = bisect.bisect_right if head_seq > seq0 else bisect.bisect_left
+                j = bound(changes, t, i + 1, end, key=_time)
+            seq = self._seq
+            for _, time_text, text in changes[i:j]:
+                seq += 1
+                append(f"{time_text} {seq}{text}")  # as _record writes it
+            self._seq = seq
+            self.now = changes[j - 1][0]
+            self._next_change = i = j
         while queue and queue[0][0] <= end_time:
             self.now, _, handler, args = pop(queue)
             handler(self, *args)
@@ -439,10 +462,17 @@ class Engine:
 
     # -- event handlers: what a heap entry names ------------------------------
 
-    def _deliver(self, node, msg, transmitter, addressed) -> None:
+    def _deliver(self, node, msg, transmitter, addressed, digest) -> None:
+        self._seq = seq = self._seq + 1
+        now = self.now
+        if now is not self._rendered_now:
+            self._rendered_now = now
+            self._now_text = repr(now)
         primitive = "receive_l" if addressed else "overhear"
-        self._record(node, primitive, self._digest(msg), "delivered", transmitter)
-        self.nodes[node].on_deliver(self, msg, transmitter, addressed, self.now)
+        # as _record writes it, with the digest the frame carries
+        self.lines.append(f"{self._now_text} {seq} {node} {primitive} {digest} "
+                          f"delivered {transmitter}")
+        self.nodes[node].on_deliver(self, msg, transmitter, addressed, now)
 
     def _fire(self, node, tag) -> None:
         detail = ":".join(str(x) for x in tag if isinstance(x, (str, int, float)))

@@ -376,7 +376,13 @@ def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     consistent with our own measurement of the shared link)."""
     key = (rreq.src, rreq.qid)
     sent = state.relayed.get(key)
-    if sent is None or rreq.node_list != sent.node_list + (transmitter,):
+    if sent is None:
+        return []
+    node_list = rreq.node_list
+    # length and last hop first: most copies a node hears fail them, and
+    # they build no tuple
+    if (len(node_list) != len(sent.node_list) + 1 or node_list[-1] != transmitter
+            or node_list != sent.node_list + (transmitter,)):
         return []
     step = "2.1.2" if state.self_id == rreq.src else "2.2.5"
     if qos is not None:
@@ -487,7 +493,9 @@ class SrpNode:
     def on_deliver(self, engine, msg, transmitter, addressed, now):
         node = self.state.self_id
         if isinstance(msg, Rreq):
-            execute(engine, node, observe_relay(self.state, msg, transmitter, self.qos))
+            fx = observe_relay(self.state, msg, transmitter, self.qos)
+            if fx:
+                execute(engine, node, fx)
             if addressed:
                 execute(engine, node, handle_rreq(self.state, msg, transmitter, self.qos))
         elif isinstance(msg, Rrep) and addressed:

@@ -186,6 +186,8 @@ def test_a_fuzz_run_replays_from_its_seed(monkeypatch):
     ("klass", "arbitrary", "klass must be an AdversaryClass: 'arbitrary'"),
     ("max_nodes", 6.5, "max_nodes must be an integer: 6.5"),
     ("max_nodes", True, "max_nodes must be an integer: True"),
+    ("max_nodes", 501, "max_nodes must be at most 500: 501"),
+    ("max_nodes", 100000, "max_nodes must be at most 500: 100000"),
     ("seed", 1.5, "seed must be an integer: 1.5"),
     ("seed", False, "seed must be an integer: False"),
 ])

@@ -7,11 +7,14 @@ where a sender reaches most of the roster.  Here most nodes are out of range
 of any one sender, so a change in which nodes the link layer visits, or in
 what order, changes the digest.
 
+Every run's row (scenario name, run seed, accepted routes, trace digest) is
+kept in `golden_grid_runs.json`; the pin is rebuilt from it, and a run that
+moved is named.
+
 The value is checked in this process and again in a subprocess under a
 different PYTHONHASHSEED.
 """
 
-import hashlib
 import os
 import random
 import subprocess
@@ -20,7 +23,10 @@ from pathlib import Path
 
 from srpsim import run_scenario, scenario_from_dict
 
+from ledger import combined_digest, moved_runs, read_ledger, write_ledger
+
 GRID_DIGEST = "280633e6bc47931b"
+LEDGER = Path(__file__).with_name("golden_grid_runs.json")
 
 
 def grid(k: int):
@@ -80,17 +86,31 @@ def churned(n: int = 30, seed: int = 7):
     })
 
 
-def grid_digest() -> str:
-    h = hashlib.blake2b(digest_size=8)
+def grid_runs() -> dict[str, list[tuple]]:
+    """The row of every run, in hash order."""
+    rows = []
     for scenario in [grid(4), grid(8), grid(12), churned()]:
         for seed in range(5):
             r = run_scenario(scenario, seed)
-            h.update(f"{scenario.name} {seed} {len(r.records)} {r.digest:016x}\n".encode())
-    return h.hexdigest()
+            rows.append((scenario.name, seed, len(r.records), f"{r.digest:016x}"))
+    return {"grid": rows}
+
+
+def grid_digest() -> str:
+    return combined_digest(grid_runs()["grid"])
+
+
+def test_ledger_rebuilds_the_pin():
+    rows = read_ledger(LEDGER)["grid"]
+    assert len(rows) == 20
+    assert combined_digest(rows) == GRID_DIGEST
 
 
 def test_grid_digest():
-    assert grid_digest() == GRID_DIGEST
+    ledger, live = read_ledger(LEDGER)["grid"], grid_runs()["grid"]
+    moved = moved_runs(ledger, live)
+    assert not moved, f"grid runs moved (ledger -> live): {moved}"
+    assert combined_digest(live) == GRID_DIGEST
 
 
 def test_grid_digest_under_another_hash_seed():
@@ -105,3 +125,7 @@ def test_grid_digest_under_another_hash_seed():
          "from test_golden_grid import grid_digest; print(grid_digest())"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == [GRID_DIGEST]
+
+
+if __name__ == "__main__":  # rewrite the ledger from live runs
+    write_ledger(LEDGER, grid_runs())

@@ -23,7 +23,7 @@ from srpsim import (FuzzConfig, LinkSchedule, RouteRecord, ScenarioError,
 from srpsim import scenario as scenario_module
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
-from srpsim.harness import read_trace, render_trace
+from srpsim.harness import MAX_FUZZ_NODES, read_trace, render_trace
 from srpsim.scenario import EXPECT_KEYS
 from srpsim.simcore import trace_digest_of_lines
 
@@ -964,6 +964,18 @@ class TestCli:
         assert fuzz_campaign(FuzzConfig(runs=3, max_nodes=4)).runs == 3
         assert cli_main(["fuzz", "--max-nodes", "3"]) == 2
         assert capsys.readouterr().err == f"fuzz error: {message}\n"
+
+    def test_fuzz_rejects_max_nodes_above_the_bound(self, capsys):
+        # random_scenario tests every node pair, so time and memory grow
+        # with the square of the roster
+        assert MAX_FUZZ_NODES == 500
+        FuzzConfig(max_nodes=500)
+        assert cli_main(["fuzz", "--max-nodes", "100000"]) == 2
+        assert capsys.readouterr().err == \
+            "fuzz error: max_nodes must be at most 500: 100000\n"
+        with pytest.raises(SystemExit):
+            cli_main(["fuzz", "--help"])
+        assert "(4 to 500; default 8)" in " ".join(capsys.readouterr().out.split())
 
     def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys,
                                                       monkeypatch):

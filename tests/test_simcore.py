@@ -7,7 +7,7 @@ import inspect
 import json
 import random
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -254,6 +254,22 @@ class TestNeighbourScanMatchesFullScan:
         assert _queued_deliveries(eng) == _full_scan(_engine(s)[0], "x", "ghost")
         eng.run()
         assert sinks["a"].got[0][2] is False and sinks["z"].got == []
+
+    @pytest.mark.parametrize("receiver", [None, "a", "ghost"])
+    def test_each_delivery_carries_its_frame_digest(self, receiver):
+        # a broadcast, a sent unicast and a failed one that is only overheard
+        s = schedules(("x", "a", [(0, 50)]), ("x", "b", [(0, 50)]),
+                      ("x", "c", [(10, 50)]), nodes=["x", "a", "b", "c", "z"])
+        eng, _ = _engine(s)
+        msg = Rreq("S", "T", 1, 42, ("x",))
+        if receiver is None:
+            eng.bcast_l("x", msg)
+        else:
+            eng.send_l("x", receiver, msg)
+        carried = [(args[0], args[1], args[-1]) for _, _, handler, args in eng._queue
+                   if handler is Engine._deliver]
+        assert sorted(v for v, _, _ in carried) == ["a", "b"]
+        assert all(m is msg and d == message_digest(msg) for _, m, d in carried)
 
 
 class TestDigestMemo:
@@ -550,6 +566,22 @@ class TestLinkChangeSeeding:
             (5.0, "a", "link", "down"), (5.0, "b", "link", "up"),
             (5.0, "b", "step", "acted"),
             (6.0, "a", "link", "up"), (6.0, "a", "report", "failure_reported")]
+
+    def test_stretches_end_at_tied_heap_heads(self, monkeypatch):
+        # the discoveries are queued after the link changes, so each ties
+        # with the changes at its time and sorts after all of them: the
+        # stretch at 0.0 ends at the first discovery, the one at end_time
+        # at the second
+        scen = grid(5)
+        end = scen.config.end_time
+        scen = replace(scen, discoveries=(("S", "T", 0.0), ("S", "T", end)))
+        got, want = _run_both(lambda: build(scen), monkeypatch)
+        assert got.lines == want.lines
+        assert got._seq == want._seq
+        for t, state in ((0.0, "up"), (end, "down")):
+            at_t = [(e.primitive, e.outcome) for e in got.trace if e.time == t]
+            assert at_t[:len(scen.links)] == [("link", state)] * len(scen.links)
+            assert at_t[len(scen.links)] == ("step", "query" if t == 0.0 else "defer")
 
     def test_heap_holds_only_the_discovery_after_build(self):
         scen = grid(20)

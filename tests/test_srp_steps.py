@@ -4,6 +4,7 @@ steps (append, forward-list admission, reply generation, relay, acceptance)
 do what they say."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from srpsim import (Accept, ArmTimer, Broadcast, ConfigurationError, Rrep,
                     Rreq, SrpNode, Unicast,
@@ -22,6 +23,32 @@ def test_numbered_check_fires(case):
     verdict, expected = case()
     assert verdict is not None, "counterexample was not rejected at all"
     assert verdict is expected, f"rejected by {verdict} instead of {expected}"
+
+
+_ids = st.sampled_from(["a", "m", "v", "w"])
+
+
+@st.composite
+def _relay_cases(draw):
+    """(list a node sent, transmitter, list it hears): the exact relay,
+    one with another last hop, one with an entry of the sent list changed,
+    the exact relay as a list, or any list."""
+    sent = tuple(draw(st.lists(_ids, max_size=4)))
+    transmitter = draw(_ids)
+    shape = draw(st.sampled_from(["exact", "last-hop", "prefix", "list", "any"]))
+    if shape == "exact":
+        heard = sent + (transmitter,)
+    elif shape == "last-hop":
+        heard = sent + (draw(_ids.filter(lambda v: v != transmitter)),)
+    elif shape == "prefix" and sent:
+        i = draw(st.integers(0, len(sent) - 1))
+        other = draw(_ids.filter(lambda v: v != sent[i]))
+        heard = sent[:i] + (other,) + sent[i + 1:] + (transmitter,)
+    elif shape == "list":
+        heard = list(sent + (transmitter,))
+    else:
+        heard = tuple(draw(st.lists(_ids, max_size=6)))
+    return sent, transmitter, heard
 
 
 def _effects_of(kind, effects):
@@ -64,6 +91,21 @@ class TestRequestActions:
         # the appended identity must be the actual transmitter
         observe_relay(state, _signed_rreq(table, ("a", "m", "v2")), "other")
         assert "v2" not in state.fwd[("S", 1)]
+
+    @given(_relay_cases())
+    @example(((), "v", ("v",)))  # the first hop after the source
+    @example((("a",), "v", ("a", "w")))  # one entry longer, another last hop
+    @example((("a", "m"), "v", ("a", "w", "v")))  # another prefix
+    @example((("a", "m"), "v", ["a", "m", "v"]))  # a list is not a tuple
+    def test_2_2_5_early_reject_agrees_with_the_tuple_comparison(self, case):
+        sent, transmitter, heard = case
+        state = make_state("m")
+        state.relayed[("S", 1)] = Rreq("S", "T", 1, 0, sent)
+        state.fwd[("S", 1)] = {}
+        fx = observe_relay(state, Rreq("S", "T", 1, 0, heard), transmitter)
+        admitted = heard == sent + (transmitter,)
+        assert [f.outcome for f in fx] == (["fl-add"] if admitted else [])
+        assert list(state.fwd[("S", 1)]) == ([transmitter] if admitted else [])
 
     def test_2_2_5_metric_tolerance_gates_admission(self):
         table = _table()

@@ -424,7 +424,16 @@ class Engine:
                      "route=" + ",".join(record.route))
 
     def trace_step(self, node: str, outcome: str, detail: str, msg=None) -> None:
-        self._record(node, "step", self._digest(msg), outcome, detail)
+        hit = self._digests.get(id(msg))
+        if hit is None:
+            hit = self._digests[id(msg)] = (msg, message_digest(msg))
+        self._seq = seq = self._seq + 1
+        now = self.now
+        if now is not self._rendered_now:
+            self._rendered_now = now
+            self._now_text = repr(now)
+        # as _record writes it, with _digest's look-up done in place
+        self.lines.append(f"{self._now_text} {seq} {node} step {hit[1]} {outcome} {detail}")
 
     def note_adversary_emission(self, node: str, msg) -> None:
         self.adversary_emissions.append((node, msg))

@@ -7,14 +7,17 @@ reply-wait timer with retry/conclusion rules.  Every check is numbered with
 its protocol rule id so a discard can be traced to the exact rule that fired.
 
 The functions here are engine-agnostic: processing returns a list of effects
-(broadcast, unicast, timer, accept, trace note) that a driver executes.  There
-is one step per event a driver sees: a delivered request goes through
-`observe_relay` and `handle_rreq` (relay or reply), a delivered reply through
-`process_rrep` (relay or accept), a fired timer through `on_discovery_timer`
-(retry or conclude), and a discovery action through `initiate_discovery`.
-The check phase (`rreq_verdict`, `rrep_verdict`) is separated from the mutate
-phase so that adversary code can run the exact same compliance checks in
-observer mode.
+(broadcast, unicast, timer, accept, trace note) that a driver executes.  A
+delivered message is checked, then acted on.  A delivered request goes
+through `observe_relay`, then the check `rreq_verdict`, then, if it passes,
+the act phase `answer_rreq` (relay or reply); a delivered reply through
+`rrep_verdict`, then `answer_rrep` (relay or accept).  `handle_rreq` and
+`process_rrep` compose the two phases, a failed check giving one discard
+note.  The correct-node driver runs the phases itself and writes a failed
+check's discard line without an effect list.  A fired timer goes through
+`on_discovery_timer` (retry or conclude), and a discovery action through
+`initiate_discovery`.  The check phase is pure, so adversary code can run
+the exact same compliance checks in observer mode.
 """
 
 from __future__ import annotations
@@ -404,15 +407,21 @@ def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
 
 
 def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """Check a request from this node's position, then relay it with this
-    node (and, in augmented mode, its own link metric) appended, or, at the
-    destination, answer the first compliant copy with a signed reply.  A
-    failed check is discarded with the rule id that fired."""
+    """Check a request from this node's position, then act on it
+    (`answer_rreq`).  A failed check is discarded with the rule id that
+    fired."""
     if rreq.src == state.self_id:
         return []  # querying node: only forward-list observation applies
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
         return [Note("discard", verdict.text, rreq)]
+    return answer_rreq(state, rreq, transmitter, qos)
+
+
+def answer_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
+    """Act on a request that passed `rreq_verdict`: relay it with this node
+    (and, in augmented mode, its own link metric) appended, or, at the
+    destination, answer it with a signed reply."""
     metric_list = rreq.metric_list
     if qos is not None:
         own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
@@ -436,11 +445,20 @@ def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
 
 def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
                  cfg, qos=None):
-    """Relay a reply toward the querying node, or accept it there after the
-    authenticator verifies against the current query."""
+    """Check a reply from this node's position, then act on it
+    (`answer_rrep`).  A failed check is discarded with the rule id that
+    fired."""
     verdict = rrep_verdict(state, rrep, forwarder, qos)
     if verdict is not None:
         return [Note("discard", verdict.text, rrep)]
+    return answer_rrep(state, rrep, forwarder, now, cfg, qos)
+
+
+def answer_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
+                cfg, qos=None):
+    """Act on a reply that passed `rrep_verdict`: relay it toward the
+    querying node, or accept it there (its authenticator has verified
+    against the current query)."""
     if state.self_id == rrep.src:
         disc = state.discoveries[rrep.dst]
         full = (state.self_id,) + tuple(reversed(rrep.route)) + (rrep.dst,)
@@ -465,17 +483,19 @@ def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
 # --------------------------------------------------------------------------
 
 def execute(engine, node: str, effects) -> None:
-    """Apply one node's effects to the engine, in order."""
+    """Apply one node's effects to the engine, in order.  No effect class
+    has a subclass, so each is told by its exact type."""
     for f in effects:
-        if isinstance(f, Note):  # the most frequent effect
+        kind = type(f)
+        if kind is Note:  # the most frequent effect
             engine.trace_step(node, f.outcome, f.detail, f.msg)
-        elif isinstance(f, Broadcast):
+        elif kind is Broadcast:
             engine.bcast_l(node, f.msg)
-        elif isinstance(f, Unicast):
+        elif kind is Unicast:
             engine.send_l(node, f.to, f.msg)
-        elif isinstance(f, ArmTimer):
+        elif kind is ArmTimer:
             engine.arm_timer(node, f.at, f.tag)
-        elif isinstance(f, Accept):
+        elif kind is Accept:
             engine.accept_route(node, f.record)
         else:
             raise RuntimeError(f"unexpected effect {f!r} from {node}")
@@ -483,7 +503,12 @@ def execute(engine, node: str, effects) -> None:
 
 class SrpNode:
     """Correct-node driver: feeds deliveries and timers through the protocol
-    functions and executes the resulting effects against the engine."""
+    functions and executes the resulting effects against the engine.
+
+    A delivery is checked, then acted on: the driver runs the verdict itself
+    and writes a failed check as its discard line straight away, so only a
+    compliant message's act phase (`answer_rreq`, `answer_rrep`) returns
+    effects.  The lines are those `handle_rreq` and `process_rrep` give."""
 
     def __init__(self, state: NodeState, cfg, qos=None):
         self.state = state
@@ -491,16 +516,26 @@ class SrpNode:
         self.qos = qos
 
     def on_deliver(self, engine, msg, transmitter, addressed, now):
-        node = self.state.self_id
+        state, qos = self.state, self.qos
+        node = state.self_id
         if isinstance(msg, Rreq):
-            fx = observe_relay(self.state, msg, transmitter, self.qos)
+            fx = observe_relay(state, msg, transmitter, qos)
             if fx:
                 execute(engine, node, fx)
-            if addressed:
-                execute(engine, node, handle_rreq(self.state, msg, transmitter, self.qos))
+            if not addressed or msg.src == node:
+                return  # overheard, or our own query: observe only
+            verdict = rreq_verdict(state, msg, transmitter, qos)
+            if verdict is None:
+                execute(engine, node, answer_rreq(state, msg, transmitter, qos))
+            else:
+                engine.trace_step(node, "discard", verdict.text, msg)
         elif isinstance(msg, Rrep) and addressed:
-            execute(engine, node, process_rrep(self.state, msg, transmitter, now,
-                                               self.cfg, self.qos))
+            verdict = rrep_verdict(state, msg, transmitter, qos)
+            if verdict is None:
+                execute(engine, node, answer_rrep(state, msg, transmitter, now,
+                                                  self.cfg, qos))
+            else:
+                engine.trace_step(node, "discard", verdict.text, msg)
 
     def on_timer(self, engine, tag, now):
         _, dst, qid = tag  # ("replywait" | "conclude", dst, qid)

@@ -3,12 +3,13 @@
 Each case builds the smallest state/message pair that makes exactly one rule
 fire and returns the verdict together with the `srp.RULES` entry it must be.
 The acceptance suite re-runs this table and requires it to cover every entry,
-so keep cases self-contained.
+so keep cases self-contained.  The forward-list cases at the end reach the
+returns of `observe_relay` that admit no neighbour.
 """
 
 from srpsim import (KeyTable, LinkMetricModel, NodeState, QosRuntime, Rrep,
-                    Rreq, SimConfig, GKind, initiate_discovery, observe_relay,
-                    rreq_verdict, rrep_verdict, srp, to_scaled)
+                    Rreq, SimConfig, GKind, handle_rreq, initiate_discovery,
+                    observe_relay, rreq_verdict, rrep_verdict, srp, to_scaled)
 
 CFG = SimConfig(tau=1.0, tx_time=1.0, end_time=100.0, seed=1,
                 reply_wait_min=8.0, reply_wait_max=64.0)
@@ -58,6 +59,12 @@ def case_fmt_src_equals_dst():
     return rreq_verdict(_state("m", table), rreq, "a", None), srp.SRC_EQUALS_DST
 
 
+def case_fmt_src_equals_dst_reply():
+    table = _table()
+    rrep = Rrep("S", "S", 1, ("m",), 123, None)
+    return rrep_verdict(_state("m", table), rrep, "S", None), srp.SRC_EQUALS_DST
+
+
 def case_fmt_endpoint_in_node_list():
     table = _table()
     rreq = _signed_rreq(table, ("T", "a"))
@@ -75,6 +82,13 @@ def case_fmt_metric_list_mode_mismatch():
     table = _table()
     rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
     return rreq_verdict(_state("m", table), rreq, "a", None), srp.METRIC_LIST_MODE_MISMATCH
+
+
+def case_fmt_metric_list_mode_mismatch_reply():
+    # an augmented-mode reply reaching a basic-mode node
+    table = _table()
+    rrep = _signed_rrep(table, ("m",), metric_list=(to_scaled(1.0), to_scaled(1.0)))
+    return rrep_verdict(_state("m", table), rrep, "T", None), srp.METRIC_LIST_MODE_MISMATCH
 
 
 def case_fmt_metric_list_length():
@@ -252,11 +266,31 @@ def case_5_2():
 
 
 DISCARD_CASES = [
-    case_fmt_src_equals_dst, case_fmt_endpoint_in_node_list, case_fmt_endpoint_in_route,
-    case_fmt_metric_list_mode_mismatch, case_fmt_metric_list_length,
+    case_fmt_src_equals_dst, case_fmt_src_equals_dst_reply,
+    case_fmt_endpoint_in_node_list, case_fmt_endpoint_in_route,
+    case_fmt_metric_list_mode_mismatch, case_fmt_metric_list_mode_mismatch_reply,
+    case_fmt_metric_list_length,
     case_fmt_reply_at_generator, case_fmt_not_on_route,
     case_2_2_1, case_2_2_2, case_2_2_3, case_2_2_3_self_present, case_2_2_4_a,
     case_2_3_1, case_2_3_2, case_2_3_3, case_2_3_4_a, case_2_3_4_no_key, case_2_3_4_auth,
     case_4_1, case_4_2, case_4_3, case_4_2_1, case_4_2_2,
     case_4_5, case_4_5_stale_qid, case_5_2,
 ]
+
+
+# --- forward-list counterexamples: observe_relay admits no neighbour --------
+#
+# Each case returns (observe_relay's effects, the forward list after it).
+
+def case_fl_augmented_relay_without_metric_list():
+    # m relayed an augmented-mode request; v's copy extends m's node list by
+    # itself but carries no metric list
+    table = _table()
+    qos = _qos(actual={("a", "m"): 1.0, ("m", "v"): 1.0})
+    state = _state("m", table)
+    handle_rreq(state, _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),)), "a", qos)
+    heard = _signed_rreq(table, ("a", "m", "v"))
+    return observe_relay(state, heard, "v", qos), state.fwd[("S", 1)]
+
+
+NO_ADMISSION_CASES = [case_fl_augmented_relay_without_metric_list]

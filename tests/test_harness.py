@@ -274,6 +274,23 @@ NAN = float("nan")
     (_mini(mode="augmented", metrics={"kind": "add", "epsilon": "0.1"}),
      "metrics 'epsilon': expected a number, not '0.1'"),
     (_mini(expect={"victim_link": [["S"], "T"]}), "victim_link must name two distinct nodes"),
+    (_mini(nodes=["S", "T", "S"]), "duplicate node ids in roster"),
+    (_mini(adversaries={"ghost": {"class": "independent", "attack": "passive"}}),
+     "adversary ghost is not in the roster"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1,
+                                      "actual": [["S", "ghost", 1.0]]}),
+     "metric for undeclared edge \\('S', 'ghost'\\)"),
+    (_mini(discoveries=[{"src": "S", "dst": "S", "at": 1.0}]),
+     "discovery source equals destination"),
+    (_mini(config={"seed": 1, "end_time": 40.0, "tau": 0}), "tau must be > 0"),
+    (_mini(config={"seed": 1, "end_time": 0}), "end_time must be > 0"),
+    (_mini(config={"seed": 1, "end_time": 40.0, "tx_time": -1.0}), "tx_time must be > 0"),
+    (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1, "delta_tilde": -0.1,
+                                      "actual": [["S", "T", 1.0]]}),
+     "delta_tilde must be >= 0"),
+    (_mini(mode="augmented", metrics={"kind": "mul", "epsilon": 0.1,
+                                      "actual": [["S", "T", 0.0]]}),
+     "product metrics must be strictly positive"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "path-to-correct-node", "path-to-independent",
         "path-to-peer-without-tunnel-back",
@@ -292,7 +309,10 @@ NAN = float("nan")
         "adversary-typo", "link-extra-item", "actual-extra-item",
         "interval-extra-item", "intervals-int", "discovery-no-src", "discovery-no-dst",
         "discovery-src-list", "key-node-list", "link-node-int", "actual-node-int",
-        "interval-str", "at-str", "epsilon-str", "victim-node-list"])
+        "interval-str", "at-str", "epsilon-str", "victim-node-list",
+        "duplicate-node", "adversary-off-roster", "metric-undeclared-edge",
+        "discovery-to-itself", "tau-zero", "end-time-zero", "tx-time-negative",
+        "delta-tilde-negative", "mul-metric-zero"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)

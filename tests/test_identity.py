@@ -134,8 +134,8 @@ _str_led = st.builds(
                        st.lists(_short_text, max_size=2),
                        st.tuples(_short_text, st.integers())), max_size=4),
 )
-# an int first: all-int lists take the one-join path over the int memo, and
-# a bool or an int subclass among the items must send the list elsewhere
+# an int first: lists led by an int go through the item loop, where a bool or
+# an int subclass among the items must take _encode_other's typed path
 _int_led = st.builds(
     lambda head, rest: [head] + rest,
     _any_int,

@@ -20,6 +20,7 @@ from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
 from srpsim.harness import random_scenario
 from srpsim.scenario import Scenario
 from srpsim.simcore import message_digest, trace_digest_of_lines
+from reference_engine import ReferenceEngine, run_both
 from test_golden_grid import grid
 
 
@@ -462,29 +463,6 @@ class TestDriverContract:
             gc.enable()
 
 
-def _seed_one_at_a_time(engine):
-    """The reference seeding: every interval boundary up to end_time, sorted
-    by (time, "down" before "up", edge), pushed one at a time."""
-    changes = sorted((t, state, s.edge) for s in engine.schedules._by_edge.values()
-                     for a, b in s.up_intervals
-                     for t, state in ((a, "up"), (b, "down")))
-    for t, state, (u, v) in changes:
-        if t <= engine.config.end_time:
-            engine._push(t, Engine._record, (u, "link", "-", state, f"{u}-{v}"))
-
-
-def _run_both(make, monkeypatch):
-    """(merged run, reference run) of the engine `make()` returns: the
-    reference seeds its link changes with one heap push each."""
-    got = make()
-    got.run()
-    with monkeypatch.context() as m:
-        m.setattr(Engine, "seed_link_changes", _seed_one_at_a_time)
-        want = make()
-    want.run()
-    return got, want
-
-
 def _link_lines(engine):
     return [(e.time, e.outcome, e.detail) for e in engine.trace if e.primitive == "link"]
 
@@ -506,7 +484,7 @@ class _Actor(_Sink):
 
 class TestLinkChangeSeeding:
     @pytest.mark.parametrize("stem", ["replay_stale_rrep_arbitrary", "fig1a_tunnel"])
-    def test_run_as_with_one_push_per_change(self, stem, monkeypatch):
+    def test_run_as_with_one_push_per_change(self, stem):
         # no bundled scenario schedules spontaneous adversary actions, so
         # one adversary becomes a fuzz script that does, queued before the
         # link changes; a colluder whose tunnel ends there would have no
@@ -522,18 +500,18 @@ class TestLinkChangeSeeding:
         scen = scenario_from_dict(d)
         assert any(h is Engine._act and args[1] == ("adversary_time",)
                    for _, _, h, args in build(scen)._queue)
-        got, want = _run_both(lambda: build(scen), monkeypatch)
+        got, want = run_both(scen)
         assert _link_lines(got)
         assert got.lines == want.lines
         assert got._seq == want._seq
 
-    def test_changes_past_end_time_never_run(self, monkeypatch):
+    def test_changes_past_end_time_never_run(self):
         scen = scenario_from_dict({
             "name": "late", "nodes": ["a", "b", "c"],
             "config": {"seed": 1, "end_time": 40.0},
             "links": [["a", "b", [[0, 50]]], ["b", "c", [[10, 40], [45, 60]]]],
         })
-        got, want = _run_both(lambda: build(scen), monkeypatch)
+        got, want = run_both(scen)
         assert _link_lines(got) == [(0.0, "up", "a-b"), (10.0, "up", "b-c"),
                                     (40.0, "down", "b-c")]
         assert got.lines == want.lines
@@ -542,15 +520,15 @@ class TestLinkChangeSeeding:
         got.run()  # a second run has nothing left to do
         assert got.lines == want.lines
 
-    def test_ties_with_heap_events_break_by_seq(self, monkeypatch):
+    def test_ties_with_heap_events_break_by_seq(self):
         # at 5.0 a link change ties with an adversary move queued before the
         # changes and a discovery start queued after them; at 6.0 another
         # ties with the failure report the move's unicast pushes mid-run
         sched = schedules(("a", "b", [(0, 5), (6, 20)]), ("b", "c", [(5, 30)]),
                           nodes=["a", "b", "c"])
 
-        def make():
-            eng = Engine(SimConfig(end_time=50.0), sched, random.Random(1))
+        def make(engine_class):
+            eng = engine_class(SimConfig(end_time=50.0), sched, random.Random(1))
             for n in sched.nodes:
                 eng.add_node(n, _Actor(n))
             eng.schedule_action(5.0, "a", ("adversary_time",))
@@ -558,7 +536,9 @@ class TestLinkChangeSeeding:
             eng.schedule_action(5.0, "b", ("initiate", "c"))
             return eng
 
-        got, want = _run_both(make, monkeypatch)
+        got, want = make(Engine), make(ReferenceEngine)
+        got.run()
+        want.run()
         assert got.lines == want.lines
         assert [(e.time, e.node, e.primitive, e.outcome) for e in got.trace
                 if e.time in (5.0, 6.0)] == [
@@ -567,7 +547,7 @@ class TestLinkChangeSeeding:
             (5.0, "b", "step", "acted"),
             (6.0, "a", "link", "up"), (6.0, "a", "report", "failure_reported")]
 
-    def test_stretches_end_at_tied_heap_heads(self, monkeypatch):
+    def test_stretches_end_at_tied_heap_heads(self):
         # the discoveries are queued after the link changes, so each ties
         # with the changes at its time and sorts after all of them: the
         # stretch at 0.0 ends at the first discovery, the one at end_time
@@ -575,7 +555,7 @@ class TestLinkChangeSeeding:
         scen = grid(5)
         end = scen.config.end_time
         scen = replace(scen, discoveries=(("S", "T", 0.0), ("S", "T", end)))
-        got, want = _run_both(lambda: build(scen), monkeypatch)
+        got, want = run_both(scen)
         assert got.lines == want.lines
         assert got._seq == want._seq
         for t, state in ((0.0, "up"), (end, "down")):

@@ -14,8 +14,8 @@ from srpsim import (Accept, ArmTimer, Broadcast, ConfigurationError, Rrep,
 from srpsim.srp import Note
 
 from conftest import make_state
-from step_cases import (CFG, DISCARD_CASES, _qos, _signed_rrep, _signed_rreq,
-                        _source_state_with_discovery, _table)
+from step_cases import (CFG, DISCARD_CASES, NO_ADMISSION_CASES, _qos, _signed_rrep,
+                        _signed_rreq, _source_state_with_discovery, _table)
 
 
 @pytest.mark.parametrize("case", DISCARD_CASES, ids=lambda c: c.__name__)
@@ -23,6 +23,12 @@ def test_numbered_check_fires(case):
     verdict, expected = case()
     assert verdict is not None, "counterexample was not rejected at all"
     assert verdict is expected, f"rejected by {verdict} instead of {expected}"
+
+
+@pytest.mark.parametrize("case", NO_ADMISSION_CASES, ids=lambda c: c.__name__)
+def test_relay_not_admitted(case):
+    effects, forward_list = case()
+    assert effects == [] and forward_list == {}
 
 
 _ids = st.sampled_from(["a", "m", "v", "w"])

@@ -20,11 +20,12 @@ from srpsim import (FuzzConfig, LinkSchedule, RouteRecord, ScenarioError,
                     ScheduleMap, Verdict, bundled_scenarios, check_trace,
                     evaluate_expectations, fuzz_campaign, load_scenario,
                     run_scenario, scenario_from_dict, write_trace)
+from srpsim import AdversaryClass, GKind, LinkMetricModel, SimConfig
 from srpsim import scenario as scenario_module
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
 from srpsim.harness import MAX_FUZZ_NODES, read_trace, render_trace
-from srpsim.scenario import EXPECT_KEYS
+from srpsim.scenario import EXPECT_KEYS, AdversarySpec
 from srpsim.simcore import trace_digest_of_lines
 
 MINIMAL = {
@@ -49,6 +50,32 @@ class TestLoadValidation:
         assert scen.discoveries == (("S", "T", 1.0),)
         res = run_scenario(scen)
         assert len(res.records) == 1
+
+    @pytest.mark.parametrize("config", [None, {}, {"tau": 2}],
+                             ids=["no-config", "empty-config", "tau-only"])
+    def test_absent_fields_take_their_defaults(self, config):
+        d = {"nodes": ["S", "a", "T"],
+             "adversaries": {"a": {"attack": "passive"}}}
+        if config is not None:
+            d["config"] = config
+        scen = scenario_from_dict(d, name_hint="defaults")
+        tau = 2.0 if config else 1.0
+        assert scen.config == SimConfig(tau=tau, tx_time=1.0, end_time=300.0, seed=1,
+                                        reply_wait_min=4.0 * tau * 3,
+                                        reply_wait_max=16.0 * 4.0 * tau * 3)
+        assert [type(getattr(scen.config, f.name)) for f in dataclasses.fields(SimConfig)] \
+            == [float, float, float, int, float, float]
+        assert (scen.name, scen.links, scen.keys, scen.discoveries, scen.metrics,
+                scen.expect) == ("defaults", (), (), (), None, {})
+        assert scen.adversaries == {"a": AdversarySpec(AdversaryClass.INDEPENDENT,
+                                                       "passive", {})}
+        d.update(mode="augmented", metrics={"kind": "add", "epsilon": 0.1},
+                 discoveries=[{"src": "S", "dst": "T"}], keys=[["S", "T"]])
+        scen = scenario_from_dict(d)
+        assert scen.metrics == LinkMetricModel(kind=GKind.ADD, epsilon=0.1,
+                                               delta_tilde=0.0, administrative=False,
+                                               actual={})
+        assert scen.discoveries == (("S", "T", 0.0),)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):

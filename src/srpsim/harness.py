@@ -137,7 +137,7 @@ def _random_intervals(rng, end_time: float, tx_time: float):
 
 
 def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
-                    max_nodes: int, seed: int, bounds=None) -> Scenario:
+                    max_nodes: int, seed: int) -> Scenario:
     """A random churned topology with a persistent source-destination path,
     one or more fuzzing adversaries among the intermediates, and one or two
     discoveries.  The expectation block stays empty: campaign code checks the
@@ -165,7 +165,7 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
                 links[e] = _random_intervals(rng, end_time, 1.0)
     adversaries = {
         a: AdversarySpec(klass=klass, attack="fuzz",
-                         params={"seed": rng.getrandbits(32), "bounds": bounds})
+                         params={"seed": rng.getrandbits(32)})
         for a in adv_nodes
     }
     metrics = None
@@ -207,7 +207,6 @@ class FuzzConfig:
     mode: str = "basic"
     max_nodes: int = 8
     seed: int = 0
-    bounds: Optional[dict] = None
 
     def __post_init__(self):
         _require_int("runs", self.runs, 0)
@@ -310,7 +309,7 @@ def fuzz_campaign(config: FuzzConfig, progress=None) -> CampaignReport:
     def generate(run_seed):
         return random_scenario(random.Random(f"fuzz-scenario|{run_seed}"),
                                config.klass, config.mode, config.max_nodes,
-                               run_seed, config.bounds)
+                               run_seed)
     kinds = tuple(JUDGES) if config.klass is AdversaryClass.INDEPENDENT else ("loop",)
     return CampaignReport(config, *run_campaign(generate, kinds, config.runs,
                                                 config.seed, progress))

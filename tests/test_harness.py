@@ -318,6 +318,9 @@ NAN = float("nan")
     (_mini(mode="augmented", metrics={"kind": "mul", "epsilon": 0.1,
                                       "actual": [["S", "T", 0.0]]}),
      "product metrics must be strictly positive"),
+    (_mini(mode="augmented", metrics={"kind": "bogus", "epsilon": 0.1}),
+     "unknown metric kind 'bogus'"),
+    (_mini(expect={"victim_link": ["S", "ghost"]}), "victim_link names an undeclared node"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "path-to-correct-node", "path-to-independent",
         "path-to-peer-without-tunnel-back",
@@ -339,7 +342,7 @@ NAN = float("nan")
         "interval-str", "at-str", "epsilon-str", "victim-node-list",
         "duplicate-node", "adversary-off-roster", "metric-undeclared-edge",
         "discovery-to-itself", "tau-zero", "end-time-zero", "tx-time-negative",
-        "delta-tilde-negative", "mul-metric-zero"])
+        "delta-tilde-negative", "mul-metric-zero", "kind-bogus", "victim-off-roster"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(data)

@@ -48,90 +48,134 @@ class AttackClassError(ValueError):
     """A script was assigned to an adversary class it is not legal for."""
 
 
-class UnknownAttackError(ValueError):
-    pass
+class ScenarioError(ValueError):
+    """A scenario failed validation; the message names the rule."""
 
 
-class AttackParamError(ValueError):
-    """A named attack's params are missing, of the wrong type, or name a
-    node outside the roster."""
+class FieldError(ScenarioError):
+    """A field of a scenario file or of an attack's params that cannot be
+    read.  `path` names it from the outermost object in, by key and array
+    index; the message is the path, then the reason."""
+
+    def __init__(self, path: tuple, reason: str):
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+        super().__init__(f"{where.removeprefix('.') or 'scenario'}: {reason}")
+        self.path, self.reason = path, reason
 
 
 # params naming the node a script unicasts to: each must be on the roster
 UNICAST_PARAMS = ("shortcut_to", "target", "jump_to")
 # most unprompted moves a fuzz script may schedule (`bounds.spontaneous`)
 MAX_SPONTANEOUS = 1000
-_REQUIRED = object()
+REQUIRED = object()
 
 
-def _param(params: dict, key: str, convert, default=_REQUIRED):
-    """Param `key` taken out of `params` and read through `convert`; an
-    absent or null param takes `default` as is, or is an error when there is
-    none.  What a script leaves in `params` it never reads."""
-    value = params.pop(key, None)
-    if value is None:
-        if default is _REQUIRED:
-            raise AttackParamError(f"param {key!r} is required")
-        return default
+def read_at(path: tuple, convert, value):
+    """`convert(value)`, its error named by `path`: a TypeError, ValueError or
+    OverflowError gives the reason, and a FieldError from a nested field is
+    moved under `path`."""
     try:
         return convert(value)
+    except FieldError as e:
+        raise FieldError(path + e.path, e.reason) from None
     except (TypeError, ValueError, OverflowError) as e:
-        raise AttackParamError(f"param {key!r}: {e}") from None
+        raise FieldError(path, str(e)) from None
 
 
-def _node(value) -> str:
+def take(obj: dict, key, convert, default=REQUIRED):
+    """Field `key` taken out of `obj`, a reader's copy of an object, and read
+    through `convert`; an absent or null field takes `default` as is, or is
+    an error when there is none.  A key no reader takes is an error (see
+    `fields`)."""
+    value = obj.pop(key, None)
+    if value is None:
+        if default is REQUIRED:
+            raise FieldError((key,), "is required")
+        return default
+    return read_at((key,), convert, value)
+
+
+def read_object(value) -> dict:
+    """A copy of `value` if it is a JSON object."""
+    if type(value) is not dict:
+        raise TypeError(f"expected an object, not {value!r}")
+    return dict(value)
+
+
+def fields(read, nullable=None):
+    """A converter for a JSON object: `read` takes its fields out of a copy,
+    and a key it leaves is an error.  Only the fields named in `nullable`
+    (any field, when it is None) may be null."""
+    def convert(value):
+        obj = read_object(value)
+        for key, v in obj.items():
+            if v is None and nullable is not None and key not in nullable:
+                raise FieldError((key,), "expected a value, not null")
+        out = read(obj)
+        if obj:
+            raise FieldError((), f"has no key {next(iter(obj))!r}")
+        return out
+    return convert
+
+
+def read_node(value) -> str:
     if not is_node_id(value):
         raise TypeError(f"expected a node id (a non-empty string of UTF-8 text "
                         f"with no whitespace and no ','), not {value!r}")
     return value
 
 
-def _list(convert):
-    """A converter for a list of items that `convert` converts."""
+def read_list(*converts, least=0):
+    """A converter for a list: with one converter, of `least` or more items,
+    each read by it; with more, of one item per converter, in order."""
     def read(value) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, not {value!r}")
-        return tuple(map(convert, value))
+        if not isinstance(value, (list, tuple)) or len(converts) not in (1, len(value)):
+            items = "" if len(converts) == 1 else f" of {len(converts)} items"
+            raise TypeError(f"expected a list{items}, not {value!r}")
+        if len(value) < least:
+            raise ValueError(f"expected {least} or more items, not {value!r}")
+        items = converts * len(value) if len(converts) == 1 else converts
+        return tuple(read_at((i,), c, v) for i, (c, v) in enumerate(zip(items, value)))
     return read
 
 
-_nodes = _list(_node)
-
-
-def _object(value) -> dict:
-    if type(value) is not dict:
-        raise TypeError(f"expected an object, not {value!r}")
-    return dict(value)  # a copy: the script takes out each key it reads
-
-
-def _tunnel_path(value) -> tuple:
-    path = _nodes(value)
-    if len(path) < 2:
-        raise ValueError(f"expected at least two node ids, not {value!r}")
-    for a, b in zip(path, path[1:]):
-        if a == b:
-            raise ValueError(f"hop from {a!r} to itself")
-    return path
-
-
-def _count(value) -> int:
+def read_count(value) -> int:
     n = exact_int(value)
     if n < 0:
         raise ValueError(f"expected an integer >= 0, not {value!r}")
     return n
 
 
-def _scaled(value) -> int:
-    return to_scaled(exact_number(value))
-
-
-def _choice(*choices):
-    """A converter that admits only one of `choices`."""
+def read_choice(*choices):
+    """A converter that admits only one of the string `choices` (or of a
+    string enum's members), and gives the choice that equals the value."""
     def read(value):
         if value not in choices:
             raise ValueError(f"expected one of {', '.join(choices)}, not {value!r}")
-        return value
+        return choices[choices.index(value)]
     return read
+
+
+_nodes = read_list(read_node)
+
+
+def _tunnel_path(value) -> tuple:
+    path = read_list(read_node, least=2)(value)
+    for a, b in zip(path, path[1:]):
+        if a == b:
+            raise ValueError(f"hop from {a!r} to itself")
+    return path
+
+
+def _move_count(value) -> int:
+    n = read_count(value)
+    if n > MAX_SPONTANEOUS:  # spontaneous_times() draws this many times up front
+        raise ValueError(f"expected at most {MAX_SPONTANEOUS}, not {n}")
+    return n
+
+
+def _scaled(value) -> int:
+    return to_scaled(exact_number(value))
 
 
 class AttackScript:
@@ -144,7 +188,7 @@ class AttackScript:
     `rng` (seeded from `rng_seed`) and the once-per-query test `first_copy`.
 
     Every value a script puts in a message is an exact `str`, `int` or
-    `None`, or a tuple of these: params go through `exact_int`, `_node` and
+    `None`, or a tuple of these: params go through `exact_int`, `read_node` and
     `_scaled`, never reaching a message as a `bool`, `float` or list.  The
     process-wide memos behind `simcore.message_digest` and `identity.f_k`
     rely on it, since `True == 1` and `1.0 == 1` would find the entry of an
@@ -192,8 +236,8 @@ class LoopInject(AttackScript):
     name = "loop_inject"
 
     def __init__(self, params):
-        self.where = _param(params, "where", _choice("rreq", "rrep"), "rreq")
-        self.dup = _param(params, "dup", _node, None)
+        self.where = take(params, "where", read_choice("rreq", "rrep"), "rreq")
+        self.dup = take(params, "dup", read_node, None)
 
     def on_rreq(self, node, rreq, transmitter):
         if self.where != "rreq":
@@ -218,7 +262,7 @@ class TamperNodelistDownstream(AttackScript):
     name = "tamper_nodelist_downstream"
 
     def __init__(self, params):
-        self.insert = _param(params, "insert", _nodes, ())
+        self.insert = take(params, "insert", _nodes, ())
 
     def on_rreq(self, node, rreq, transmitter):
         nl = rreq.node_list + self.insert + (node.node_id,)
@@ -233,7 +277,7 @@ class ShortcutRelay(TamperNodelistDownstream):
 
     def __init__(self, params):
         super().__init__(params)
-        self.reply_to = _param(params, "shortcut_to", _node)
+        self.reply_to = take(params, "shortcut_to", read_node)
 
 
 class TamperNodelistUpstream(AttackScript):
@@ -243,8 +287,8 @@ class TamperNodelistUpstream(AttackScript):
     name = "tamper_nodelist_upstream"
 
     def __init__(self, params):
-        self.fake_list = _param(params, "fake_list", _nodes)
-        self.reply_to = _param(params, "jump_to", _node, None)
+        self.fake_list = take(params, "fake_list", _nodes)
+        self.reply_to = take(params, "jump_to", read_node, None)
 
     def on_rreq(self, node, rreq, transmitter):
         nl = self.fake_list + (node.node_id,)
@@ -262,8 +306,8 @@ class TamperRrepRoute(AttackScript):
     name = "tamper_rrep_route"
 
     def __init__(self, params):
-        self.insert = _param(params, "insert", _nodes, ())
-        self.index = _param(params, "index", exact_int, 1)
+        self.insert = take(params, "insert", _nodes, ())
+        self.index = take(params, "index", exact_int, 1)
 
     def on_rrep(self, node, rrep, forwarder):
         route = rrep.route[:self.index] + self.insert + rrep.route[self.index:]
@@ -278,7 +322,7 @@ class ForgeRrep(AttackScript):
     name = "forge_rrep"
 
     def __init__(self, params):
-        self.fake_route = _param(params, "fake_route", _nodes)
+        self.fake_route = take(params, "fake_route", _nodes)
 
     def on_rreq(self, node, rreq, transmitter):
         fx = super().on_rreq(node, rreq, transmitter)
@@ -300,8 +344,8 @@ class ImpersonateT(ForgeRrep):
     name = "impersonate_t"
 
     def __init__(self, params):
-        self.route = _param(params, "route", _nodes)
-        self.target = _param(params, "target", _node)
+        self.route = take(params, "route", _nodes)
+        self.target = take(params, "target", read_node)
 
     def forgery(self, node, rreq, transmitter):
         return Unicast(self.target, node.forged_rrep(rreq, self.route))
@@ -330,8 +374,8 @@ class _MetricEdit(AttackScript):
     the list leaves the message as a protocol-following node relays it."""
 
     def __init__(self, params):
-        self.index = _param(params, "index", _count, 0)
-        self.delta = _param(params, "delta", _scaled, to_scaled(0.5))
+        self.index = take(params, "index", read_count, 0)
+        self.delta = take(params, "delta", _scaled, to_scaled(0.5))
 
 
 class TamperMetricRrep(_MetricEdit):
@@ -371,7 +415,7 @@ class TamperMetricRreqDownstream(AttackScript):
     name = "tamper_metriclist_rreq_downstream"
 
     def __init__(self, params):
-        self.extra = _param(params, "extra", _list(_scaled), (to_scaled(1.0),))
+        self.extra = take(params, "extra", read_list(_scaled), (to_scaled(1.0),))
 
     def on_rreq(self, node, rreq, transmitter):
         return [Broadcast(node.appended_rreq(rreq, transmitter, extra_metrics=self.extra))]
@@ -399,9 +443,9 @@ class BiasedMetric(AttackScript):
     name = "biased_metric"
 
     def __init__(self, params):
-        self.sign = 1 if _param(params, "direction", exact_number, 1.0) >= 0 else -1
-        self.links = _param(params, "links", exact_int, None)
-        self.headroom = _param(params, "headroom_scaled", exact_int, 0)
+        self.sign = 1 if take(params, "direction", exact_number, 1.0) >= 0 else -1
+        self.links = take(params, "links", exact_int, None)
+        self.headroom = take(params, "headroom_scaled", exact_int, 0)
 
     def on_rreq(self, node, rreq, transmitter):
         qos = node.qos
@@ -439,11 +483,11 @@ class Fig1aTunnel(AttackScript):
     arbitrary_only = True
 
     def __init__(self, params):
-        self.tunnel = _param(params, "path", _tunnel_path)  # both roles send through it
-        self.role = _param(params, "role", _choice("entry", "exit"), "entry")
+        self.tunnel = take(params, "path", _tunnel_path)  # both roles send through it
+        self.role = take(params, "role", read_choice("entry", "exit"), "entry")
         # the advertised link has no honest second opinion: report whatever
         # the scenario asks for
-        self.fake_link_metric = _param(params, "fake_link_metric", _scaled, None)
+        self.fake_link_metric = take(params, "fake_link_metric", _scaled, None)
 
     def on_rreq(self, node, rreq, transmitter):
         # the exit node ignores link-layer copies of the query
@@ -479,12 +523,12 @@ class Fig1bChain(TamperNodelistDownstream):
     arbitrary_only = True
 
     def __init__(self, params):
-        role = _param(params, "role", _choice("head", "interior", "tail"), "interior")
+        role = take(params, "role", read_choice("head", "interior", "tail"), "interior")
         interior = role == "interior"
         # an empty insert relays the request as a correct node would
         super().__init__(params if interior else {})
         if interior:
-            self.reply_to = _param(params, "jump_to", _node, None)
+            self.reply_to = take(params, "jump_to", read_node, None)
 
 
 class PassThrough(AttackScript):
@@ -504,21 +548,17 @@ class FuzzScript(AttackScript):
 
     name = "fuzz"
     max_emissions = 10
+    ghosts = ("zz1", "zz2")
+    _spontaneous = 1
 
     def __init__(self, params):
-        self.seed = _param(params, "seed", exact_int, None)
-        bounds = _param(params, "bounds", _object, {})
-        self.max_emissions = _param(bounds, "max_emissions", exact_int, self.max_emissions)
-        self.ghosts = _param(bounds, "ghosts", _nodes, ("zz1", "zz2"))
-        self._spontaneous = _param(bounds, "spontaneous", _count, 1)
-        if bounds:
-            raise AttackParamError(f"param 'bounds' has no key {next(iter(bounds))!r}")
-        if self._spontaneous > MAX_SPONTANEOUS:
-            # spontaneous_times() draws up to this many move times up front
-            raise AttackParamError(f"param 'spontaneous': at most "
-                                   f"{MAX_SPONTANEOUS}, not {self._spontaneous}")
-        if not self.ghosts:
-            raise AttackParamError("param 'ghosts' must name at least one id")
+        self.seed = take(params, "seed", exact_int, None)
+        take(params, "bounds", fields(self._read_bounds), None)
+
+    def _read_bounds(self, bounds):
+        self.max_emissions = take(bounds, "max_emissions", exact_int, self.max_emissions)
+        self.ghosts = take(bounds, "ghosts", read_list(read_node, least=1), self.ghosts)
+        self._spontaneous = take(bounds, "spontaneous", _move_count, self._spontaneous)
 
     def rng_seed(self, node):
         return f"fuzz-script|{node.cfg.seed if self.seed is None else self.seed}"
@@ -671,23 +711,20 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
     tunnel hop is on the roster."""
     cls = CATALOG.get(name)
     if cls is None:
-        raise UnknownAttackError(f"unknown attack {name!r}; see list-attacks")
+        raise FieldError(("attack",), f"unknown attack {name!r}; see list-attacks")
     if klass is AdversaryClass.INDEPENDENT and cls.arbitrary_only:
         raise AttackClassError(
             f"attack {name!r} requires the arbitrary class: an independent "
             f"adversary never acts on traffic it detects as non-compliant "
             f"and has no tunnel channel"
         )
-    params = params or {}
-    unread = dict(params)  # the script takes out each param it reads
-    script = cls(unread)
-    if unread:
-        raise AttackParamError(f"attack {name!r} reads no param {next(iter(unread))!r}")
+    params = {} if params is None else params
+    script = read_at(("params",), fields(cls), params)
     named = [(key, params.get(key)) for key in UNICAST_PARAMS]
     for key, value in named + [("path", hop) for hop in script.tunnel]:
         if value is not None and value not in roster:
-            raise AttackParamError(f"param {key!r} names {value!r}, which is "
-                                   f"not in the roster")
+            raise FieldError(("params", key), f"names {value!r}, which is not in "
+                                              f"the roster")
     return script
 
 

@@ -1,9 +1,6 @@
 """Run orchestration: execute scenarios, judge their expectation blocks,
 drive seeded fuzz campaigns over random topologies, and persist replayable
-traces.
-
-Exit-code contract: 0 when every expectation holds (or none declared), 1 when
-an expectation or campaign property is violated, 2 for usage/IO errors.
+traces.  The command line's exit codes are `cli.EXIT_*`.
 """
 
 from __future__ import annotations

@@ -17,31 +17,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .adversary import AdversaryClass, AdversaryNode, AttackScript, attack
+from .adversary import (AdversaryClass, AdversaryNode, AttackScript, FieldError,
+                        ScenarioError, attack, fields, read_at, read_choice,
+                        read_count, read_list, read_node, read_object, take)
 from .identity import KeyRing, KeyTable, remember
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
-                      exact_int, exact_number, is_node_id)
+                      exact_int, exact_number)
 from .srp import NodeState, SrpNode
 from .srp_qos import GKind, LinkMetricModel, QosRuntime
-
-REJECTED_METRIC_KINDS = {"willingness", "battery"}
-
-EXPECT_KEYS = {
-    "min_accepted", "max_accepted", "loop_free", "fresh", "weakly_fresh",
-    "accurate", "victim_link", "victim_link_accepted", "max_metric_error",
-}
-# the keys each object of a scenario file may hold
-SCENARIO_KEYS = {"name", "description", "mode", "nodes", "config", "links", "keys",
-                 "discoveries", "metrics", "adversaries", "expect"}
-CONFIG_KEYS = {"tau", "tx_time", "end_time", "seed", "reply_wait_min", "reply_wait_max"}
-DISCOVERY_KEYS = {"src", "dst", "at"}
-METRICS_KEYS = {"kind", "epsilon", "delta_tilde", "administrative", "actual"}
-ADVERSARY_KEYS = {"class", "attack", "params"}
-PROPERTY_MODES = ("all", "not-all", "none")
-EXPECT_MODES = {"loop_free": PROPERTY_MODES, "fresh": PROPERTY_MODES,
-                "weakly_fresh": PROPERTY_MODES, "accurate": PROPERTY_MODES,
-                "victim_link_accepted": ("none", "some")}
-
 
 # (roster, ((edge, repr(up_intervals)), ...)) -> ScheduleMap, and
 # (roster, key pairs) -> key rings: each shared by every scenario of that
@@ -52,10 +35,6 @@ SCHEDULE_MAP_MEMO_CAP = 16
 _SCHEDULE_MAPS: dict[tuple, ScheduleMap] = {}
 KEY_RINGS_MEMO_CAP = 16
 _KEY_RINGS: dict[tuple, Mapping[str, KeyRing]] = {}
-
-
-class ScenarioError(ValueError):
-    """A scenario file failed validation; the message names the rule."""
 
 
 @dataclass(frozen=True)
@@ -113,30 +92,16 @@ class Scenario:
         for node, spec in self.adversaries.items():
             if node not in self.nodes:
                 raise ScenarioError(f"adversary {node} is not in the roster")
-            try:
-                scripts[node] = attack(spec.attack, spec.params, spec.klass, self.nodes)
-            except ValueError as e:  # unknown attack, wrong class or a bad param
-                raise ScenarioError(f"adversary {node}: {e}")
+            # an unknown attack, the wrong class or a bad param names the adversary
+            scripts[node] = read_at(("adversaries", node), lambda params: attack(
+                spec.attack, params, spec.klass, self.nodes), spec.params)
         return scripts
 
     def validate(self) -> None:
-        if not self.nodes:
-            raise ScenarioError("empty node roster")
-        for node in self.nodes:
-            if not is_node_id(node):
-                raise ScenarioError(f"node id {node!r} must be a non-empty string "
-                                    f"of UTF-8 text with no whitespace and no ','")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ScenarioError("duplicate node ids in roster")
-        # the name is written into a stored trace's one-line UTF-8 header
-        if len(f"{self.name}.".splitlines()) != 1:
-            raise ScenarioError(f"scenario name {self.name!r} must not contain "
-                                f"a line break")
-        try:
-            self.name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ScenarioError(f"scenario name {self.name!r} must be UTF-8 text, "
-                                f"with no lone surrogate")
+        """Check the rules that relate sections to each other: every node a
+        section names is on the roster, each discovery's end nodes share a
+        key, intervals last a transmission time, and tunnels pair up.  The
+        reader checks each section on its own."""
         known = set(self.nodes)
         try:
             self.schedule_map.validate(self.config.tx_time)
@@ -145,8 +110,6 @@ class Scenario:
         for a, b in self.keys:
             if a not in known or b not in known:
                 raise ScenarioError(f"key pair ({a}, {b}) names an undeclared node")
-            if a == b:
-                raise ScenarioError("a node cannot share a key with itself")
         if self.metrics is not None:
             for e in self.metrics.actual:
                 if e[0] not in known or e[1] not in known:
@@ -155,13 +118,9 @@ class Scenario:
         for src, dst, at in self.discoveries:
             if src not in known or dst not in known:
                 raise ScenarioError(f"discovery {src}->{dst} names an undeclared node")
-            if src == dst:
-                raise ScenarioError("discovery source equals destination")
             if edge_key(src, dst) not in keyset:
                 raise ScenarioError(
                     f"discovery {src}->{dst} has no declared end-node key")
-            if not (math.isfinite(at) and at >= 0):
-                raise ScenarioError("discovery start time must be finite and >= 0")
         scripts = self.scripts
         for node, script in scripts.items():
             if not script.tunnel:
@@ -178,183 +137,150 @@ class Scenario:
             if scripts[peer].tunnel[-1:] != (node,):
                 raise ScenarioError(f"adversary {node}: tunnel peer {peer} must hold "
                                     f"a tunnel that ends at {node}")
-        self._validate_expect(known)
-
-    def _validate_expect(self, known) -> None:
-        for key, value in self.expect.items():
-            if key not in EXPECT_KEYS:
-                raise ScenarioError(f"unknown expectation {key!r}")
-            modes = EXPECT_MODES.get(key)
-            if modes is not None and value not in modes:
-                raise ScenarioError(f"expectation {key!r} must be one of "
-                                    f"{', '.join(modes)}, not {value!r}")
-        for key in ("min_accepted", "max_accepted"):
-            n = self.expect.get(key, 0)
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise ScenarioError(f"expectation {key!r} must be a count, not {n!r}")
-        cap = self.expect.get("max_metric_error", 0.0)
-        if isinstance(cap, bool) or not isinstance(cap, (int, float)) \
-                or not (math.isfinite(cap) and cap >= 0):
-            raise ScenarioError(f"expectation 'max_metric_error' must be a "
-                                f"finite number >= 0, not {cap!r}")
-        victim = self.expect.get("victim_link")
-        if victim is not None:
-            if not isinstance(victim, (list, tuple)) or len(victim) != 2 \
-                    or not all(type(v) is str for v in victim) or victim[0] == victim[1]:
-                raise ScenarioError("victim_link must name two distinct nodes")
-            if victim[0] not in known or victim[1] not in known:
-                raise ScenarioError("victim_link names an undeclared node")
+        if not known.issuperset(self.expect.get("victim_link") or ()):
+            raise ScenarioError("victim_link names an undeclared node")
 
 
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ScenarioError(f"{context}: missing required field {key!r}")
-    return d[key]
+# -- the reader: one converter per field, each section's rules in its own ----
 
-
-def _array(value, what: str, length: Optional[int] = None) -> list:
-    """`value` if it is a JSON array, of `length` items when that is given."""
-    if type(value) is not list or length not in (None, len(value)):
-        items = "" if length is None else f" of {length} items"
-        raise ScenarioError(f"{what} must be an array{items}, not {value!r}")
+def _name(value) -> str:
+    """One line of UTF-8 text: a stored trace's header holds it."""
+    if type(value) is not str or len(f"{value}.".splitlines()) != 1 \
+            or any("\ud800" <= c <= "\udfff" for c in value):
+        raise ValueError(f"expected one line of UTF-8 text, not {value!r}")
     return value
 
 
-def _object(value, what: str, keys=None) -> dict:
-    """`value` if it is a JSON object, holding no key outside `keys` when
-    they are given."""
-    if type(value) is not dict:
-        raise ScenarioError(f"{what} must be an object, not {value!r}")
-    for key in value:
-        if keys is not None and key not in keys:
-            raise ScenarioError(f"{what} has no key {key!r}")
+def _roster(value) -> tuple:
+    nodes = read_list(read_node, least=1)(value)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("duplicate node ids in roster")
+    return nodes
+
+
+def _config(nodes):
+    """The config reader: the reply waits scale with the roster."""
+    def read(cfg) -> SimConfig:
+        tau = take(cfg, "tau", exact_number, 1.0)
+        rw_min = take(cfg, "reply_wait_min", exact_number, 4.0 * tau * len(nodes))
+        return SimConfig(
+            tau=tau,
+            tx_time=take(cfg, "tx_time", exact_number, 1.0),
+            end_time=take(cfg, "end_time", exact_number, 300.0),
+            seed=take(cfg, "seed", exact_int, 1),
+            reply_wait_min=rw_min,
+            reply_wait_max=take(cfg, "reply_wait_max", exact_number, 16.0 * rw_min),
+        )
+    return fields(read)
+
+
+def _nonnegative(value):
+    """`value` if it is a finite number >= 0."""
+    if not (math.isfinite(exact_number(value)) and value >= 0):
+        raise ValueError(f"expected a finite number >= 0, not {value!r}")
     return value
 
 
-def _node(value, what: str) -> str:
-    """`value` if it is a string; validate checks that it is a roster node."""
-    if type(value) is not str:
-        raise ScenarioError(f"{what} must be a node id, not {value!r}")
+_LINK = read_list(read_node, read_node, read_list(read_list(exact_number, exact_number)))
+
+
+def _link(value) -> LinkSchedule:
+    u, v, up = _LINK(value)
+    return LinkSchedule(edge=edge_key(u, v), up_intervals=up)
+
+
+def _pair(value) -> tuple[str, str]:
+    a, b = read_list(read_node, read_node)(value)
+    if a == b:
+        raise ValueError(f"expected two distinct node ids, not {value!r}")
+    return a, b
+
+
+def _discovery(d) -> tuple[str, str, float]:
+    src, dst = take(d, "src", read_node), take(d, "dst", read_node)
+    if src == dst:
+        raise ValueError("source equals destination")
+    return src, dst, float(take(d, "at", _nonnegative, 0.0))
+
+
+def _kind(value) -> GKind:
+    if value in ("willingness", "battery"):
+        raise ValueError(f"metric kind {value!r} is node-local and has no "
+                         f"two-endpoint agreement; it cannot be verified on a link")
+    return read_choice(*GKind)(value)
+
+
+def _flag(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, not {value!r}")
     return value
 
 
-def _exact(read, value, what: str):
-    """`read(value)` for an exact-type reader; its TypeError, or the
-    OverflowError of an int past float range, names `what`."""
-    try:
-        return read(value)
-    except (TypeError, OverflowError) as e:
-        raise ScenarioError(f"{what}: {e}")
+_ACTUAL = read_list(read_list(read_node, read_node, exact_number))
 
 
-def _config(raw_cfg: dict, key: str, read, default):
-    """Config field `key` read by exact type; absent or null, `default`."""
-    value = raw_cfg.get(key)
-    return default if value is None else _exact(read, value, f"config {key!r}")
+def _metrics(m) -> LinkMetricModel:
+    return LinkMetricModel(
+        kind=take(m, "kind", _kind),
+        epsilon=take(m, "epsilon", exact_number),
+        delta_tilde=take(m, "delta_tilde", exact_number, 0.0),
+        administrative=take(m, "administrative", _flag, False),
+        actual={(u, v): x for u, v, x in take(m, "actual", _ACTUAL, ())},
+    )
+
+
+def _adversaries(specs) -> dict:
+    return {node: take(specs, node, fields(lambda spec: AdversarySpec(
+        klass=take(spec, "class", read_choice(*AdversaryClass), AdversaryClass.INDEPENDENT),
+        attack=take(spec, "attack", str),
+        params=take(spec, "params", read_object, {}),
+    ), nullable=())) for node in list(specs)}
+
+
+_MODES = read_choice("all", "not-all", "none")
+# each expectation and its reader; the harness judges them
+EXPECT_KEYS = {
+    "min_accepted": read_count, "max_accepted": read_count, "loop_free": _MODES,
+    "fresh": _MODES, "weakly_fresh": _MODES, "accurate": _MODES,
+    "victim_link": lambda v: list(_pair(v)),
+    "victim_link_accepted": read_choice("none", "some"),
+    "max_metric_error": _nonnegative,
+}
+
+
+def _scenario(name_hint: str):
+    """The reader of a whole scenario file, named `name_hint` when it has no
+    `name`."""
+    def read(data) -> Scenario:
+        data.pop("description", None)
+        nodes = take(data, "nodes", _roster)
+        mode = take(data, "mode", read_choice("basic", "augmented"), "basic")
+        metrics = take(data, "metrics", fields(_metrics, nullable=()), None)
+        if (mode == "augmented") != (metrics is not None):
+            raise FieldError(("metrics",), "augmented mode requires a metrics "
+                                           "section and basic mode forbids one")
+        return Scenario(
+            name=read_at(("name",), _name, data.pop("name", name_hint)),
+            config=read_at(("config",), _config(nodes), data.pop("config", {})),
+            nodes=nodes,
+            links=take(data, "links", read_list(_link), ()),
+            keys=take(data, "keys", read_list(_pair), ()),
+            discoveries=take(data, "discoveries",
+                             read_list(fields(_discovery, nullable=())), ()),
+            metrics=metrics,
+            adversaries=take(data, "adversaries", fields(_adversaries, nullable=()), {}),
+            expect=take(data, "expect", fields(lambda e: {
+                key: take(e, key, EXPECT_KEYS[key], None) for key in list(e)
+                if key in EXPECT_KEYS}, nullable=("victim_link",)), {}),
+        )
+    return read
 
 
 def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
+    """Read and validate a scenario from its parsed JSON."""
     try:
-        _object(data, "scenario", SCENARIO_KEYS)
-        nodes = tuple(_array(_require(data, "nodes", name_hint), "nodes"))
-        raw_cfg = _object(data.get("config", {}), "config", CONFIG_KEYS)
-        tau = _config(raw_cfg, "tau", exact_number, 1.0)
-        rw_min = _config(raw_cfg, "reply_wait_min", exact_number,
-                         4.0 * tau * max(len(nodes), 1))
-        config = SimConfig(
-            tau=tau,
-            tx_time=_config(raw_cfg, "tx_time", exact_number, 1.0),
-            end_time=_config(raw_cfg, "end_time", exact_number, 300.0),
-            seed=_config(raw_cfg, "seed", exact_int, 1),
-            reply_wait_min=rw_min,
-            reply_wait_max=_config(raw_cfg, "reply_wait_max", exact_number, 16.0 * rw_min),
-        )
-        links = []
-        for i, entry in enumerate(_array(data.get("links", []), "links")):
-            what = f"links[{i}]"
-            u, v, intervals = _array(entry, what, 3)
-            up = []
-            for j, interval in enumerate(_array(intervals, f"{what} intervals")):
-                span = f"{what} intervals[{j}]"
-                a, b = _array(interval, span, 2)
-                up.append((_exact(exact_number, a, span), _exact(exact_number, b, span)))
-            links.append(LinkSchedule(edge=edge_key(_node(u, what), _node(v, what)),
-                                      up_intervals=tuple(up)))
-        keys = []
-        for i, pair in enumerate(_array(data.get("keys", []), "keys")):
-            what = f"keys[{i}]"
-            a, b = _array(pair, what, 2)
-            keys.append((_node(a, what), _node(b, what)))
-        discoveries = []
-        for i, d in enumerate(_array(data.get("discoveries", []), "discoveries")):
-            what = f"discoveries[{i}]"
-            _object(d, what, DISCOVERY_KEYS)
-            discoveries.append((_node(_require(d, "src", what), f"{what} src"),
-                                _node(_require(d, "dst", what), f"{what} dst"),
-                                _exact(exact_number, d.get("at", 0.0), f"{what} at")))
-        mode = data.get("mode", "basic")
-        if mode not in ("basic", "augmented"):
-            raise ScenarioError(f"unknown mode {mode!r}")
-        if (mode == "augmented") != (data.get("metrics") is not None):
-            raise ScenarioError("augmented mode requires a metrics section and "
-                                "basic mode forbids one")
-        metrics = None
-        if mode == "augmented":
-            m = _object(data["metrics"], "metrics", METRICS_KEYS)
-            kind_name = str(_require(m, "kind", "metrics"))
-            if kind_name in REJECTED_METRIC_KINDS:
-                raise ScenarioError(
-                    f"metric kind {kind_name!r} is node-local and has no "
-                    f"two-endpoint agreement; it cannot be verified on a link")
-            try:
-                kind = GKind(kind_name)
-            except ValueError:
-                raise ScenarioError(f"unknown metric kind {kind_name!r}")
-            administrative = m.get("administrative", False)
-            if not isinstance(administrative, bool):
-                raise ScenarioError(f"metrics: 'administrative' must be true or "
-                                    f"false, not {administrative!r}")
-            actual = {}
-            for i, entry in enumerate(_array(m.get("actual", []), "metrics actual")):
-                what = f"metrics actual[{i}]"
-                u, v, value = _array(entry, what, 3)
-                actual[edge_key(_node(u, what), _node(v, what))] = \
-                    _exact(exact_number, value, what)
-            metrics = LinkMetricModel(
-                kind=kind,
-                epsilon=_exact(exact_number, _require(m, "epsilon", "metrics"),
-                               "metrics 'epsilon'"),
-                delta_tilde=_exact(exact_number, m.get("delta_tilde", 0.0),
-                                   "metrics 'delta_tilde'"),
-                administrative=administrative,
-                actual=actual,
-            )
-        adversaries = {}
-        for node, spec in _object(data.get("adversaries", {}), "adversaries").items():
-            _object(spec, f"adversary {node}: spec", ADVERSARY_KEYS)
-            try:
-                klass = AdversaryClass(spec.get("class", "independent"))
-            except ValueError:
-                raise ScenarioError(f"adversary {node}: unknown class {spec.get('class')!r}")
-            adversaries[node] = AdversarySpec(
-                klass=klass,
-                attack=str(_require(spec, "attack", f"adversary {node}")),
-                params=dict(_object(spec.get("params", {}), f"adversary {node}: params")),
-            )
-        name = data.get("name", name_hint)
-        if type(name) is not str:
-            raise ScenarioError(f"name must be a string, not {name!r}")
-        scenario = Scenario(
-            name=name,
-            config=config,
-            nodes=nodes,
-            links=tuple(links),
-            keys=tuple(keys),
-            discoveries=tuple(discoveries),
-            metrics=metrics,
-            adversaries=adversaries,
-            expect=dict(_object(data.get("expect", {}), "expect")),
-        )
+        scenario = read_at((), fields(_scenario(name_hint),
+                                      nullable=("metrics", "description")), data)
         scenario.validate()
     except ScenarioError:
         raise

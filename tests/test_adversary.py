@@ -16,7 +16,7 @@ from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
                     FuzzScript, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict, srp)
 from srpsim import scenario as scenario_module
-from srpsim.adversary import AdversaryNode, AttackParamError, step_adversary
+from srpsim.adversary import AdversaryNode, FieldError, step_adversary
 from srpsim.harness import bundled_scenarios, random_scenario
 
 from conftest import make_state
@@ -181,7 +181,7 @@ class TestMetricIndex:
     @pytest.mark.parametrize("name", ["tamper_metriclist_rrep",
                                       "tamper_metriclist_rreq_upstream"])
     def test_negative_index_rejected(self, name):
-        with pytest.raises(AttackParamError, match="param 'index'"):
+        with pytest.raises(FieldError, match=r"params\.index: expected an integer >= 0"):
             attack(name, {"index": -1})
 
 
@@ -262,7 +262,7 @@ class TestTunnel:
 
     @pytest.mark.parametrize("path", [["m1", "m1"], ["m1", "y", "y", "m2"]])
     def test_path_with_a_self_hop_rejected(self, path):
-        with pytest.raises(AttackParamError, match="param 'path': hop from '.*' to itself"):
+        with pytest.raises(FieldError, match=r"params\.path: hop from '.*' to itself"):
             attack("fig1a_tunnel", {"path": path})
 
     def test_built_tunnel_is_the_scripts_path(self):
@@ -381,7 +381,7 @@ class TestFuzzScripts:
         {"bounds": {"spontanous": 5, "max_emisions": 2}},
     ])
     def test_bad_fuzz_params_rejected(self, params):
-        with pytest.raises(AttackParamError, match="param '"):
+        with pytest.raises(FieldError, match=r"params\.(seed|bounds)\b"):
             attack("fuzz", params)
 
     def test_bounds_set_the_emission_budget(self):

@@ -67,7 +67,7 @@ class FieldError(ScenarioError):
 UNICAST_PARAMS = ("shortcut_to", "target", "jump_to")
 # most unprompted moves a fuzz script may schedule (`bounds.spontaneous`)
 MAX_SPONTANEOUS = 1000
-REQUIRED = object()
+_REQUIRED = object()
 
 
 def read_at(path: tuple, convert, value):
@@ -82,14 +82,14 @@ def read_at(path: tuple, convert, value):
         raise FieldError(path, str(e)) from None
 
 
-def take(obj: dict, key, convert, default=REQUIRED):
+def take(obj: dict, key, convert, default=_REQUIRED):
     """Field `key` taken out of `obj`, a reader's copy of an object, and read
     through `convert`; an absent or null field takes `default` as is, or is
     an error when there is none.  A key no reader takes is an error (see
     `fields`)."""
     value = obj.pop(key, None)
     if value is None:
-        if default is REQUIRED:
+        if default is _REQUIRED:
             raise FieldError((key,), "is required")
         return default
     return read_at((key,), convert, value)

@@ -92,7 +92,7 @@ class Scenario:
         for node, spec in self.adversaries.items():
             if node not in self.nodes:
                 raise ScenarioError(f"adversary {node} is not in the roster")
-            # an unknown attack, the wrong class or a bad param names the adversary
+            # an unknown attack, the wrong class or a bad param fails naming the adversary
             scripts[node] = read_at(("adversaries", node), lambda params: attack(
                 spec.attack, params, spec.klass, self.nodes), spec.params)
         return scripts

@@ -186,12 +186,14 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("data, match", [
-    (_mini(discoveries=[{"src": "S", "dst": "T", "at": NAN}]), r"discoveries\[0\]\.at: expected a finite number >= 0, not nan"),
+    (_mini(discoveries=[{"src": "S", "dst": "T", "at": NAN}]),
+     r"discoveries\[0\]\.at: expected a finite number >= 0, not nan"),
     (_mini(config={"seed": 1, "end_time": 40.0, "tau": NAN}), "config: tau must be finite"),
     (_mini(config={"seed": 1, "end_time": float("inf")}), "config: end_time must be finite"),
     (_tunnel(5), r"adversaries\.m1\.params\.path: expected a list"),
     (_tunnel([]), r"adversaries\.m1\.params\.path: expected 2 or more items, not \[\]"),
-    (_tunnel(["m1", "ghost"]), r"adversaries\.m1\.params\.path: names 'ghost', which is not in the roster"),
+    (_tunnel(["m1", "ghost"]),
+     r"adversaries\.m1\.params\.path: names 'ghost', which is not in the roster"),
     (_tunnel(["m1", "m2"]), "adversary m1: tunnel path must end at an "
                             "arbitrary-class adversary, not 'm2'"),
     (_mini(nodes=["S", "T", "m1", "m2"], adversaries={
@@ -205,13 +207,18 @@ NAN = float("nan")
         "m2": {"class": "arbitrary", "attack": "passive"}}),
      "adversary m1: tunnel peer m2 must hold a tunnel that ends at m1"),
     (_mini(expect={"victim_link": ["S"]}), r"expect\.victim_link: expected a list of 2 items"),
-    (_mini(expect={"victim_link": ["S", "S"]}), r"expect\.victim_link: expected two distinct node ids"),
+    (_mini(expect={"victim_link": ["S", "S"]}),
+     r"expect\.victim_link: expected two distinct node ids"),
     (_mini(adversaries={"T": "passive"}), r"adversaries\.T: expected an object, not 'passive'"),
-    (_mini(expect={"loop_free": "maybe"}), r"expect\.loop_free: expected one of all, not-all, none, not 'maybe'"),
+    (_mini(expect={"loop_free": "maybe"}),
+     r"expect\.loop_free: expected one of all, not-all, none, not 'maybe'"),
     (_mini(expect={"min_accepted": "a"}), r"expect\.min_accepted: expected an integer, not 'a'"),
-    (_mini(expect={"max_metric_error": "a"}), r"expect\.max_metric_error: expected a number, not 'a'"),
+    (_mini(expect={"max_metric_error": "a"}),
+     r"expect\.max_metric_error: expected a number, not 'a'"),
     (_mini(nodes=["S", "T", "a b"]), r"nodes\[2\]: expected a node id .*, not 'a b'"),
-    (_mini(nodes=["S", "T", "a\nb"]), r"nodes\[2\]: expected a node id \(a non-empty string of UTF-8 text with no whitespace and no ','\)"),
+    (_mini(nodes=["S", "T", "a\nb"]),
+     r"nodes\[2\]: expected a node id \(a non-empty string of UTF-8 text "
+     r"with no whitespace and no ','\)"),
     (_mini(nodes=["S", "T", "a,b"]), r"nodes\[2\]: expected a node id .*, not 'a,b'"),
     (_mini(nodes=["S", "T", ""]), r"nodes\[2\]: expected a node id .*, not ''"),
     (_mini(nodes=["S", "T", 5]), r"nodes\[2\]: expected a node id .*, not 5"),
@@ -259,8 +266,10 @@ NAN = float("nan")
     (_mini(nodes="ST"), "nodes: expected a list, not 'ST'"),
     (_mini(keys=["ST"]), r"keys\[0\]: expected a list of 2 items, not 'ST'"),
     (_mini(name=5), "name: expected one line of UTF-8 text, not 5"),
-    (_mini(config=[["seed", 1], ["end_time", 40.0]]), r"config: expected an object, not \[\['seed'"),
-    (_mini(adversaries=[["T", {"attack": "passive"}]]), r"adversaries: expected an object, not \[\['T'"),
+    (_mini(config=[["seed", 1], ["end_time", 40.0]]),
+     r"config: expected an object, not \[\['seed'"),
+    (_mini(adversaries=[["T", {"attack": "passive"}]]),
+     r"adversaries: expected an object, not \[\['T'"),
     (_mini(nodes=["S", "T", "m"], adversaries={"m": {
         "class": "arbitrary", "attack": "fuzz", "params": [["seed", 3]]}}),
      r"adversaries\.m\.params: expected an object, not \[\['seed'"),
@@ -301,7 +310,8 @@ NAN = float("nan")
      r"discoveries\[0\]\.at: expected a number, not '1'"),
     (_mini(mode="augmented", metrics={"kind": "add", "epsilon": "0.1"}),
      r"metrics\.epsilon: expected a number, not '0\.1'"),
-    (_mini(expect={"victim_link": [["S"], "T"]}), r"expect\.victim_link\[0\]: expected a node id .*, not \['S'\]"),
+    (_mini(expect={"victim_link": [["S"], "T"]}),
+     r"expect\.victim_link\[0\]: expected a node id .*, not \['S'\]"),
     (_mini(nodes=["S", "T", "S"]), "nodes: duplicate node ids in roster"),
     (_mini(adversaries={"ghost": {"class": "independent", "attack": "passive"}}),
      "adversary ghost is not in the roster"),
@@ -344,7 +354,8 @@ NAN = float("nan")
         "discovery-src-list", "key-node-list", "link-node-int", "actual-node-int",
         "interval-str", "at-str", "epsilon-str", "victim-node-list",
         "duplicate-node", "adversary-off-roster", "metric-undeclared-edge",
-        "discovery-to-itself", "tau-zero", "end-time-zero", "reply-wait-max-below-min", "tx-time-negative",
+        "discovery-to-itself", "tau-zero", "end-time-zero", "reply-wait-max-below-min",
+        "tx-time-negative",
         "delta-tilde-negative", "mul-metric-zero", "kind-bogus", "victim-off-roster"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):

@@ -158,7 +158,7 @@ def _roster(value) -> tuple:
     return nodes
 
 
-def _config(nodes):
+def _sim_config(nodes):
     """The config reader: the reply waits scale with the roster."""
     def read(cfg) -> SimConfig:
         tau = take(cfg, "tau", exact_number, 1.0)
@@ -261,7 +261,7 @@ def _scenario(name_hint: str):
                                            "section and basic mode forbids one")
         return Scenario(
             name=read_at(("name",), _name, data.pop("name", name_hint)),
-            config=read_at(("config",), _config(nodes), data.pop("config", {})),
+            config=read_at(("config",), _sim_config(nodes), data.pop("config", {})),
             nodes=nodes,
             links=take(data, "links", read_list(_link), ()),
             keys=take(data, "keys", read_list(_pair), ()),

@@ -53,9 +53,9 @@ class ScenarioError(ValueError):
 
 
 class FieldError(ScenarioError):
-    """A field of a scenario file or of an attack's params that cannot be
-    read.  `path` names it from the outermost object in, by key and array
-    index; the message is the path, then the reason."""
+    """A field of a scenario file, of an attack's params or of a campaign's
+    settings that cannot be read.  `path` names it from the outermost object
+    in, by key and array index; the message is the path, then the reason."""
 
     def __init__(self, path: tuple, reason: str):
         where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
@@ -156,11 +156,13 @@ def read_choice(*choices):
     return read
 
 
+read_class = read_choice(*AdversaryClass)
 _nodes = read_list(read_node)
+_PATH = read_list(read_node, least=2)
 
 
 def _tunnel_path(value) -> tuple:
-    path = read_list(read_node, least=2)(value)
+    path = _PATH(value)
     for a, b in zip(path, path[1:]):
         if a == b:
             raise ValueError(f"hop from {a!r} to itself")

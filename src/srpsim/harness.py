@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .adversary import AdversaryClass
-from .scenario import AdversarySpec, Scenario, build, load_scenario
+from .adversary import AdversaryClass, exact_int, read_at, read_class, read_count
+from .scenario import AdversarySpec, Scenario, build, load_scenario, read_mode
 from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key,
                       trace_digest_of_lines)
 from .srp import RouteRecord
@@ -183,22 +183,32 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     return scenario
 
 
-def _require_int(name: str, value, least: Optional[int] = None) -> None:
-    """Raise ValueError unless `value` is an int, not a bool, and (when
-    `least` is given) >= `least`."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (least is not None and value < least)):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}: {value!r}")
-
-
 # random_scenario draws a link for every node pair: at this many nodes one
 # run takes about a second and 130 MB, and both grow with the square
 MAX_FUZZ_NODES = 500
 
 
+def _fuzz_nodes(value) -> int:
+    n = exact_int(value)
+    if n < 4:  # random_scenario always draws S, T and two intermediates
+        raise ValueError(f"expected at least 4 (S, T and two intermediates), not {n}")
+    if n > MAX_FUZZ_NODES:
+        raise ValueError(f"expected at most {MAX_FUZZ_NODES}, not {n}")
+    return n
+
+
+def _line_links(value) -> int:
+    n = exact_int(value)
+    if n < 1:
+        raise ValueError(f"expected an integer >= 1, not {n}")
+    return n
+
+
 @dataclass
 class FuzzConfig:
+    """A fuzz campaign's settings, read as scenario fields are: a bad one is
+    a FieldError (a ValueError) named by its field."""
+
     runs: int = 1000
     klass: AdversaryClass = AdversaryClass.ARBITRARY
     mode: str = "basic"
@@ -206,20 +216,11 @@ class FuzzConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int("runs", self.runs, 0)
-        if not isinstance(self.klass, AdversaryClass):
-            raise ValueError(f"klass must be an AdversaryClass: {self.klass!r}")
-        if self.mode not in ("basic", "augmented"):
-            raise ValueError(f"mode must be 'basic' or 'augmented': {self.mode!r}")
-        _require_int("seed", self.seed)
-        _require_int("max_nodes", self.max_nodes)
-        # random_scenario always draws S, T and two intermediates
-        if self.max_nodes < 4:
-            raise ValueError("max_nodes must be at least 4 (S, T and two "
-                             f"intermediates): {self.max_nodes}")
-        if self.max_nodes > MAX_FUZZ_NODES:
-            raise ValueError(f"max_nodes must be at most {MAX_FUZZ_NODES}: "
-                             f"{self.max_nodes}")
+        self.runs = read_at(("runs",), read_count, self.runs)
+        self.klass = read_at(("klass",), read_class, self.klass)
+        self.mode = read_at(("mode",), read_mode, self.mode)
+        self.seed = read_at(("seed",), exact_int, self.seed)
+        self.max_nodes = read_at(("max_nodes",), _fuzz_nodes, self.max_nodes)
 
 
 @dataclass
@@ -344,9 +345,9 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
 def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: float,
                       runs: int, seed: int = 0):
     """Run one accuracy cell; returns (accepted_count, violations)."""
-    _require_int("links", links, 1)
-    _require_int("runs", runs, 0)
-    _require_int("seed", seed)
+    read_at(("links",), _line_links, links)
+    read_at(("runs",), read_count, runs)
+    read_at(("seed",), exact_int, seed)
     def generate(run_seed):
         # the trailing 0 stands where the key once held the run index, so
         # every one-run cell draws the same scenario as before

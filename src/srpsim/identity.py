@@ -19,6 +19,18 @@ class KeyAccessError(Exception):
     """A node invoked the authenticator with a key it does not hold."""
 
 
+# every process-wide memo, in the order made; `clear_memos` empties them
+_MEMOS: list[dict] = []
+
+
+def new_memo() -> dict:
+    """A new process-wide memo, filled only through `remember` and emptied
+    by `clear_memos`."""
+    memo = {}
+    _MEMOS.append(memo)
+    return memo
+
+
 def remember(memo: dict, cap: int, key, value):
     """Store `value` under `key` in a process-wide memo, emptying the memo
     first when it holds `cap` entries; return `value`.  Called on a miss."""
@@ -28,10 +40,17 @@ def remember(memo: dict, cap: int, key, value):
     return value
 
 
+def clear_memos() -> None:
+    """Empty every process-wide memo, as in a new process.  No digest
+    depends on what the memos hold."""
+    for memo in _MEMOS:
+        memo.clear()
+
+
 # str -> its encoding; emptied when it reaches STR_MEMO_CAP entries.  Only
 # exact `str` keys.
 STR_MEMO_CAP = 1 << 16
-_STR_BYTES: dict[str, bytes] = {}
+_STR_BYTES: dict[str, bytes] = new_memo()
 _str_bytes = _STR_BYTES.__getitem__
 
 
@@ -118,7 +137,7 @@ def encode_fields(fields: Sequence) -> bytes:
 # so equal keys encode identically: a bool or a float would find the entry of
 # an equal int.
 MAC_MEMO_CAP = 1 << 10
-_MACS: dict[tuple, int] = {}
+_MACS: dict[tuple, int] = new_memo()
 
 
 def _keyed_digest(key: bytes, fields: Sequence) -> int:

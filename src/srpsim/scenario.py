@@ -19,8 +19,9 @@ from typing import Mapping, Optional
 
 from .adversary import (AdversaryClass, AdversaryNode, AttackScript, FieldError,
                         ScenarioError, attack, fields, read_at, read_choice,
-                        read_count, read_list, read_node, read_object, take)
-from .identity import KeyRing, KeyTable, remember
+                        read_class, read_count, read_list, read_node, read_object,
+                        take)
+from .identity import KeyRing, KeyTable, new_memo, remember
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
                       exact_int, exact_number)
 from .srp import NodeState, SrpNode
@@ -32,9 +33,9 @@ from .srp_qos import GKind, LinkMetricModel, QosRuntime
 # by their rendered form, which is what a link-change line prints: 0, 0.0 and
 # -0.0 are equal but print apart.
 SCHEDULE_MAP_MEMO_CAP = 16
-_SCHEDULE_MAPS: dict[tuple, ScheduleMap] = {}
+_SCHEDULE_MAPS: dict[tuple, ScheduleMap] = new_memo()
 KEY_RINGS_MEMO_CAP = 16
-_KEY_RINGS: dict[tuple, Mapping[str, KeyRing]] = {}
+_KEY_RINGS: dict[tuple, Mapping[str, KeyRing]] = new_memo()
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,11 @@ def _name(value) -> str:
     return value
 
 
+_ROSTER = read_list(read_node, least=1)
+
+
 def _roster(value) -> tuple:
-    nodes = read_list(read_node, least=1)(value)
+    nodes = _ROSTER(value)
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate node ids in roster")
     return nodes
@@ -189,8 +193,11 @@ def _link(value) -> LinkSchedule:
     return LinkSchedule(edge=edge_key(u, v), up_intervals=up)
 
 
+_PAIR = read_list(read_node, read_node)
+
+
 def _pair(value) -> tuple[str, str]:
-    a, b = read_list(read_node, read_node)(value)
+    a, b = _PAIR(value)
     if a == b:
         raise ValueError(f"expected two distinct node ids, not {value!r}")
     return a, b
@@ -203,11 +210,14 @@ def _discovery(d) -> tuple[str, str, float]:
     return src, dst, float(take(d, "at", _nonnegative, 0.0))
 
 
+_KIND = read_choice(*GKind)
+
+
 def _kind(value) -> GKind:
     if value in ("willingness", "battery"):
         raise ValueError(f"metric kind {value!r} is node-local and has no "
                          f"two-endpoint agreement; it cannot be verified on a link")
-    return read_choice(*GKind)(value)
+    return _KIND(value)
 
 
 def _flag(value) -> bool:
@@ -231,12 +241,13 @@ def _metrics(m) -> LinkMetricModel:
 
 def _adversaries(specs) -> dict:
     return {node: take(specs, node, fields(lambda spec: AdversarySpec(
-        klass=take(spec, "class", read_choice(*AdversaryClass), AdversaryClass.INDEPENDENT),
+        klass=take(spec, "class", read_class, AdversaryClass.INDEPENDENT),
         attack=take(spec, "attack", str),
         params=take(spec, "params", read_object, {}),
     ), nullable=())) for node in list(specs)}
 
 
+read_mode = read_choice("basic", "augmented")
 _MODES = read_choice("all", "not-all", "none")
 # each expectation and its reader; the harness judges them
 EXPECT_KEYS = {
@@ -254,7 +265,7 @@ def _scenario(name_hint: str):
     def read(data) -> Scenario:
         data.pop("description", None)
         nodes = take(data, "nodes", _roster)
-        mode = take(data, "mode", read_choice("basic", "augmented"), "basic")
+        mode = take(data, "mode", read_mode, "basic")
         metrics = take(data, "metrics", fields(_metrics, nullable=()), None)
         if (mode == "augmented") != (metrics is not None):
             raise FieldError(("metrics",), "augmented mode requires a metrics "

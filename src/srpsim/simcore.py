@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .identity import encode_fields, remember
+from .identity import _encode_each, encode_fields, new_memo, remember
+from .srp import WIRE_HEADER
 
 
 class InvalidEdgeError(ValueError):
@@ -245,11 +246,32 @@ class TraceView:
 # keys encode identically: a bool or a float would find the entry of an
 # equal int.  Engine._digests stays in front of it.
 DIGEST_MEMO_CAP = 1 << 10
-_DIGESTS: dict[tuple, str] = {}
+_DIGESTS: dict[tuple, str] = new_memo()
+# query header (the first WIRE_HEADER wire fields) -> the opening of
+# encode_fields(wire fields): its list tag and field count, then the header.
+# A relay's message misses _DIGESTS but finds its query's header here.  The
+# tag fixes the field count, so the opening depends on the key alone; exact
+# as _DIGESTS is.  Emptied when it reaches HEADER_MEMO_CAP entries.
+HEADER_MEMO_CAP = 1 << 10
+_HEADERS: dict[tuple, bytes] = new_memo()
 
 
-def _fields_digest(fields) -> str:
-    return hashlib.blake2b(encode_fields(fields), digest_size=4).hexdigest()
+def _digest_of(data) -> str:
+    return hashlib.blake2b(data, digest_size=4).hexdigest()
+
+
+def _wire_bytes(fields: tuple) -> bytearray:
+    """encode_fields(fields), the header's part taken from _HEADERS."""
+    head = fields[:WIRE_HEADER]
+    opening = _HEADERS.get(head)
+    if opening is None:
+        out = bytearray(b"l")
+        out += len(fields).to_bytes(4, "big")
+        _encode_each(head, out)
+        opening = remember(_HEADERS, HEADER_MEMO_CAP, head, bytes(out))
+    out = bytearray(opening)
+    _encode_each(fields[WIRE_HEADER:], out)
+    return out
 
 
 def message_digest(msg) -> str:
@@ -260,9 +282,9 @@ def message_digest(msg) -> str:
     try:
         digest = _DIGESTS.get(fields)
     except TypeError:  # a list among the fields: not a key
-        return _fields_digest(fields)
+        return _digest_of(encode_fields(fields))
     if digest is None:
-        digest = remember(_DIGESTS, DIGEST_MEMO_CAP, fields, _fields_digest(fields))
+        digest = remember(_DIGESTS, DIGEST_MEMO_CAP, fields, _digest_of(_wire_bytes(fields)))
     return digest
 
 

@@ -36,6 +36,13 @@ class ConfigurationError(Exception):
 # Messages
 # --------------------------------------------------------------------------
 
+# Both messages' wire fields open with the same five scalars, the query
+# header (tag, src, dst, qid, auth), and end with two lists.  A relay copies
+# the header unchanged and appends only to the lists, so
+# `simcore.message_digest` memoises the header's encoding.
+WIRE_HEADER = 5
+
+
 @dataclass(frozen=True)
 class Rreq:
     """Route request: flooded source->destination, accumulating the nodes it

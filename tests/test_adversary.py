@@ -16,11 +16,14 @@ from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
                     FuzzScript, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict, srp)
 from srpsim import scenario as scenario_module
-from srpsim.adversary import AdversaryNode, FieldError, step_adversary
+from srpsim.adversary import AdversaryNode, FieldError, Fig1aTunnel, step_adversary
 from srpsim.harness import bundled_scenarios, random_scenario
+from srpsim.srp_qos import to_scaled
 
 from conftest import make_state
 from step_cases import _signed_rreq, _table
+
+HERE = Path(__file__).resolve().parent
 
 NAMED_ATTACKS = {
     "loop_inject", "tamper_nodelist_downstream", "shortcut_relay",
@@ -282,6 +285,25 @@ class TestTunnel:
         assert eng.tunnel_send(("m1", "y", "m2"), Rreq("S", "T", 1, 0, ())) is False
         assert any(te.primitive == "tunnel" and te.outcome == "dropped"
                    for te in eng.trace)
+
+    def test_exit_reports_a_known_edge_by_its_actual_metric(self, monkeypatch):
+        """With no `fake_link_metric`, the exit appends `fake_metric` of the
+        advertised edge, which is the edge's actual metric when the scenario
+        declares one (2.5 on M1-M2 here), not the default 1.0."""
+        sent = []
+        on_tunnel = Fig1aTunnel.on_tunnel
+
+        def recording(script, node, msg, frm):
+            effects = on_tunnel(script, node, msg, frm)
+            if script.role == "exit":
+                sent.extend(e.msg for e in effects)
+            return effects
+        monkeypatch.setattr(Fig1aTunnel, "on_tunnel", recording)
+        result = run_scenario(load_scenario(HERE / "fig1a_tunnel_known_edge.json"))
+        assert [m.metric_list[-1] for m in sent] == [to_scaled(2.5)] != [to_scaled(1.0)]
+        route = result.records[0].route
+        assert route == ("S", "x", "M1", "M2", "z", "T")
+        assert result.records[0].reported[route.index("M1")] == to_scaled(2.5)
 
 
 def test_store_holds_the_delivered_messages():

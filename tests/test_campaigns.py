@@ -179,21 +179,26 @@ def test_a_fuzz_run_replays_from_its_seed(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("runs", -3, "runs must be an integer >= 0: -3"),
-    ("runs", 2.0, "runs must be an integer >= 0: 2.0"),
-    ("runs", True, "runs must be an integer >= 0: True"),
-    ("mode", "augmentd", "mode must be 'basic' or 'augmented': 'augmentd'"),
-    ("klass", "arbitrary", "klass must be an AdversaryClass: 'arbitrary'"),
-    ("max_nodes", 6.5, "max_nodes must be an integer: 6.5"),
-    ("max_nodes", True, "max_nodes must be an integer: True"),
-    ("max_nodes", 501, "max_nodes must be at most 500: 501"),
-    ("max_nodes", 100000, "max_nodes must be at most 500: 100000"),
-    ("seed", 1.5, "seed must be an integer: 1.5"),
-    ("seed", False, "seed must be an integer: False"),
+    ("runs", -3, "runs: expected an integer >= 0, not -3"),
+    ("runs", 2.0, "runs: expected an integer, not 2.0"),
+    ("runs", True, "runs: expected an integer, not True"),
+    ("mode", "augmentd", "mode: expected one of basic, augmented, not 'augmentd'"),
+    ("klass", "arbitary", "klass: expected one of independent, arbitrary, not 'arbitary'"),
+    ("max_nodes", 6.5, "max_nodes: expected an integer, not 6.5"),
+    ("max_nodes", True, "max_nodes: expected an integer, not True"),
+    ("max_nodes", 501, "max_nodes: expected at most 500, not 501"),
+    ("max_nodes", 100000, "max_nodes: expected at most 500, not 100000"),
+    ("seed", 1.5, "seed: expected an integer, not 1.5"),
+    ("seed", False, "seed: expected an integer, not False"),
 ])
 def test_fuzz_config_rejects_what_the_campaign_cannot_run(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FuzzConfig(**{field: value})
+
+
+def test_fuzz_config_reads_a_class_by_its_name():
+    # as a scenario file's adversary `class` is read
+    assert FuzzConfig(klass="independent").klass is AdversaryClass.INDEPENDENT
 
 
 def test_fuzz_config_accepts_zero_runs(monkeypatch):
@@ -204,12 +209,12 @@ def test_fuzz_config_accepts_zero_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("links, runs, seed, message", [
-    (0, 1, 0, "links must be an integer >= 1: 0"),
-    (-2, 1, 0, "links must be an integer >= 1: -2"),
-    (2.5, 1, 0, "links must be an integer >= 1: 2.5"),
-    (2, -1, 0, "runs must be an integer >= 0: -1"),
-    (2, 1, 1.5, "seed must be an integer: 1.5"),
-    (2, 1, True, "seed must be an integer: True"),
+    (0, 1, 0, "links: expected an integer >= 1, not 0"),
+    (-2, 1, 0, "links: expected an integer >= 1, not -2"),
+    (2.5, 1, 0, "links: expected an integer, not 2.5"),
+    (2, -1, 0, "runs: expected an integer >= 0, not -1"),
+    (2, 1, 1.5, "seed: expected an integer, not 1.5"),
+    (2, 1, True, "seed: expected an integer, not True"),
 ])
 def test_accuracy_campaign_rejects_an_impossible_cell(monkeypatch, links, runs, seed,
                                                       message):

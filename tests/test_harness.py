@@ -1024,7 +1024,7 @@ class TestCli:
 
     def test_fuzz_rejects_max_nodes_below_four(self, capsys):
         # random_scenario always draws S, T and two intermediates
-        message = "max_nodes must be at least 4 (S, T and two intermediates): 3"
+        message = "max_nodes: expected at least 4 (S, T and two intermediates), not 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             FuzzConfig(max_nodes=3)
         assert fuzz_campaign(FuzzConfig(runs=3, max_nodes=4)).runs == 3
@@ -1038,7 +1038,7 @@ class TestCli:
         FuzzConfig(max_nodes=500)
         assert cli_main(["fuzz", "--max-nodes", "100000"]) == 2
         assert capsys.readouterr().err == \
-            "fuzz error: max_nodes must be at most 500: 100000\n"
+            "fuzz error: max_nodes: expected at most 500, not 100000\n"
         with pytest.raises(SystemExit):
             cli_main(["fuzz", "--help"])
         assert "(4 to 500; default 8)" in " ".join(capsys.readouterr().out.split())

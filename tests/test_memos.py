@@ -1,11 +1,13 @@
 """The process-wide memos behind `simcore.message_digest`, `identity.f_k`,
 `Scenario.schedule_map` and `Scenario.key_rings`: what reaches them is
-exact, they change no trace digest however warm or small they are, and none
-grows past its cap."""
+exact, they change no trace digest however warm or small they are, none
+grows past its cap, and `identity.clear_memos` empties every one."""
 
+import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from srpsim import (AdversaryClass, GKind, KeyTable, LinkSchedule, Rreq,
+from srpsim import (AdversaryClass, GKind, KeyTable, LinkSchedule, Rrep, Rreq,
                     ScenarioError, ScheduleError, build, bundled_scenarios,
-                    identity, load_scenario, run_scenario, scenario_from_dict,
-                    simcore)
+                    encode_fields, identity, load_scenario, run_scenario,
+                    scenario_from_dict, simcore)
 from srpsim import scenario as scenario_module
 from srpsim.harness import accuracy_scenario, random_scenario
 
@@ -52,9 +54,14 @@ def _exact(value) -> bool:
 
 def test_memo_keys_hold_only_exact_values(monkeypatch):
     """Equal keys must encode identically, so no bool, float, list or
-    subclass may reach either memo: `True == 1` and `1.0 == 1`."""
-    wire, macs = [], []
+    subclass may reach a memo: `True == 1` and `1.0 == 1`."""
+    wire, macs, headers = [], [], []
     digest, f_k = simcore.message_digest, identity.f_k
+
+    class RecordingHeaders(dict):
+        def get(self, key, default=None):
+            headers.append(key)
+            return super().get(key, default)
 
     def recording_digest(msg):
         if msg is not None:
@@ -67,12 +74,15 @@ def test_memo_keys_hold_only_exact_values(monkeypatch):
 
     monkeypatch.setattr(simcore, "message_digest", recording_digest)
     monkeypatch.setattr(identity, "f_k", recording_f_k)
+    monkeypatch.setattr(simcore, "_HEADERS", RecordingHeaders())
     for name, sc in sweep():
         wire.clear()
         macs.clear()
+        headers.clear()
+        identity.clear_memos()  # else warm digests reach no header
         build(sc).run()
-        assert wire, name
-        bad = [f for f in wire + macs if type(f) is not tuple or not _exact(f)]
+        assert wire and headers, name
+        bad = [f for f in wire + macs + headers if type(f) is not tuple or not _exact(f)]
         assert not bad, (name, bad[:3])
 
 
@@ -90,18 +100,16 @@ def test_warm_and_starved_memos_give_a_cold_process_the_same_digests(monkeypatch
     assert sweep_digests() == cold
     # a cap of 2 clears each memo many times within a run
     monkeypatch.setattr(simcore, "DIGEST_MEMO_CAP", 2)
+    monkeypatch.setattr(simcore, "HEADER_MEMO_CAP", 2)
     monkeypatch.setattr(identity, "MAC_MEMO_CAP", 2)
     monkeypatch.setattr(identity, "STR_MEMO_CAP", 2)
     # a cap of 1 keeps only the last scenario's map and rings
     monkeypatch.setattr(scenario_module, "SCHEDULE_MAP_MEMO_CAP", 1)
     monkeypatch.setattr(scenario_module, "KEY_RINGS_MEMO_CAP", 1)
-    simcore._DIGESTS.clear()  # else the warm entries answer every lookup
-    identity._MACS.clear()
-    identity._STR_BYTES.clear()
-    scenario_module._SCHEDULE_MAPS.clear()
-    scenario_module._KEY_RINGS.clear()
+    identity.clear_memos()  # else the warm entries answer every lookup
     assert sweep_digests() == cold
     assert len(simcore._DIGESTS) <= 2 and len(identity._MACS) <= 2
+    assert len(simcore._HEADERS) <= 2
     assert len(identity._STR_BYTES) <= 2
     assert len(scenario_module._SCHEDULE_MAPS) == len(scenario_module._KEY_RINGS) == 1
 
@@ -112,6 +120,51 @@ def test_digest_memo_never_exceeds_its_cap():
         simcore.message_digest(Rreq("S", "T", i, 7, ("a",)))
         most = max(most, len(simcore._DIGESTS))
     assert most == simcore.DIGEST_MEMO_CAP
+
+
+def test_header_memo_never_exceeds_its_cap():
+    most = 0
+    for i in range(simcore.HEADER_MEMO_CAP + 100):
+        simcore.message_digest(Rreq("S", "T", i, 7, ("a",)))
+        most = max(most, len(simcore._HEADERS))
+    assert most == simcore.HEADER_MEMO_CAP
+
+
+def test_a_relay_is_encoded_from_its_querys_header():
+    """Digest input is `encode_fields` of the wire fields, whether the
+    header's encoding is memoised or not; a relay adds no header entry."""
+    identity.clear_memos()
+    query = Rreq("S", "T", 3, 2**63 + 1, (), (2500,))
+    relays = [query, Rreq("S", "T", 3, 2**63 + 1, ("a",), (2500, 1)),
+              Rreq("S", "T", 3, 2**63 + 1, ("a", "b"), None),
+              Rrep("S", "T", 3, ("b", "a"), 2**63 + 1, None),
+              Rrep("S", "T", 3, ("b", "a"), 2**63 + 1, (1, 2, 3))]
+    for msg in relays:
+        fields = msg.wire_fields()
+        assert simcore._wire_bytes(fields) == encode_fields(fields)
+    assert list(simcore._HEADERS) == [("rreq", "S", "T", 3, 2**63 + 1),
+                                      ("rrep", "S", "T", 3, 2**63 + 1)]
+
+
+def test_clear_memos_empties_every_memo_filled_through_remember():
+    """A memo is a module-level dict that `remember` fills: each one the
+    sources fill must be registered, so `clear_memos` reaches it."""
+    src = Path(identity.__file__).parent
+    filled = set()
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"srpsim.{path.stem}")
+        for name in re.findall(r"(?<!def )\bremember\(\s*(\w+)", path.read_text()):
+            filled.add((path.stem, name))
+            memo = getattr(module, name)
+            assert any(memo is m for m in identity._MEMOS), (path.stem, name)
+    assert filled == {("identity", "_STR_BYTES"), ("identity", "_MACS"),
+                      ("simcore", "_DIGESTS"), ("simcore", "_HEADERS"),
+                      ("scenario", "_SCHEDULE_MAPS"), ("scenario", "_KEY_RINGS")}
+    for _, sc in sweep():
+        build(sc).run()
+    assert all(identity._MEMOS)
+    identity.clear_memos()
+    assert not any(identity._MEMOS)
 
 
 def test_mac_memo_never_exceeds_its_cap():

@@ -298,8 +298,8 @@ class TestDigestMemo:
 
     def test_the_process_encodes_equal_messages_once(self, monkeypatch):
         encoded = []
-        encode = simcore.encode_fields
-        monkeypatch.setattr(simcore, "encode_fields",
+        encode = simcore._wire_bytes
+        monkeypatch.setattr(simcore, "_wire_bytes",
                             lambda fields: encoded.append(fields) or encode(fields))
         simcore._DIGESTS.clear()
         msgs = [Rreq("S", "T", 1, 42, ("x",)), Rreq("S", "T", 1, 42, ("x",)),

@@ -139,11 +139,20 @@ def read_list(*converts, least=0):
     return read
 
 
-def read_count(value) -> int:
-    n = exact_int(value)
-    if n < 0:
-        raise ValueError(f"expected an integer >= 0, not {value!r}")
-    return n
+def read_int(least=0, most=None):
+    """A converter for an integer of at least `least` and, when `most` is
+    given, at most `most`."""
+    def read(value) -> int:
+        n = exact_int(value)
+        if n < least:
+            raise ValueError(f"expected an integer >= {least}, not {value!r}")
+        if most is not None and n > most:
+            raise ValueError(f"expected at most {most}, not {n}")
+        return n
+    return read
+
+
+read_count = read_int()
 
 
 def read_choice(*choices):
@@ -169,11 +178,7 @@ def _tunnel_path(value) -> tuple:
     return path
 
 
-def _move_count(value) -> int:
-    n = read_count(value)
-    if n > MAX_SPONTANEOUS:  # spontaneous_times() draws this many times up front
-        raise ValueError(f"expected at most {MAX_SPONTANEOUS}, not {n}")
-    return n
+_move_count = read_int(most=MAX_SPONTANEOUS)  # spontaneous_times() draws this many up front
 
 
 def _scaled(value) -> int:

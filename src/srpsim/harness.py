@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .adversary import AdversaryClass, exact_int, read_at, read_class, read_count
+from .adversary import (AdversaryClass, exact_int, read_at, read_class, read_count,
+                        read_int)
 from .scenario import AdversarySpec, Scenario, build, load_scenario, read_mode
 from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key,
                       trace_digest_of_lines)
@@ -183,25 +184,11 @@ def random_scenario(rng: random.Random, klass: AdversaryClass, mode: str,
     return scenario
 
 
-# random_scenario draws a link for every node pair: at this many nodes one
-# run takes about a second and 130 MB, and both grow with the square
+# random_scenario always draws S, T and two intermediates, and a link for
+# every node pair: at MAX_FUZZ_NODES nodes one run takes about a second and
+# 130 MB, and both grow with the square
 MAX_FUZZ_NODES = 500
-
-
-def _fuzz_nodes(value) -> int:
-    n = exact_int(value)
-    if n < 4:  # random_scenario always draws S, T and two intermediates
-        raise ValueError(f"expected at least 4 (S, T and two intermediates), not {n}")
-    if n > MAX_FUZZ_NODES:
-        raise ValueError(f"expected at most {MAX_FUZZ_NODES}, not {n}")
-    return n
-
-
-def _line_links(value) -> int:
-    n = exact_int(value)
-    if n < 1:
-        raise ValueError(f"expected an integer >= 1, not {n}")
-    return n
+_fuzz_nodes = read_int(4, MAX_FUZZ_NODES)
 
 
 @dataclass
@@ -345,7 +332,7 @@ def accuracy_scenario(kind: GKind, links: int, epsilon: float, delta_tilde: floa
 def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: float,
                       runs: int, seed: int = 0):
     """Run one accuracy cell; returns (accepted_count, violations)."""
-    read_at(("links",), _line_links, links)
+    read_at(("links",), read_int(1), links)
     read_at(("runs",), read_count, runs)
     read_at(("seed",), exact_int, seed)
     def generate(run_seed):

@@ -1024,7 +1024,7 @@ class TestCli:
 
     def test_fuzz_rejects_max_nodes_below_four(self, capsys):
         # random_scenario always draws S, T and two intermediates
-        message = "max_nodes: expected at least 4 (S, T and two intermediates), not 3"
+        message = "max_nodes: expected an integer >= 4, not 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             FuzzConfig(max_nodes=3)
         assert fuzz_campaign(FuzzConfig(runs=3, max_nodes=4)).runs == 3

@@ -127,12 +127,12 @@ def test_a_relay_is_encoded_from_its_querys_header():
     """Digest input is `encode_fields` of the wire fields, whether the
     header's encoding is memoised or not; a relay adds no header entry."""
     identity.clear_memos()
-    query = Rreq("S", "T", 3, 2**63 + 1, (), (2500,))
-    relays = [query, Rreq("S", "T", 3, 2**63 + 1, ("a",), (2500, 1)),
-              Rreq("S", "T", 3, 2**63 + 1, ("a", "b"), None),
-              Rrep("S", "T", 3, ("b", "a"), 2**63 + 1, None),
-              Rrep("S", "T", 3, ("b", "a"), 2**63 + 1, (1, 2, 3))]
-    for msg in relays:
+    msgs = [Rreq("S", "T", 3, 2**63 + 1, (), (2500,)),  # the query, then relays
+            Rreq("S", "T", 3, 2**63 + 1, ("a",), (2500, 1)),
+            Rreq("S", "T", 3, 2**63 + 1, ("a", "b"), None),
+            Rrep("S", "T", 3, ("b", "a"), 2**63 + 1, None),
+            Rrep("S", "T", 3, ("b", "a"), 2**63 + 1, (1, 2, 3))]
+    for msg in msgs:
         fields = msg.wire_fields()
         assert simcore._wire_bytes(fields) == encode_fields(fields)
     assert list(simcore._HEADERS) == [("rreq", "S", "T", 3, 2**63 + 1),
@@ -145,10 +145,9 @@ def test_clear_memos_empties_every_memo_filled_through_remember():
     src = Path(identity.__file__).parent
     filled = set()
     for path in sorted(src.glob("*.py")):
-        module = importlib.import_module(f"srpsim.{path.stem}")
         for name in re.findall(r"(?<!def )\bremember\(\s*(\w+)", path.read_text()):
             filled.add((path.stem, name))
-            memo = getattr(module, name)
+            memo = getattr(importlib.import_module(f"srpsim.{path.stem}"), name)
             assert any(memo is m for m in identity._MEMOS), (path.stem, name)
     assert filled == {("identity", "_STR_BYTES"), ("identity", "_MACS"),
                       ("simcore", "_DIGESTS"), ("simcore", "_HEADERS"),

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import srp
-from .srp import (ArmTimer, Broadcast, Rrep, Rreq, Unicast, observe_relay,
+from .srp import (ArmTimer, Broadcast, Rrep, Rreq, Unicast, admit_relay,
                   rreq_verdict, rrep_verdict)
 from .simcore import exact_int, exact_number, is_node_id
 from .srp_qos import SCALE, to_scaled
@@ -127,13 +127,21 @@ def read_node(value) -> str:
 
 def read_list(*converts, least=0):
     """A converter for a list: with one converter, of `least` or more items,
-    each read by it; with more, of one item per converter, in order."""
+    each read by it; with more, of one item per converter, in order.  The
+    items are read in one pass; only a failed read walks them again through
+    `read_at`, which names the failing item's index."""
     def read(value) -> tuple:
         if not isinstance(value, (list, tuple)) or len(converts) not in (1, len(value)):
             items = "" if len(converts) == 1 else f" of {len(converts)} items"
             raise TypeError(f"expected a list{items}, not {value!r}")
         if len(value) < least:
             raise ValueError(f"expected {least} or more items, not {value!r}")
+        try:
+            if len(converts) == 1:
+                return tuple(map(converts[0], value))
+            return tuple([c(v) for c, v in zip(converts, value)])
+        except (TypeError, ValueError, OverflowError):
+            pass  # the converters are pure, so the walk below fails at the same item
         items = converts * len(value) if len(converts) == 1 else converts
         return tuple(read_at((i,), c, v) for i, (c, v) in enumerate(zip(items, value)))
     return read
@@ -856,7 +864,7 @@ class AdversaryNode:
 
     def on_deliver(self, engine, msg, transmitter, addressed, now):
         if isinstance(msg, Rreq):
-            observe_relay(self.state, msg, transmitter, self.qos)
+            admit_relay(self.state, msg, transmitter, self.qos)
         if not addressed:
             if self.klass is AdversaryClass.ARBITRARY:
                 self._execute(engine, self.script.on_overhear(self, msg, transmitter))

@@ -6,18 +6,23 @@ path), reply relaying and end-to-end authenticator verification, and the
 reply-wait timer with retry/conclusion rules.  Every check is numbered with
 its protocol rule id so a discard can be traced to the exact rule that fired.
 
-The functions here are engine-agnostic: processing returns a list of effects
-(broadcast, unicast, timer, accept, trace note) that a driver executes.  A
-delivered message is checked, then acted on.  A delivered request goes
-through `observe_relay`, then the check `rreq_verdict`, then, if it passes,
-the act phase `answer_rreq` (relay or reply); a delivered reply through
-`rrep_verdict`, then `answer_rrep` (relay or accept).  `handle_rreq` and
-`process_rrep` compose the two phases, a failed check giving one discard
-note.  The correct-node driver runs the phases itself and writes a failed
-check's discard line without an effect list.  A fired timer goes through
-`on_discovery_timer` (retry or conclude), and a discovery action through
-`initiate_discovery`.  The check phase is pure, so adversary code can run
-the exact same compliance checks in observer mode.
+A delivered message is checked, then acted on.  The check phase
+(`rreq_verdict`, `rrep_verdict`) is pure, so adversary code runs the exact
+same compliance checks in observer mode.  The act code calls the engine's
+step methods (`trace_step`, `bcast_l`, `send_l`, `arm_timer`,
+`accept_route`) itself: `receive_rreq` and `receive_rrep` check a delivery
+and relay, reply, accept or discard it; `admit_relay` maintains the forward
+list from every request heard; `begin_discovery` and `retry_or_conclude`
+run a discovery action and a fired timer.  `SrpNode` drives them against the
+engine and builds no effect.
+
+The step functions `handle_rreq`, `process_rrep`, `observe_relay`,
+`initiate_discovery` and `on_discovery_timer` run the same act code against a
+`Recorder` and return its effects (broadcast, unicast, timer, accept, trace
+note).  `execute` applies an effect list to the engine; it is the one
+executor, for those lists and for attack scripts' actions.  No engine call
+re-enters a node, so the act code writes the lines that executing its effect
+list afterwards would.
 """
 
 from __future__ import annotations
@@ -154,10 +159,11 @@ def _has_duplicates(seq) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Effects (executed by node drivers against the engine)
+# Effects: what attack scripts return and what the step functions record,
+# applied to the engine by `execute`
 #
-# Slotted, not frozen: one is made per protocol step, and a frozen dataclass
-# costs several times as much to create.  Effects still compare by value.
+# Slotted, not frozen: a frozen dataclass costs several times as much to
+# create.  Effects still compare by value.
 # --------------------------------------------------------------------------
 
 @dataclass(slots=True)
@@ -316,7 +322,7 @@ def rrep_verdict(state: NodeState, rrep: Rrep, forwarder: str, qos) -> Optional[
 
 
 # --------------------------------------------------------------------------
-# Process phase (checks + state mutation + effects)
+# Act phase (checks + state mutation + calls to the engine's step methods)
 # --------------------------------------------------------------------------
 
 def remember_broadcast(state: NodeState, rreq: Rreq, qos) -> None:
@@ -331,113 +337,116 @@ def remember_broadcast(state: NodeState, rreq: Rreq, qos) -> None:
         state.prefix_metric[key] = qos.aggregate_scaled(rreq.metric_list)
 
 
-def _start_discovery(state: NodeState, dst: str, now: float, reply_wait: float, qos):
+def _send_query(engine, state: NodeState, dst: str, now: float, reply_wait: float, qos):
+    node = state.self_id
     qid = state.next_qid
     state.next_qid += 1
-    auth = state.keys.mac(dst, (state.self_id, dst, qid))
+    auth = state.keys.mac(dst, (node, dst, qid))
     metric_list = () if qos is not None else None
-    rreq = Rreq(state.self_id, dst, qid, auth, (), metric_list)
+    rreq = Rreq(node, dst, qid, auth, (), metric_list)
     state.discoveries[dst] = Discovery(dst=dst, qid=qid, t1=now, reply_wait=reply_wait)
     remember_broadcast(state, rreq, qos)
-    return [
-        Note("query", f"dst={dst} qid={qid} reply_wait={reply_wait!r}", rreq),
-        Broadcast(rreq),
-        ArmTimer(now + reply_wait, ("replywait", dst, qid)),
-    ]
+    engine.trace_step(node, "query", f"dst={dst} qid={qid} reply_wait={reply_wait!r}", rreq)
+    engine.bcast_l(node, rreq)
+    engine.arm_timer(node, now + reply_wait, ("replywait", dst, qid))
 
 
-def initiate_discovery(state: NodeState, dst: str, now: float, cfg, qos=None):
+def begin_discovery(engine, state: NodeState, dst: str, now: float, cfg, qos=None) -> None:
     """Start (or defer) a route discovery toward dst."""
     if not state.keys.holds(dst):
         raise ConfigurationError(f"{state.self_id} shares no key with {dst}")
     if dst in state.discoveries:
         state.deferred[dst] = state.deferred.get(dst, 0) + 1
-        return [Note("defer", f"discovery for {dst} already under way")]
-    return _start_discovery(state, dst, now, cfg.reply_wait_min, qos)
+        engine.trace_step(state.self_id, "defer", f"discovery for {dst} already under way")
+        return
+    _send_query(engine, state, dst, now, cfg.reply_wait_min, qos)
 
 
-def _conclude(state: NodeState, disc: Discovery, now: float, cfg, qos):
+def _conclude(engine, state: NodeState, disc: Discovery, now: float, cfg, qos) -> None:
     del state.discoveries[disc.dst]
-    fx = [Note("conclude", f"dst={disc.dst} qid={disc.qid} accepted={disc.accepted}")]
+    engine.trace_step(state.self_id, "conclude",
+                      f"dst={disc.dst} qid={disc.qid} accepted={disc.accepted}")
     if state.deferred.get(disc.dst, 0) > 0:
         state.deferred[disc.dst] -= 1
-        fx += _start_discovery(state, disc.dst, now, cfg.reply_wait_min, qos)
-    return fx
+        _send_query(engine, state, disc.dst, now, cfg.reply_wait_min, qos)
 
 
-def on_discovery_timer(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
+def retry_or_conclude(engine, state: NodeState, dst: str, qid: int, now: float,
+                      cfg, qos=None) -> None:
     """A discovery's reply-wait or conclude timer: conclude the discovery if
     it has accepted a route, else retry with a doubled (clamped) reply wait.
     A timer of a discovery that is no longer current does nothing."""
     disc = state.discoveries.get(dst)
     if disc is None or disc.qid != qid:
-        return []
+        return
     if disc.accepted:
-        return _conclude(state, disc, now, cfg, qos)
+        _conclude(engine, state, disc, now, cfg, qos)
+        return
     del state.discoveries[dst]
     rw = min(disc.reply_wait * 2, cfg.reply_wait_max)
-    return [Note("retry", f"dst={dst} qid={qid} next_reply_wait={rw!r}")] + \
-        _start_discovery(state, dst, now, rw, qos)
+    engine.trace_step(state.self_id, "retry", f"dst={dst} qid={qid} next_reply_wait={rw!r}")
+    _send_query(engine, state, dst, now, rw, qos)
 
 
-def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
+def admit_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     """Forward-list maintenance: admit a neighbor heard relaying our exact
     request with itself appended (and, in augmented mode, with a link metric
-    consistent with our own measurement of the shared link)."""
+    consistent with our own measurement of the shared link).  Returns the
+    outcome and detail of the step line a correct node writes, or None when
+    the copy is no such relay."""
     key = (rreq.src, rreq.qid)
     sent = state.relayed.get(key)
     if sent is None:
-        return []
+        return None
     node_list = rreq.node_list
     # length and last hop first: most copies a node hears fail them, and
     # they build no tuple
     if (len(node_list) != len(sent.node_list) + 1 or node_list[-1] != transmitter
             or node_list != sent.node_list + (transmitter,)):
-        return []
+        return None
     step = "2.1.2" if state.self_id == rreq.src else "2.2.5"
     if qos is not None:
         if rreq.metric_list is None:
-            return []
+            return None
         base_m = sent.metric_list or ()
         if len(rreq.metric_list) != len(base_m) + 1 or rreq.metric_list[:-1] != base_m:
-            return []
+            return None
         appended = rreq.metric_list[-1]
         own = qos.measure_scaled(state.self_id, (state.self_id, transmitter))
         if state.self_id == rreq.src:
             step = "2.1.1"
         if not qos.consistent(own, appended):
-            return [Note("fl-reject", f"{step} neighbor={transmitter}", rreq)]
+            return "fl-reject", f"{step} neighbor={transmitter}"
         state.fwd[key][transmitter] = appended
     else:
         state.fwd[key][transmitter] = None
-    return [Note("fl-add", f"{step} neighbor={transmitter}", rreq)]
+    return "fl-add", f"{step} neighbor={transmitter}"
 
 
-def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """Check a request from this node's position, then act on it
-    (`answer_rreq`).  A failed check is discarded with the rule id that
-    fired."""
-    if rreq.src == state.self_id:
-        return []  # querying node: only forward-list observation applies
+def receive_rreq(engine, state: NodeState, rreq: Rreq, transmitter: str, qos=None) -> None:
+    """Check a request from this node's position (`rreq_verdict`), then act
+    on it: relay it with this node (and, in augmented mode, its own link
+    metric) appended, or, at the destination, answer it with a signed reply.
+    A failed check is discarded with the rule id that fired.  The querying
+    node only observes its own query (`admit_relay`)."""
+    node = state.self_id
+    if rreq.src == node:
+        return
     verdict = rreq_verdict(state, rreq, transmitter, qos)
     if verdict is not None:
-        return [Note("discard", verdict.text, rreq)]
-    return answer_rreq(state, rreq, transmitter, qos)
-
-
-def answer_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """Act on a request that passed `rreq_verdict`: relay it with this node
-    (and, in augmented mode, its own link metric) appended, or, at the
-    destination, answer it with a signed reply."""
+        engine.trace_step(node, "discard", verdict.text, rreq)
+        return
     metric_list = rreq.metric_list
     if qos is not None:
-        own = qos.measure_scaled(state.self_id, (transmitter, state.self_id))
+        own = qos.measure_scaled(node, (transmitter, node))
         metric_list += (own if own is not None else 0,)
-    if rreq.dst != state.self_id:
+    if rreq.dst != node:
         out = Rreq(rreq.src, rreq.dst, rreq.qid, rreq.auth,
-                   rreq.node_list + (state.self_id,), metric_list)
+                   rreq.node_list + (node,), metric_list)
         remember_broadcast(state, out, qos)
-        return [Note("relay", "2.2.4", out), Broadcast(out)]
+        engine.trace_step(node, "relay", "2.2.4", out)
+        engine.bcast_l(node, out)
+        return
     state.seen.add((rreq.src, rreq.qid))
     route = tuple(reversed(rreq.node_list))
     fields = (rreq.src, rreq.dst, rreq.qid, route)
@@ -447,42 +456,100 @@ def answer_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     auth = state.keys.mac(rreq.src, fields)
     rrep = Rrep(rreq.src, rreq.dst, rreq.qid, route, auth, metric_list)
     target = route[0] if route else rreq.src
-    return [Note("reply", f"3.2 to={target}", rrep), Unicast(target, rrep)]
+    engine.trace_step(node, "reply", f"3.2 to={target}", rrep)
+    engine.send_l(node, target, rrep)
+
+
+def receive_rrep(engine, state: NodeState, rrep: Rrep, forwarder: str, now: float,
+                 cfg, qos=None) -> None:
+    """Check a reply from this node's position (`rrep_verdict`), then act on
+    it: relay it toward the querying node, or accept it there (its
+    authenticator has verified against the current query).  A failed check
+    is discarded with the rule id that fired."""
+    node = state.self_id
+    verdict = rrep_verdict(state, rrep, forwarder, qos)
+    if verdict is not None:
+        engine.trace_step(node, "discard", verdict.text, rrep)
+        return
+    if node != rrep.src:
+        idx = rrep.route.index(node)
+        predecessor = rrep.route[idx + 1] if idx + 1 < len(rrep.route) else rrep.src
+        engine.trace_step(node, "relay", f"4.4 to={predecessor}", rrep)
+        engine.send_l(node, predecessor, rrep)
+        return
+    disc = state.discoveries[rrep.dst]
+    full = (node,) + tuple(reversed(rrep.route)) + (rrep.dst,)
+    reported = tuple(reversed(rrep.metric_list)) if qos is not None else None
+    disc.accepted += 1
+    engine.trace_step(node, "accepted", "4.5", rrep)
+    engine.accept_route(node, RouteRecord(route=full, t1=disc.t1, t2=now, qid=disc.qid,
+                                          reported=reported))
+    min_conclude = disc.t1 + cfg.reply_wait_min
+    if now >= min_conclude:
+        _conclude(engine, state, disc, now, cfg, qos)
+    elif disc.accepted == 1:  # the first acceptance arms the conclude timer
+        engine.arm_timer(node, min_conclude, ("conclude", disc.dst, disc.qid))
+
+
+# --------------------------------------------------------------------------
+# Step functions: the act code against a recorder, returning its effects
+# --------------------------------------------------------------------------
+
+class Recorder:
+    """Stands in for the engine: records each step-method call as the effect
+    that `execute` maps back to that call."""
+
+    def __init__(self):
+        self.effects = []
+
+    def trace_step(self, node, outcome, detail, msg=None):
+        self.effects.append(Note(outcome, detail, msg))
+
+    def bcast_l(self, node, msg):
+        self.effects.append(Broadcast(msg))
+
+    def send_l(self, node, to, msg):
+        self.effects.append(Unicast(to, msg))
+
+    def arm_timer(self, node, at, tag):
+        self.effects.append(ArmTimer(at, tag))
+
+    def accept_route(self, node, record):
+        self.effects.append(Accept(record))
+
+
+def _recorded(act, *args) -> list:
+    """The effects of `act(engine, *args)`, recorded instead of applied."""
+    recorder = Recorder()
+    act(recorder, *args)
+    return recorder.effects
+
+
+def initiate_discovery(state: NodeState, dst: str, now: float, cfg, qos=None):
+    """The effects of `begin_discovery`."""
+    return _recorded(begin_discovery, state, dst, now, cfg, qos)
+
+
+def on_discovery_timer(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
+    """The effects of `retry_or_conclude`."""
+    return _recorded(retry_or_conclude, state, dst, qid, now, cfg, qos)
+
+
+def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
+    """The effects of `admit_relay`: its step line, if it writes one."""
+    seen = admit_relay(state, rreq, transmitter, qos)
+    return [] if seen is None else [Note(*seen, rreq)]
+
+
+def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
+    """The effects of `receive_rreq`."""
+    return _recorded(receive_rreq, state, rreq, transmitter, qos)
 
 
 def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
                  cfg, qos=None):
-    """Check a reply from this node's position, then act on it
-    (`answer_rrep`).  A failed check is discarded with the rule id that
-    fired."""
-    verdict = rrep_verdict(state, rrep, forwarder, qos)
-    if verdict is not None:
-        return [Note("discard", verdict.text, rrep)]
-    return answer_rrep(state, rrep, forwarder, now, cfg, qos)
-
-
-def answer_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
-                cfg, qos=None):
-    """Act on a reply that passed `rrep_verdict`: relay it toward the
-    querying node, or accept it there (its authenticator has verified
-    against the current query)."""
-    if state.self_id == rrep.src:
-        disc = state.discoveries[rrep.dst]
-        full = (state.self_id,) + tuple(reversed(rrep.route)) + (rrep.dst,)
-        reported = tuple(reversed(rrep.metric_list)) if qos is not None else None
-        record = RouteRecord(route=full, t1=disc.t1, t2=now, qid=disc.qid,
-                             reported=reported)
-        disc.accepted += 1
-        fx = [Note("accepted", "4.5", rrep), Accept(record)]
-        min_conclude = disc.t1 + cfg.reply_wait_min
-        if now >= min_conclude:
-            fx += _conclude(state, disc, now, cfg, qos)
-        elif disc.accepted == 1:  # the first acceptance arms the conclude timer
-            fx.append(ArmTimer(min_conclude, ("conclude", disc.dst, disc.qid)))
-        return fx
-    idx = rrep.route.index(state.self_id)
-    predecessor = rrep.route[idx + 1] if idx + 1 < len(rrep.route) else rrep.src
-    return [Note("relay", f"4.4 to={predecessor}", rrep), Unicast(predecessor, rrep)]
+    """The effects of `receive_rrep`."""
+    return _recorded(receive_rrep, state, rrep, forwarder, now, cfg, qos)
 
 
 # --------------------------------------------------------------------------
@@ -509,13 +576,10 @@ def execute(engine, node: str, effects) -> None:
 
 
 class SrpNode:
-    """Correct-node driver: feeds deliveries and timers through the protocol
-    functions and executes the resulting effects against the engine.
-
-    A delivery is checked, then acted on: the driver runs the verdict itself
-    and writes a failed check as its discard line straight away, so only a
-    compliant message's act phase (`answer_rreq`, `answer_rrep`) returns
-    effects.  The lines are those `handle_rreq` and `process_rrep` give."""
+    """Correct-node driver: feeds deliveries, timers and discovery actions
+    through the act code, which calls the engine's step methods itself.  No
+    effect is built on this path; the lines are those `execute` writes from
+    the step functions' effects."""
 
     def __init__(self, state: NodeState, cfg, qos=None):
         self.state = state
@@ -524,35 +588,22 @@ class SrpNode:
 
     def on_deliver(self, engine, msg, transmitter, addressed, now):
         state, qos = self.state, self.qos
-        node = state.self_id
         if isinstance(msg, Rreq):
-            fx = observe_relay(state, msg, transmitter, qos)
-            if fx:
-                execute(engine, node, fx)
-            if not addressed or msg.src == node:
-                return  # overheard, or our own query: observe only
-            verdict = rreq_verdict(state, msg, transmitter, qos)
-            if verdict is None:
-                execute(engine, node, answer_rreq(state, msg, transmitter, qos))
-            else:
-                engine.trace_step(node, "discard", verdict.text, msg)
+            seen = admit_relay(state, msg, transmitter, qos)
+            if seen is not None:
+                engine.trace_step(state.self_id, *seen, msg)
+            if addressed:  # else overheard: observe only
+                receive_rreq(engine, state, msg, transmitter, qos)
         elif isinstance(msg, Rrep) and addressed:
-            verdict = rrep_verdict(state, msg, transmitter, qos)
-            if verdict is None:
-                execute(engine, node, answer_rrep(state, msg, transmitter, now,
-                                                  self.cfg, qos))
-            else:
-                engine.trace_step(node, "discard", verdict.text, msg)
+            receive_rrep(engine, state, msg, transmitter, now, self.cfg, qos)
 
     def on_timer(self, engine, tag, now):
         _, dst, qid = tag  # ("replywait" | "conclude", dst, qid)
-        execute(engine, self.state.self_id,
-                on_discovery_timer(self.state, dst, qid, now, self.cfg, self.qos))
+        retry_or_conclude(engine, self.state, dst, qid, now, self.cfg, self.qos)
 
     def on_action(self, engine, action, now):
         if action[0] == "initiate":
-            fx = initiate_discovery(self.state, action[1], now, self.cfg, self.qos)
-            execute(engine, self.state.self_id, fx)
+            begin_discovery(engine, self.state, action[1], now, self.cfg, self.qos)
 
     def on_tunnel(self, engine, msg, frm, now):
         pass  # correct nodes have no private channel

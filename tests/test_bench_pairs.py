@@ -130,3 +130,24 @@ def test_a_claim_off_the_workloads_or_metrics_is_refused(tmp_path, capsys, claim
                           "--out", str(tmp_path / "out.json"), "--claim", claim])
     assert e.value.code == 2 and "--claim" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_metric_whose_parent_spread_exceeds_its_bound_is_unresolved():
+    # parent runs_per_s: median 10, IQR 2 (20% > the 15% bound); run_ms_p50:
+    # median 1.0, IQR 0.1 (10%, inside it)
+    out = bench_pairs.summarise(
+        _pairs([8.0, 9.0, 10.0, 11.0, 12.0], [10.0] * 5,
+               [0.8, 0.95, 1.0, 1.05, 1.2], [1.0] * 5), METRICS)
+    assert out["runs_per_s"]["parent_iqr"] == 2.0
+    assert out["runs_per_s"]["unresolved"] is True
+    assert out["run_ms_p50"]["parent_iqr"] == pytest.approx(0.1)
+    assert "unresolved" not in out["run_ms_p50"]
+
+
+@pytest.mark.parametrize("spread, unresolved", [(1.4, False), (1.6, True)])
+def test_unresolved_is_judged_against_the_metric_bound(spread, unresolved):
+    # IQR = spread on a median of 10: 14% is inside the 15% bound, 16% is not
+    parent = [10.0 - spread, 10.0 - spread / 2, 10.0, 10.0 + spread / 2, 10.0 + spread]
+    out = bench_pairs.summarise(_pairs(parent, [10.0] * 5, [1.0] * 5, [1.0] * 5), METRICS)
+    assert out["runs_per_s"]["parent_iqr"] == pytest.approx(spread)
+    assert out["runs_per_s"].get("unresolved", False) is unresolved

@@ -228,3 +228,15 @@ def test_accuracy_campaign_runs_a_one_link_line():
     assert harness.accuracy_campaign(GKind.ADD, 1, 0.1, 0.0, runs=0) == (0, [])
     accepted, violations = harness.accuracy_campaign(GKind.ADD, 1, 0.1, 0.0, runs=1)
     assert accepted >= 1 and violations == []
+
+
+def test_progress_is_reported_after_every_thousand_runs(monkeypatch):
+    def no_routes(scenario, seed=None):
+        return harness.RunResult(scenario=scenario, seed=0, trace=None, digest=0,
+                                 records=[], verdicts=[], expect_failures=[])
+    monkeypatch.setattr(harness, "run_scenario", no_routes)
+    seen = []
+    result = harness.run_campaign(lambda run_seed: None, ("loop",), 2000, SEED,
+                                  lambda done, runs: seen.append((done, runs)))
+    assert result == (0, [])
+    assert seen == [(1000, 2000), (2000, 2000)]

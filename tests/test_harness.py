@@ -630,6 +630,20 @@ class TestExpectations:
         assert not evaluate_expectations(
             {"victim_link": ["v", "u"], "victim_link_accepted": "some"}, rs, vs)
 
+    def test_none_fails_when_some_route_holds_the_property(self):
+        vs = [_verdict(fresh=False), _verdict()]
+        rs = [_record(), _record()]
+        assert evaluate_expectations({"fresh": "none"}, rs, vs) == [
+            "fresh: expected none to hold, some do"]
+        assert not evaluate_expectations({"fresh": "none"}, rs[:1], vs[:1])
+
+    def test_victim_link_some_fails_when_no_accepted_route_crosses_it(self):
+        rs = [_record(("S", "u", "v", "T"))]
+        vs = [_verdict(route=rs[0].route)]
+        assert evaluate_expectations(
+            {"victim_link": ["S", "v"], "victim_link_accepted": "some"}, rs, vs) == [
+            "no accepted route contains the victim link ['S', 'v']"]
+
     def test_metric_error_cap(self):
         vs = [_verdict(accurate=True, metric_error=0.0)]
         assert not evaluate_expectations({"max_metric_error": 0.0}, [_record()], vs)

@@ -15,11 +15,13 @@ FILE gets every run under "pairs" and, per workload, the "end_to_end"
 block: the median of each side, the parent's interquartile range, the
 change's relative difference, whether it is within the metric's bound, how
 many pairs the change won, the operations that failed and the runs whose
-result was not correct.  With --claim, FILE also gets a top-level "claim"
-block for that metric on that workload; it is met when the change won at
-least nine pairs in ten and its median beats the parent's by more than the
-parent's interquartile range.  FILE is rewritten after every pair, so a cut
-series keeps what it measured.
+result was not correct.  A metric whose parent interquartile range, over
+the parent median, exceeds its bound gets "unresolved": true: the parent's
+own spread hides any change the bound could judge.  With --claim, FILE
+also gets a top-level "claim" block for that metric on that workload; it is
+met when the change won at least nine pairs in ten and its median beats the
+parent's by more than the parent's interquartile range.  FILE is rewritten
+after every pair, so a cut series keeps what it measured.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
                                        for p, c in zip(parent, change)),
             "median_gain_over_parent_iqr": gain > parent_iqr,
         }
+        if parent_iqr > m["bound"] * parent_median:
+            out[name]["unresolved"] = True
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     out["failed"].update({f"attempted_{side}": sum(p[side]["attempted"] for p in pairs)
                           for side in SIDES})

@@ -16,7 +16,7 @@ from typing import Optional
 from .adversary import (AdversaryClass, exact_int, read_at, read_class, read_count,
                         read_int)
 from .scenario import AdversarySpec, Scenario, build, load_scenario, read_mode
-from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key,
+from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key, line_chunks,
                       trace_digest_of_lines)
 from .srp import RouteRecord
 from .srp_qos import GKind, LinkMetricModel, to_scaled
@@ -354,21 +354,30 @@ _QUERY = re.compile(r"(\S+) \d+ (\S+) step \S+ query dst=(\S+) qid=(\S*) ")
 _ACCEPT = re.compile(r"(\S+) \d+ \S+ step - accept route=(\S+)")
 
 
+def _trace_pieces(name: str, seed: int, lines, records, digest: int):
+    """The stored form of a run, in order and in pieces of bounded size: a
+    header naming the scenario and seed, the event lines a chunk at a time,
+    one `# accepted` record per accepted route, and the digest footer.  Every
+    piece ends with a line break."""
+    yield f"{TRACE_HEADER}{name} seed={seed}\n"
+    for chunk in line_chunks(lines):
+        yield "\n".join(chunk) + "\n"
+    for rec in records:
+        yield "# accepted " + json.dumps({
+            "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
+            "reported": None if rec.reported is None else list(rec.reported),
+        }) + "\n"
+    yield f"# digest {digest:016x}\n"
+
+
 def render_trace(name: str, seed: int, lines, records, digest: int) -> str:
-    """The stored form of a run: a header naming the scenario and seed, the
-    event lines, one `# accepted` record per accepted route, and the digest
-    footer."""
-    out = [f"{TRACE_HEADER}{name} seed={seed}", *lines]
-    out += ["# accepted " + json.dumps({
-        "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
-        "reported": None if rec.reported is None else list(rec.reported),
-    }) for rec in records]
-    out.append(f"# digest {digest:016x}")
-    return "\n".join(out) + "\n"
+    """The stored form of a run in one string: `_trace_pieces` joined."""
+    return "".join(_trace_pieces(name, seed, lines, records, digest))
 
 
 def write_trace(path, result: RunResult) -> None:
-    """Store a run's `render_trace` text at `path` as UTF-8.
+    """Store a run's `render_trace` text at `path` as UTF-8, a piece at a
+    time, so the whole text is never held.
 
     An existing file is overwritten in place and a stale tail is cut off
     after the write, rather than truncated to zero length first as mode "w"
@@ -378,11 +387,11 @@ def write_trace(path, result: RunResult) -> None:
     target without a length, such as /dev/null or a pipe, is never
     truncated.  A write that fails part-way leaves a file that `check_trace`
     rejects."""
-    data = render_trace(result.scenario.name, result.seed, result.trace.lines,
-                        result.records, result.digest).encode("utf-8")
+    pieces = _trace_pieces(result.scenario.name, result.seed, result.trace.lines,
+                           result.records, result.digest)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        if os.fstat(f.fileno()).st_size > len(data):
+        size = sum(f.write(piece.encode("utf-8")) for piece in pieces)
+        if os.fstat(f.fileno()).st_size > size:
             f.truncate()
 
 
@@ -438,16 +447,30 @@ def _accepted_routes(lines, stored, augmented: bool) -> list[RouteRecord]:
     return records
 
 
-def _first_difference(expected: str, found: str) -> str:
-    exp, got = expected.split("\n"), found.split("\n")
-    n = next((n for n, (e, f) in enumerate(zip(exp, got)) if e != f),
-             min(len(exp), len(got)) - 1)
-
-    def line(parts):  # line n with its line break, as written
-        if n + 1 < len(parts):
-            return repr(parts[n] + "\n")
-        return repr(parts[n]) if n < len(parts) and parts[n] else "end of file"
-    return f"line {n + 1}: expected {line(exp)}, found {line(got)}"
+def _first_difference(pieces, text: str) -> Optional[str]:
+    """None if text is the pieces joined; else a message naming the first
+    line where text differs, each side with its line break, as written.  The
+    pieces are compared with text one at a time, at running offsets."""
+    at, expected = 0, []
+    for piece in pieces:
+        if not text.startswith(piece, at):
+            expected = piece.split("\n")[:-1]  # the piece's lines; one differs
+            break
+        at += len(piece)
+    else:
+        if at == len(text):
+            return None
+    n = text.count("\n", 0, at)
+    want = "end of file"  # unless a line of the piece differs
+    for line in expected:
+        if not text.startswith(line + "\n", at):
+            want = repr(line + "\n")
+            break
+        at += len(line) + 1
+        n += 1
+    end = text.find("\n", at) + 1 or len(text)
+    found = repr(text[at:end]) if end > at else "end of file"
+    return f"line {n + 1}: expected {want}, found {found}"
 
 
 def check_trace(trace_path, scenario: Scenario):
@@ -468,10 +491,10 @@ def check_trace(trace_path, scenario: Scenario):
         records = _accepted_routes(lines, stored, scenario.metrics is not None)
     except TraceFormatError as e:
         return False, [str(e)], []
-    rendered = render_trace(scenario.name, seed, lines, records,
-                            trace_digest_of_lines(lines))
-    if rendered != text:
-        return False, [_first_difference(rendered, text)], []
+    difference = _first_difference(_trace_pieces(
+        scenario.name, seed, lines, records, trace_digest_of_lines(lines)), text)
+    if difference is not None:
+        return False, [difference], []
     verdicts = verdict_all(records, scenario.schedule_map, scenario.metrics,
                            scenario.adversaries)
     failures = evaluate_expectations(scenario.expect, records, verdicts)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -524,7 +523,23 @@ class Engine:
         return trace_digest_of_lines(self.lines)
 
 
+# lines per slice of a whole-trace pass: each pass holds one slice's text,
+# never a second copy of the whole trace
+_CHUNK = 1 << 10
+
+
+def line_chunks(lines: Iterable[str]):
+    """The lines in order, as list slices of at most _CHUNK lines; an
+    iterable that is not a list is read into one first."""
+    if not isinstance(lines, list):
+        lines = list(lines)
+    return (lines[i:i + _CHUNK] for i in range(0, len(lines), _CHUNK))
+
+
 def trace_digest_of_lines(lines: Iterable[str]) -> int:
     """blake2b-64 of the lines, each ended by a line break."""
-    data = "\n".join(itertools.chain(lines, ("",))).encode()
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in line_chunks(lines):
+        h.update("\n".join(chunk).encode())
+        h.update(b"\n")
+    return int.from_bytes(h.digest(), "big")

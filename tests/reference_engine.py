@@ -12,12 +12,15 @@ by a delivery, no link-change stretches and no memo.
   is up throughout the transmission window, one `_push` each.
 - The loop pops while the head's time is at most end_time, and calls each
   handler by name, so the overrides here run in place of the engine's.
+- The trace digest is blake2b-64 over every line with its line break,
+  encoded in one piece.
 It keeps `_push`, `_delay`, the link-layer primitives and the event
 handlers, which state what a frame does.
 
 `ReferenceSrpNode` is the correct-node driver as the composition of the step
-functions: `observe_relay`, then the effects of `handle_rreq` or
-`process_rrep`, every effect through `execute`.
+functions, every effect through `execute`: a delivery runs `observe_relay`,
+then `handle_rreq` or `process_rrep`; a timer runs `on_discovery_timer`; a
+discovery action runs `initiate_discovery`.
 
 `reference_build` wires a scenario as `build` does, with both in place.
 """
@@ -30,7 +33,8 @@ from contextlib import contextmanager
 
 from srpsim import Engine, SrpNode, build, scenario
 from srpsim.identity import encode_fields
-from srpsim.srp import Rrep, Rreq, execute, handle_rreq, observe_relay, process_rrep
+from srpsim.srp import (Rrep, Rreq, execute, handle_rreq, initiate_discovery,
+                        observe_relay, on_discovery_timer, process_rrep)
 
 
 class ReferenceEngine(Engine):
@@ -67,6 +71,10 @@ class ReferenceEngine(Engine):
         self._record(node, primitive, self._digest(msg), "delivered", transmitter)
         self.nodes[node].on_deliver(self, msg, transmitter, addressed, self.now)
 
+    def trace_digest(self) -> int:
+        data = "".join(line + "\n" for line in self.lines).encode()
+        return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
     def run(self):
         while self._queue and self._queue[0][0] <= self.config.end_time:
             self.now, _, handler, args = heapq.heappop(self._queue)
@@ -75,6 +83,16 @@ class ReferenceEngine(Engine):
 
 
 class ReferenceSrpNode(SrpNode):
+    def on_timer(self, engine, tag, now):
+        _, dst, qid = tag
+        execute(engine, self.state.self_id,
+                on_discovery_timer(self.state, dst, qid, now, self.cfg, self.qos))
+
+    def on_action(self, engine, action, now):
+        if action[0] == "initiate":
+            execute(engine, self.state.self_id,
+                    initiate_discovery(self.state, action[1], now, self.cfg, self.qos))
+
     def on_deliver(self, engine, msg, transmitter, addressed, now):
         node = self.state.self_id
         if isinstance(msg, Rreq):

@@ -408,3 +408,54 @@ class TestFuzzScripts:
 
     def test_bounds_set_the_emission_budget(self):
         assert attack("fuzz", {"bounds": {"max_emissions": 2}}).max_emissions == 2
+
+
+class TestRareAttackPaths:
+    """Attack-script branches no bundled scenario or campaign run takes;
+    each test names the branch it reaches."""
+
+    def test_biased_metric_relays_as_a_correct_node_in_basic_mode(self):
+        # BiasedMetric.on_rreq: `qos is None`, the base class's relay
+        node = _adv_node(AdversaryClass.INDEPENDENT, attack("biased_metric"))
+        rreq = _signed_rreq(_table(), ("a",))
+        assert node.script.on_rreq(node, rreq, "a") == \
+            [Broadcast(replace(rreq, node_list=("a", "m")))]
+        assert node.qos is None
+
+    def test_fuzz_on_time_with_one_other_node_does_nothing(self):
+        # FuzzScript.on_time: `len(roster) < 2`, the empty return
+        node = _adv_node(AdversaryClass.ARBITRARY, attack("fuzz", {"seed": 3}))
+        node.roster = ("a", "m")
+        assert node.script.on_time(node) == []
+
+    @pytest.mark.parametrize("ml", [None, (5, 7)], ids=["no-list", "list"])
+    def test_fuzz_mangle_metrics_in_basic_mode_keeps_the_list(self, ml):
+        # FuzzScript._mangle_metrics: `ml is None or node.qos is None`, the
+        # list returned as given, with no draw from the node's stream
+        node = _adv_node(AdversaryClass.ARBITRARY, attack("fuzz", {"seed": 3}))
+        drawn = node.rng.getstate()
+        assert node.script._mangle_metrics(node, ml) == ml
+        assert node.rng.getstate() == drawn
+
+    @pytest.mark.parametrize("role, hook, msg", [
+        ("exit", "on_rreq", Rreq("S", "T", 1, 0, ("a",))),
+        ("entry", "on_rrep", Rrep("S", "T", 1, ("m",), 0)),
+        ("exit", "on_tunnel", Rrep("S", "T", 1, ("m",), 0)),
+        ("entry", "on_tunnel", Rreq("S", "T", 1, 0, ("a",))),
+    ], ids=["exit-rreq", "entry-rrep", "exit-tunnelled-rrep", "entry-tunnelled-rreq"])
+    def test_fig1a_tunnel_ignores_what_the_other_role_handles(self, role, hook, msg):
+        # Fig1aTunnel's no-op returns: the exit's on_rreq, the entry's
+        # on_rrep, and on_tunnel's final return for either role
+        script = attack("fig1a_tunnel", {"path": ["m", "x"], "role": role},
+                        AdversaryClass.ARBITRARY, ("m", "x"))
+        node = _adv_node(AdversaryClass.ARBITRARY, script)
+        assert getattr(script, hook)(node, msg, "a") == []
+
+    def test_forged_rrep_in_augmented_mode_carries_one_metric_per_link(self):
+        # AdversaryNode.forged_rrep: `rreq.metric_list is not None`, with
+        # len(route) + 1 fake metrics
+        node = _adv_node(AdversaryClass.ARBITRARY, attack("passive"))
+        rreq = _signed_rreq(_table(), ("a",), metric_list=(to_scaled(2.0),))
+        rrep = node.forged_rrep(rreq, ("m", "a"))
+        assert (rrep.src, rrep.dst, rrep.qid, rrep.route) == ("S", "T", 1, ("m", "a"))
+        assert rrep.metric_list == (to_scaled(1.0),) * 3

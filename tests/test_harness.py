@@ -24,9 +24,10 @@ from srpsim import AdversaryClass, GKind, LinkMetricModel, SimConfig
 from srpsim import scenario as scenario_module
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
-from srpsim.harness import MAX_FUZZ_NODES, read_trace, render_trace
+from srpsim.harness import MAX_FUZZ_NODES, _first_difference, read_trace, render_trace
 from srpsim.scenario import EXPECT_KEYS, AdversarySpec
-from srpsim.simcore import trace_digest_of_lines
+from srpsim.simcore import _CHUNK, trace_digest_of_lines
+from test_golden_grid import grid
 
 MINIMAL = {
     "name": "mini",
@@ -689,6 +690,31 @@ class TestTracePersistence:
         assert p.stat().st_ino == inode
         assert p.stat().st_mode & 0o777 == 0o640
 
+    def test_roundtrip_of_a_trace_longer_than_a_chunk(self, tmp_path):
+        # a 12 x 12 grid flood: its event lines are stored and checked in two
+        # chunks
+        scen = grid(12)
+        res = run_scenario(scen)
+        assert _CHUNK < len(res.trace) < 2 * _CHUNK
+        p = tmp_path / "grid.trace"
+        write_trace(p, res)
+        assert p.read_bytes() == render_trace(
+            scen.name, res.seed, res.trace.lines, res.records,
+            res.digest).encode("utf-8")
+        ok, messages, verdicts = check_trace(p, scen)
+        assert ok and len(verdicts) == len(res.records) == 1, messages
+        # comment out an event line of the second chunk (file line n): the
+        # file then differs from what write_trace writes at that line
+        lines = p.read_text().split("\n")
+        n = 2 + _CHUNK + 100
+        assert not lines[n - 1].startswith("#")
+        lines[n - 1] = "#" + lines[n - 1]
+        p.write_text("\n".join(lines))
+        ok, messages, verdicts = check_trace(p, scen)
+        assert not ok and verdicts == []
+        expected, found = lines[n] + "\n", lines[n - 1] + "\n"
+        assert messages == [f"line {n}: expected {expected!r}, found {found!r}"]
+
     def test_tampered_trace_fails_digest(self, tmp_path):
         scen = scenario_from_dict(MINIMAL)
         res = run_scenario(scen)
@@ -935,7 +961,42 @@ def _edited_trace(draw):
     return scen, edited
 
 
+def _whole_text_difference(expected: str, found: str) -> str:
+    """The reference for `harness._first_difference`: both texts split into
+    lines whole, and line n of each shown with its line break, as written."""
+    exp, got = expected.split("\n"), found.split("\n")
+    n = next((n for n, (e, f) in enumerate(zip(exp, got)) if e != f),
+             min(len(exp), len(got)) - 1)
+
+    def line(parts):
+        if n + 1 < len(parts):
+            return repr(parts[n] + "\n")
+        return repr(parts[n]) if n < len(parts) and parts[n] else "end of file"
+    return f"line {n + 1}: expected {line(exp)}, found {line(got)}"
+
+
+_LINES = st.lists(st.sampled_from(["", "a", "ab", "b a", "#"]), max_size=8)
+
+
 class TestStoredTraceCheck:
+    @given(_LINES, st.lists(st.integers(1, 3), min_size=8, max_size=8),
+           st.lists(st.tuples(st.integers(0, 60), st.sampled_from(["", "a", "\n", "\r"])),
+                    max_size=3))
+    def test_first_difference_matches_the_whole_text_comparison(self, lines, sizes, edits):
+        # the lines split into pieces of 1-3 lines, each line ended by a
+        # break; each edit puts a string in place of one character, or
+        # appends it when past the end
+        pieces, i = [], 0
+        for size in sizes:
+            if i < len(lines):
+                pieces.append("".join(ln + "\n" for ln in lines[i:i + size]))
+                i += size
+        expected = text = "".join(pieces)
+        for at, new in edits:
+            text = text[:at] + new + text[at + 1:]
+        found = _first_difference(iter(pieces), text)
+        assert found == (None if text == expected else _whole_text_difference(expected, text))
+
     @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
     def test_accepts_what_write_trace_writes(self, tmp_path, path):
         scen, text = _stored(path.stem)

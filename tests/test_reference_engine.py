@@ -1,9 +1,11 @@
 """Differential test of the engine and the correct-node driver: every run
 here is made by the production engine and by `reference_engine`, and the two
-must write the same trace lines, accept the same routes and end on the same
-seq.  Runs come from both campaign generators, under run seeds Hypothesis
-draws, and from fixed cases: every bundled scenario under two seeds and a
-5 x 5 grid.  The tied-head cases are in `test_simcore.TestLinkChangeSeeding`.
+must write the same trace lines, accept the same routes, end on the same
+seq and give the same trace digest.  Runs come from both campaign generators,
+under run seeds Hypothesis draws, and from fixed cases: every bundled
+scenario under two seeds, a 5 x 5 grid and a 12 x 12 grid, whose trace is
+longer than one slice of `trace_digest_of_lines`.  The tied-head cases are
+in `test_simcore.TestLinkChangeSeeding`.
 """
 
 import random
@@ -11,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srpsim import AdversaryClass, GKind, bundled_scenarios, load_scenario
+from srpsim import AdversaryClass, GKind, build, bundled_scenarios, load_scenario, simcore
 from srpsim.harness import accuracy_scenario, random_scenario
 
 from reference_engine import run_both
@@ -25,6 +27,7 @@ def assert_reference_equal(scen, seed=None):
     assert got.lines == want.lines
     assert got.accepted == want.accepted
     assert got._seq == want._seq
+    assert got.trace_digest() == want.trace_digest()
 
 
 @settings(max_examples=400, deadline=None)
@@ -55,3 +58,10 @@ def test_bundled_scenarios(path, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_grid(seed):
     assert_reference_equal(grid(5), seed)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_grid_longer_than_a_digest_slice(seed):
+    scen = grid(12)
+    assert len(build(scen, seed).run()) > simcore._CHUNK
+    assert_reference_equal(scen, seed)

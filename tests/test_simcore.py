@@ -19,7 +19,7 @@ from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
                     simcore)
 from srpsim.harness import random_scenario
 from srpsim.scenario import Scenario
-from srpsim.simcore import message_digest, trace_digest_of_lines
+from srpsim.simcore import _CHUNK, message_digest, trace_digest_of_lines
 from reference_engine import ReferenceEngine, run_both
 from test_golden_grid import grid
 
@@ -368,6 +368,14 @@ class TestTraceLines:
         assert trace_digest_of_lines(lines) == _ended_lines_digest(lines) \
             == trace_digest_of_lines(line for line in lines)
 
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_digest_of_lines_is_unmoved_by_slice_edges(self, n):
+        # an empty line on each side of every slice edge: a break dropped or
+        # doubled there moves the digest
+        lines = ["" if i % _CHUNK in (0, _CHUNK - 1) else f"{i} x" for i in range(n)]
+        assert trace_digest_of_lines(lines) == _ended_lines_digest(lines) \
+            == trace_digest_of_lines(line for line in lines)
+
     def test_negative_zero_renders_apart_from_zero(self):
         # 0.0 == -0.0, but the two times print differently
         path = next(p for p in bundled_scenarios() if p.stem == "benign_basic")
@@ -504,6 +512,7 @@ class TestLinkChangeSeeding:
         assert _link_lines(got)
         assert got.lines == want.lines
         assert got._seq == want._seq
+        assert got.trace_digest() == want.trace_digest()
 
     def test_changes_past_end_time_never_run(self):
         scen = scenario_from_dict({
@@ -517,6 +526,7 @@ class TestLinkChangeSeeding:
         assert got.lines == want.lines
         # three seqs reserved at build, three taken by the lines
         assert got._seq == want._seq == 6
+        assert got.trace_digest() == want.trace_digest()
         got.run()  # a second run has nothing left to do
         assert got.lines == want.lines
 
@@ -558,6 +568,7 @@ class TestLinkChangeSeeding:
         got, want = run_both(scen)
         assert got.lines == want.lines
         assert got._seq == want._seq
+        assert got.trace_digest() == want.trace_digest()
         for t, state in ((0.0, "up"), (end, "down")):
             at_t = [(e.primitive, e.outcome) for e in got.trace if e.time == t]
             assert at_t[:len(scen.links)] == [("link", state)] * len(scen.links)

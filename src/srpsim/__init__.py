@@ -6,8 +6,8 @@ correct and adversarial nodes, then checks every accepted route against the
 ground truth: loop-freedom, freshness, weak freshness, and metric accuracy.
 """
 
-from .adversary import (AdversaryClass, AdversaryNode, AttackClassError,
-                        CATALOG, FuzzScript, TunnelSend, attack)
+from .adversary import (AdversaryClass, AdversaryNode, ArmTimer, AttackClassError,
+                        Broadcast, CATALOG, FuzzScript, TunnelSend, Unicast, attack)
 from .harness import (FuzzConfig, accuracy_campaign, bundled_scenarios,
                       check_trace, evaluate_expectations, fuzz_campaign,
                       run_scenario, write_trace)
@@ -15,10 +15,8 @@ from .identity import KeyAccessError, KeyTable, encode_fields
 from .scenario import ScenarioError, build, load_scenario, scenario_from_dict
 from .simcore import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
                       ScheduleError, ScheduleMap, SimConfig, edge_key)
-from .srp import (Accept, ArmTimer, Broadcast, ConfigurationError, NodeState,
-                  RouteRecord, Rrep, Rreq, SrpNode, Unicast, handle_rreq,
-                  initiate_discovery, observe_relay, on_discovery_timer,
-                  process_rrep, rreq_verdict, rrep_verdict)
+from .srp import (ConfigurationError, NodeState, RouteRecord, Rrep, Rreq, SrpNode,
+                  rreq_verdict, rrep_verdict)
 from .srp_qos import (GKind, LinkMetricModel, QosRuntime, delta_good,
                       from_scaled, route_metric, to_scaled)
 from .verifier import (Verdict, check_accuracy, check_fresh, check_loop_free,

@@ -17,9 +17,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from . import srp
-from .srp import (ArmTimer, Broadcast, Rrep, Rreq, Unicast, admit_relay,
-                  rreq_verdict, rrep_verdict)
+from .srp import (Rrep, Rreq, admit_relay, remember_broadcast, rreq_verdict,
+                  rrep_verdict)
 from .simcore import exact_int, exact_number, is_node_id
 from .srp_qos import SCALE, to_scaled
 
@@ -29,9 +28,30 @@ class AdversaryClass(str, Enum):
     ARBITRARY = "arbitrary"
 
 
+# Effects: what attack scripts return, applied in order by
+# `AdversaryNode._execute`.  The slotted ones are not frozen: a frozen
+# dataclass costs several times as much to create.
+
+@dataclass(slots=True)
+class Broadcast:
+    msg: object
+
+
+@dataclass(slots=True)
+class Unicast:
+    to: str
+    msg: object
+
+
+@dataclass(slots=True)
+class ArmTimer:
+    at: float
+    tag: tuple
+
+
 @dataclass(frozen=True)
 class Later:
-    """Execute a wrapped action after a delay (adversary-only effect)."""
+    """Execute a wrapped action after a delay."""
 
     delay: float
     action: object
@@ -39,7 +59,7 @@ class Later:
 
 @dataclass(slots=True)
 class TunnelSend:
-    """Send a payload along the script's tunnel (adversary-only effect)."""
+    """Send a payload along the script's tunnel."""
 
     msg: object
 
@@ -892,8 +912,9 @@ class AdversaryNode:
 
     def _execute(self, engine, actions):
         """Apply the adversary-only rules (deferral, the emission budget, no
-        self-addressed frames, tunnels for the arbitrary class only) and hand
-        each surviving effect but a tunnel payload to the shared executor."""
+        self-addressed frames, tunnels for the arbitrary class only), then
+        each surviving effect, in order.  No effect class has a subclass, so
+        each is told by its exact type; any other object is refused."""
         for a in actions:
             if a is None:
                 continue
@@ -909,11 +930,18 @@ class AdversaryNode:
                 if isinstance(a, TunnelSend) and self.klass is not AdversaryClass.ARBITRARY:
                     raise AttackClassError("tunnel use by a non-arbitrary adversary")
                 engine.note_adversary_emission(self.node_id, a.msg)
-            if isinstance(a, TunnelSend):
+            kind = type(a)
+            if kind is Broadcast:
+                engine.bcast_l(self.node_id, a.msg)
+                if isinstance(a.msg, Rreq):
+                    remember_broadcast(self.state, a.msg, self.qos)
+            elif kind is Unicast:
+                engine.send_l(self.node_id, a.to, a.msg)
+            elif kind is ArmTimer:
+                engine.arm_timer(self.node_id, a.at, a.tag)
+            elif kind is TunnelSend:
                 if not self.script.tunnel:
                     raise RuntimeError(f"{self.node_id}'s script has no tunnel path")
                 engine.tunnel_send(self.script.tunnel, a.msg)
-                continue
-            srp.execute(engine, self.node_id, [a])
-            if isinstance(a, Broadcast) and isinstance(a.msg, Rreq):
-                srp.remember_broadcast(self.state, a.msg, self.qos)
+            else:
+                raise RuntimeError(f"unexpected effect {a!r} from {self.node_id}")

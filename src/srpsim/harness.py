@@ -355,19 +355,20 @@ _ACCEPT = re.compile(r"(\S+) \d+ \S+ step - accept route=(\S+)")
 
 
 def _trace_pieces(name: str, seed: int, lines, records, digest: int):
-    """The stored form of a run, in order and in pieces of bounded size: a
-    header naming the scenario and seed, the event lines a chunk at a time,
-    one `# accepted` record per accepted route, and the digest footer.  Every
-    piece ends with a line break."""
-    yield f"{TRACE_HEADER}{name} seed={seed}\n"
-    for chunk in line_chunks(lines):
+    """The stored form of a run, in order: a header naming the scenario and
+    seed, the event lines, one `# accepted` record per accepted route, and
+    the digest footer.  The header and the first chunk of event lines are
+    one piece, each further chunk is one, and the records and the footer
+    are the last, so a trace of one chunk is two pieces.  Every piece ends
+    with a line break."""
+    chunks = line_chunks(lines)
+    yield "\n".join([f"{TRACE_HEADER}{name} seed={seed}", *next(chunks, ()), ""])
+    for chunk in chunks:
         yield "\n".join(chunk) + "\n"
-    for rec in records:
-        yield "# accepted " + json.dumps({
-            "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
-            "reported": None if rec.reported is None else list(rec.reported),
-        }) + "\n"
-    yield f"# digest {digest:016x}\n"
+    yield "\n".join([*("# accepted " + json.dumps({
+        "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
+        "reported": None if rec.reported is None else list(rec.reported),
+    }) for rec in records), f"# digest {digest:016x}", ""])
 
 
 def render_trace(name: str, seed: int, lines, records, digest: int) -> str:

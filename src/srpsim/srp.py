@@ -14,15 +14,8 @@ step methods (`trace_step`, `bcast_l`, `send_l`, `arm_timer`,
 and relay, reply, accept or discard it; `admit_relay` maintains the forward
 list from every request heard; `begin_discovery` and `retry_or_conclude`
 run a discovery action and a fired timer.  `SrpNode` drives them against the
-engine and builds no effect.
-
-The step functions `handle_rreq`, `process_rrep`, `observe_relay`,
-`initiate_discovery` and `on_discovery_timer` run the same act code against a
-`Recorder` and return its effects (broadcast, unicast, timer, accept, trace
-note).  `execute` applies an effect list to the engine; it is the one
-executor, for those lists and for attack scripts' actions.  No engine call
-re-enters a node, so the act code writes the lines that executing its effect
-list afterwards would.
+engine.  The engine is a parameter of the act code, so a stand-in that logs
+the calls can take its place.
 """
 
 from __future__ import annotations
@@ -156,43 +149,6 @@ _AT_DESTINATION = (DEST_DUPLICATE, DEST_PRECURSOR_MISMATCH, DEST_IDENTITY_LOOP, 
 
 def _has_duplicates(seq) -> bool:
     return len(set(seq)) != len(seq)
-
-
-# --------------------------------------------------------------------------
-# Effects: what attack scripts return and what the step functions record,
-# applied to the engine by `execute`
-#
-# Slotted, not frozen: a frozen dataclass costs several times as much to
-# create.  Effects still compare by value.
-# --------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class Broadcast:
-    msg: object
-
-
-@dataclass(slots=True)
-class Unicast:
-    to: str
-    msg: object
-
-
-@dataclass(slots=True)
-class ArmTimer:
-    at: float
-    tag: tuple
-
-
-@dataclass(slots=True)
-class Accept:
-    record: RouteRecord
-
-
-@dataclass(slots=True)
-class Note:
-    outcome: str
-    detail: str
-    msg: object = None
 
 
 # --------------------------------------------------------------------------
@@ -492,94 +448,12 @@ def receive_rrep(engine, state: NodeState, rrep: Rrep, forwarder: str, now: floa
 
 
 # --------------------------------------------------------------------------
-# Step functions: the act code against a recorder, returning its effects
+# Engine driver
 # --------------------------------------------------------------------------
-
-class Recorder:
-    """Stands in for the engine: records each step-method call as the effect
-    that `execute` maps back to that call."""
-
-    def __init__(self):
-        self.effects = []
-
-    def trace_step(self, node, outcome, detail, msg=None):
-        self.effects.append(Note(outcome, detail, msg))
-
-    def bcast_l(self, node, msg):
-        self.effects.append(Broadcast(msg))
-
-    def send_l(self, node, to, msg):
-        self.effects.append(Unicast(to, msg))
-
-    def arm_timer(self, node, at, tag):
-        self.effects.append(ArmTimer(at, tag))
-
-    def accept_route(self, node, record):
-        self.effects.append(Accept(record))
-
-
-def _recorded(act, *args) -> list:
-    """The effects of `act(engine, *args)`, recorded instead of applied."""
-    recorder = Recorder()
-    act(recorder, *args)
-    return recorder.effects
-
-
-def initiate_discovery(state: NodeState, dst: str, now: float, cfg, qos=None):
-    """The effects of `begin_discovery`."""
-    return _recorded(begin_discovery, state, dst, now, cfg, qos)
-
-
-def on_discovery_timer(state: NodeState, dst: str, qid: int, now: float, cfg, qos=None):
-    """The effects of `retry_or_conclude`."""
-    return _recorded(retry_or_conclude, state, dst, qid, now, cfg, qos)
-
-
-def observe_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """The effects of `admit_relay`: its step line, if it writes one."""
-    seen = admit_relay(state, rreq, transmitter, qos)
-    return [] if seen is None else [Note(*seen, rreq)]
-
-
-def handle_rreq(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
-    """The effects of `receive_rreq`."""
-    return _recorded(receive_rreq, state, rreq, transmitter, qos)
-
-
-def process_rrep(state: NodeState, rrep: Rrep, forwarder: str, now: float,
-                 cfg, qos=None):
-    """The effects of `receive_rrep`."""
-    return _recorded(receive_rrep, state, rrep, forwarder, now, cfg, qos)
-
-
-# --------------------------------------------------------------------------
-# Engine drivers
-# --------------------------------------------------------------------------
-
-def execute(engine, node: str, effects) -> None:
-    """Apply one node's effects to the engine, in order.  No effect class
-    has a subclass, so each is told by its exact type."""
-    for f in effects:
-        kind = type(f)
-        if kind is Note:  # the most frequent effect
-            engine.trace_step(node, f.outcome, f.detail, f.msg)
-        elif kind is Broadcast:
-            engine.bcast_l(node, f.msg)
-        elif kind is Unicast:
-            engine.send_l(node, f.to, f.msg)
-        elif kind is ArmTimer:
-            engine.arm_timer(node, f.at, f.tag)
-        elif kind is Accept:
-            engine.accept_route(node, f.record)
-        else:
-            raise RuntimeError(f"unexpected effect {f!r} from {node}")
-
 
 class SrpNode:
     """Correct-node driver: feeds deliveries, timers and discovery actions
-    through the act code, which calls the engine's step methods itself.  No
-    effect is built on this path; the lines are those `execute` writes from
-    the step functions' effects."""
+    through the act code, which calls the engine's step methods itself."""
 
     def __init__(self, state: NodeState, cfg, qos=None):
         self.state = state

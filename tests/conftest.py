@@ -9,6 +9,17 @@ def cfg():
                      reply_wait_min=8.0, reply_wait_max=64.0)
 
 
+class CallLog:
+    """An engine stand-in that logs each step-method call it is given, as
+    (method name, arguments), in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append((name, args))
+
+
 def make_table(*pairs):
     table = KeyTable()
     for a, b in pairs:

@@ -1,6 +1,6 @@
-"""A reference engine and a reference correct-node driver, for differential
-tests of the production engine (McKeeman, "Differential testing for
-software", Digital Technical Journal 1998).
+"""A reference engine, for differential tests of the production engine and
+correct node (McKeeman, "Differential testing for software", Digital
+Technical Journal 1998).
 
 `ReferenceEngine` states the engine's semantics plainly, with none of its
 hot-path work: no fan-out loop over the neighbour index, no digest carried
@@ -17,12 +17,8 @@ by a delivery, no link-change stretches and no memo.
 It keeps `_push`, `_delay`, the link-layer primitives and the event
 handlers, which state what a frame does.
 
-`ReferenceSrpNode` is the correct-node driver as the composition of the step
-functions, every effect through `execute`: a delivery runs `observe_relay`,
-then `handle_rreq` or `process_rrep`; a timer runs `on_discovery_timer`; a
-discovery action runs `initiate_discovery`.
-
-`reference_build` wires a scenario as `build` does, with both in place.
+`reference_build` wires a scenario as `build` does, with `ReferenceEngine`
+and `reference_node.ReferenceSrpNode`, the frozen correct node, in place.
 """
 
 from __future__ import annotations
@@ -31,10 +27,10 @@ import hashlib
 import heapq
 from contextlib import contextmanager
 
-from srpsim import Engine, SrpNode, build, scenario
+from srpsim import Engine, build, scenario
 from srpsim.identity import encode_fields
-from srpsim.srp import (Rrep, Rreq, execute, handle_rreq, initiate_discovery,
-                        observe_relay, on_discovery_timer, process_rrep)
+
+from reference_node import ReferenceSrpNode
 
 
 class ReferenceEngine(Engine):
@@ -80,28 +76,6 @@ class ReferenceEngine(Engine):
             self.now, _, handler, args = heapq.heappop(self._queue)
             getattr(self, handler.__name__)(*args)
         return self.trace
-
-
-class ReferenceSrpNode(SrpNode):
-    def on_timer(self, engine, tag, now):
-        _, dst, qid = tag
-        execute(engine, self.state.self_id,
-                on_discovery_timer(self.state, dst, qid, now, self.cfg, self.qos))
-
-    def on_action(self, engine, action, now):
-        if action[0] == "initiate":
-            execute(engine, self.state.self_id,
-                    initiate_discovery(self.state, action[1], now, self.cfg, self.qos))
-
-    def on_deliver(self, engine, msg, transmitter, addressed, now):
-        node = self.state.self_id
-        if isinstance(msg, Rreq):
-            execute(engine, node, observe_relay(self.state, msg, transmitter, self.qos))
-            if addressed:
-                execute(engine, node, handle_rreq(self.state, msg, transmitter, self.qos))
-        elif isinstance(msg, Rrep) and addressed:
-            execute(engine, node, process_rrep(self.state, msg, transmitter, now,
-                                               self.cfg, self.qos))
 
 
 @contextmanager

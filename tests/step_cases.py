@@ -4,12 +4,14 @@ Each case builds the smallest state/message pair that makes exactly one rule
 fire and returns the verdict together with the `srp.RULES` entry it must be.
 The acceptance suite re-runs this table and requires it to cover every entry,
 so keep cases self-contained.  The forward-list cases at the end reach the
-returns of `observe_relay` that admit no neighbour.
+returns of `admit_relay` that admit no neighbour.
 """
 
 from srpsim import (KeyTable, LinkMetricModel, NodeState, QosRuntime, Rrep,
-                    Rreq, SimConfig, GKind, handle_rreq, initiate_discovery,
-                    observe_relay, rreq_verdict, rrep_verdict, srp, to_scaled)
+                    Rreq, SimConfig, GKind, rreq_verdict, rrep_verdict, srp, to_scaled)
+from srpsim.srp import admit_relay, begin_discovery, receive_rreq
+
+from conftest import CallLog
 
 CFG = SimConfig(tau=1.0, tx_time=1.0, end_time=100.0, seed=1,
                 reply_wait_min=8.0, reply_wait_max=64.0)
@@ -39,7 +41,7 @@ def _signed_rreq(table, node_list=(), metric_list=None, qid=1):
 def _source_state_with_discovery(table, qos=None):
     """A querying node that just issued qid=1 at t=1."""
     state = _state("S", table)
-    initiate_discovery(state, "T", 1.0, CFG, qos)
+    begin_discovery(CallLog(), state, "T", 1.0, CFG, qos)
     return state
 
 
@@ -242,7 +244,7 @@ def case_4_2_2():
 def case_4_5():
     table = _table()
     state = _source_state_with_discovery(table)
-    observe_relay(state, _signed_rreq(table, ("a",)), "a", None)
+    admit_relay(state, _signed_rreq(table, ("a",)), "a", None)
     good = _signed_rrep(table, ("a",))
     bad = Rrep("S", "T", 1, good.route, good.auth ^ 1, None)
     return rrep_verdict(state, bad, "a", None), srp.REPLY_AUTH_MISMATCH
@@ -253,7 +255,7 @@ def case_4_5_stale_qid():
     # the current one
     table = _table()
     state = _source_state_with_discovery(table)
-    observe_relay(state, _signed_rreq(table, ("a",)), "a", None)
+    admit_relay(state, _signed_rreq(table, ("a",)), "a", None)
     stale = _signed_rrep(table, ("a",), qid=7)
     return rrep_verdict(state, stale, "a", None), srp.REPLY_AUTH_MISMATCH
 
@@ -278,9 +280,10 @@ DISCARD_CASES = [
 ]
 
 
-# --- forward-list counterexamples: observe_relay admits no neighbour --------
+# --- forward-list counterexamples: admit_relay admits no neighbour ----------
 #
-# Each case returns (observe_relay's effects, the forward list after it).
+# Each case returns (what admit_relay returns, the forward list after it),
+# on a forward list that was empty before it.
 
 def case_fl_augmented_relay_without_metric_list():
     # m relayed an augmented-mode request; v's copy extends m's node list by
@@ -288,9 +291,11 @@ def case_fl_augmented_relay_without_metric_list():
     table = _table()
     qos = _qos(actual={("a", "m"): 1.0, ("m", "v"): 1.0})
     state = _state("m", table)
-    handle_rreq(state, _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),)), "a", qos)
+    receive_rreq(CallLog(), state, _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),)),
+                 "a", qos)
+    assert state.fwd[("S", 1)] == {}
     heard = _signed_rreq(table, ("a", "m", "v"))
-    return observe_relay(state, heard, "v", qos), state.fwd[("S", 1)]
+    return admit_relay(state, heard, "v", qos), state.fwd[("S", 1)]
 
 
 NO_ADMISSION_CASES = [case_fl_augmented_relay_without_metric_list]

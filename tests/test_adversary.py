@@ -108,8 +108,8 @@ class TestComplianceGate:
 
 
 class TestExecutor:
-    """The adversary-only rules AdversaryNode applies before handing an
-    effect to the shared executor."""
+    """The adversary-only rules AdversaryNode applies before it applies an
+    effect."""
 
     def _run(self, klass, actions, max_emissions=64):
         node = _adv_node(klass, attack("passive"))

@@ -1,19 +1,18 @@
 """Step-level conformance: every registered protocol check fires on a
 minimal counterexample and returns its own `srp.RULES` entry, and the action
 steps (append, forward-list admission, reply generation, relay, acceptance)
-do what they say."""
+do what they say.  The act code runs against a `CallLog`, and each action
+step's test pins its whole sequence of engine calls: a step line comes
+before the send, acceptance or timer it reports."""
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from srpsim import (Accept, ArmTimer, Broadcast, ConfigurationError, Rrep,
-                    Rreq, SrpNode, Unicast,
-                    handle_rreq, initiate_discovery, observe_relay,
-                    on_discovery_timer, process_rrep, rrep_verdict, srp,
-                    to_scaled)
-from srpsim.srp import Note
+from srpsim import (ConfigurationError, RouteRecord, Rrep, Rreq, SrpNode, rrep_verdict,
+                    srp, to_scaled)
+from srpsim.srp import admit_relay, begin_discovery, receive_rreq, receive_rrep, retry_or_conclude
 
-from conftest import make_state
+from conftest import CallLog, make_state
 from step_cases import (CFG, DISCARD_CASES, NO_ADMISSION_CASES, _qos, _signed_rrep,
                         _signed_rreq, _source_state_with_discovery, _table)
 
@@ -27,8 +26,8 @@ def test_numbered_check_fires(case):
 
 @pytest.mark.parametrize("case", NO_ADMISSION_CASES, ids=lambda c: c.__name__)
 def test_relay_not_admitted(case):
-    effects, forward_list = case()
-    assert effects == [] and forward_list == {}
+    seen, forward_list = case()
+    assert seen is None and forward_list == {}
 
 
 _ids = st.sampled_from(["a", "m", "v", "w"])
@@ -57,19 +56,30 @@ def _relay_cases(draw):
     return sent, transmitter, heard
 
 
-def _effects_of(kind, effects):
-    return [f for f in effects if isinstance(f, kind)]
+def _calls(act, *args):
+    """The engine calls `act(engine, *args)` makes, as (method, arguments)."""
+    engine = CallLog()
+    act(engine, *args)
+    return engine.calls
+
+
+def _query(node, dst, qid, reply_wait, now, rreq):
+    """The calls that send a query: its step line, the broadcast, the timer."""
+    return [("trace_step", (node, "query", f"dst={dst} qid={qid} reply_wait={reply_wait!r}",
+                            rreq)),
+            ("bcast_l", (node, rreq)),
+            ("arm_timer", (node, now + reply_wait, ("replywait", dst, qid)))]
 
 
 class TestRequestActions:
     def test_2_2_4_appends_self_and_rebroadcasts(self):
         table = _table()
         state = make_state("m", table)
-        fx = handle_rreq(state, _signed_rreq(table, ("a",)), "a")
-        (bc,) = _effects_of(Broadcast, fx)
-        assert bc.msg.node_list == ("a", "m")
+        calls = _calls(receive_rreq, state, _signed_rreq(table, ("a",)), "a")
+        out = state.relayed[("S", 1)]
+        assert calls == [("trace_step", ("m", "relay", "2.2.4", out)), ("bcast_l", ("m", out))]
+        assert out.node_list == ("a", "m")
         assert ("S", 1) in state.seen
-        assert state.relayed[("S", 1)].node_list == ("a", "m")
         assert state.fwd[("S", 1)] == {}
 
     def test_2_2_4_appends_own_link_metric(self):
@@ -77,25 +87,27 @@ class TestRequestActions:
         qos = _qos(actual={("a", "m"): 1.5})
         state = make_state("m", table)
         rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
-        fx = handle_rreq(state, rreq, "a", qos)
-        (bc,) = _effects_of(Broadcast, fx)
-        assert bc.msg.metric_list == (to_scaled(1.0), to_scaled(1.5))
+        calls = _calls(receive_rreq, state, rreq, "a", qos)
+        out = state.relayed[("S", 1)]
+        assert calls == [("trace_step", ("m", "relay", "2.2.4", out)), ("bcast_l", ("m", out))]
+        assert out.metric_list == (to_scaled(1.0), to_scaled(1.5))
         # stored prefix covers both links (step 2.2.7)
         assert state.prefix_metric[("S", 1)] == to_scaled(2.5)
 
     def test_2_2_5_admits_exact_relay_only(self):
         table = _table()
         state = make_state("m", table)
-        handle_rreq(state, _signed_rreq(table, ("a",)), "a")
+        receive_rreq(CallLog(), state, _signed_rreq(table, ("a",)), "a")
         # v relays exactly our list plus itself: admitted
-        observe_relay(state, _signed_rreq(table, ("a", "m", "v")), "v")
+        seen = admit_relay(state, _signed_rreq(table, ("a", "m", "v")), "v")
+        assert seen == ("fl-add", "2.2.5 neighbor=v")
         assert "v" in state.fwd[("S", 1)]
         # w relays something else: not admitted
-        observe_relay(state, _signed_rreq(table, ("a", "w")), "w")
-        observe_relay(state, _signed_rreq(table, ("a", "m", "x", "w")), "w")
+        assert admit_relay(state, _signed_rreq(table, ("a", "w")), "w") is None
+        assert admit_relay(state, _signed_rreq(table, ("a", "m", "x", "w")), "w") is None
         assert "w" not in state.fwd[("S", 1)]
         # the appended identity must be the actual transmitter
-        observe_relay(state, _signed_rreq(table, ("a", "m", "v2")), "other")
+        assert admit_relay(state, _signed_rreq(table, ("a", "m", "v2")), "other") is None
         assert "v2" not in state.fwd[("S", 1)]
 
     @given(_relay_cases())
@@ -108,9 +120,9 @@ class TestRequestActions:
         state = make_state("m")
         state.relayed[("S", 1)] = Rreq("S", "T", 1, 0, sent)
         state.fwd[("S", 1)] = {}
-        fx = observe_relay(state, Rreq("S", "T", 1, 0, heard), transmitter)
+        seen = admit_relay(state, Rreq("S", "T", 1, 0, heard), transmitter)
         admitted = heard == sent + (transmitter,)
-        assert [f.outcome for f in fx] == (["fl-add"] if admitted else [])
+        assert seen == (("fl-add", f"2.2.5 neighbor={transmitter}") if admitted else None)
         assert list(state.fwd[("S", 1)]) == ([transmitter] if admitted else [])
 
     def test_2_2_5_metric_tolerance_gates_admission(self):
@@ -118,48 +130,49 @@ class TestRequestActions:
         qos = _qos(epsilon=0.1, actual={("a", "m"): 1.0, ("m", "v"): 1.0})
         state = make_state("m", table)
         rreq = _signed_rreq(table, ("a",), metric_list=(to_scaled(1.0),))
-        fx = handle_rreq(state, rreq, "a", qos)
-        relayed = _effects_of(Broadcast, fx)[0].msg
-        base = relayed.metric_list
+        receive_rreq(CallLog(), state, rreq, "a", qos)
+        base = state.relayed[("S", 1)].metric_list
         ok = Rreq("S", "T", 1, rreq.auth, ("a", "m", "v"), base + (to_scaled(1.05),))
-        observe_relay(state, ok, "v", qos)
+        assert admit_relay(state, ok, "v", qos) == ("fl-add", "2.2.5 neighbor=v")
         assert state.fwd[("S", 1)]["v"] == to_scaled(1.05)
         state.fwd[("S", 1)].clear()
         off = Rreq("S", "T", 1, rreq.auth, ("a", "m", "v"), base + (to_scaled(1.2),))
-        observe_relay(state, off, "v", qos)
+        assert admit_relay(state, off, "v", qos) == ("fl-reject", "2.2.5 neighbor=v")
         assert "v" not in state.fwd[("S", 1)]
 
     def test_2_1_2_source_admits_first_hop(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        observe_relay(state, _signed_rreq(table, ("v",)), "v")
+        seen = admit_relay(state, _signed_rreq(table, ("v",)), "v")
+        assert seen == ("fl-add", "2.1.2 neighbor=v")
         assert "v" in state.fwd[("S", 1)]
 
     def test_3_reply_reverses_list_and_signs(self):
         table = _table()
         state = make_state("T", table)
-        fx = handle_rreq(state, _signed_rreq(table, ("a", "b")), "b")
-        (uc,) = _effects_of(Unicast, fx)
-        assert uc.to == "b"
-        assert uc.msg.route == ("b", "a")
-        assert uc.msg.auth == table.ring("T").mac("S", ("S", "T", 1, ("b", "a")))
+        calls = _calls(receive_rreq, state, _signed_rreq(table, ("a", "b")), "b")
+        auth = table.ring("T").mac("S", ("S", "T", 1, ("b", "a")))
+        rrep = Rrep("S", "T", 1, ("b", "a"), auth, None)
+        assert calls == [("trace_step", ("T", "reply", "3.2 to=b", rrep)),
+                         ("send_l", ("T", "b", rrep))]
         assert ("S", 1) in state.seen
 
     def test_3_reply_single_hop_goes_straight_to_source(self):
         table = _table()
         state = make_state("T", table)
-        fx = handle_rreq(state, _signed_rreq(table, ()), "S")
-        (uc,) = _effects_of(Unicast, fx)
-        assert uc.to == "S"
-        assert uc.msg.route == ()
+        calls = _calls(receive_rreq, state, _signed_rreq(table, ()), "S")
+        rrep = Rrep("S", "T", 1, (), table.ring("T").mac("S", ("S", "T", 1, ())), None)
+        assert calls == [("trace_step", ("T", "reply", "3.2 to=S", rrep)),
+                         ("send_l", ("T", "S", rrep))]
 
     def test_destination_answers_only_first_copy(self):
         table = _table()
         state = make_state("T", table)
-        fx1 = handle_rreq(state, _signed_rreq(table, ("a",)), "a")
-        assert _effects_of(Unicast, fx1)
-        fx2 = handle_rreq(state, _signed_rreq(table, ("b",)), "b")
-        assert not _effects_of(Unicast, fx2)
+        first = _calls(receive_rreq, state, _signed_rreq(table, ("a",)), "a")
+        assert [name for name, _ in first] == ["trace_step", "send_l"]
+        copy = _signed_rreq(table, ("b",))
+        assert _calls(receive_rreq, state, copy, "b") == [
+            ("trace_step", ("T", "discard", srp.DEST_DUPLICATE.text, copy))]
 
 
 class TestReplyActions:
@@ -168,29 +181,27 @@ class TestReplyActions:
         state = make_state("m", table)
         state.fwd[("S", 1)] = {"b": None}
         rrep = _signed_rrep(table, ("b", "m", "a"))
-        fx = process_rrep(state, rrep, "b", 4.0, CFG)
-        (uc,) = _effects_of(Unicast, fx)
-        assert uc.to == "a"
-        assert uc.msg is rrep
+        assert _calls(receive_rrep, state, rrep, "b", 4.0, CFG) == [
+            ("trace_step", ("m", "relay", "4.4 to=a", rrep)), ("send_l", ("m", "a", rrep))]
 
     def test_4_4_last_intermediate_relays_to_source(self):
         table = _table()
         state = make_state("m", table)
         state.fwd[("S", 1)] = {"b": None}
         rrep = _signed_rrep(table, ("b", "m"))
-        fx = process_rrep(state, rrep, "b", 4.0, CFG)
-        (uc,) = _effects_of(Unicast, fx)
-        assert uc.to == "S"
+        assert _calls(receive_rrep, state, rrep, "b", 4.0, CFG) == [
+            ("trace_step", ("m", "relay", "4.4 to=S", rrep)), ("send_l", ("m", "S", rrep))]
 
     def test_4_5_accepts_and_extracts_route(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        observe_relay(state, _signed_rreq(table, ("a",)), "a")
+        admit_relay(state, _signed_rreq(table, ("a",)), "a")
         rrep = _signed_rrep(table, ("b", "a"))
-        fx = process_rrep(state, rrep, "a", 5.0, CFG)
-        (acc,) = _effects_of(Accept, fx)
-        assert acc.record.route == ("S", "a", "b", "T")
-        assert acc.record.t1 == 1.0 and acc.record.t2 == 5.0
+        record = RouteRecord(route=("S", "a", "b", "T"), t1=1.0, t2=5.0, qid=1)
+        assert _calls(receive_rrep, state, rrep, "a", 5.0, CFG) == [
+            ("trace_step", ("S", "accepted", "4.5", rrep)),
+            ("accept_route", ("S", record)),
+            ("arm_timer", ("S", 1.0 + CFG.reply_wait_min, ("conclude", "T", 1)))]
         assert state.discoveries["T"].accepted == 1
 
     def test_4_2_applies_at_source_too(self):
@@ -203,9 +214,11 @@ class TestReplyActions:
         table = _table()
         state = _source_state_with_discovery(table)
         rrep = _signed_rrep(table, ())
-        fx = process_rrep(state, rrep, "T", 5.0, CFG)
-        (acc,) = _effects_of(Accept, fx)
-        assert acc.record.route == ("S", "T")
+        record = RouteRecord(route=("S", "T"), t1=1.0, t2=5.0, qid=1)
+        assert _calls(receive_rrep, state, rrep, "T", 5.0, CFG) == [
+            ("trace_step", ("S", "accepted", "4.5", rrep)),
+            ("accept_route", ("S", record)),
+            ("arm_timer", ("S", 1.0 + CFG.reply_wait_min, ("conclude", "T", 1)))]
 
 
 class TestFormatRules:
@@ -213,10 +226,8 @@ class TestFormatRules:
         table = _table()
         rreq = _signed_rreq(table, ("T", "a"))
         for node in ("m", "T"):
-            v = handle_rreq(make_state(node, table), rreq, "a")
-            (note,) = [f for f in v if isinstance(f, Note)]
-            assert note.outcome == "discard"
-            assert note.detail == srp.ENDPOINT_IN_NODE_LIST.text
+            assert _calls(receive_rreq, make_state(node, table), rreq, "a") == [
+                ("trace_step", (node, "discard", srp.ENDPOINT_IN_NODE_LIST.text, rreq))]
 
     def test_endpoint_in_route_is_rejected(self):
         table = _table()
@@ -241,66 +252,67 @@ class TestDiscoveryLifecycle:
     def test_first_query_broadcast_and_timer(self):
         table = _table()
         state = make_state("S", table)
-        fx = initiate_discovery(state, "T", 1.0, CFG)
-        (bc,) = [f for f in fx if isinstance(f, Broadcast)]
-        (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
-        assert bc.msg.qid == 1 and bc.msg.node_list == ()
-        assert tm.at == 1.0 + CFG.reply_wait_min
-        assert tm.tag == ("replywait", "T", 1)
+        calls = _calls(begin_discovery, state, "T", 1.0, CFG)
+        rreq = state.relayed[("S", 1)]
+        assert calls == _query("S", "T", 1, CFG.reply_wait_min, 1.0, rreq)
+        assert rreq.qid == 1 and rreq.node_list == ()
 
     def test_discovery_without_shared_key_is_a_configuration_error(self):
         table = _table()
         state = make_state("S", table)
+        engine = CallLog()
         with pytest.raises(ConfigurationError):
-            initiate_discovery(state, "stranger", 1.0, CFG)
+            begin_discovery(engine, state, "stranger", 1.0, CFG)
+        assert engine.calls == []
 
     def test_second_invocation_defers(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        fx = initiate_discovery(state, "T", 2.0, CFG)
-        assert not [f for f in fx if isinstance(f, Broadcast)]
+        assert _calls(begin_discovery, state, "T", 2.0, CFG) == [
+            ("trace_step", ("S", "defer", "discovery for T already under way"))]
         assert state.deferred["T"] == 1
 
     def test_timeout_retries_with_doubled_timer_and_fresh_qid(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        fx = on_discovery_timer(state, "T", 1, 9.0, CFG)
-        (bc,) = [f for f in fx if isinstance(f, Broadcast)]
-        (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
-        assert bc.msg.qid == 2
+        calls = _calls(retry_or_conclude, state, "T", 1, 9.0, CFG)
+        rreq = state.relayed[("S", 2)]
+        assert calls == [("trace_step", ("S", "retry", "dst=T qid=1 next_reply_wait=16.0"))] \
+            + _query("S", "T", 2, 16.0, 9.0, rreq)
         assert state.discoveries["T"].reply_wait == 16.0
-        assert tm.at == 9.0 + 16.0
 
     def test_timer_updates_clamp_at_maximum(self):
         table = _table()
         state = make_state("S", table)
-        initiate_discovery(state, "T", 0.0, CFG)
+        begin_discovery(CallLog(), state, "T", 0.0, CFG)
         now, qid = 0.0, 1
         for _ in range(6):
             disc = state.discoveries["T"]
             now = disc.t1 + disc.reply_wait
-            on_discovery_timer(state, "T", qid, now, CFG)
+            retry_or_conclude(CallLog(), state, "T", qid, now, CFG)
             qid += 1
         assert state.discoveries["T"].reply_wait == CFG.reply_wait_max
 
     def test_acceptance_before_minimum_defers_conclusion(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        observe_relay(state, _signed_rreq(table, ("a",)), "a")
-        fx = process_rrep(state, _signed_rrep(table, ("a",)), "a", 3.0, CFG)
-        (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
-        assert tm.tag == ("conclude", "T", 1)
-        assert tm.at == 1.0 + CFG.reply_wait_min
+        admit_relay(state, _signed_rreq(table, ("a",)), "a")
+        calls = _calls(receive_rrep, state, _signed_rrep(table, ("a",)), "a", 3.0, CFG)
+        assert [name for name, _ in calls] == ["trace_step", "accept_route", "arm_timer"]
+        assert calls[-1] == ("arm_timer", ("S", 1.0 + CFG.reply_wait_min, ("conclude", "T", 1)))
         assert state.discoveries["T"].accepted == 1
 
     def test_acceptance_after_minimum_concludes_immediately(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        observe_relay(state, _signed_rreq(table, ("a",)), "a")
-        fx = process_rrep(state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
+        admit_relay(state, _signed_rreq(table, ("a",)), "a")
+        rrep = _signed_rrep(table, ("a",))
+        record = RouteRecord(route=("S", "a", "T"), t1=1.0, t2=20.0, qid=1)
+        assert _calls(receive_rrep, state, rrep, "a", 20.0, CFG) == [
+            ("trace_step", ("S", "accepted", "4.5", rrep)),
+            ("accept_route", ("S", record)),
+            ("trace_step", ("S", "conclude", "dst=T qid=1 accepted=1"))]
         assert "T" not in state.discoveries
-        (note,) = [f for f in fx if isinstance(f, Note) and f.outcome == "conclude"]
-        assert note.detail == "dst=T qid=1 accepted=1"
 
     @pytest.mark.parametrize("deferred", [False, True], ids=["direct", "deferred"])
     def test_discovery_after_a_conclusion_starts_at_the_minimum_timer(self, deferred):
@@ -308,86 +320,75 @@ class TestDiscoveryLifecycle:
         # concludes, the next discovery toward T waits reply_wait_min again
         table = _table()
         state = _source_state_with_discovery(table)
-        on_discovery_timer(state, "T", 1, 9.0, CFG)
+        retry_or_conclude(CallLog(), state, "T", 1, 9.0, CFG)
         assert state.discoveries["T"].reply_wait == 2 * CFG.reply_wait_min
         if deferred:
-            initiate_discovery(state, "T", 10.0, CFG)
-        observe_relay(state, _signed_rreq(table, ("a",), qid=2), "a")
-        fx = process_rrep(state, _signed_rrep(table, ("a",), qid=2), "a", 30.0, CFG)
-        assert "conclude" in [f.outcome for f in fx if isinstance(f, Note)]
+            begin_discovery(CallLog(), state, "T", 10.0, CFG)
+        admit_relay(state, _signed_rreq(table, ("a",), qid=2), "a")
+        calls = _calls(receive_rrep, state, _signed_rrep(table, ("a",), qid=2), "a", 30.0, CFG)
+        assert ("trace_step", ("S", "conclude", "dst=T qid=2 accepted=1")) in calls
         now = 30.0
         if not deferred:
             now = 31.0
-            fx = initiate_discovery(state, "T", now, CFG)
-        (query,) = [f for f in fx if isinstance(f, Note) and f.outcome == "query"]
-        (tm,) = [f for f in fx if isinstance(f, ArmTimer)]
-        assert query.detail == f"dst=T qid=3 reply_wait={CFG.reply_wait_min!r}"
-        assert tm.at == now + CFG.reply_wait_min and tm.tag == ("replywait", "T", 3)
+            calls = _calls(begin_discovery, state, "T", now, CFG)
+        assert calls[-3:] == _query("S", "T", 3, CFG.reply_wait_min, now, state.relayed[("S", 3)])
         assert state.discoveries["T"].reply_wait == CFG.reply_wait_min
 
     def test_reply_after_conclusion_is_stale(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        observe_relay(state, _signed_rreq(table, ("a",)), "a")
-        process_rrep(state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
+        admit_relay(state, _signed_rreq(table, ("a",)), "a")
+        receive_rrep(CallLog(), state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
         verdict = rrep_verdict(state, _signed_rrep(table, ("a",)), "a", None)
         assert verdict is srp.STALE_REPLY
 
     def test_conclusion_releases_deferred_invocation(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        initiate_discovery(state, "T", 2.0, CFG)
-        observe_relay(state, _signed_rreq(table, ("a",)), "a")
-        fx = process_rrep(state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
-        bcs = [f for f in fx if isinstance(f, Broadcast)]
-        assert len(bcs) == 1 and bcs[0].msg.qid == 2
+        begin_discovery(CallLog(), state, "T", 2.0, CFG)
+        admit_relay(state, _signed_rreq(table, ("a",)), "a")
+        calls = _calls(receive_rrep, state, _signed_rrep(table, ("a",)), "a", 20.0, CFG)
+        assert [name for name, _ in calls] == [
+            "trace_step", "accept_route", "trace_step", "trace_step", "bcast_l", "arm_timer"]
+        assert calls[-3:] == _query("S", "T", 2, CFG.reply_wait_min, 20.0, state.relayed[("S", 2)])
         assert state.deferred["T"] == 0
 
     def _accepted_before_minimum(self, table, *relays):
         """qid 1, with one route accepted per relay in `relays` before
-        reply_wait_min; returns the effects of each acceptance."""
+        reply_wait_min; returns the engine calls of each acceptance."""
         state = _source_state_with_discovery(table)
-        fxs = []
+        calls = []
         for t, relay in enumerate(relays, start=3):
-            observe_relay(state, _signed_rreq(table, (relay,)), relay)
-            fxs.append(process_rrep(state, _signed_rrep(table, (relay,)), relay, float(t), CFG))
-        return state, fxs
+            admit_relay(state, _signed_rreq(table, (relay,)), relay)
+            calls.append(_calls(receive_rrep, state, _signed_rrep(table, (relay,)), relay,
+                                float(t), CFG))
+        return state, calls
 
     @pytest.mark.parametrize("first, second", [("conclude", "replywait"),
                                                ("replywait", "conclude")])
     def test_timer_of_an_accepting_discovery_concludes_once(self, first, second):
         table = _table()
         state, _ = self._accepted_before_minimum(table, "a")
-        node, engine = SrpNode(state, CFG), _StepRecorder()
+        node, engine = SrpNode(state, CFG), CallLog()
+        concluded = [("trace_step", ("S", "conclude", "dst=T qid=1 accepted=1"))]
         node.on_timer(engine, (first, "T", 1), 9.0)
-        assert engine.steps == [("conclude", "dst=T qid=1 accepted=1")]
+        assert engine.calls == concluded
         assert "T" not in state.discoveries
         node.on_timer(engine, (second, "T", 1), 9.0)
-        assert engine.steps == [("conclude", "dst=T qid=1 accepted=1")]
-        assert on_discovery_timer(state, "T", 1, 9.0, CFG) == []
+        assert engine.calls == concluded
 
     def test_second_acceptance_before_minimum_arms_no_second_timer(self):
         table = _table()
-        state, (fx1, fx2) = self._accepted_before_minimum(table, "a", "b")
-        assert [f.tag for f in fx1 if isinstance(f, ArmTimer)] == [("conclude", "T", 1)]
-        assert _effects_of(Accept, fx2) and not _effects_of(ArmTimer, fx2)
+        state, (calls1, calls2) = self._accepted_before_minimum(table, "a", "b")
+        assert [name for name, _ in calls1] == ["trace_step", "accept_route", "arm_timer"]
+        assert calls1[-1][1][2] == ("conclude", "T", 1)
+        assert [name for name, _ in calls2] == ["trace_step", "accept_route"]
         assert state.discoveries["T"].accepted == 2
 
     def test_timer_of_a_superseded_query_does_nothing(self):
         table = _table()
         state = _source_state_with_discovery(table)
-        on_discovery_timer(state, "T", 1, 9.0, CFG)  # qid 1 retries as qid 2
+        retry_or_conclude(CallLog(), state, "T", 1, 9.0, CFG)  # qid 1 retries as qid 2
         current = state.discoveries["T"]
-        assert on_discovery_timer(state, "T", 1, 10.0, CFG) == []
+        assert _calls(retry_or_conclude, state, "T", 1, 10.0, CFG) == []
         assert state.discoveries["T"] is current and current.qid == 2
-
-
-class _StepRecorder:
-    """An engine stand-in that records a node's trace steps and refuses any
-    other effect."""
-
-    def __init__(self):
-        self.steps = []
-
-    def trace_step(self, node, outcome, detail, msg=None):
-        self.steps.append((outcome, detail))

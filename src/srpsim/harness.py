@@ -1,14 +1,11 @@
 """Run orchestration: execute scenarios, judge their expectation blocks,
-drive seeded fuzz campaigns over random topologies, and persist replayable
+drive seeded fuzz campaigns over random topologies, and re-check stored
 traces.  The command line's exit codes are `cli.EXIT_*`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -16,10 +13,10 @@ from typing import Optional
 from .adversary import (AdversaryClass, exact_int, read_at, read_class, read_count,
                         read_int)
 from .scenario import AdversarySpec, Scenario, build, load_scenario, read_mode
-from .simcore import (LinkSchedule, SimConfig, TraceView, edge_key, line_chunks,
-                      trace_digest_of_lines)
+from .simcore import LinkSchedule, SimConfig, edge_key
 from .srp import RouteRecord
 from .srp_qos import GKind, LinkMetricModel, to_scaled
+from .trace import TraceFormatError, TraceView, bind_trace, read_trace, write_trace
 from .verifier import Verdict, verdict_all
 
 
@@ -91,6 +88,20 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
         digest=engine.trace_digest(), records=records, verdicts=verdicts,
         expect_failures=failures,
     )
+
+
+def check_trace(trace_path, scenario: Scenario):
+    """Re-verify a stored trace against a scenario: `bind_trace`, then the
+    scenario's expectations.  Returns (ok, messages, verdicts); a file that
+    differs gets one message naming its first differing line, no verdicts."""
+    try:
+        records = bind_trace(trace_path, scenario.name, scenario.metrics is not None)
+    except TraceFormatError as e:
+        return False, [str(e)], []
+    verdicts = verdict_all(records, scenario.schedule_map, scenario.metrics,
+                           scenario.adversaries)
+    failures = evaluate_expectations(scenario.expect, records, verdicts)
+    return not failures, failures, verdicts
 
 
 # --------------------------------------------------------------------------
@@ -341,165 +352,6 @@ def accuracy_campaign(kind: GKind, links: int, epsilon: float, delta_tilde: floa
         rng = random.Random(f"acc|{kind.value}|{links}|{epsilon}|{delta_tilde}|{run_seed}|0")
         return accuracy_scenario(kind, links, epsilon, delta_tilde, run_seed, rng)
     return run_campaign(generate, ("accuracy",), runs, seed)
-
-
-# --------------------------------------------------------------------------
-# Trace persistence and re-verification
-# --------------------------------------------------------------------------
-
-TRACE_HEADER = "# srpsim-trace scenario="
-
-# the two step lines a stored record is derived from
-_QUERY = re.compile(r"(\S+) \d+ (\S+) step \S+ query dst=(\S+) qid=(\S*) ")
-_ACCEPT = re.compile(r"(\S+) \d+ \S+ step - accept route=(\S+)")
-
-
-def _trace_pieces(name: str, seed: int, lines, records, digest: int):
-    """The stored form of a run, in order: a header naming the scenario and
-    seed, the event lines, one `# accepted` record per accepted route, and
-    the digest footer.  The header and the first chunk of event lines are
-    one piece, each further chunk is one, and the records and the footer
-    are the last, so a trace of one chunk is two pieces.  Every piece ends
-    with a line break."""
-    chunks = line_chunks(lines)
-    yield "\n".join([f"{TRACE_HEADER}{name} seed={seed}", *next(chunks, ()), ""])
-    for chunk in chunks:
-        yield "\n".join(chunk) + "\n"
-    yield "\n".join([*("# accepted " + json.dumps({
-        "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
-        "reported": None if rec.reported is None else list(rec.reported),
-    }) for rec in records), f"# digest {digest:016x}", ""])
-
-
-def render_trace(name: str, seed: int, lines, records, digest: int) -> str:
-    """The stored form of a run in one string: `_trace_pieces` joined."""
-    return "".join(_trace_pieces(name, seed, lines, records, digest))
-
-
-def write_trace(path, result: RunResult) -> None:
-    """Store a run's `render_trace` text at `path` as UTF-8, a piece at a
-    time, so the whole text is never held.
-
-    An existing file is overwritten in place and a stale tail is cut off
-    after the write, rather than truncated to zero length first as mode "w"
-    does: ext4 starts writing back a file truncated to zero when it is
-    closed (its auto_da_alloc heuristic), which costs more than the write.
-    The tail is cut only when the file was longer than the new text, so a
-    target without a length, such as /dev/null or a pipe, is never
-    truncated.  A write that fails part-way leaves a file that `check_trace`
-    rejects."""
-    pieces = _trace_pieces(result.scenario.name, result.seed, result.trace.lines,
-                           result.records, result.digest)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        size = sum(f.write(piece.encode("utf-8")) for piece in pieces)
-        if os.fstat(f.fileno()).st_size > size:
-            f.truncate()
-
-
-class TraceFormatError(ValueError):
-    """A stored trace that cannot be checked; the message says where."""
-
-
-def read_trace(path) -> str:
-    """A stored trace's text, line breaks as written.  Raises
-    TraceFormatError for a file that is not UTF-8 text."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            return f.read()
-    except UnicodeDecodeError:
-        raise TraceFormatError(f"{path}: trace file is not UTF-8 text")
-
-
-def _accepted_routes(lines, stored, augmented: bool) -> list[RouteRecord]:
-    """The accepted routes the event lines determine: route and t2 from each
-    accept line, t1 and qid from the route source's latest query for its
-    destination.  No line carries `reported`: in augmented mode it is the
-    stored record's if that holds one int per link, else a value that renders
-    differently.  Raises TraceFormatError for an accept line that determines
-    no route."""
-    queries = {}
-    records = []
-    for ln in lines:
-        if " query dst=" in ln and (m := _QUERY.match(ln)):
-            queries[m[2], m[3]] = m[1], m[4]
-        elif " step - accept route=" in ln:
-            m = _ACCEPT.fullmatch(ln)
-            route = tuple(m[2].split(",")) if m else ()
-            try:
-                t1, qid = queries[route[:1] + route[-1:]]
-                t1, t2, qid = float(t1), float(m[1]), int(qid)
-            except (KeyError, ValueError):
-                t1 = t2 = None
-            if len(route) < 2 or t1 is None or not t1 < t2:
-                raise TraceFormatError(
-                    f"accept line {ln!r} has no earlier query line with an "
-                    f"integer qid from its route's source to its destination")
-            reported = None
-            if augmented:
-                at = len(lines) + 1 + len(records)
-                try:
-                    reported = tuple(json.loads(stored[at][len("# accepted "):])["reported"])
-                except (IndexError, KeyError, TypeError, ValueError, RecursionError):
-                    reported = ()
-                if (len(reported) != len(route) - 1
-                        or any(type(x) is not int for x in reported)):
-                    reported = (0,) * (len(route) - 1)
-            records.append(RouteRecord(route, t1, t2, qid, reported))
-    return records
-
-
-def _first_difference(pieces, text: str) -> Optional[str]:
-    """None if text is the pieces joined; else a message naming the first
-    line where text differs, each side with its line break, as written.  The
-    pieces are compared with text one at a time, at running offsets."""
-    at, expected = 0, []
-    for piece in pieces:
-        if not text.startswith(piece, at):
-            expected = piece.split("\n")[:-1]  # the piece's lines; one differs
-            break
-        at += len(piece)
-    else:
-        if at == len(text):
-            return None
-    n = text.count("\n", 0, at)
-    want = "end of file"  # unless a line of the piece differs
-    for line in expected:
-        if not text.startswith(line + "\n", at):
-            want = repr(line + "\n")
-            break
-        at += len(line) + 1
-        n += 1
-    end = text.find("\n", at) + 1 or len(text)
-    found = repr(text[at:end]) if end > at else "end of file"
-    return f"line {n + 1}: expected {want}, found {found}"
-
-
-def check_trace(trace_path, scenario: Scenario):
-    """Re-verify a stored trace against a scenario: the file must be what
-    write_trace writes for the scenario, the header's integer seed, the event
-    lines and the records they determine, and those routes must meet the
-    scenario's expectations.  Returns (ok, messages, verdicts); a file that
-    differs gets one message naming its first differing line, no verdicts."""
-    try:
-        text = read_trace(trace_path)
-        stored = text.split("\n")
-        try:
-            seed = int(stored[0].rpartition(" seed=")[2])
-        except ValueError:
-            raise TraceFormatError(f"line 1: no integer seed: expected '{TRACE_HEADER}"
-                                   f"{scenario.name} seed=<integer>', found {stored[0]!r}")
-        lines = [ln for ln in stored if ln and ln[0] != "#"]
-        records = _accepted_routes(lines, stored, scenario.metrics is not None)
-    except TraceFormatError as e:
-        return False, [str(e)], []
-    difference = _first_difference(_trace_pieces(
-        scenario.name, seed, lines, records, trace_digest_of_lines(lines)), text)
-    if difference is not None:
-        return False, [difference], []
-    verdicts = verdict_all(records, scenario.schedule_map, scenario.metrics,
-                           scenario.adversaries)
-    failures = evaluate_expectations(scenario.expect, records, verdicts)
-    return not failures, failures, verdicts
 
 
 # --------------------------------------------------------------------------

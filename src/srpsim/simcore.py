@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 
 from .identity import _encode_each, encode_fields, new_memo, remember
 from .srp import WIRE_HEADER
+from .trace import TraceView, trace_digest_of_lines
 
 
 class InvalidEdgeError(ValueError):
@@ -188,55 +189,6 @@ class ScheduleMap:
 
     def edges(self) -> list[tuple[str, str]]:
         return sorted(self._by_edge)
-
-
-class TraceEvent:
-    """One line of the replayable run log, parsed."""
-
-    __slots__ = ("time", "seq", "node", "primitive", "digest", "outcome", "detail")
-
-    def __init__(self, time, seq, node, primitive, digest, outcome, detail):
-        self.time = time
-        self.seq = seq
-        self.node = node
-        self.primitive = primitive
-        self.digest = digest
-        self.outcome = outcome
-        self.detail = detail
-
-    def line(self) -> str:
-        return (
-            f"{self.time!r} {self.seq} {self.node} {self.primitive} "
-            f"{self.digest} {self.outcome} {self.detail}"
-        )
-
-    def __repr__(self):
-        return f"<TraceEvent {self.line()}>"
-
-
-def parse_trace_line(line: str) -> TraceEvent:
-    time, seq, node, primitive, digest, outcome, detail = line.split(" ", 6)
-    return TraceEvent(float(time), int(seq), node, primitive, digest, outcome, detail)
-
-
-class TraceView:
-    """Read-only view of a run's trace.  `lines` is the rendered text, the
-    only record the engine keeps; each item read through the view is a
-    TraceEvent parsed from its line."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def __iter__(self):
-        return map(parse_trace_line, self.lines)
-
-    def __getitem__(self, i: int) -> TraceEvent:
-        return parse_trace_line(self.lines[i])
 
 
 # wire fields -> message digest, shared by every run in the process; emptied
@@ -522,24 +474,3 @@ class Engine:
         """Digest of the trace so far."""
         return trace_digest_of_lines(self.lines)
 
-
-# lines per slice of a whole-trace pass: each pass holds one slice's text,
-# never a second copy of the whole trace
-_CHUNK = 1 << 10
-
-
-def line_chunks(lines: Iterable[str]):
-    """The lines in order, as list slices of at most _CHUNK lines; an
-    iterable that is not a list is read into one first."""
-    if not isinstance(lines, list):
-        lines = list(lines)
-    return (lines[i:i + _CHUNK] for i in range(0, len(lines), _CHUNK))
-
-
-def trace_digest_of_lines(lines: Iterable[str]) -> int:
-    """blake2b-64 of the lines, each ended by a line break."""
-    h = hashlib.blake2b(digest_size=8)
-    for chunk in line_chunks(lines):
-        h.update("\n".join(chunk).encode())
-        h.update(b"\n")
-    return int.from_bytes(h.digest(), "big")

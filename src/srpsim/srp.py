@@ -91,9 +91,6 @@ class RouteRecord:
     qid: int
     reported: Optional[tuple[int, ...]] = None
 
-    def links(self) -> list[tuple[str, str]]:
-        return list(zip(self.route, self.route[1:]))
-
 
 # --------------------------------------------------------------------------
 # Rule registry: every verdict the checks can return, one constant per rule

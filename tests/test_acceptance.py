@@ -198,7 +198,7 @@ def test_criterion_4_per_hop_and_sum_error_chain_bounds():
                     checked += 1
                     errs = []
                     for idx, ((a, b), rep) in enumerate(
-                            zip(rec.links(), rec.reported), start=1):
+                            zip(zip(rec.route, rec.route[1:]), rec.reported), start=1):
                         actual = scen.metrics.actual[edge_key(a, b)]
                         errs.append(abs(from_scaled(rep) - actual))
                     # entry n was appended by the destination: noise only

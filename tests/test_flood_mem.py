@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 from srpsim import run_scenario
-from srpsim.harness import render_trace
+from srpsim.trace import render_trace
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "flood_mem.py"
 _spec = importlib.util.spec_from_file_location("flood_mem", _PATH)

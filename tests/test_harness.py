@@ -4,6 +4,7 @@ persistence and re-verification, the CLI surface, and the bundled corpus."""
 import copy
 import dataclasses
 import functools
+import io
 import json
 import os
 import re
@@ -21,12 +22,13 @@ from srpsim import (FuzzConfig, LinkSchedule, RouteRecord, ScenarioError,
                     evaluate_expectations, fuzz_campaign, load_scenario,
                     run_scenario, scenario_from_dict, write_trace)
 from srpsim import AdversaryClass, GKind, LinkMetricModel, SimConfig
-from srpsim import scenario as scenario_module
+from srpsim import scenario as scenario_module, trace as trace_module
 from srpsim.adversary import CATALOG
 from srpsim.cli import main as cli_main
-from srpsim.harness import MAX_FUZZ_NODES, _first_difference, read_trace, render_trace
+from srpsim.harness import MAX_FUZZ_NODES
 from srpsim.scenario import EXPECT_KEYS, AdversarySpec
-from srpsim.simcore import _CHUNK, trace_digest_of_lines
+from srpsim.trace import (_CHUNK, _first_difference, read_trace, render_trace,
+                          trace_digest_of_lines)
 from test_golden_grid import grid
 
 MINIMAL = {
@@ -325,6 +327,8 @@ NAN = float("nan")
     (_mini(config={"seed": 1, "end_time": 0}), "config: end_time must be > 0"),
     (_mini(config={"seed": 1, "end_time": 40.0, "reply_wait_min": 8, "reply_wait_max": 4}),
      "config: need 0 < reply_wait_min <= reply_wait_max"),
+    (_mini(config={"seed": 1, "end_time": 40.0, "reply_wait_min": 0}),
+     "config: need 0 < reply_wait_min <= reply_wait_max"),
     (_mini(config={"seed": 1, "end_time": 40.0, "tx_time": -1.0}), "config: tx_time must be > 0"),
     (_mini(mode="augmented", metrics={"kind": "add", "epsilon": 0.1, "delta_tilde": -0.1,
                                       "actual": [["S", "T", 1.0]]}),
@@ -356,7 +360,7 @@ NAN = float("nan")
         "interval-str", "at-str", "epsilon-str", "victim-node-list",
         "duplicate-node", "adversary-off-roster", "metric-undeclared-edge",
         "discovery-to-itself", "tau-zero", "end-time-zero", "reply-wait-max-below-min",
-        "tx-time-negative",
+        "reply-wait-min-zero", "tx-time-negative",
         "delta-tilde-negative", "mul-metric-zero", "kind-bogus", "victim-off-roster"])
 def test_bad_input_fails_at_load_with_exit_two(tmp_path, data, match):
     with pytest.raises(ScenarioError, match=match):
@@ -690,6 +694,29 @@ class TestTracePersistence:
         assert p.stat().st_ino == inode
         assert p.stat().st_mode & 0o777 == 0o640
 
+    def test_a_trace_is_written_with_one_write_per_slice(self, tmp_path, monkeypatch):
+        # the header opens the first slice's piece and the records and the
+        # footer close the last, so MINIMAL's trace is one write and the
+        # 12 x 12 grid flood's two
+        writes = []
+
+        class Counting(io.BufferedWriter):
+            def write(self, data):
+                writes.append(len(data))
+                return super().write(data)
+
+        monkeypatch.setattr(trace_module, "open",
+                            lambda fd, mode: Counting(io.FileIO(fd, "w")), raising=False)
+        for scen, slices in ((scenario_from_dict(MINIMAL), 1), (grid(12), 2)):
+            writes.clear()
+            p = tmp_path / "run.trace"
+            res = run_scenario(scen)
+            write_trace(p, res)
+            assert len(writes) == slices and sum(writes) == p.stat().st_size
+            assert p.read_bytes() == render_trace(
+                scen.name, res.seed, res.trace.lines, res.records,
+                res.digest).encode("utf-8")
+
     def test_roundtrip_of_a_trace_longer_than_a_chunk(self, tmp_path):
         # a 12 x 12 grid flood: its event lines are stored and checked in two
         # chunks
@@ -962,7 +989,7 @@ def _edited_trace(draw):
 
 
 def _whole_text_difference(expected: str, found: str) -> str:
-    """The reference for `harness._first_difference`: both texts split into
+    """The reference for `trace._first_difference`: both texts split into
     lines whole, and line n of each shown with its line break, as written."""
     exp, got = expected.split("\n"), found.split("\n")
     n = next((n for n, (e, f) in enumerate(zip(exp, got)) if e != f),

@@ -169,3 +169,21 @@ def test_string_memo_never_exceeds_its_cap():
 
 def test_a_list_holding_a_bool_encodes_apart_from_its_int_twin():
     assert encode_fields(([1, True],)) != encode_fields(([1, 1],))
+
+
+class _Pair(tuple):
+    pass
+
+
+@pytest.mark.parametrize("fields, expected", [
+    ((_Pair(("S", 1)), "T"), encode_fields((("S", 1), "T"))),
+    ((1.5,), "unencodable field type: float"),
+], ids=["tuple-subclass", "unencodable-type"])
+def test_a_field_of_another_type(fields, expected):
+    # a tuple subclass encodes as its tuple; a string is the TypeError's
+    # message
+    if isinstance(expected, str):
+        with pytest.raises(TypeError, match=expected):
+            encode_fields(fields)
+    else:
+        assert encode_fields(fields) == expected

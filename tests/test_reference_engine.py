@@ -13,8 +13,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srpsim import AdversaryClass, GKind, build, bundled_scenarios, load_scenario, simcore
+from srpsim import AdversaryClass, GKind, build, bundled_scenarios, load_scenario
 from srpsim.harness import accuracy_scenario, random_scenario
+from srpsim.trace import _CHUNK
 
 from reference_engine import run_both
 from test_golden_grid import grid
@@ -63,5 +64,5 @@ def test_grid(seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_grid_longer_than_a_digest_slice(seed):
     scen = grid(12)
-    assert len(build(scen, seed).run()) > simcore._CHUNK
+    assert len(build(scen, seed).run()) > _CHUNK
     assert_reference_equal(scen, seed)

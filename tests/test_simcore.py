@@ -19,7 +19,8 @@ from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
                     simcore)
 from srpsim.harness import random_scenario
 from srpsim.scenario import Scenario
-from srpsim.simcore import _CHUNK, message_digest, trace_digest_of_lines
+from srpsim.simcore import message_digest
+from srpsim.trace import _CHUNK, trace_digest_of_lines
 from reference_engine import ReferenceEngine, run_both
 from test_golden_grid import grid
 
@@ -358,7 +359,7 @@ class TestTraceLines:
         assert [te.line() for te in events] == trace.lines
         assert len(trace) == len(trace.lines) == len(events) > 0
         assert all(type(te.time) is float and type(te.seq) is int for te in events)
-        assert (trace[0].line(), trace[-1].line()) == (trace.lines[0], trace.lines[-1])
+        assert (events[0].line(), events[-1].line()) == (trace.lines[0], trace.lines[-1])
         assert engine.trace_digest() == _ended_lines_digest(trace.lines) \
             == trace_digest_of_lines(te.line() for te in trace)
 

@@ -139,3 +139,22 @@ class TestAggregateScaled:
     def test_mul_quantizes_product(self):
         q = QosRuntime(LinkMetricModel(kind=GKind.MUL, epsilon=0.1))
         assert q.aggregate_scaled((to_scaled(2.0), to_scaled(4.0))) == to_scaled(8.0)
+
+
+_MUL = QosRuntime(LinkMetricModel(kind=GKind.MUL, epsilon=0.1))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: route_metric("bogus", [1.0]), "unknown aggregate bogus"),
+    (lambda: delta_good(GKind.ADD, 2, 0.1, -0.05), "tolerances must be nonnegative"),
+    (lambda: _MUL.consistent(0, to_scaled(1.0)), False),
+    (lambda: _MUL.aggregate_scaled([]), "aggregate over an empty metric list"),
+], ids=["unknown-aggregate", "negative-tolerance", "nonpositive-product-entry",
+        "aggregate-of-nothing"])
+def test_guard_on_input_no_run_yields(call, expected):
+    # a string is the ValueError's message
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call()
+    else:
+        assert call() == expected

@@ -172,6 +172,28 @@ class TestAccuracy:
         assert err == pytest.approx(links * abs(math.log(reported / 10 ** 6)))
 
 
+_MUL = LinkMetricModel(kind=GKind.MUL, epsilon=0.1,
+                      actual={("S", "a"): 1.0, ("a", "T"): 1.0})
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda s: check_fresh(("S", "a"), s, 5.0, 5.0), "need t1 < t2"),
+    (lambda s: check_weakly_fresh(("S", "a", "T"), s, 6.0, 5.0), "need t1 < t2"),
+    (lambda s: check_accuracy(("S",), (), _MUL), "route has no links"),
+    (lambda s: check_accuracy(("S", "a", "T"), (to_scaled(1.0), 0), _MUL)[:2],
+     (False, float("inf"))),
+], ids=["fresh-t1-not-before-t2", "weakly-fresh-t1-not-before-t2",
+        "route-of-one-node", "product-of-a-nonpositive-report"])
+def test_guard_on_input_no_run_yields(call, expected):
+    # a string is the ValueError's message
+    s = smap([("S", "a", [(0, 10)]), ("a", "T", [(0, 10)])])
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call(s)
+    else:
+        assert call(s) == expected
+
+
 class TestVerdictAll:
     def test_verifier_is_read_only_and_repeatable(self):
         s = smap([("S", "a", [(0, 100)]), ("a", "T", [(0, 100)])])

@@ -6,12 +6,12 @@ correct and adversarial nodes, then checks every accepted route against the
 ground truth: loop-freedom, freshness, weak freshness, and metric accuracy.
 """
 
-from .adversary import (AdversaryClass, AdversaryNode, ArmTimer, AttackClassError,
-                        Broadcast, CATALOG, FuzzScript, TunnelSend, Unicast, attack)
+from .adversary import (AdversaryClass, AdversaryNode, AttackClassError, Broadcast,
+                        CATALOG, FuzzScript, TunnelSend, Unicast, attack)
 from .harness import (FuzzConfig, accuracy_campaign, bundled_scenarios,
                       check_trace, evaluate_expectations, fuzz_campaign,
                       run_scenario, write_trace)
-from .identity import KeyAccessError, KeyTable, encode_fields
+from .identity import KeyAccessError, KeyRing, encode_fields, rings_for
 from .scenario import ScenarioError, build, load_scenario, scenario_from_dict
 from .simcore import (Engine, InvalidEdgeError, LinkSchedule, OrderingError,
                       ScheduleError, ScheduleMap, SimConfig, edge_key)

@@ -43,12 +43,6 @@ class Unicast:
     msg: object
 
 
-@dataclass(slots=True)
-class ArmTimer:
-    at: float
-    tag: tuple
-
-
 @dataclass(frozen=True)
 class Later:
     """Execute a wrapped action after a delay."""
@@ -919,8 +913,9 @@ class AdversaryNode:
             if a is None:
                 continue
             if isinstance(a, Later):
-                a = ArmTimer(engine.now + a.delay, ("adv_later", a.action))
-            elif isinstance(a, (Broadcast, Unicast, TunnelSend)):
+                engine.arm_timer(self.node_id, engine.now + a.delay, ("adv_later", a.action))
+                continue
+            if isinstance(a, (Broadcast, Unicast, TunnelSend)):
                 if self.emitted >= self.script.max_emissions:
                     engine.trace_step(self.node_id, "adv-budget", "emission budget exhausted")
                     return
@@ -937,8 +932,6 @@ class AdversaryNode:
                     remember_broadcast(self.state, a.msg, self.qos)
             elif kind is Unicast:
                 engine.send_l(self.node_id, a.to, a.msg)
-            elif kind is ArmTimer:
-                engine.arm_timer(self.node_id, a.at, a.tag)
             elif kind is TunnelSend:
                 if not self.script.tunnel:
                     raise RuntimeError(f"{self.node_id}'s script has no tunnel path")

@@ -193,7 +193,3 @@ def main(argv=None) -> int:
     except Exception as e:  # a fault of srpsim, not of the input or the routes
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

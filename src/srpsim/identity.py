@@ -3,14 +3,16 @@
 The authenticator is a keyed 64-bit digest over a canonical, injective
 serialization of message fields.  Security is a *model* property: a node can
 only produce digests for key pairs it actually holds, which is enforced by
-KeyRing rather than by computational hardness.
+KeyRing rather than by computational hardness.  `rings_for` gives each node of
+a roster its ring over a scenario's key pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 DIGEST_BYTES = 8
 
@@ -157,56 +159,38 @@ def f_k(key: bytes, fields: Sequence) -> int:
     return mac
 
 
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
-@dataclass
-class KeyTable:
-    """Scenario-wide registry of pairwise symmetric keys.
-
-    Key material is derived deterministically from the node pair so that runs
-    are reproducible.  Read-only once its rings exist: `Scenario.key_rings`
-    shares one table among every scenario of the same roster and key pairs.
-    """
-
-    _keys: dict[tuple[str, str], bytes] = field(default_factory=dict)
-
-    def grant(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValueError("a node cannot share a key with itself")
-        p = _pair(a, b)
-        self._keys.setdefault(
-            p, hashlib.blake2b(f"pairkey|{p[0]}|{p[1]}".encode(), digest_size=32).digest()
-        )
-
-    def shares_key(self, a: str, b: str) -> bool:
-        return _pair(a, b) in self._keys
-
-    def ring(self, holder: str) -> "KeyRing":
-        return KeyRing(self, holder)
-
-    def _mac(self, holder: str, peer: str, fields: Sequence) -> int:
-        key = self._keys.get(_pair(holder, peer))
-        if key is None:
-            raise KeyAccessError(f"{holder} holds no key shared with {peer}")
-        return f_k(key, fields)
-
-
 @dataclass(frozen=True)
 class KeyRing:
-    """A single node's view of the key table.
+    """One node's pairwise keys, by peer, read-only.
 
     mac() models the authenticator function: it succeeds only for peers the
     holder genuinely shares a key with, which is how forgery infeasibility is
     represented in the simulation.
     """
 
-    table: KeyTable
     holder: str
+    keys: Mapping[str, bytes]
 
     def holds(self, peer: str) -> bool:
-        return self.table.shares_key(self.holder, peer)
+        return peer in self.keys
 
     def mac(self, peer: str, fields: Sequence) -> int:
-        return self.table._mac(self.holder, peer, fields)
+        key = self.keys.get(peer)
+        if key is None:
+            raise KeyAccessError(f"{self.holder} holds no key shared with {peer}")
+        return f_k(key, fields)
+
+
+def rings_for(nodes: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Mapping[str, KeyRing]:
+    """Each of `nodes` mapped, read-only, to its KeyRing over the keys of
+    `pairs`; a node in no pair gets an empty ring.  A pair's key is derived
+    from the pair, so that runs are reproducible."""
+    keys = {node: {} for node in nodes}
+    for a, b in pairs:
+        if a == b:
+            raise ValueError("a node cannot share a key with itself")
+        lo, hi = sorted((a, b))
+        key = hashlib.blake2b(f"pairkey|{lo}|{hi}".encode(), digest_size=32).digest()
+        keys.setdefault(a, {})[b] = keys.setdefault(b, {})[a] = key
+    return MappingProxyType({node: KeyRing(node, MappingProxyType(keys[node]))
+                             for node in nodes})

@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .adversary import (AdversaryClass, AdversaryNode, AttackScript, FieldError,
                         ScenarioError, attack, fields, read_at, read_choice,
                         read_class, read_count, read_list, read_node, read_object,
                         take)
-from .identity import KeyRing, KeyTable, new_memo, remember
+from .identity import KeyRing, new_memo, remember, rings_for
 from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
                       exact_int, exact_number)
 from .srp import NodeState, SrpNode
@@ -72,17 +71,13 @@ class Scenario:
 
     @cached_property
     def key_rings(self) -> Mapping[str, KeyRing]:
-        """Each node's KeyRing over the scenario's key table, shared with
-        every scenario of the same roster and key pairs; read-only, and no
-        key is granted once the rings exist."""
+        """Each node's KeyRing, shared with every scenario of the same roster
+        and key pairs; read-only."""
         memo_key = (self.nodes, self.keys)
         rings = _KEY_RINGS.get(memo_key)
         if rings is None:
-            table = KeyTable()
-            for a, b in self.keys:
-                table.grant(a, b)
-            rings = remember(_KEY_RINGS, KEY_RINGS_MEMO_CAP, memo_key, MappingProxyType(
-                {node: table.ring(node) for node in self.nodes}))
+            rings = remember(_KEY_RINGS, KEY_RINGS_MEMO_CAP, memo_key,
+                             rings_for(self.nodes, self.keys))
         return rings
 
     @cached_property
@@ -196,7 +191,7 @@ def _link(value) -> LinkSchedule:
 _PAIR = read_list(read_node, read_node)
 
 
-def _pair(value) -> tuple[str, str]:
+def _node_pair(value) -> tuple[str, str]:
     a, b = _PAIR(value)
     if a == b:
         raise ValueError(f"expected two distinct node ids, not {value!r}")
@@ -253,7 +248,7 @@ _MODES = read_choice("all", "not-all", "none")
 EXPECT_KEYS = {
     "min_accepted": read_count, "max_accepted": read_count, "loop_free": _MODES,
     "fresh": _MODES, "weakly_fresh": _MODES, "accurate": _MODES,
-    "victim_link": lambda v: list(_pair(v)),
+    "victim_link": lambda v: list(_node_pair(v)),
     "victim_link_accepted": read_choice("none", "some"),
     "max_metric_error": _nonnegative,
 }
@@ -275,7 +270,7 @@ def _scenario(name_hint: str):
             config=read_at(("config",), _sim_config(nodes), data.pop("config", {})),
             nodes=nodes,
             links=take(data, "links", read_list(_link), ()),
-            keys=take(data, "keys", read_list(_pair), ()),
+            keys=take(data, "keys", read_list(_node_pair), ()),
             discoveries=take(data, "discoveries",
                              read_list(fields(_discovery, nullable=())), ()),
             metrics=metrics,

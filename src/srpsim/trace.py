@@ -176,24 +176,27 @@ def _accepted_routes(lines, stored, augmented: bool) -> list[RouteRecord]:
 def _first_difference(pieces, text: str) -> Optional[str]:
     """None if text is the pieces joined; else a message naming the first
     line where text differs, each side with its line break, as written.  The
-    pieces are compared with text one at a time, at running offsets."""
-    at, expected = 0, []
+    pieces are compared with text one at a time, at running offsets, and the
+    first that differs is bisected for the longest prefix text holds."""
+    at, want = 0, "end of file"  # unless a line of a piece differs
     for piece in pieces:
         if not text.startswith(piece, at):
-            expected = piece.split("\n")[:-1]  # the piece's lines; one differs
+            held, short = 0, len(piece)  # text holds piece[:held], not piece[:short]
+            while short - held > 1:
+                mid = (held + short) // 2
+                if text.startswith(piece[:mid], at):
+                    held = mid
+                else:
+                    short = mid
+            start = piece.rfind("\n", 0, held) + 1
+            want = repr(piece[start:piece.index("\n", held) + 1])
+            at += start
             break
         at += len(piece)
     else:
         if at == len(text):
             return None
     n = text.count("\n", 0, at)
-    want = "end of file"  # unless a line of the piece differs
-    for line in expected:
-        if not text.startswith(line + "\n", at):
-            want = repr(line + "\n")
-            break
-        at += len(line) + 1
-        n += 1
     end = text.find("\n", at) + 1 or len(text)
     found = repr(text[at:end]) if end > at else "end of file"
     return f"line {n + 1}: expected {want}, found {found}"

@@ -1,6 +1,6 @@
 import pytest
 
-from srpsim import KeyTable, NodeState, SimConfig
+from srpsim import KeyRing, NodeState, SimConfig, rings_for
 
 
 @pytest.fixture
@@ -21,15 +21,15 @@ class CallLog:
 
 
 def make_table(*pairs):
-    table = KeyTable()
-    for a, b in pairs:
-        table.grant(a, b)
-    return table
+    """Each node's KeyRing over the keys of `pairs`, by node."""
+    return rings_for(sorted({node for pair in pairs for node in pair}), pairs)
 
 
 def make_state(node, table=None):
-    table = table or make_table(("S", "T"))
-    return NodeState(self_id=node, keys=table.ring(node))
+    """`node`'s state over `table` (S and T sharing a key by default); a node
+    with no ring there holds no key."""
+    table = make_table(("S", "T")) if table is None else table
+    return NodeState(self_id=node, keys=table.get(node) or rings_for((node,), ())[node])
 
 
 @pytest.fixture
@@ -39,14 +39,14 @@ def st_table():
 
 @pytest.fixture
 def mac_calls(monkeypatch):
-    """(holder, key pair, digest) of every authenticator any KeyTable
+    """(holder, key pair, digest) of every authenticator any KeyRing
     computes during the test."""
     calls = []
-    mac = KeyTable._mac
+    mac = KeyRing.mac
 
-    def recording(table, holder, peer, fields):
-        digest = mac(table, holder, peer, fields)
-        calls.append((holder, tuple(sorted((holder, peer))), digest))
+    def recording(ring, peer, fields):
+        digest = mac(ring, peer, fields)
+        calls.append((ring.holder, tuple(sorted((ring.holder, peer))), digest))
         return digest
-    monkeypatch.setattr(KeyTable, "_mac", recording)
+    monkeypatch.setattr(KeyRing, "mac", recording)
     return calls

@@ -12,8 +12,8 @@ import pytest
 
 import srpsim
 from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
-                    Engine, LinkSchedule, Rrep, Rreq, ScheduleMap, SimConfig,
-                    FuzzScript, TunnelSend, Unicast, attack,
+                    Engine, GKind, LinkMetricModel, LinkSchedule, QosRuntime, Rrep,
+                    Rreq, ScheduleMap, SimConfig, FuzzScript, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict, srp)
 from srpsim import scenario as scenario_module
 from srpsim.adversary import AdversaryNode, FieldError, Fig1aTunnel, step_adversary
@@ -239,7 +239,7 @@ def test_accepted_authenticators_were_generated_by_an_end_node(mac_calls):
     t_digests = {d for holder, pair, d in mac_calls if holder == "T"}
     for rec in engine.accepted:
         route = tuple(reversed(rec.route[1:-1]))
-        expected = _table().ring("T").mac("S", ("S", "T", rec.qid, route))
+        expected = _table()["T"].mac("S", ("S", "T", rec.qid, route))
         assert expected in t_digests
 
 
@@ -459,3 +459,37 @@ class TestRareAttackPaths:
         rrep = node.forged_rrep(rreq, ("m", "a"))
         assert (rrep.src, rrep.dst, rrep.qid, rrep.route) == ("S", "T", 1, ("m", "a"))
         assert rrep.metric_list == (to_scaled(1.0),) * 3
+
+    @pytest.mark.parametrize("hook, args", [
+        ("on_tunnel", (Rreq("S", "T", 1, 0, ("a",)), "x")), ("on_time", ())],
+        ids=["on-tunnel", "on-time"])
+    def test_the_base_script_ignores_what_it_does_not_override(self, hook, args):
+        # AttackScript.on_tunnel and AttackScript.on_time: the empty returns
+        node = _adv_node(AdversaryClass.ARBITRARY, attack("loop_inject"))
+        assert getattr(node.script, hook)(node, *args) == []
+
+    def test_loop_inject_on_requests_forwards_a_reply_as_the_protocol_does(self):
+        # LoopInject.on_rrep: `where != "rrep"`, the base class's forward
+        node = _adv_node(AdversaryClass.INDEPENDENT, attack("loop_inject"))
+        rrep = Rrep("S", "T", 1, ("m", "a"), 0)
+        assert node.script.on_rrep(node, rrep, "T") == [Unicast("a", rrep)]
+
+    def test_upstream_tamper_fabricates_a_metric_per_fake_hop(self):
+        # TamperNodelistUpstream.on_rreq: `rreq.metric_list is not None`; with
+        # no apparatus each fake hop reads 1.0 and the node's own link 0
+        # (AdversaryNode.own_metric: `qos is None`)
+        node = _adv_node(AdversaryClass.INDEPENDENT, attack(
+            "tamper_nodelist_upstream", {"fake_list": ["x", "y"]}))
+        rreq = _signed_rreq(_table(), ("a",), metric_list=(to_scaled(2.0),))
+        assert node.script.on_rreq(node, rreq, "a") == [Broadcast(replace(
+            rreq, node_list=("x", "y", "m"), metric_list=(to_scaled(1.0),) * 2 + (0,)))]
+
+    def test_biased_metric_anchors_on_its_own_reading_when_the_apparatus_reads_nothing(self):
+        # BiasedMetric.on_rreq: `anchor is None`, so the anchor is
+        # own_metric's fake value for a link with no actual metric
+        node = _adv_node(AdversaryClass.INDEPENDENT, attack("biased_metric"))
+        node.qos = QosRuntime(LinkMetricModel(kind=GKind.ADD, epsilon=0.1))
+        rreq = _signed_rreq(_table(), ("a",), metric_list=(to_scaled(2.0),))
+        report = to_scaled(1.0) + to_scaled(0.1) - 1
+        assert node.script.on_rreq(node, rreq, "a") == [Broadcast(replace(
+            rreq, node_list=("a", "m"), metric_list=(to_scaled(2.0), report)))]

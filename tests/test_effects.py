@@ -32,7 +32,7 @@ def test_correct_nodes_build_no_effect(monkeypatch, stem):
 
     def refused(*args, **kwargs):
         raise AssertionError("an effect was built on the correct-node path")
-    for name in ("Broadcast", "Unicast", "ArmTimer"):
+    for name in ("Broadcast", "Unicast"):
         monkeypatch.setattr(adversary, name, refused)
     got = run_scenario(scen)
     assert got.records and got.digest == want.digest

@@ -6,38 +6,32 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from srpsim import KeyAccessError, KeyTable, encode_fields, identity
+from srpsim import KeyAccessError, encode_fields, identity, rings_for
 
 
 def test_same_key_same_fields_equal_digests():
-    t = KeyTable()
-    t.grant("S", "T")
-    a = t.ring("S").mac("T", ("S", "T", 1))
-    b = t.ring("T").mac("S", ("S", "T", 1))
+    t = rings_for(("S", "T"), (("S", "T"),))
+    a = t["S"].mac("T", ("S", "T", 1))
+    b = t["T"].mac("S", ("S", "T", 1))
     assert a == b  # the pair key is shared, either holder computes it
 
 
 def test_different_query_ids_differ():
-    t = KeyTable()
-    t.grant("S", "T")
-    r = t.ring("S")
+    r = rings_for(("S", "T"), (("S", "T"),))["S"]
     assert r.mac("T", ("S", "T", 1)) != r.mac("T", ("S", "T", 2))
 
 
 def test_missing_key_is_an_access_violation():
-    t = KeyTable()
-    t.grant("S", "T")
+    t = rings_for(("S", "T", "M"), (("S", "T"),))
+    with pytest.raises(KeyAccessError, match="^M holds no key shared with T$"):
+        t["M"].mac("T", ("S", "T", 1))
     with pytest.raises(KeyAccessError):
-        t.ring("M").mac("T", ("S", "T", 1))
-    with pytest.raises(KeyAccessError):
-        t.ring("M").mac("S", ("S", "T", 1))
+        t["M"].mac("S", ("S", "T", 1))
 
 
 def test_no_collisions_over_random_samples():
     rng = random.Random(1234)
-    t = KeyTable()
-    t.grant("S", "T")
-    ring = t.ring("S")
+    ring = rings_for(("S", "T"), (("S", "T"),))["S"]
     seen = {}
     for i in range(10_000):
         fields = ("S", "T", rng.randrange(2 ** 32),
@@ -177,11 +171,13 @@ class _Pair(tuple):
 
 @pytest.mark.parametrize("fields, expected", [
     ((_Pair(("S", 1)), "T"), encode_fields((("S", 1), "T"))),
+    ((_Text("S"), "T"), encode_fields(("S", "T"))),
+    (("S", _Count(7)), encode_fields(("S", 7))),
     ((1.5,), "unencodable field type: float"),
-], ids=["tuple-subclass", "unencodable-type"])
+], ids=["tuple-subclass", "str-subclass", "int-subclass", "unencodable-type"])
 def test_a_field_of_another_type(fields, expected):
-    # a tuple subclass encodes as its tuple; a string is the TypeError's
-    # message
+    # a subclass of tuple, str or int encodes as its base value; a string is
+    # the TypeError's message
     if isinstance(expected, str):
         with pytest.raises(TypeError, match=expected):
             encode_fields(fields)

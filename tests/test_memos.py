@@ -10,15 +10,15 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 
-from srpsim import (AdversaryClass, GKind, KeyTable, LinkSchedule, Rrep, Rreq,
+from srpsim import (AdversaryClass, GKind, LinkSchedule, Rrep, Rreq,
                     ScenarioError, ScheduleError, build, bundled_scenarios,
-                    encode_fields, identity, load_scenario, run_scenario,
-                    scenario_from_dict, simcore)
+                    encode_fields, identity, load_scenario, rings_for,
+                    run_scenario, scenario_from_dict, simcore)
 from srpsim import scenario as scenario_module
 from srpsim.harness import accuracy_scenario, random_scenario
 
@@ -205,35 +205,21 @@ def test_a_map_or_rings_that_fail_to_build_leave_no_entry(monkeypatch):
     assert len(scenario_module._SCHEDULE_MAPS) == 1 and scenario_module._KEY_RINGS == {}
 
 
-def test_no_key_is_granted_once_a_table_has_handed_out_rings(monkeypatch):
-    """Tables are shared by every scenario of one roster and key pairs."""
-    dealt, late = {}, []  # id -> table: holding each table keeps its id unique
-    grant, ring = KeyTable.grant, KeyTable.ring
-
-    def checked_grant(table, a, b):
-        if id(table) in dealt:
-            late.append((a, b))
-        grant(table, a, b)
-
-    def recording_ring(table, holder):
-        dealt[id(table)] = table
-        return ring(table, holder)
-
-    monkeypatch.setattr(KeyTable, "grant", checked_grant)
-    monkeypatch.setattr(KeyTable, "ring", recording_ring)
-    monkeypatch.setattr(scenario_module, "_KEY_RINGS", {})
-    for _, sc in sweep():
-        build(sc).run()
-    assert dealt and not late
+def test_a_ring_refuses_a_new_key():
+    """Rings are shared by every scenario of one roster and key pairs."""
+    ring = scenario_from_dict(MINIMAL).key_rings["S"]
+    with pytest.raises(TypeError):
+        ring.keys["M"] = ring.keys["T"]
+    with pytest.raises(FrozenInstanceError):
+        ring.keys = {}
+    assert not ring.holds("M")
 
 
 @pytest.mark.parametrize("fields", [("S", "T", [1, 2]), ["S", "T", 1]],
                          ids=["nested-list", "list"])
 def test_fields_given_as_lists_digest_as_tuples(fields):
-    table = KeyTable()
-    table.grant("S", "T")
     as_tuples = tuple(tuple(f) if isinstance(f, list) else f for f in fields)
-    ring = table.ring("S")
+    ring = rings_for(("S", "T"), (("S", "T"),))["S"]
     # the encoding does not tell a list from a tuple; a nested list is no
     # memo key, so that call is digested unmemoised
     assert ring.mac("T", fields) == ring.mac("T", as_tuples)

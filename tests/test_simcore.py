@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srpsim import (AdversaryClass, AdversaryNode, Engine, InvalidEdgeError,
-                    KeyTable, LinkSchedule, OrderingError, Rreq, ScheduleError,
+                    LinkSchedule, OrderingError, Rreq, ScheduleError,
                     ScheduleMap, SimConfig, SrpNode, build, bundled_scenarios,
-                    identity, load_scenario, run_scenario, scenario_from_dict,
-                    simcore)
+                    identity, load_scenario, rings_for, run_scenario,
+                    scenario_from_dict, simcore)
 from srpsim.harness import random_scenario
 from srpsim.scenario import Scenario
 from srpsim.simcore import message_digest
@@ -319,16 +319,14 @@ class TestDigestMemo:
         monkeypatch.setattr(identity, "encode_fields",
                             lambda fields: encoded.append(fields) or encode(fields))
         identity._MACS.clear()
-        table = KeyTable()
-        table.grant("S", "T")
-        first = table.ring("S").mac("T", ("S", "T", 1))
-        # the other holder, and a fresh table with the same key, hit the memo
-        again = KeyTable()
-        again.grant("T", "S")
-        assert table.ring("T").mac("S", ("S", "T", 1)) == first \
-            == again.ring("S").mac("T", ["S", "T", 1])
+        rings = rings_for(("S", "T"), (("S", "T"),))
+        first = rings["S"].mac("T", ("S", "T", 1))
+        # the other holder, and fresh rings with the same key, hit the memo
+        again = rings_for(("S", "T"), (("T", "S"),))
+        assert rings["T"].mac("S", ("S", "T", 1)) == first \
+            == again["S"].mac("T", ["S", "T", 1])
         assert encoded == [("S", "T", 1)]
-        assert table.ring("S").mac("T", ("S", "T", 2)) != first
+        assert rings["S"].mac("T", ("S", "T", 2)) != first
         assert len(encoded) == 2
 
 

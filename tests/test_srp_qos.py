@@ -149,8 +149,13 @@ _MUL = QosRuntime(LinkMetricModel(kind=GKind.MUL, epsilon=0.1))
     (lambda: delta_good(GKind.ADD, 2, 0.1, -0.05), "tolerances must be nonnegative"),
     (lambda: _MUL.consistent(0, to_scaled(1.0)), False),
     (lambda: _MUL.aggregate_scaled([]), "aggregate over an empty metric list"),
+    (lambda: LinkMetricModel(kind=GKind.ADD, epsilon=0.0),
+     "epsilon must be > 0 outside administrative mode"),
+    (lambda: _MUL.measure_scaled("a", ("a", "b")), None),
+    (lambda: _MUL.consistent(None, to_scaled(1.0)), False),
 ], ids=["unknown-aggregate", "negative-tolerance", "nonpositive-product-entry",
-        "aggregate-of-nothing"])
+        "aggregate-of-nothing", "zero-epsilon", "edge-without-actual-value",
+        "missing-reading"])
 def test_guard_on_input_no_run_yields(call, expected):
     # a string is the ValueError's message
     if isinstance(expected, str):

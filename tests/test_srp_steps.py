@@ -151,7 +151,7 @@ class TestRequestActions:
         table = _table()
         state = make_state("T", table)
         calls = _calls(receive_rreq, state, _signed_rreq(table, ("a", "b")), "b")
-        auth = table.ring("T").mac("S", ("S", "T", 1, ("b", "a")))
+        auth = table["T"].mac("S", ("S", "T", 1, ("b", "a")))
         rrep = Rrep("S", "T", 1, ("b", "a"), auth, None)
         assert calls == [("trace_step", ("T", "reply", "3.2 to=b", rrep)),
                          ("send_l", ("T", "b", rrep))]
@@ -161,7 +161,7 @@ class TestRequestActions:
         table = _table()
         state = make_state("T", table)
         calls = _calls(receive_rreq, state, _signed_rreq(table, ()), "S")
-        rrep = Rrep("S", "T", 1, (), table.ring("T").mac("S", ("S", "T", 1, ())), None)
+        rrep = Rrep("S", "T", 1, (), table["T"].mac("S", ("S", "T", 1, ())), None)
         assert calls == [("trace_step", ("T", "reply", "3.2 to=S", rrep)),
                          ("send_l", ("T", "S", rrep))]
 
@@ -384,6 +384,13 @@ class TestDiscoveryLifecycle:
         assert calls1[-1][1][2] == ("conclude", "T", 1)
         assert [name for name, _ in calls2] == ["trace_step", "accept_route"]
         assert state.discoveries["T"].accepted == 2
+
+    def test_a_correct_node_ignores_tunnelled_traffic(self):
+        table = _table()
+        state = _source_state_with_discovery(table)
+        before, engine = repr(state), CallLog()
+        SrpNode(state, CFG).on_tunnel(engine, _signed_rrep(table, ("a",)), "m", 3.0)
+        assert engine.calls == [] and repr(state) == before
 
     def test_timer_of_a_superseded_query_does_nothing(self):
         table = _table()

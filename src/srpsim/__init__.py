@@ -6,8 +6,8 @@ correct and adversarial nodes, then checks every accepted route against the
 ground truth: loop-freedom, freshness, weak freshness, and metric accuracy.
 """
 
-from .adversary import (AdversaryClass, AdversaryNode, AttackClassError, Broadcast,
-                        CATALOG, FuzzScript, TunnelSend, Unicast, attack)
+from .adversary import (AdversaryClass, AdversaryNode, Broadcast, CATALOG, FuzzScript,
+                        TunnelSend, Unicast, attack)
 from .harness import (FuzzConfig, accuracy_campaign, bundled_scenarios,
                       check_trace, evaluate_expectations, fuzz_campaign,
                       run_scenario, write_trace)

@@ -6,7 +6,8 @@ Independent adversaries may store, replay, modify, or forward only messages
 they cannot detect as protocol-non-compliant; the engine enforces this with
 the exact check functions correct nodes run, applied in observer mode before
 any script hook fires.  Arbitrary adversaries have no such gate and may also
-use a private multi-hop tunnel to a fellow adversary.
+use a private multi-hop tunnel to a fellow adversary.  A script reads its
+params once, through `srpsim.reader` and the few param converters here.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
+from .reader import (FieldError, exact_int, exact_number, fields, read_at, read_choice,
+                     read_count, read_int, read_list, read_node, take)
 from .srp import (Rrep, Rreq, admit_relay, remember_broadcast, rreq_verdict,
                   rrep_verdict)
-from .simcore import exact_int, exact_number, is_node_id
 from .srp_qos import SCALE, to_scaled
 
 
@@ -58,134 +60,10 @@ class TunnelSend:
     msg: object
 
 
-class AttackClassError(ValueError):
-    """A script was assigned to an adversary class it is not legal for."""
-
-
-class ScenarioError(ValueError):
-    """A scenario failed validation; the message names the rule."""
-
-
-class FieldError(ScenarioError):
-    """A field of a scenario file, of an attack's params or of a campaign's
-    settings that cannot be read.  `path` names it from the outermost object
-    in, by key and array index; the message is the path, then the reason."""
-
-    def __init__(self, path: tuple, reason: str):
-        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
-        super().__init__(f"{where.removeprefix('.') or 'scenario'}: {reason}")
-        self.path, self.reason = path, reason
-
-
 # params naming the node a script unicasts to: each must be on the roster
 UNICAST_PARAMS = ("shortcut_to", "target", "jump_to")
 # most unprompted moves a fuzz script may schedule (`bounds.spontaneous`)
 MAX_SPONTANEOUS = 1000
-_REQUIRED = object()
-
-
-def read_at(path: tuple, convert, value):
-    """`convert(value)`, its error named by `path`: a TypeError, ValueError or
-    OverflowError gives the reason, and a FieldError from a nested field is
-    moved under `path`."""
-    try:
-        return convert(value)
-    except FieldError as e:
-        raise FieldError(path + e.path, e.reason) from None
-    except (TypeError, ValueError, OverflowError) as e:
-        raise FieldError(path, str(e)) from None
-
-
-def take(obj: dict, key, convert, default=_REQUIRED):
-    """Field `key` taken out of `obj`, a reader's copy of an object, and read
-    through `convert`; an absent or null field takes `default` as is, or is
-    an error when there is none.  A key no reader takes is an error (see
-    `fields`)."""
-    value = obj.pop(key, None)
-    if value is None:
-        if default is _REQUIRED:
-            raise FieldError((key,), "is required")
-        return default
-    return read_at((key,), convert, value)
-
-
-def read_object(value) -> dict:
-    """A copy of `value` if it is a JSON object."""
-    if type(value) is not dict:
-        raise TypeError(f"expected an object, not {value!r}")
-    return dict(value)
-
-
-def fields(read, nullable=None):
-    """A converter for a JSON object: `read` takes its fields out of a copy,
-    and a key it leaves is an error.  Only the fields named in `nullable`
-    (any field, when it is None) may be null."""
-    def convert(value):
-        obj = read_object(value)
-        for key, v in obj.items():
-            if v is None and nullable is not None and key not in nullable:
-                raise FieldError((key,), "expected a value, not null")
-        out = read(obj)
-        if obj:
-            raise FieldError((), f"has no key {next(iter(obj))!r}")
-        return out
-    return convert
-
-
-def read_node(value) -> str:
-    if not is_node_id(value):
-        raise TypeError(f"expected a node id (a non-empty string of UTF-8 text "
-                        f"with no whitespace and no ','), not {value!r}")
-    return value
-
-
-def read_list(*converts, least=0):
-    """A converter for a list: with one converter, of `least` or more items,
-    each read by it; with more, of one item per converter, in order.  The
-    items are read in one pass; only a failed read walks them again through
-    `read_at`, which names the failing item's index."""
-    def read(value) -> tuple:
-        if not isinstance(value, (list, tuple)) or len(converts) not in (1, len(value)):
-            items = "" if len(converts) == 1 else f" of {len(converts)} items"
-            raise TypeError(f"expected a list{items}, not {value!r}")
-        if len(value) < least:
-            raise ValueError(f"expected {least} or more items, not {value!r}")
-        try:
-            if len(converts) == 1:
-                return tuple(map(converts[0], value))
-            return tuple([c(v) for c, v in zip(converts, value)])
-        except (TypeError, ValueError, OverflowError):
-            pass  # the converters are pure, so the walk below fails at the same item
-        items = converts * len(value) if len(converts) == 1 else converts
-        return tuple(read_at((i,), c, v) for i, (c, v) in enumerate(zip(items, value)))
-    return read
-
-
-def read_int(least=0, most=None):
-    """A converter for an integer of at least `least` and, when `most` is
-    given, at most `most`."""
-    def read(value) -> int:
-        n = exact_int(value)
-        if n < least:
-            raise ValueError(f"expected an integer >= {least}, not {value!r}")
-        if most is not None and n > most:
-            raise ValueError(f"expected at most {most}, not {n}")
-        return n
-    return read
-
-
-read_count = read_int()
-
-
-def read_choice(*choices):
-    """A converter that admits only one of the string `choices` (or of a
-    string enum's members), and gives the choice that equals the value."""
-    def read(value):
-        if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, not {value!r}")
-        return choices[choices.index(value)]
-    return read
-
 
 read_class = read_choice(*AdversaryClass)
 _nodes = read_list(read_node)
@@ -742,11 +620,9 @@ def attack(name: str, params=None, klass: Optional[AdversaryClass] = None,
     if cls is None:
         raise FieldError(("attack",), f"unknown attack {name!r}; see list-attacks")
     if klass is AdversaryClass.INDEPENDENT and cls.arbitrary_only:
-        raise AttackClassError(
-            f"attack {name!r} requires the arbitrary class: an independent "
-            f"adversary never acts on traffic it detects as non-compliant "
-            f"and has no tunnel channel"
-        )
+        raise FieldError(("class",), f"attack {name!r} requires the arbitrary class: an "
+                                     f"independent adversary never acts on traffic it "
+                                     f"detects as non-compliant and has no tunnel channel")
     params = {} if params is None else params
     script = read_at(("params",), fields(cls), params)
     named = [(key, params.get(key)) for key in UNICAST_PARAMS]
@@ -923,7 +799,7 @@ class AdversaryNode:
                 if isinstance(a, Unicast) and a.to == self.node_id:
                     continue
                 if isinstance(a, TunnelSend) and self.klass is not AdversaryClass.ARBITRARY:
-                    raise AttackClassError("tunnel use by a non-arbitrary adversary")
+                    raise RuntimeError(f"{self.node_id}: tunnel use by a non-arbitrary adversary")
                 engine.note_adversary_emission(self.node_id, a.msg)
             kind = type(a)
             if kind is Broadcast:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .adversary import CATALOG, AdversaryClass
 from .harness import (MAX_FUZZ_NODES, FuzzConfig, check_trace, fuzz_campaign,
                       load_scenario, run_scenario, write_trace)
-from .scenario import ScenarioError
+from .reader import ScenarioError
 from .verifier import summarize
 
 EXIT_OK = 0
@@ -42,13 +42,6 @@ def _write_out(p: str, write) -> Path:
     except OSError as e:
         raise _CannotWrite(f"cannot write {path}: {e.strerror}")
     return path
-
-
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
-    return n
 
 
 def _cmd_run(args) -> int:
@@ -91,7 +84,7 @@ def _cmd_fuzz(args) -> int:
     try:
         config = FuzzConfig(
             runs=args.runs,
-            klass=AdversaryClass(args.adversary_class),
+            klass=args.adversary_class,
             mode=args.mode,
             max_nodes=args.max_nodes,
             seed=args.seed,
@@ -161,7 +154,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded random-adversary campaign")
-    p_fuzz.add_argument("--runs", type=_count, default=1000)
+    p_fuzz.add_argument("--runs", type=int, default=1000)
     p_fuzz.add_argument("--class", dest="adversary_class",
                         choices=[c.value for c in AdversaryClass],
                         default="arbitrary")

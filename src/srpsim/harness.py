@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .adversary import (AdversaryClass, exact_int, read_at, read_class, read_count,
-                        read_int)
+from .adversary import AdversaryClass, read_class
+from .reader import exact_int, read_at, read_count, read_int
 from .scenario import AdversarySpec, Scenario, build, load_scenario, read_mode
 from .simcore import LinkSchedule, SimConfig, edge_key
 from .srp import RouteRecord

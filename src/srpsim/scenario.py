@@ -16,13 +16,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .adversary import (AdversaryClass, AdversaryNode, AttackScript, FieldError,
-                        ScenarioError, attack, fields, read_at, read_choice,
-                        read_class, read_count, read_list, read_node, read_object,
-                        take)
+from .adversary import AdversaryClass, AdversaryNode, AttackScript, attack, read_class
 from .identity import KeyRing, new_memo, remember, rings_for
-from .simcore import (Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key,
-                      exact_int, exact_number)
+from .reader import (FieldError, ScenarioError, exact_int, exact_number, fields, read_at,
+                     read_choice, read_count, read_list, read_node, read_object, take)
+from .simcore import Engine, LinkSchedule, ScheduleMap, SimConfig, edge_key
 from .srp import NodeState, SrpNode
 from .srp_qos import GKind, LinkMetricModel, QosRuntime
 

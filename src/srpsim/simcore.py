@@ -33,29 +33,6 @@ class ScheduleError(ValueError):
     """A link schedule violates the dwell-time or ordering rules."""
 
 
-def is_node_id(value) -> bool:
-    """Node ids are non-empty strings of UTF-8 text with no whitespace and no
-    ',': the fields of a trace line are space-separated, routes comma-joined,
-    and a stored trace is UTF-8, which cannot encode a lone surrogate."""
-    return (isinstance(value, str) and value.split() == [value] and "," not in value
-            and (value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value)))
-
-
-def exact_int(value) -> int:
-    """`value` if it is an int and not a bool: input numbers are read by
-    exact type, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, not {value!r}")
-    return value
-
-
-def exact_number(value) -> float:
-    """`value` as a float if it is an int or a float and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, not {value!r}")
-    return float(value)
-
-
 def edge_key(u: str, v: str) -> tuple[str, str]:
     if u == v:
         raise InvalidEdgeError(f"self edge ({u}, {v})")

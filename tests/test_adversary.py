@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import srpsim
-from srpsim import (AdversaryClass, AttackClassError, Broadcast, CATALOG,
+from srpsim import (AdversaryClass, Broadcast, CATALOG,
                     Engine, GKind, LinkMetricModel, LinkSchedule, QosRuntime, Rrep,
                     Rreq, ScheduleMap, SimConfig, FuzzScript, TunnelSend, Unicast, attack,
                     load_scenario, run_scenario, scenario_from_dict, srp)
@@ -39,14 +39,15 @@ def test_catalog_covers_every_named_attack():
 
 
 def test_unknown_attack_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(FieldError) as exc:
         attack("no_such_attack")
+    assert str(exc.value) == "attack: unknown attack 'no_such_attack'; see list-attacks"
 
 
 @pytest.mark.parametrize("name", ["fig1a_tunnel", "fig1b_chain"])
 def test_collusion_attacks_are_arbitrary_only(name):
     assert CATALOG[name].arbitrary_only
-    with pytest.raises(AttackClassError):
+    with pytest.raises(FieldError, match=f"^class: attack '{name}' requires the arbitrary class"):
         attack(name, {}, AdversaryClass.INDEPENDENT)
     params = {"path": ["m1", "m2"]} if name == "fig1a_tunnel" else {}
     attack(name, params, AdversaryClass.ARBITRARY, ("m1", "m2"))  # fine
@@ -139,7 +140,7 @@ class TestExecutor:
         assert eng.adversary_emissions == [("m", msg)]
 
     def test_tunnel_from_independent_node_raises(self):
-        with pytest.raises(AttackClassError):
+        with pytest.raises(RuntimeError, match="^m: tunnel use by a non-arbitrary adversary$"):
             self._run(AdversaryClass.INDEPENDENT, [TunnelSend(Rreq("S", "T", 1, 0, ()))])
 
     def test_tunnel_without_a_path_raises(self):

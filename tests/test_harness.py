@@ -209,6 +209,9 @@ NAN = float("nan")
                "params": {"path": ["m1", "m2"]}},
         "m2": {"class": "arbitrary", "attack": "passive"}}),
      "adversary m1: tunnel peer m2 must hold a tunnel that ends at m1"),
+    (_mini(nodes=["S", "T", "m1", "m2"], adversaries={"m1": {
+        "class": "independent", "attack": "fig1a_tunnel", "params": {"path": ["m1", "m2"]}}}),
+     r"adversaries\.m1\.class: attack 'fig1a_tunnel' requires the arbitrary class"),
     (_mini(expect={"victim_link": ["S"]}), r"expect\.victim_link: expected a list of 2 items"),
     (_mini(expect={"victim_link": ["S", "S"]}),
      r"expect\.victim_link: expected two distinct node ids"),
@@ -343,7 +346,7 @@ NAN = float("nan")
     (_mini(expect={"victim_link": ["S", "ghost"]}), "victim_link names an undeclared node"),
 ], ids=["nan-at", "nan-tau", "inf-end-time", "path-int", "path-empty",
         "path-ghost", "path-to-correct-node", "path-to-independent",
-        "path-to-peer-without-tunnel-back",
+        "path-to-peer-without-tunnel-back", "tunnel-class-independent",
         "victim-one-node", "victim-self-edge", "adversary-string",
         "loop-free-maybe", "min-accepted-str", "metric-error-str",
         "node-space", "node-newline", "node-comma", "node-empty", "node-int",
@@ -1120,10 +1123,8 @@ class TestCli:
         assert err.startswith(f"scenario error: {path}: ") and err.count("\n") == 1
 
     def test_fuzz_rejects_negative_runs(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["fuzz", "--runs", "-3"])
-        assert exc.value.code == 2
-        assert "--runs: must not be negative: -3" in capsys.readouterr().err
+        assert cli_main(["fuzz", "--runs", "-3"]) == 2
+        assert capsys.readouterr().err == "fuzz error: runs: expected an integer >= 0, not -3\n"
 
     def test_fuzz_rejects_max_nodes_below_four(self, capsys):
         # random_scenario always draws S, T and two intermediates

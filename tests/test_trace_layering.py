@@ -1,6 +1,11 @@
-"""The trace has one owner: `srpsim/trace.py` defines the trace line, the
-whole-trace passes and the stored form, and imports no srpsim module but
-`srp`, so code that reads traces needs neither the engine nor the harness."""
+"""Each input or output form has one owner module, which defines its names
+and imports only what the table below allows:
+- `srpsim/trace.py` defines the trace line, the whole-trace passes and the
+  stored form, and imports no srpsim module but `srp`, so code that reads
+  traces needs neither the engine nor the harness;
+- `srpsim/reader.py` holds every rule for reading a scenario file, an
+  attack's params or a campaign's settings, and imports no srpsim module.
+No other module defines an owned name."""
 
 import ast
 from pathlib import Path
@@ -15,16 +20,21 @@ TRACE_NAMES = {
     "TraceFormatError", "read_trace", "_QUERY", "_ACCEPT", "_accepted_routes",
     "_first_difference", "bind_trace",
 }
+READER_NAMES = {
+    "ScenarioError", "FieldError", "_REQUIRED", "read_at", "take", "read_object",
+    "fields", "read_node", "read_list", "read_int", "read_count", "read_choice",
+    "exact_int", "exact_number",
+}
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _defined(tree: ast.Module) -> set[str]:
-    """Every name a def, class or assignment in the module binds."""
+def _bound(nodes) -> set[str]:
+    """Every name a def, class or assignment among `nodes` binds."""
     names = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -32,6 +42,25 @@ def _defined(tree: ast.Module) -> set[str]:
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
     return names
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Every name the module binds, at any depth."""
+    return _bound(ast.walk(tree))
+
+
+def _module_level(tree: ast.Module) -> set[str]:
+    """The names the module binds at module level: `fields` is a local name
+    in other modules."""
+    return _bound(tree.body)
+
+
+# owner module: (the srpsim modules it imports, the names only it defines,
+# how a module's definitions are found)
+OWNERS = {
+    "trace.py": ({"srp"}, TRACE_NAMES, _defined),
+    "reader.py": (set(), READER_NAMES, _module_level),
+}
 
 
 def _srpsim_imports(tree: ast.Module) -> set[str]:
@@ -51,13 +80,17 @@ def _srpsim_imports(tree: ast.Module) -> set[str]:
     return found
 
 
-def test_trace_imports_only_srp():
-    tree = _tree(SRC / "trace.py")
-    assert _srpsim_imports(tree) == {"srp"}
-    assert TRACE_NAMES <= _defined(tree)
+@pytest.mark.parametrize("owner", sorted(OWNERS))
+def test_owner_defines_its_names_and_imports_only_its_layers(owner):
+    imports, names, defined = OWNERS[owner]
+    tree = _tree(SRC / owner)
+    assert _srpsim_imports(tree) == imports
+    assert names <= defined(tree)
 
 
-@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "trace.py"}),
-                         ids=lambda p: p.name)
-def test_no_other_module_defines_a_trace_name(path):
-    assert not TRACE_NAMES & _defined(_tree(path))
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_other_module_defines_an_owned_name(path):
+    tree = _tree(path)
+    for owner, (_, names, defined) in OWNERS.items():
+        if path.name != owner:
+            assert not names & defined(tree), owner

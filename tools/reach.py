@@ -14,8 +14,9 @@ subprocesses are not seen.
 one per line, as `path qualname: statement  # reason`.  The tool ends by
 naming each unreached statement the residue does not list and each residue
 statement that ran; it exits 1 if there is one, else with pytest's status.
-Over the whole suite it takes minutes, so it is run by hand.  Besides
-pytest, it uses only the standard library.
+Over the whole suite it takes minutes, so the suite does not run it; the
+CI workflow does, under one interpreter.  Besides pytest, it uses only the
+standard library.
 """
 
 from __future__ import annotations

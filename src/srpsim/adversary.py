@@ -94,12 +94,9 @@ class AttackScript:
     every run of its scenario.  A run's state lives on the node: `store`,
     `rng` (seeded from `rng_seed`) and the once-per-query test `first_copy`.
 
-    Every value a script puts in a message is an exact `str`, `int` or
-    `None`, or a tuple of these: params go through `exact_int`, `read_node` and
-    `_scaled`, never reaching a message as a `bool`, `float` or list.  The
-    process-wide memos behind `simcore.message_digest` and `identity.f_k`
-    rely on it, since `True == 1` and `1.0 == 1` would find the entry of an
-    equal int that encodes differently."""
+    A value a script puts in a message must be one the encoder takes (see
+    `identity._encode_each`): params go through `exact_int`, `read_node` and
+    `_scaled`, never reaching a message as a `bool`, `float` or list."""
 
     name = "base"
     arbitrary_only = False

@@ -58,10 +58,7 @@ _str_bytes = _STR_BYTES.__getitem__
 
 def _encode_str(obj: str) -> bytes:
     raw = obj.encode("utf-8")
-    enc = b"s" + len(raw).to_bytes(4, "big") + raw
-    if type(obj) is str:
-        remember(_STR_BYTES, STR_MEMO_CAP, obj, enc)
-    return enc
+    return remember(_STR_BYTES, STR_MEMO_CAP, obj, b"s" + len(raw).to_bytes(4, "big") + raw)
 
 
 def _encode_int(obj: int) -> bytes:
@@ -71,9 +68,9 @@ def _encode_int(obj: int) -> bytes:
 
 def _encode_each(items, out: bytearray) -> None:
     # Type-tagged, length-prefixed encoding; injective over nested
-    # str/int/None/tuple-or-list values.  Exact types are handled here, the
-    # one dispatch site, which recurses only into lists; _encode_other
-    # serves subclasses and bool.
+    # str/int/None/tuple values.  This, the one dispatch site, decides what
+    # can be encoded: only exact types, so that equal memo keys encode
+    # identically (`True == 1`, `1.0 == 1`); any other value is refused.
     for item in items:
         t = type(item)
         if t is str:
@@ -83,23 +80,10 @@ def _encode_each(items, out: bytearray) -> None:
             out += _encode_int(item)
         elif item is None:
             out += b"n"
-        elif t is tuple or t is list:
+        elif t is tuple:
             _encode_items(item, out)
         else:
-            _encode_other(item, out)
-
-
-def _encode_other(obj, out: bytearray) -> None:
-    if isinstance(obj, str):
-        out += _encode_str(obj)
-    elif isinstance(obj, bool):  # bool before int: bool is an int subclass
-        out += b"b1" if obj else b"b0"
-    elif isinstance(obj, int):
-        out += _encode_int(obj)
-    elif isinstance(obj, (tuple, list)):
-        _encode_items(obj, out)
-    else:
-        raise TypeError(f"unencodable field type: {type(obj).__name__}")
+            raise TypeError(f"unencodable field type: {t.__name__}")
 
 
 def _encode_items(obj, out: bytearray) -> None:
@@ -110,7 +94,7 @@ def _encode_items(obj, out: bytearray) -> None:
     if type(obj[0]) is str:
         # a node list: one join over memoised encodings; any item that is
         # not an already-seen str sends the list through the item loop,
-        # which memoises its strings
+        # which memoises its strings and refuses what it cannot encode
         try:
             out += b"".join(map(_str_bytes, obj))
             return
@@ -134,10 +118,8 @@ def encode_fields(fields: Sequence) -> bytes:
 
 
 # (key, fields) -> f_k(key, fields), shared by every run in the process;
-# emptied when it reaches MAC_MEMO_CAP entries.  Exact because every MAC
-# input is an exact str, int or None, or a tuple of these (see AttackScript),
-# so equal keys encode identically: a bool or a float would find the entry of
-# an equal int.
+# emptied when it reaches MAC_MEMO_CAP entries.  Exact because the encoder
+# takes exact values only (see _encode_each).
 MAC_MEMO_CAP = 1 << 10
 _MACS: dict[tuple, int] = new_memo()
 
@@ -150,10 +132,7 @@ def _keyed_digest(key: bytes, fields: Sequence) -> int:
 def f_k(key: bytes, fields: Sequence) -> int:
     """Keyed digest over the canonical serialization of `fields`."""
     memo_key = (key, tuple(fields))
-    try:
-        mac = _MACS.get(memo_key)
-    except TypeError:  # a list among the fields: not a key
-        return _keyed_digest(key, fields)
+    mac = _MACS.get(memo_key)
     if mac is None:
         mac = remember(_MACS, MAC_MEMO_CAP, memo_key, _keyed_digest(key, fields))
     return mac

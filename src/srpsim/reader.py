@@ -78,7 +78,7 @@ def read_node(value) -> str:
     """A node id: a non-empty string of UTF-8 text with no whitespace and no
     ','.  The fields of a trace line are space-separated, routes comma-joined,
     and a stored trace is UTF-8, which cannot encode a lone surrogate."""
-    if not (isinstance(value, str) and value.split() == [value] and "," not in value
+    if not (type(value) is str and value.split() == [value] and "," not in value
             and (value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value))):
         raise TypeError(f"expected a node id (a non-empty string of UTF-8 text "
                         f"with no whitespace and no ','), not {value!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .identity import _encode_each, encode_fields, new_memo, remember
+from .identity import _encode_each, new_memo, remember
 from .srp import WIRE_HEADER
 from .trace import TraceView, trace_digest_of_lines
 
@@ -66,6 +66,8 @@ class SimConfig:
             raise ValueError("tx_time must be > 0")
         if self.reply_wait_min <= 0 or self.reply_wait_max < self.reply_wait_min:
             raise ValueError("need 0 < reply_wait_min <= reply_wait_max")
+        if self.end_time + self.reply_wait_max == self.end_time:
+            raise ValueError("reply_wait_max is too small to advance the clock at end_time")
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,9 @@ class ScheduleMap:
 
 
 # wire fields -> message digest, shared by every run in the process; emptied
-# when it reaches DIGEST_MEMO_CAP entries.  Exact because every wire field is
-# an exact str, int or None, or a tuple of these (see AttackScript), so equal
-# keys encode identically: a bool or a float would find the entry of an
-# equal int.  Engine._digests stays in front of it.
+# when it reaches DIGEST_MEMO_CAP entries.  Exact because the encoder takes
+# exact values only (see identity._encode_each).  Engine._digests stays in
+# front of it.
 DIGEST_MEMO_CAP = 1 << 10
 _DIGESTS: dict[tuple, str] = new_memo()
 # query header (the first WIRE_HEADER wire fields) -> the opening of
@@ -207,10 +208,7 @@ def message_digest(msg) -> str:
     if msg is None:
         return "-"
     fields = msg.wire_fields()
-    try:
-        digest = _DIGESTS.get(fields)
-    except TypeError:  # a list among the fields: not a key
-        return _digest_of(encode_fields(fields))
+    digest = _DIGESTS.get(fields)
     if digest is None:
         digest = remember(_DIGESTS, DIGEST_MEMO_CAP, fields, _digest_of(_wire_bytes(fields)))
     return digest

@@ -98,8 +98,15 @@ class LinkMetricModel:
         if not all(math.isfinite(v * SCALE) for v in self.actual.values()):
             raise ValueError("actual link metrics must be finite once scaled "
                              "to micro units")
-        if self.kind == GKind.MUL and any(v <= 0 for v in self.actual.values()):
-            raise ValueError("product metrics must be strictly positive")
+        if self.kind == GKind.MUL:
+            if any(v <= 0 for v in self.actual.values()):
+                raise ValueError("product metrics must be strictly positive")
+            try:  # the largest measurement: max(actual) * e^delta_tilde, scaled
+                top = max(self.actual.values(), default=1.0) * math.exp(self.delta_tilde) * SCALE
+            except OverflowError:  # e^delta_tilde is no float
+                top = math.inf
+            if not math.isfinite(top):
+                raise ValueError("max(actual) * e^delta_tilde must be finite once scaled")
 
     def actual_scaled(self, edge) -> Optional[int]:
         v = self.actual.get(edge_key(*edge))
@@ -177,4 +184,6 @@ class QosRuntime:
         prod = 1.0
         for m in metrics_scaled:
             prod *= from_scaled(m)
-        return to_scaled(prod)
+        # a product no scaled float holds equals no aggregate: a 4.2.2 check discards
+        prod *= SCALE
+        return round(prod) if math.isfinite(prod) else math.nan

@@ -421,6 +421,71 @@ def test_renamed_node_with_a_line_break_fails_at_load(tmp_path):
     assert cli_main(["run", str(bad)]) == 2
 
 
+def test_a_node_id_of_a_str_subclass_fails_at_load():
+    # an id reaches message fields verbatim, and the encoder takes exact
+    # values only: a subclass would load and then fail mid-run
+    class N(str):
+        pass
+
+    d = _bundled("benign_basic")
+    d["nodes"] = [N(n) for n in d["nodes"]]
+    with pytest.raises(ScenarioError, match=r"^nodes\[0\]: expected a node id "):
+        scenario_from_dict(d)
+
+
+def _mul_chain(actual, **overrides):
+    """S-a-b-c-T in augmented mode with a product metric over `actual`."""
+    nodes = ["S", "a", "b", "c", "T"]
+    edges = list(zip(nodes, nodes[1:]))
+    metrics = {"kind": "mul", "epsilon": 0.1,
+               "actual": [[u, v, x] for (u, v), x in zip(edges, actual)]}
+    return _mini(mode="augmented", nodes=nodes, config={"end_time": 120.0},
+                 links=[[u, v, [[0, 120]]] for u, v in edges],
+                 metrics={**metrics, **overrides.pop("metrics", {})}, **overrides)
+
+
+def _tamper_upstream(index):
+    return {"class": "arbitrary", "attack": "tamper_metriclist_rreq_upstream",
+            "params": {"index": index, "delta": 1e300}}
+
+
+_PROBE_REPLY_WAIT = "config: reply_wait_max is too small to advance the clock at end_time"
+
+
+@pytest.mark.parametrize("data, code, err", [
+    (_mul_chain([1e300] * 4), 0, None),
+    (_mul_chain([1e200, 1e200, 1e-200, 1.5]), 0, None),
+    (_mul_chain([1.5] * 4, adversaries={"b": _tamper_upstream(0), "c": _tamper_upstream(1)}),
+     0, None),
+    (_mul_chain([1.5] * 4, metrics={"delta_tilde": 800}), 2,
+     "metrics: max(actual) * e^delta_tilde must be finite once scaled"),
+    (_mini(config={"reply_wait_min": 1e-300, "reply_wait_max": 1e-300, "end_time": 10}),
+     2, _PROBE_REPLY_WAIT),
+    (_mini(config={"reply_wait_min": 1e-300, "end_time": 10}), 2, _PROBE_REPLY_WAIT),
+], ids=["product-overflows", "prefix-product-overflows", "tampered-product-overflows",
+        "measurement-overflows", "reply-wait-absorbed", "reply-wait-max-default-absorbed"])
+def test_loadable_input_never_crashes_or_hangs(tmp_path, data, code, err):
+    # a product no float holds discards at the 4.2.2 prefix check; a
+    # measurement or a reply wait that would crash or stall the run is
+    # refused at load
+    probe, trace = tmp_path / "probe.json", tmp_path / "probe.trace"
+    probe.write_text(json.dumps(data))
+    src = str(Path(srpsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-m", "srpsim", "run", str(probe),
+                          "--trace", str(trace)], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == code, out.stderr
+    if err is None:
+        assert "accepted routes: 0" in out.stdout
+        assert "4.2.2:prefix-metric-mismatch" in trace.read_text()
+    else:
+        assert out.stderr == f"scenario error: {err}\n"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(err)}$"):
+            scenario_from_dict(data)
+
+
 @pytest.mark.parametrize("stem, param, value", [
     ("tamper_nodelist_downstream_arbitrary", "insert", 5),
     ("tamper_nodelist_downstream_arbitrary", "insert", [5]),

@@ -220,11 +220,15 @@ def test_a_ring_refuses_a_new_key():
 def test_fields_given_as_lists_digest_as_tuples(fields):
     as_tuples = tuple(tuple(f) if isinstance(f, list) else f for f in fields)
     ring = rings_for(("S", "T"), (("S", "T"),))["S"]
-    # the encoding does not tell a list from a tuple; a nested list is no
-    # memo key, so that call is digested unmemoised
-    assert ring.mac("T", fields) == ring.mac("T", as_tuples)
+    if isinstance(fields[-1], list):
+        # a nested list is no memo key and no field the encoder takes
+        with pytest.raises(TypeError):
+            ring.mac("T", fields)
+    else:
+        # a top-level list is taken as a tuple
+        assert ring.mac("T", fields) == ring.mac("T", as_tuples)
 
 
-def test_a_message_holding_a_list_digests_as_with_a_tuple():
-    assert simcore.message_digest(Rreq("S", "T", 1, 7, ["a", "b"])) \
-        == simcore.message_digest(Rreq("S", "T", 1, 7, ("a", "b")))
+def test_a_message_holding_a_list_is_refused():
+    with pytest.raises(TypeError):
+        simcore.message_digest(Rreq("S", "T", 1, 7, ["a", "b"]))

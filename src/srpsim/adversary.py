@@ -648,7 +648,7 @@ def step_adversary(node: AdversaryNode, received, transmitter: str):
     if not isinstance(received, Rreq):
         return verdict, node.script.on_rrep(node, received, transmitter)
     if verdict is None:
-        node.state.seen.add((received.src, received.qid))
+        node.state.seen.add(received.query)
     return verdict, node.script.on_rreq(node, received, transmitter)
 
 
@@ -688,10 +688,9 @@ class AdversaryNode:
     def first_copy(self, rreq: Rreq) -> bool:
         """True the first time this is asked of a query (its source and id),
         for a script that acts once per query."""
-        key = (rreq.src, rreq.qid)
-        if key in self._queries:
+        if rreq.query in self._queries:
             return False
-        self._queries.add(key)
+        self._queries.add(rreq.query)
         return True
 
     def forged_rrep(self, rreq: Rreq, route) -> Rrep:

@@ -54,6 +54,10 @@ class Rreq:
     node_list: tuple[str, ...] = ()
     metric_list: Optional[tuple[int, ...]] = None
 
+    def __post_init__(self):
+        _set_facts(self, self.node_list, ENDPOINT_IN_NODE_LIST)
+        object.__setattr__(self, "query", (self.src, self.qid))
+
     def wire_fields(self):
         return ("rreq", self.src, self.dst, self.qid, self.auth,
                 self.node_list, self.metric_list)
@@ -72,6 +76,9 @@ class Rrep:
     route: tuple[str, ...]
     auth: int
     metric_list: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        _set_facts(self, self.route, ENDPOINT_IN_ROUTE)
 
     def wire_fields(self):
         return ("rrep", self.src, self.dst, self.qid, self.auth,
@@ -144,8 +151,18 @@ _AT_RELAY = (RELAY_DUPLICATE, RELAY_PRECURSOR_MISMATCH, RELAY_IDENTITY_LOOP, REL
 _AT_DESTINATION = (DEST_DUPLICATE, DEST_PRECURSOR_MISMATCH, DEST_IDENTITY_LOOP, DEST_METRIC_LENGTH)
 
 
-def _has_duplicates(seq) -> bool:
-    return len(set(seq)) != len(seq)
+def _set_facts(msg, names, endpoint_in_names: Discard) -> None:
+    """Set, once per message rather than once per receiver, the facts its own
+    fields decide: `form`, the first format rule its fields alone break, and
+    `loops`, whether `names` repeats a name.  Not fields, so `==`, hash, repr and
+    digests ignore them; an `Rreq` also carries `query`, its (src, qid)."""
+    distinct = set(names)
+    # Accumulated entries are intermediate nodes; an end node in the list
+    # makes the eventual route repeat a node.
+    form = (SRC_EQUALS_DST if msg.src == msg.dst else
+            endpoint_in_names if msg.src in distinct or msg.dst in distinct else None)
+    object.__setattr__(msg, "form", form)
+    object.__setattr__(msg, "loops", len(distinct) != len(names))
 
 
 # --------------------------------------------------------------------------
@@ -185,23 +202,19 @@ class NodeState:
 def rreq_verdict(state: NodeState, rreq: Rreq, transmitter: str, qos) -> Optional[Discard]:
     """Full compliance check for a received route request, from this node's
     position (intermediate or destination).  Returns None when compliant."""
-    if rreq.src == rreq.dst:
-        return SRC_EQUALS_DST
-    if rreq.src in rreq.node_list or rreq.dst in rreq.node_list:
-        # Accumulated entries are intermediate nodes; an end node in the list
-        # makes the eventual route repeat a node.
-        return ENDPOINT_IN_NODE_LIST
+    if rreq.form is not None:
+        return rreq.form
     if (rreq.metric_list is not None) != (qos is not None):
         return METRIC_LIST_MODE_MISMATCH
     at_destination = rreq.dst == state.self_id
     duplicate, precursor_mismatch, identity_loop, metric_length = (
         _AT_DESTINATION if at_destination else _AT_RELAY)
-    if (rreq.src, rreq.qid) in state.seen:
+    if rreq.query in state.seen:
         return duplicate
     expected = rreq.node_list[-1] if rreq.node_list else rreq.src
     if transmitter != expected:
         return precursor_mismatch
-    if _has_duplicates(rreq.node_list) or state.self_id in rreq.node_list:
+    if rreq.loops or state.self_id in rreq.node_list:
         return identity_loop
     if qos is not None and len(rreq.metric_list) != len(rreq.node_list):
         return metric_length
@@ -217,10 +230,8 @@ def rrep_verdict(state: NodeState, rrep: Rrep, forwarder: str, qos) -> Optional[
     """Full compliance check for a received route reply, from this node's
     position (querying node, on-route relay, or neither)."""
     route = rrep.route
-    if rrep.src == rrep.dst:
-        return SRC_EQUALS_DST
-    if rrep.src in route or rrep.dst in route:
-        return ENDPOINT_IN_ROUTE
+    if rrep.form is not None:
+        return rrep.form
     if qos is not None:
         if rrep.metric_list is None or len(rrep.metric_list) != len(route) + 1:
             return METRIC_LIST_LENGTH
@@ -248,7 +259,7 @@ def rrep_verdict(state: NodeState, rrep: Rrep, forwarder: str, qos) -> Optional[
         fl = state.fwd.get(key)
         if fl is None or forwarder not in fl:
             return NOT_IN_FORWARD_LIST
-    if _has_duplicates(route):
+    if rrep.loops:
         return ROUTE_LOOP
     if qos is not None and successor == rrep.dst:
         # The generator's predecessor (the querying node itself on a
@@ -282,7 +293,7 @@ def remember_broadcast(state: NodeState, rreq: Rreq, qos) -> None:
     """Record a request this node broadcasts: the query is seen, and the
     lists sent out are what a neighbour's relay must extend by one entry to
     join the (fresh, empty) forward list."""
-    key = (rreq.src, rreq.qid)
+    key = rreq.query
     state.seen.add(key)
     state.relayed[key] = rreq
     state.fwd[key] = {}
@@ -347,7 +358,7 @@ def admit_relay(state: NodeState, rreq: Rreq, transmitter: str, qos=None):
     consistent with our own measurement of the shared link).  Returns the
     outcome and detail of the step line a correct node writes, or None when
     the copy is no such relay."""
-    key = (rreq.src, rreq.qid)
+    key = rreq.query
     sent = state.relayed.get(key)
     if sent is None:
         return None
@@ -400,7 +411,7 @@ def receive_rreq(engine, state: NodeState, rreq: Rreq, transmitter: str, qos=Non
         engine.trace_step(node, "relay", "2.2.4", out)
         engine.bcast_l(node, out)
         return
-    state.seen.add((rreq.src, rreq.qid))
+    state.seen.add(rreq.query)
     route = tuple(reversed(rreq.node_list))
     fields = (rreq.src, rreq.dst, rreq.qid, route)
     if qos is not None:

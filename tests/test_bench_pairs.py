@@ -1,5 +1,5 @@
-"""The summary arithmetic of `tools/bench_pairs.py`, on synthetic pairs: no
-bench run is started."""
+"""The summary arithmetic of `tools/bench_pairs.py`, on synthetic pairs, and
+its report of a failed run, on a fake checkout: no bench run is started."""
 
 import importlib.util
 import json
@@ -151,3 +151,43 @@ def test_unresolved_is_judged_against_the_metric_bound(spread, unresolved):
     out = bench_pairs.summarise(_pairs(parent, [10.0] * 5, [1.0] * 5, [1.0] * 5), METRICS)
     assert out["runs_per_s"]["parent_iqr"] == pytest.approx(spread)
     assert out["runs_per_s"].get("unresolved", False) is unresolved
+
+
+# a fake checkout's bench/run.py: seed 31 prints a result as its last line,
+# seed 33 prints a last line that is not JSON, any other seed fails
+FAKE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 31:
+    print(json.dumps({"attempted": 1, "failed": 0, "correct": True,
+                      "metrics": {m: {"value": 1.0} for m in ("runs_per_s", "run_ms_p50")}}))
+elif seed == 33:
+    print("no result")
+else:
+    print("boom", file=sys.stderr)
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("seed, pairs, failed_side, code, kept", [
+    (40, 1, "parent", 3, 0),   # the first run fails: the file holds no pair
+    (31, 2, "change", 3, 1),   # pair 2 runs the change first, and it fails
+    (33, 1, "parent", 0, 0),   # exit code 0, but no JSON last line
+])
+def test_a_failed_run_is_named_and_finished_pairs_are_kept(
+        tmp_path, capsys, seed, pairs, failed_side, code, kept):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(FAKE_RUN)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "grid_flood"}], "end_to_end": METRICS}))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                             "--out", str(out), "--seed", str(seed),
+                             "--pairs", str(pairs)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed_seed = seed + pairs - 1
+    assert err[kept] == (f"bench_pairs: grid_flood run failed on the {failed_side} side "
+                         f"({tmp_path}), seed {failed_seed}: exit code {code}, stderr tail:")
+    assert err[kept + 1:] == (["boom"] if code else ["(empty)"])
+    assert [p["seed"] for p in json.loads(out.read_text())["pairs"]["grid_flood"]] == \
+        list(range(seed, seed + kept))

@@ -22,6 +22,11 @@ also gets a top-level "claim" block for that metric on that workload; it is
 met when the change won at least nine pairs in ten and its median beats the
 parent's by more than the parent's interquartile range.  FILE is rewritten
 after every pair, so a cut series keeps what it measured.
+
+A bench run that exits non-zero, or whose last line of output is not JSON,
+ends the series with exit code 1 and a message naming the workload, the
+side, the seed, the exit code and the tail of the run's stderr; FILE keeps
+the pairs finished before it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_TAIL = 10  # lines of a failed run's stderr that the message quotes
 
 
 def median_iqr(values) -> tuple[float, float]:
@@ -98,11 +104,22 @@ def claim_block(workload: str, metric: dict, summary: dict) -> dict:
     }
 
 
+class BenchRunError(Exception):
+    """A bench run that exited non-zero or printed no JSON last line."""
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.splitlines()[-1])
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1]) if out.returncode == 0 and lines else None
+    except ValueError:  # a last line that is not JSON
+        result = None
+    if not isinstance(result, dict):
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:]) or "(empty)"
+        raise BenchRunError(f"exit code {out.returncode}, stderr tail:\n{tail}")
     return {"attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"],
             **{k: v["value"] for k, v in result["metrics"].items()}}
@@ -133,27 +150,37 @@ def main(argv=None) -> int:
         claim = (claimed, metric)
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = {w: [] for w in workloads}
+
+    def write_out():
+        summaries = {name: summarise(ps, bench["end_to_end"])
+                     for name, ps in pairs.items() if ps}
+        out = {"commands": {"end_to_end": "python3 bench/run.py --workload <w> "
+                            f"--seed <{args.seed} + pair> --seconds {args.seconds:g} "
+                            "--trace 0, parent and change alternating which runs first"}}
+        if claim is not None and claim[0] in summaries:
+            out["claim"] = claim_block(*claim, summaries[claim[0]])
+        out["end_to_end"] = summaries
+        out["pairs"] = pairs
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for w in workloads:
             seed = args.seed + i
             pair = {"pair": i + 1, "first": order[0], "seed": seed}
             for side in order:
-                pair[side] = run_bench(checkouts[side], w, seed, args.seconds)
+                try:
+                    pair[side] = run_bench(checkouts[side], w, seed, args.seconds)
+                except BenchRunError as e:
+                    write_out()
+                    print(f"bench_pairs: {w} run failed on the {side} side "
+                          f"({checkouts[side]}), seed {seed}: {e}", file=sys.stderr)
+                    return 1
             pairs[w].append(pair)
             print(f"{w} pair {i + 1}: " + ", ".join(
                 f"{side} {pair[side]['runs_per_s']:.4g} runs/s" for side in SIDES),
                 file=sys.stderr, flush=True)
-            summaries = {name: summarise(ps, bench["end_to_end"])
-                         for name, ps in pairs.items() if ps}
-            out = {"commands": {"end_to_end": "python3 bench/run.py --workload <w> "
-                                f"--seed <{args.seed} + pair> --seconds {args.seconds:g} "
-                                "--trace 0, parent and change alternating which runs first"}}
-            if claim is not None and claim[0] in summaries:
-                out["claim"] = claim_block(*claim, summaries[claim[0]])
-            out["end_to_end"] = summaries
-            out["pairs"] = pairs
-            args.out.write_text(json.dumps(out, indent=1) + "\n")
+            write_out()
     return 0
 
 

@@ -166,9 +166,6 @@ class ScheduleMap:
         s = self.get(u, v)
         return s is not None and s.up_within(t1, t2)
 
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted(self._by_edge)
-
 
 # wire fields -> message digest, shared by every run in the process; emptied
 # when it reaches DIGEST_MEMO_CAP entries.  Exact because the encoder takes

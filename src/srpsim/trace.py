@@ -79,21 +79,26 @@ _QUERY = re.compile(r"(\S+) \d+ (\S+) step \S+ query dst=(\S+) qid=(\S*) ")
 _ACCEPT = re.compile(r"(\S+) \d+ \S+ step - accept route=(\S+)")
 
 
+def _record_lines(records, digest: int) -> list[str]:
+    """The `# accepted` record of each accepted route, then the digest footer."""
+    return [*("# accepted " + json.dumps({
+        "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
+        "reported": None if rec.reported is None else list(rec.reported),
+    }) for rec in records), f"# digest {digest:016x}"]
+
+
 def _trace_pieces(name: str, seed: int, lines, records, digest: int):
     """The stored form of a run, in order: a header naming the scenario and
-    seed, the event lines, one `# accepted` record per accepted route, and
-    the digest footer.  Each slice of event lines is one piece, ended by a
-    line break; the header opens the first piece and the records and the
-    footer close the last, so a trace of at most one slice is one piece."""
+    seed, the event lines, then `_record_lines`.  Each slice of event lines
+    is one piece, ended by a line break; the header opens the first piece and
+    the records and the footer close the last, so a trace of at most one
+    slice is one piece."""
     chunks = line_chunks(lines)
     piece = [f"{TRACE_HEADER}{name} seed={seed}", *next(chunks, ())]
     for chunk in chunks:
         yield "\n".join([*piece, ""])
         piece = chunk
-    yield "\n".join([*piece, *("# accepted " + json.dumps({
-        "route": list(rec.route), "t1": rec.t1, "t2": rec.t2, "qid": rec.qid,
-        "reported": None if rec.reported is None else list(rec.reported),
-    }) for rec in records), f"# digest {digest:016x}", ""])
+    yield "\n".join([*piece, *_record_lines(records, digest), ""])
 
 
 def render_trace(name: str, seed: int, lines, records, digest: int) -> str:
@@ -173,41 +178,28 @@ def _accepted_routes(lines, stored, augmented: bool) -> list[RouteRecord]:
     return records
 
 
-def _first_difference(pieces, text: str) -> Optional[str]:
-    """None if text is the pieces joined; else a message naming the first
-    line where text differs, each side with its line break, as written.  The
-    pieces are compared with text one at a time, at running offsets, and the
-    first that differs is bisected for the longest prefix text holds."""
-    at, want = 0, "end of file"  # unless a line of a piece differs
-    for piece in pieces:
-        if not text.startswith(piece, at):
-            held, short = 0, len(piece)  # text holds piece[:held], not piece[:short]
-            while short - held > 1:
-                mid = (held + short) // 2
-                if text.startswith(piece[:mid], at):
-                    held = mid
-                else:
-                    short = mid
-            start = piece.rfind("\n", 0, held) + 1
-            want = repr(piece[start:piece.index("\n", held) + 1])
-            at += start
-            break
-        at += len(piece)
-    else:
-        if at == len(text):
-            return None
-    n = text.count("\n", 0, at)
-    end = text.find("\n", at) + 1 or len(text)
-    found = repr(text[at:end]) if end > at else "end of file"
-    return f"line {n + 1}: expected {want}, found {found}"
+def _first_difference(expected: list[str], found: list[str]) -> Optional[str]:
+    """None if the two lists are equal; else a message naming the first line
+    where they differ, each side with its line break, as written.  Each list
+    is a text split at its line breaks, so its last item is what follows the
+    last break: "" when the text ends with one."""
+    if expected == found:
+        return None
+    n = next((n for n, (e, f) in enumerate(zip(expected, found)) if e != f),
+             min(len(expected), len(found)) - 1)
+
+    def shown(parts):
+        if n + 1 < len(parts):
+            return repr(parts[n] + "\n")
+        return repr(parts[n]) if parts[n] else "end of file"
+    return f"line {n + 1}: expected {shown(expected)}, found {shown(found)}"
 
 
 def bind_trace(path, name: str, augmented: bool) -> list[RouteRecord]:
     """The accepted routes of the stored trace at `path`, which must be what
     write_trace writes for scenario `name`, its header's seed and its event
     lines.  Raises TraceFormatError naming the first line that differs."""
-    text = read_trace(path)
-    stored = text.split("\n")
+    stored = read_trace(path).split("\n")
     try:
         seed = int(stored[0].rpartition(" seed=")[2])
     except ValueError:
@@ -215,8 +207,9 @@ def bind_trace(path, name: str, augmented: bool) -> list[RouteRecord]:
                                f"{name} seed=<integer>', found {stored[0]!r}")
     lines = [ln for ln in stored if ln and ln[0] != "#"]
     records = _accepted_routes(lines, stored, augmented)
-    difference = _first_difference(_trace_pieces(
-        name, seed, lines, records, trace_digest_of_lines(lines)), text)
+    expected = [f"{TRACE_HEADER}{name} seed={seed}", *lines,
+                *_record_lines(records, trace_digest_of_lines(lines)), ""]
+    difference = _first_difference(expected, stored)
     if difference is not None:
         raise TraceFormatError(difference)
     return records

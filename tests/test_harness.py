@@ -1057,41 +1057,26 @@ def _edited_trace(draw):
     return scen, edited
 
 
-def _whole_text_difference(expected: str, found: str) -> str:
-    """The reference for `trace._first_difference`: both texts split into
-    lines whole, and line n of each shown with its line break, as written."""
-    exp, got = expected.split("\n"), found.split("\n")
-    n = next((n for n, (e, f) in enumerate(zip(exp, got)) if e != f),
-             min(len(exp), len(got)) - 1)
-
-    def line(parts):
-        if n + 1 < len(parts):
-            return repr(parts[n] + "\n")
-        return repr(parts[n]) if n < len(parts) and parts[n] else "end of file"
-    return f"line {n + 1}: expected {line(exp)}, found {line(got)}"
-
-
-_LINES = st.lists(st.sampled_from(["", "a", "ab", "b a", "#"]), max_size=8)
+_SMALL_TRACE = "# srpsim-trace scenario=s seed=1\n1.0 0 S x\n# digest 0f\n"
+_DIFFERENCES = [  # (found, message) for a file that should read _SMALL_TRACE
+    (_SMALL_TRACE, None),
+    (_SMALL_TRACE.replace("S x", "S y"),
+     "line 2: expected '1.0 0 S x\\n', found '1.0 0 S y\\n'"),
+    (_SMALL_TRACE.replace("S x", "S x\r"),
+     "line 2: expected '1.0 0 S x\\n', found '1.0 0 S x\\r\\n'"),
+    (_SMALL_TRACE[:_SMALL_TRACE.index("#", 1)],
+     "line 3: expected '# digest 0f\\n', found end of file"),
+    (_SMALL_TRACE[:-1], "line 3: expected '# digest 0f\\n', found '# digest 0f'"),
+    (_SMALL_TRACE + "1.0 1 T x\n", "line 4: expected end of file, found '1.0 1 T x\\n'"),
+    (_SMALL_TRACE + "\r", "line 4: expected end of file, found '\\r'"),
+]
 
 
 class TestStoredTraceCheck:
-    @given(_LINES, st.lists(st.integers(1, 3), min_size=8, max_size=8),
-           st.lists(st.tuples(st.integers(0, 60), st.sampled_from(["", "a", "\n", "\r"])),
-                    max_size=3))
-    def test_first_difference_matches_the_whole_text_comparison(self, lines, sizes, edits):
-        # the lines split into pieces of 1-3 lines, each line ended by a
-        # break; each edit puts a string in place of one character, or
-        # appends it when past the end
-        pieces, i = [], 0
-        for size in sizes:
-            if i < len(lines):
-                pieces.append("".join(ln + "\n" for ln in lines[i:i + size]))
-                i += size
-        expected = text = "".join(pieces)
-        for at, new in edits:
-            text = text[:at] + new + text[at + 1:]
-        found = _first_difference(iter(pieces), text)
-        assert found == (None if text == expected else _whole_text_difference(expected, text))
+    @pytest.mark.parametrize("found, message", _DIFFERENCES, ids=[
+        "equal", "changed", "cr", "short", "no-final-break", "longer", "trailing-cr"])
+    def test_first_difference_names_the_first_line_that_differs(self, found, message):
+        assert _first_difference(_SMALL_TRACE.split("\n"), found.split("\n")) == message
 
     @pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
     def test_accepts_what_write_trace_writes(self, tmp_path, path):

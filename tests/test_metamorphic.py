@@ -8,7 +8,14 @@ every adversary of a scenario with an independent `passive` one, and then
 making those nodes correct, must not change a single accepted record
 (route, t1, t2, reported).  The runs are the independent class's fuzz
 slice, seeds 0-249 in both modes, and every bundled scenario whose
-adversaries are all independent."""
+adversaries are all independent.
+
+R3, a node with no links changes no trace line.  A node `iso` with no links
+and no keys, added at the end of the roster or at its front, hears and sends
+nothing, so every run writes the trace lines of the run without it.  The
+runs are every bundled scenario under its authored seed and seeds 0-4; the
+loaded config keeps the reply waits computed from the original roster.
+Fuzz scenarios are left out: their scripts draw from the roster."""
 
 import dataclasses
 import random
@@ -23,10 +30,14 @@ INDEPENDENT = AdversaryClass.INDEPENDENT
 FUZZ_SEEDS = range(250)
 
 
-def _records(scenario):
-    engine = build(scenario)
+def _run(scenario, seed=None):
+    engine = build(scenario, seed)
     engine.run()
-    return [(r.route, r.t1, r.t2, r.reported) for r in engine.accepted]
+    return engine
+
+
+def _records(scenario):
+    return [(r.route, r.t1, r.t2, r.reported) for r in _run(scenario).accepted]
 
 
 def _r1_holds(scenario) -> bool:
@@ -60,3 +71,13 @@ def test_the_corpus_has_independent_only_scenarios():
 @pytest.mark.parametrize("path", INDEPENDENT_ONLY, ids=lambda p: p.stem)
 def test_r1_on_a_bundled_scenario(path):
     assert _r1_holds(load_scenario(path))
+
+
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_r3_an_unlinked_node_changes_no_trace_line(path):
+    scenario = load_scenario(path)
+    for seed in (None, *range(5)):
+        lines = _run(scenario, seed).trace.lines
+        for nodes in (scenario.nodes + ("iso",), ("iso",) + scenario.nodes):
+            assert _run(dataclasses.replace(scenario, nodes=nodes), seed).trace.lines == lines, \
+                (nodes[0], seed)

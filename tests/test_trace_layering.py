@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "srpsim"
 TRACE_NAMES = {
     "TraceEvent", "parse_trace_line", "TraceView",
     "_CHUNK", "line_chunks", "trace_digest_of_lines",
-    "TRACE_HEADER", "_trace_pieces", "render_trace", "write_trace",
+    "TRACE_HEADER", "_record_lines", "_trace_pieces", "render_trace", "write_trace",
     "TraceFormatError", "read_trace", "_QUERY", "_ACCEPT", "_accepted_routes",
     "_first_difference", "bind_trace",
 }

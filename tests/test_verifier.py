@@ -224,11 +224,8 @@ def brute_weakly_fresh(route, schedules, t1, t2):
     if all(fresh):
         return True
     n = len(links)
-    adj = {x: set() for x in schedules.nodes}
-    for u, v in schedules.edges():
-        if schedules.up_within(u, v, t1, t2):
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = {x: {y for y, s in schedules.neighbours(x) if s.up_within(t1, t2)}
+           for x in schedules.nodes}
 
     def any_simple_path(a, b):
         if a not in adj or b not in adj:
